@@ -18,7 +18,7 @@ from .contrastive import TrainConfig, train_embedder
 from .errors import UatrackError
 from .metrics import id_switches, pseudo_accuracy, uncertainty_separation
 from .simulator import ScenarioConfig, generate
-from .tracker import Tracklet, TrackerConfig, track_sequence
+from .tracker import TrackerConfig, track_sequence, tracklets_from_log
 from .uncertainty import UncertaintyMargins
 
 USAGE_ERROR = 1
@@ -84,25 +84,6 @@ def _load_bundle(dets_path, embs_path):
     return frames
 
 
-def _tracklets_from_log(log) -> list[Tracklet]:
-    """Rebuild tracklet composition (frame, det_index, delta) from a log.
-
-    Boxes/embeddings are not in the log; the metrics only need identity and
-    delta, so placeholder geometry is used."""
-    from .geometry import BoundingBox
-    from .tracker import TrackRecord
-    by_id: dict[int, Tracklet] = {}
-    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
-    for row in sorted(log, key=lambda r: (r.frame, r.track_id)):
-        rec = TrackRecord(frame=row.frame, det_index=row.det_index, box=box,
-                          embedding=np.zeros(1), delta=row.delta)
-        if row.track_id in by_id:
-            by_id[row.track_id].append(rec)
-        else:
-            by_id[row.track_id] = Tracklet(row.track_id, rec)
-    return [by_id[k] for k in sorted(by_id)]
-
-
 def cmd_simulate(args) -> int:
     cfg = formats.parse_scenario_config(args.config) if args.config else ScenarioConfig()
     frames, gt = generate(cfg)
@@ -132,7 +113,7 @@ def cmd_eval(args) -> int:
         raise UatrackError(f"results file not found: {args.results}")
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
-    tracklets = _tracklets_from_log(log)
+    tracklets = tracklets_from_log(log)
     curve = pseudo_accuracy(tracklets, gt, max_age=args.max_age)
     sep = uncertainty_separation(log, gt)
     ids = id_switches(tracklets, gt)

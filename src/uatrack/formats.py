@@ -21,20 +21,34 @@ from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
                      IoFailure, MissingEmbedding, NonPositiveSize, ParseError)
 from .geometry import BoundingBox
 from .simulator import GroundTruthRecord, ScenarioConfig
-from .tracker import Detection, LogRow, Tracklet
+from .tracker import STAGE_BIRTH, STAGE_DISSOLVED, Detection, LogRow, Tracklet
 
 NORM_WARN_TOL = 1e-6
 
 
+def _umask() -> int:
+    """The process umask; `os.umask` can only read it by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write(path, lines) -> None:
-    """Write text lines to `path` via a temp file + rename."""
+    """Write text lines to `path` via a temp file + rename. The file gets
+    the mode a plain `open` would give it (0o666 less the umask); the temp
+    file is removed if the write or the rename fails."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+            os.chmod(tmp, 0o666 & ~_umask())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -90,6 +104,8 @@ def _read_vectors(path, what: str):
                 vec = np.array([float(p) for p in parts[2:]])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise ParseError(f"line {lineno}: non-finite value")
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
@@ -218,13 +234,16 @@ def read_log(path) -> list[LogRow]:
             if len(parts) != 9:
                 raise ParseError(f"line {lineno}: expected 9 fields, got {len(parts)}")
             try:
-                rows.append(LogRow(frame=int(parts[0]), det_index=int(parts[1]),
-                                   track_id=int(parts[2]), c1=float(parts[3]),
-                                   c2=float(parts[4]), sigma=float(parts[5]),
-                                   gamma=float(parts[6]), delta=float(parts[7]),
-                                   stage=int(parts[8])))
+                row = LogRow(frame=int(parts[0]), det_index=int(parts[1]),
+                             track_id=int(parts[2]), c1=float(parts[3]),
+                             c2=float(parts[4]), sigma=float(parts[5]),
+                             gamma=float(parts[6]), delta=float(parts[7]),
+                             stage=int(parts[8]))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if not STAGE_BIRTH <= row.stage <= STAGE_DISSOLVED:
+                raise ParseError(f"line {lineno}: unknown stage {row.stage}")
+            rows.append(row)
     return rows
 
 

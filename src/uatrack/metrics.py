@@ -85,7 +85,7 @@ def pseudo_accuracy(tracklets: list[Tracklet], gt, max_age: int) -> AccuracyCurv
 def uncertainty_separation(log: list[LogRow], gt) -> SeparationReport:
     """Fig-3a-style split: how many wrong associations carry delta > 0 and
     how many correct ones carry delta <= 0. Birth rows define each track's
-    reference identity."""
+    reference identity; every other row counts, dissolved ones included."""
     lookup = gt_index(gt)
     birth_id: dict[int, int] = {}
     for row in log:

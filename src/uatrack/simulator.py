@@ -55,24 +55,23 @@ class ScenarioConfig:
             raise InvalidConfig(f"num_frames must be >= 2, got {self.num_frames}")
         if self.embed_dim < 2:
             raise InvalidConfig(f"embed_dim must be >= 2, got {self.embed_dim}")
-        if self.raw_dim < 2:
-            raise InvalidConfig(f"raw_dim must be >= 2, got {self.raw_dim}")
+        if self.raw_dim < self.embed_dim:
+            raise InvalidConfig(
+                f"raw_dim must be >= embed_dim ({self.embed_dim}), got {self.raw_dim}")
         for name in ("confusable_fraction", "occlusion_rate", "dropout"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidConfig(f"{name} must be in [0,1], got {v}")
-        if self.occlusion_noise_boost < 1.0:
+        # written as `not x >= bound` so that NaN fails too
+        if not self.occlusion_noise_boost >= 1.0:
             raise InvalidConfig(
                 f"occlusion_noise_boost must be >= 1, got {self.occlusion_noise_boost}")
-        if self.arena[0] <= 0 or self.arena[1] <= 0:
+        if not (self.arena[0] > 0 and self.arena[1] > 0):
             raise InvalidConfig(f"arena must be positive, got {self.arena}")
-        if self.appearance_noise < 0:
-            raise InvalidConfig(
-                f"appearance_noise must be >= 0, got {self.appearance_noise}")
-        if self.camera_drift < 0:
-            raise InvalidConfig(f"camera_drift must be >= 0, got {self.camera_drift}")
-        if self.speed < 0:
-            raise InvalidConfig(f"speed must be >= 0, got {self.speed}")
+        for name in ("appearance_noise", "camera_drift", "speed"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise InvalidConfig(f"{name} must be >= 0, got {v}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .uncertainty import (AssociationVerdict, UncertaintyMargins,
 STAGE_BIRTH = 0
 STAGE_ASSOC = 1
 STAGE_RECTIFIED = 2
+STAGE_DISSOLVED = 3   # an uncertain pair: logged, never applied
 
 
 @dataclass
@@ -48,23 +49,17 @@ class TrackRecord:
 class Tracklet:
     """Identity-labeled sequence of per-frame records with a delta history."""
 
-    def __init__(self, tid: int, record: TrackRecord, ema_alpha: float | None = None):
+    def __init__(self, tid: int, record: TrackRecord):
         self.id = tid
         self.records: list[TrackRecord] = [record]
         self.state = "active"
         self.lost_age = 0
-        self._ema_alpha = ema_alpha
-        self._ema = record.embedding.copy()
 
     def append(self, record: TrackRecord) -> None:
         if record.frame <= self.records[-1].frame:
             raise OutOfOrderFrame(
                 f"track {self.id}: frame {record.frame} after {self.records[-1].frame}")
         self.records.append(record)
-        if self._ema_alpha is not None:
-            a = self._ema_alpha
-            mixed = a * self._ema + (1.0 - a) * record.embedding
-            self._ema = mixed / np.linalg.norm(mixed)
 
     @property
     def last_box(self) -> BoundingBox:
@@ -75,8 +70,6 @@ class Tracklet:
         return self.records[-1].frame
 
     def representative(self) -> np.ndarray:
-        if self._ema_alpha is not None:
-            return self._ema
         return self.records[-1].embedding
 
     def recent_embeddings(self, k: int) -> list[np.ndarray]:
@@ -102,9 +95,7 @@ class TrackerConfig:
     K: int = 5                  # rectification history window
     det_conf_min: float = 0.6   # new-track confidence gate
     max_lost: int = 30          # frames a lost track stays matchable
-    sim_floor: float = float("-inf")
     utl_enabled: bool = True
-    ema_alpha: float | None = None  # None -> most recent embedding
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
@@ -117,7 +108,8 @@ class TrackerConfig:
 
 @dataclass
 class LogRow:
-    """One association decision; stage 0 = birth, 1 = direct match, 2 = rectified."""
+    """One association decision; stage 0 = birth, 1 = direct match,
+    2 = rectified, 3 = dissolved (logged, not applied)."""
     frame: int
     det_index: int
     track_id: int
@@ -129,12 +121,24 @@ class LogRow:
     stage: int
 
 
-@dataclass
-class AssociationOutcome:
-    frame: int
-    matched: list[tuple[int, int]]      # (det row, track id)
-    born: list[int]                     # new track ids
-    log_rows: list[LogRow] = field(default_factory=list)
+def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
+    """Rebuild tracklet composition (frame, det_index, delta) from a log.
+
+    Dissolved rows were never applied, so they are skipped. Boxes and
+    embeddings are not in the log; the metrics only need identity and
+    delta, so placeholder geometry is used."""
+    by_id: dict[int, Tracklet] = {}
+    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    for row in sorted(log, key=lambda r: (r.frame, r.track_id)):
+        if row.stage == STAGE_DISSOLVED:
+            continue
+        rec = TrackRecord(frame=row.frame, det_index=row.det_index, box=box,
+                          embedding=np.zeros(1), delta=row.delta)
+        if row.track_id in by_id:
+            by_id[row.track_id].append(rec)
+        else:
+            by_id[row.track_id] = Tracklet(row.track_id, rec)
+    return [by_id[k] for k in sorted(by_id)]
 
 
 class TrackerState:
@@ -170,6 +174,10 @@ def build_similarity(tracks: list[Tracklet], dets: list[Detection],
     return det_mat @ np.stack(reps).T
 
 
+def _verdict(sim: np.ndarray, r: int, c: int, cfg: TrackerConfig) -> AssociationVerdict:
+    return association_uncertainty(float(sim[r, c]), second_best(sim[r], c), cfg.margins)
+
+
 def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
     """Split matched pairs into certain pairs (with verdicts) and an
     uncertain pool; the pool also absorbs all unmatched rows/cols.
@@ -181,9 +189,7 @@ def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
     pool_rows = list(matching.unmatched_rows)
     pool_cols = list(matching.unmatched_cols)
     for r, c in matching.pairs:
-        c1 = float(sim[r, c])
-        c2 = second_best(sim[r], c)
-        verdict = association_uncertainty(c1, c2, cfg.margins)
+        verdict = _verdict(sim, r, c, cfg)
         if verdict.uncertain:
             dissolved.append((r, c, verdict))
             pool_rows.append(r)
@@ -214,8 +220,10 @@ def rectify(pool_rows: list[int], pool_cols: list[int], dets: list[Detection],
     return [(pool_rows[i], pool_cols[j]) for i, j in matched.pairs]
 
 
-def step(state: TrackerState, frame: int, dets: list[Detection]) -> AssociationOutcome:
-    """Advance the tracker by one frame and return the association outcome."""
+def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]:
+    """Advance the tracker by one frame and return its decisions: the
+    dissolved pairs, then the applied matches in detection order, then the
+    births."""
     cfg = state.cfg
     if state.last_frame is not None and frame <= state.last_frame:
         raise OutOfOrderFrame(f"frame {frame} after {state.last_frame}")
@@ -223,48 +231,36 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> AssociationO
 
     tracks = state.tracks
     sim = build_similarity(tracks, dets, cfg)
-    matching = hungarian_max(sim, floor=cfg.sim_floor)
-
-    outcome = AssociationOutcome(frame=frame, matched=[], born=[])
-    accepted: list[tuple[int, int, AssociationVerdict, int]] = []  # (+stage)
-
+    matching = hungarian_max(sim)
     if cfg.utl_enabled:
         certain, dissolved, pool_rows, pool_cols = verify(matching, sim, cfg)
-        for r, c, verdict in certain:
-            accepted.append((r, c, verdict, STAGE_ASSOC))
-        # dissolved pairs are decisions too: log them, but do not propagate
-        for r, c, verdict in sorted(dissolved, key=lambda x: (x[0], x[1])):
-            outcome.log_rows.append(LogRow(frame, dets[r].det_index, tracks[c].id,
-                                           verdict.c1, verdict.c2, verdict.sigma,
-                                           verdict.gamma, verdict.delta, STAGE_ASSOC))
-        for r, c in rectify(pool_rows, pool_cols, dets, tracks, cfg):
-            # delta is recomputed from the original similarity row so the
-            # tracklet's delta history stays on one scale
-            verdict = association_uncertainty(float(sim[r, c]),
-                                              second_best(sim[r], c), cfg.margins)
-            accepted.append((r, c, verdict, STAGE_RECTIFIED))
+        # delta is recomputed from the original similarity row so the
+        # tracklet's delta history stays on one scale
+        rectified = [(r, c, _verdict(sim, r, c, cfg))
+                     for r, c in rectify(pool_rows, pool_cols, dets, tracks, cfg)]
     else:
-        for r, c in matching.pairs:
-            verdict = association_uncertainty(float(sim[r, c]),
-                                              second_best(sim[r], c), cfg.margins)
-            accepted.append((r, c, verdict, STAGE_ASSOC))
+        certain = [(r, c, _verdict(sim, r, c, cfg)) for r, c in matching.pairs]
+        dissolved = rectified = []
 
-    matched_rows = set()
-    matched_cols = set()
-    for r, c, verdict, stage in sorted(accepted, key=lambda x: (x[0], x[1])):
+    def row(r: int, c: int, v: AssociationVerdict, stage: int) -> LogRow:
+        return LogRow(frame, dets[r].det_index, tracks[c].id, v.c1, v.c2,
+                      v.sigma, v.gamma, v.delta, stage)
+
+    log = [row(r, c, v, STAGE_DISSOLVED) for r, c, v in dissolved]
+    applied = sorted([(r, c, row(r, c, v, STAGE_ASSOC)) for r, c, v in certain]
+                     + [(r, c, row(r, c, v, STAGE_RECTIFIED)) for r, c, v in rectified],
+                     key=lambda x: x[0])
+    for r, c, decision in applied:
         det = dets[r]
         trk = tracks[c]
         trk.append(TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
-                               embedding=det.embedding, delta=verdict.delta,
+                               embedding=det.embedding, delta=decision.delta,
                                confidence=det.confidence))
         trk.state = "active"
         trk.lost_age = 0
-        matched_rows.add(r)
-        matched_cols.add(c)
-        outcome.matched.append((r, trk.id))
-        outcome.log_rows.append(LogRow(frame, det.det_index, trk.id, verdict.c1,
-                                       verdict.c2, verdict.sigma, verdict.gamma,
-                                       verdict.delta, stage))
+        log.append(decision)
+    matched_rows = {r for r, _, _ in applied}
+    matched_cols = {c for _, c, _ in applied}
 
     # births
     born: list[Tracklet] = []
@@ -274,13 +270,11 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> AssociationO
         trk = Tracklet(state.next_id,
                        TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
                                    embedding=det.embedding, delta=0.0,
-                                   confidence=det.confidence),
-                       ema_alpha=cfg.ema_alpha)
+                                   confidence=det.confidence))
         state.next_id += 1
         born.append(trk)
-        outcome.born.append(trk.id)
-        outcome.log_rows.append(LogRow(frame, det.det_index, trk.id,
-                                       0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
+        log.append(LogRow(frame, det.det_index, trk.id,
+                          0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
 
     # lost handling
     survivors = []
@@ -295,7 +289,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> AssociationO
         else:
             survivors.append(trk)
     state.tracks = survivors + born
-    return outcome
+    return log
 
 
 def track_sequence(frames, cfg: TrackerConfig | None = None):
@@ -313,6 +307,5 @@ def track_sequence(frames, cfg: TrackerConfig | None = None):
             frame, dets = entry
         else:
             frame, dets = pos + 1, entry
-        outcome = step(state, frame, dets)
-        log.extend(outcome.log_rows)
+        log.extend(step(state, frame, dets))
     return state.all_tracklets(), log

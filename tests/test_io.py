@@ -1,6 +1,7 @@
 """Tests for file formats and the command-line interface."""
 
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,9 @@ import pytest
 import uatrack
 from uatrack import formats
 from uatrack.contrastive import LinearEmbedder
-from uatrack.errors import (DuplicateEmbedding, InvalidConfig,
+from uatrack.errors import (DuplicateEmbedding, InvalidConfig, IoFailure,
                             MissingEmbedding, NonPositiveSize, ParseError)
-
+from uatrack.metrics import id_switches, pseudo_accuracy
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import TrackerConfig, track_sequence
 
@@ -121,11 +122,35 @@ class TestGroundTruthAndLog:
                    (b.frame, b.det_index, b.track_id, b.stage)
             assert b.delta == pytest.approx(a.delta, abs=1e-6)
 
+    def test_log_unknown_stage_rejected(self, tmp_path):
+        p = tmp_path / "log.txt"
+        p.write_text("1,0,1,0,0,0,0,0,0\n2,0,1,0.9,0.1,0.2,1.3,-1.1,4\n")
+        with pytest.raises(ParseError, match="line 2"):
+            formats.read_log(p)
+
     def test_weights_roundtrip_exact(self, tmp_path):
         e = LinearEmbedder.init_random(8, 4, np.random.default_rng(13))
         formats.write_weights(e, tmp_path / "w.txt")
         back = formats.read_weights(tmp_path / "w.txt")
         assert np.array_equal(back.weights, e.weights)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            formats.atomic_write(tmp_path / "out.txt", ["x"])
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode)
+        assert mode == 0o666 & ~umask
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "target").mkdir()
+        with pytest.raises(IoFailure):
+            formats.atomic_write(tmp_path / "target", ["x"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
 
 
 class TestScenarioConfigFile:
@@ -190,6 +215,39 @@ class TestCli:
         proc = run_cli("track", "--dets", str(bad), "--embs", str(bad),
                        "--out", str(tmp_path / "o.txt"))
         assert proc.returncode == 2, proc.stderr
+
+    def test_nonfinite_embedding_exits_2(self, tmp_path):
+        (tmp_path / "det.txt").write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n")
+        (tmp_path / "emb.csv").write_text("1,0,nan,1.0\n")
+        proc = run_cli("track", "--dets", str(tmp_path / "det.txt"),
+                       "--embs", str(tmp_path / "emb.csv"),
+                       "--out", str(tmp_path / "o.txt"))
+        assert proc.returncode == 2, proc.stderr
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_default_workflow_eval_matches_tracker(self, tmp_path):
+        sim = tmp_path / "sim"
+        proc = run_cli("simulate", "--out", str(sim))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("track", "--dets", str(sim / "det.txt"),
+                       "--embs", str(sim / "emb.csv"), "--out", str(tmp_path / "res.txt"),
+                       "--log", str(tmp_path / "log.txt"), "--utl", "on")
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("eval", "--results", str(tmp_path / "res.txt"),
+                       "--gt", str(sim / "gt.txt"), "--log", str(tmp_path / "log.txt"),
+                       "--report", str(tmp_path / "report.txt"))
+        assert proc.returncode == 0, proc.stderr
+        # the same scene, tracked in memory from the bundle the CLI read
+        frames = formats.read_embeddings(sim / "emb.csv",
+                                         formats.read_detections(sim / "det.txt"))[0]
+        tracklets, _ = track_sequence(frames, TrackerConfig())
+        gt = formats.read_ground_truth(sim / "gt.txt")
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert report[0] == f"id_switches: {id_switches(tracklets, gt)}"
+        curve = pseudo_accuracy(tracklets, gt, max_age=100)
+        assert [line for line in report if line.startswith("pseudo_accuracy")] == \
+            [f"pseudo_accuracy {s}: {acc:.6f}" for s, acc in curve.points]
 
     def test_full_pipeline_exit_codes(self, tmp_path):
         cfgp = tmp_path / "cfg.txt"

@@ -28,6 +28,12 @@ class TestConfigValidation:
         dict(dropout=1.5),
         dict(confusable_fraction=-0.1),
         dict(speed=-1.0),
+        dict(embed_dim=40, raw_dim=8),
+        dict(appearance_noise=float("nan")),
+        dict(speed=float("nan")),
+        dict(camera_drift=float("nan")),
+        dict(occlusion_noise_boost=float("nan")),
+        dict(arena=(float("nan"), 420.0)),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(InvalidConfig):

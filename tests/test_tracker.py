@@ -8,10 +8,11 @@ import pytest
 from uatrack.assignment import hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from uatrack.geometry import BoundingBox
-from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, STAGE_RECTIFIED,
-                             Detection, Tracklet, TrackerConfig, TrackerState,
-                             TrackRecord, build_similarity, rectify, step,
-                             track_sequence, verify)
+from uatrack.simulator import ScenarioConfig, generate
+from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
+                             STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
+                             TrackerState, TrackRecord, build_similarity, rectify,
+                             step, track_sequence, tracklets_from_log, verify)
 from uatrack.uncertainty import association_uncertainty, second_best
 
 
@@ -43,14 +44,6 @@ class TestTracklet:
         t.append(TrackRecord(frame=2, det_index=0, box=t.last_box,
                              embedding=unit(0, 1), delta=0.0))
         assert np.allclose(t.representative(), unit(0, 1))
-
-    def test_ema_representative_blends(self):
-        rec = TrackRecord(frame=1, det_index=0, box=BoundingBox(0, 0, 1, 1),
-                          embedding=unit(1, 0), delta=0.0)
-        t = Tracklet(1, rec, ema_alpha=0.5)
-        t.append(TrackRecord(frame=2, det_index=0, box=rec.box,
-                             embedding=unit(0, 1), delta=0.0))
-        assert np.allclose(t.representative(), unit(1, 1))
 
     def test_recent_embeddings_window(self):
         t = track(1, 1, unit(1, 0))
@@ -172,25 +165,35 @@ class TestRectify:
         assert rectify([], [], [], [], TrackerConfig()) == []
 
 
+def matched(rows):
+    """(det_index, track id) of the applied matches among a frame's rows."""
+    return [(row.det_index, row.track_id) for row in rows
+            if row.stage in (STAGE_ASSOC, STAGE_RECTIFIED)]
+
+
+def born(rows):
+    return [row.track_id for row in rows if row.stage == STAGE_BIRTH]
+
+
 class TestStep:
     def test_births_in_det_order(self):
         state = TrackerState(TrackerConfig())
-        out = step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
-        assert out.born == [1, 2]
-        assert [row.stage for row in out.log_rows] == [STAGE_BIRTH, STAGE_BIRTH]
+        rows = step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
+        assert born(rows) == [1, 2]
+        assert [row.stage for row in rows] == [STAGE_BIRTH, STAGE_BIRTH]
 
     def test_low_confidence_no_birth(self):
         state = TrackerState(TrackerConfig())
-        out = step(state, 1, [det(1, 0, unit(1, 0), conf=0.5)])
-        assert out.born == []
+        rows = step(state, 1, [det(1, 0, unit(1, 0), conf=0.5)])
+        assert born(rows) == []
         assert state.tracks == []
 
     def test_orthonormal_continuation(self):
         state = TrackerState(TrackerConfig())
         step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
-        out = step(state, 2, [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))])
-        assert out.matched == [(0, 1), (1, 2)]
-        assert out.born == []
+        rows = step(state, 2, [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))])
+        assert matched(rows) == [(0, 1), (1, 2)]
+        assert born(rows) == []
 
     def test_out_of_order_frame(self):
         state = TrackerState(TrackerConfig())
@@ -221,16 +224,15 @@ class TestStep:
         """Confusable embeddings cross-match, but the IoU gate only passes
         the true pairs, so rectification restores them."""
         state, d1, d2 = self._confusable_setup()
-        out = step(state, 2, [d1, d2])
-        assert out.matched == [(0, 1), (1, 2)]
-        assert {row.stage for row in out.log_rows if row.track_id in (1, 2)
-                and row.delta != 0.0} >= {STAGE_ASSOC, STAGE_RECTIFIED}
+        rows = step(state, 2, [d1, d2])
+        assert matched(rows) == [(0, 1), (1, 2)]
+        assert {row.stage for row in rows} == {STAGE_DISSOLVED, STAGE_RECTIFIED}
 
     def test_rectified_delta_recomputed_from_original_row(self):
         state, d1, d2 = self._confusable_setup()
         sim = build_similarity(state.tracks, [d1, d2], state.cfg)
-        out = step(state, 2, [d1, d2])
-        rect = [row for row in out.log_rows if row.stage == STAGE_RECTIFIED]
+        rows = step(state, 2, [d1, d2])
+        rect = [row for row in rows if row.stage == STAGE_RECTIFIED]
         assert len(rect) == 2
         for row in rect:
             r = row.det_index
@@ -241,11 +243,15 @@ class TestStep:
 
     def test_dissolved_pairs_are_logged(self):
         state, d1, d2 = self._confusable_setup()
-        out = step(state, 2, [d1, d2])
-        stage1 = [row for row in out.log_rows if row.stage == STAGE_ASSOC]
-        # the dissolved cross pairs appear as stage-1 rows with positive delta
-        assert [(r.det_index, r.track_id) for r in stage1] == [(0, 2), (1, 1)]
-        assert all(row.delta > 0 for row in stage1)
+        rows = step(state, 2, [d1, d2])
+        dissolved = [row for row in rows if row.stage == STAGE_DISSOLVED]
+        # the dissolved cross pairs are logged first, with positive delta
+        assert rows[:2] == dissolved
+        assert [(r.det_index, r.track_id) for r in dissolved] == [(0, 2), (1, 1)]
+        assert all(row.delta > 0 for row in dissolved)
+        # ... but never applied: each tracklet holds only its rectified record
+        assert [(r.frame, r.det_index) for t in state.tracks for r in t.records] == \
+            [(1, 0), (2, 0), (1, 1), (2, 1)]
 
     def test_lost_track_removed_after_max_lost(self):
         cfg = TrackerConfig(max_lost=2)
@@ -262,8 +268,8 @@ class TestStep:
         state = TrackerState(cfg)
         step(state, 1, [det(1, 0, unit(1, 0))])
         step(state, 2, [])
-        out = step(state, 3, [det(3, 0, unit(1, 0))])
-        assert out.matched == [(0, 1)]
+        rows = step(state, 3, [det(3, 0, unit(1, 0))])
+        assert matched(rows) == [(0, 1)]
         assert state.tracks[0].state == "active"
         assert state.tracks[0].lost_age == 0
 
@@ -301,6 +307,17 @@ class TestTrackSequence:
         for t in tracklets:
             assert len(t.deltas()) == len(t)
             assert t.deltas()[0] == 0.0
+
+    def test_log_rebuild_matches_tracklets(self):
+        frames, _ = generate(ScenarioConfig(num_objects=12, num_frames=60, seed=7))
+        tracklets, log = track_sequence(frames)
+        assert any(row.stage == STAGE_DISSOLVED for row in log)
+
+        def compose(ts):
+            return [(t.id, [(r.frame, r.det_index, r.delta) for r in t.records])
+                    for t in ts]
+
+        assert compose(tracklets_from_log(log)) == compose(tracklets)
 
     def test_plain_lists_accepted(self):
         frames = [dets for _, dets in self._frames(3)]
