@@ -8,8 +8,7 @@ from .augment import (AugmentationPlan, SamplingWeights, augment_detections,
                       target_anchor_weights)
 from .contrastive import (ContrastiveBatch, LinearEmbedder, TrainConfig,
                           info_nce, info_nce_grad, train_embedder)
-from .geometry import (AffineTransform, BoundingBox, apply_affine,
-                       box_to_affine, iou, solve_affine)
+from .geometry import AffineTransform, BoundingBox, apply_affine, iou, solve_affine
 from .metrics import (id_switches, pseudo_accuracy, similarity_delta,
                       uncertainty_separation)
 from .simulator import GroundTruthRecord, ScenarioConfig, generate

@@ -73,7 +73,6 @@ def target_anchor_weights(trk: Tracklet, frame: int) -> SamplingWeights:
 
 def sample(weights: SamplingWeights, rng: np.random.Generator):
     """Categorical draw; deterministic given the generator state."""
-    probs = weights.probabilities()
     u = rng.random()
     acc = 0.0
     for key, p in weights.candidates:

@@ -12,9 +12,8 @@ import sys
 import numpy as np
 
 from . import formats
-from .augment import (augment_detections, build_plan, default_jitter, sample,
-                      source_anchor_weights, target_anchor_weights)
-from .contrastive import TrainConfig, train_embedder
+from .augment import augment_detections
+from .contrastive import TrainConfig, draw_plan, train_embedder
 from .errors import UatrackError
 from .metrics import id_switches, pseudo_accuracy, uncertainty_separation
 from .simulator import ScenarioConfig, generate
@@ -130,14 +129,8 @@ def cmd_augment(args) -> int:
                           os.path.join(args.bundle, "emb.csv"))
     upto = [fd for fd in frames if fd[0] <= args.frame]
     tracklets, _log = track_sequence(upto, TrackerConfig())
-    rng = np.random.default_rng(args.seed)
-    sw = source_anchor_weights(tracklets, args.frame)
-    anchor_id = sample(sw, rng)
-    anchor = next(t for t in tracklets if t.id == anchor_id)
-    target = sample(target_anchor_weights(anchor, args.frame), rng)
-    jitter = args.jitter if args.jitter is not None else default_jitter(
-        anchor.box_at(args.frame))
-    plan = build_plan(anchor, args.frame, target, jitter, rng)
+    plan = draw_plan(tracklets, args.frame, np.random.default_rng(args.seed),
+                     TrainConfig(jitter=args.jitter))
     t = plan.transform
     print(f"source_track_id: {plan.source_track_id}")
     print(f"target_frame: {plan.target_frame}")

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import (SamplingWeights, build_plan, default_jitter, sample,
-                      source_anchor_weights, target_anchor_weights)
-from .errors import InsufficientData
+from .augment import (AugmentationPlan, SamplingWeights, build_plan,
+                      default_jitter, sample, source_anchor_weights,
+                      target_anchor_weights)
+from .errors import InsufficientData, NoCandidates
 from .tracker import TrackerConfig, Tracklet, track_sequence
 
 DEFAULT_TEMPERATURE = 0.07
@@ -95,6 +96,47 @@ class TrainConfig:
     jitter: float | None = None  # None -> 2% of anchor box diagonal
 
 
+def _anchor_candidates(tracklets, frame: int) -> list[Tracklet]:
+    """Tracklets with a record at `frame` and one before it."""
+    return [trk for trk in tracklets
+            if trk.records[0].frame < frame and trk.box_at(frame) is not None]
+
+
+def draw_plan(tracklets, frame: int, rng: np.random.Generator,
+              cfg: TrainConfig) -> AugmentationPlan:
+    """The hierarchical draw of tracklet-guided augmentation.
+
+    The anchor is drawn among the tracklets with a record at `frame` and one
+    before it, favoring low tracklet uncertainty; the target is one of its
+    historical frames, favoring high association uncertainty, within
+    `cfg.max_lag` frames when the anchor has a record there. With
+    anchor_sampling="random" both draws are uniform. The plan maps the
+    anchor's box at `frame` onto its box at the target, with `cfg.jitter`
+    (or the default jitter). Raises NoCandidates when no tracklet qualifies.
+    """
+    present = _anchor_candidates(tracklets, frame)
+    if not present:
+        raise NoCandidates(f"no tracklet has records at and before frame {frame}")
+    if cfg.anchor_sampling == "uncertainty":
+        anchor_id = sample(source_anchor_weights(present, frame), rng)
+        anchor = next(trk for trk in present if trk.id == anchor_id)
+        tw = target_anchor_weights(anchor, frame)
+        window = [(f, p) for f, p in tw.candidates if f >= frame - cfg.max_lag]
+        if not window:
+            window = tw.candidates
+        total_p = sum(p for _, p in window)
+        target = sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
+    else:
+        anchor = present[int(rng.integers(len(present)))]
+        past = [r.frame for r in anchor.records if frame - cfg.max_lag <= r.frame < frame]
+        if not past:
+            past = [r.frame for r in anchor.records if r.frame < frame]
+        target = int(past[int(rng.integers(len(past)))])
+    jitter = cfg.jitter if cfg.jitter is not None else default_jitter(
+        anchor.box_at(frame))
+    return build_plan(anchor, frame, target, jitter, rng)
+
+
 def _grad_through_normalization(q: np.ndarray, z_norm: float, grad_q: np.ndarray) -> np.ndarray:
     # q = z / |z|; dL/dz = (I - q q^T) dL/dq / |z|
     return (grad_q - q * (q @ grad_q)) / z_norm
@@ -117,10 +159,14 @@ def train_embedder(frames, cfg: TrainConfig,
     frames = list(frames)
     raw_dim = None
     for dets in frames:
-        for d in dets:
+        for pos, d in enumerate(dets):
             if d.raw is None:
                 raise InsufficientData(
                     f"detection ({d.frame},{d.det_index}) has no raw feature")
+            if d.det_index != pos:
+                raise InsufficientData(
+                    f"detection ({d.frame},{d.det_index}) is at position {pos} "
+                    "of its frame")
             raw_dim = d.raw.shape[0]
     if raw_dim is None:
         raise InsufficientData("no detections to train on")
@@ -150,34 +196,12 @@ def train_embedder(frames, cfg: TrainConfig,
             lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step_count / total_steps))
             step_count += 1
             t = int(rng.integers(2, len(frames) + 1))
-            present = [trk for trk, _ in by_frame.get(t, [])
-                       if any(r.frame < t for r in trk.records)]
+            present = _anchor_candidates([trk for trk, _ in by_frame.get(t, [])], t)
             if len(present) < 2:
                 continue
-            # hierarchical anchor selection: tracklet, then historical frame
-            if cfg.anchor_sampling == "uncertainty":
-                sw = source_anchor_weights(present, t)
-                anchor_id = sample(sw, rng)
-                anchor = next(trk for trk in present if trk.id == anchor_id)
-                tw = target_anchor_weights(anchor, t)
-                window = [(f_, p) for f_, p in tw.candidates if f_ >= t - cfg.max_lag]
-                if not window:
-                    window = tw.candidates
-                total_p = sum(p for _, p in window)
-                target = sample(SamplingWeights(
-                    [(f_, p / total_p) for f_, p in window]), rng)
-            else:
-                anchor = present[int(rng.integers(len(present)))]
-                past = [r.frame for r in anchor.records
-                        if max(anchor.records[0].frame, t - cfg.max_lag) <= r.frame < t]
-                if not past:
-                    past = [r.frame for r in anchor.records if r.frame < t]
-                target = int(past[int(rng.integers(len(past)))])
-
-            # the plan keeps the geometric side of the augmentation exercised
-            jitter = cfg.jitter if cfg.jitter is not None else default_jitter(
-                anchor.box_at(t))
-            build_plan(anchor, t, target, jitter, rng)
+            # only the target is used: the plan is built for its corner-jitter
+            # draws, which the pinned training stream includes
+            target = draw_plan(present, t, rng, cfg).target_frame
 
             # one query per tracklet present at both frames
             key_recs = {trk.id: rec for trk, ridx in by_frame.get(target, [])
@@ -188,7 +212,7 @@ def train_embedder(frames, cfg: TrainConfig,
                 if trk.id not in key_recs or len(key_recs) < 2:
                     continue
                 rec = trk.records[ridx]
-                det = embedded[t - 1][_find_det(embedded[t - 1], rec.det_index)]
+                det = embedded[t - 1][rec.det_index]
                 positive = key_recs[trk.id].embedding
                 negatives = [r.embedding for tid, r in sorted(key_recs.items())
                              if tid != trk.id]
@@ -204,10 +228,3 @@ def train_embedder(frames, cfg: TrainConfig,
                 embedder.weights -= lr * grads / n_q
         epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
     return embedder, epoch_losses
-
-
-def _find_det(dets, det_index: int) -> int:
-    for i, d in enumerate(dets):
-        if d.det_index == det_index:
-            return i
-    raise LookupError(f"det_index {det_index} not in frame")

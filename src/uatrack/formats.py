@@ -260,13 +260,19 @@ def read_weights(path):
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise ParseError("weights header must be `F D`")
-        f_dim, d_dim = int(header[0]), int(header[1])
+            raise ParseError("line 1: weights header must be `F D`")
+        try:
+            f_dim, d_dim = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise ParseError(f"line 1: {exc}") from exc
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            vals = [float(v) for v in line.split()]
+            try:
+                vals = [float(v) for v in line.split()]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
             if len(vals) != d_dim:
                 raise ParseError(f"line {lineno}: expected {d_dim} values")
             rows.append(vals)

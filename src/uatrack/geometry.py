@@ -68,21 +68,10 @@ class AffineTransform:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def apply_point(self, x: float, y: float) -> tuple[float, float]:
-        return (self.m11 * x + self.m12 * y + self.m13,
-                self.m21 * x + self.m22 * y + self.m23)
-
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         lin = np.array([[self.m11, self.m12], [self.m21, self.m22]])
         return pts @ lin.T + np.array([self.m13, self.m23])
-
-    def compose(self, other: "AffineTransform") -> "AffineTransform":
-        """Transform applying `other` first, then self."""
-        a = np.vstack([self.as_matrix(), [0.0, 0.0, 1.0]])
-        b = np.vstack([other.as_matrix(), [0.0, 0.0, 1.0]])
-        m = a @ b
-        return AffineTransform(m[0, 0], m[0, 1], m[0, 2], m[1, 0], m[1, 1], m[1, 2])
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -128,14 +117,6 @@ def solve_affine(src, dst) -> AffineTransform:
         raise DegenerateCorrespondence("source points are collinear")
     params = np.linalg.solve(ata, atb)
     return AffineTransform(*params)
-
-
-def box_to_affine(src: BoundingBox, dst: BoundingBox) -> AffineTransform:
-    """Axis-aligned scale + translation mapping src exactly onto dst."""
-    sx = dst.w / src.w
-    sy = dst.h / src.h
-    return AffineTransform(sx, 0.0, dst.cx - sx * src.cx,
-                           0.0, sy, dst.cy - sy * src.cy)
 
 
 def apply_affine(t: AffineTransform, b: BoundingBox) -> BoundingBox:

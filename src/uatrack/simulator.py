@@ -15,6 +15,7 @@ same bytes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,16 +63,15 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidConfig(f"{name} must be in [0,1], got {v}")
-        # written as `not x >= bound` so that NaN fails too
-        if not self.occlusion_noise_boost >= 1.0:
-            raise InvalidConfig(
-                f"occlusion_noise_boost must be >= 1, got {self.occlusion_noise_boost}")
-        if not (self.arena[0] > 0 and self.arena[1] > 0):
-            raise InvalidConfig(f"arena must be positive, got {self.arena}")
+        v = self.occlusion_noise_boost
+        if not (math.isfinite(v) and v >= 1.0):
+            raise InvalidConfig(f"occlusion_noise_boost must be finite and >= 1, got {v}")
+        if not all(math.isfinite(side) and side > 0 for side in self.arena):
+            raise InvalidConfig(f"arena must be finite and positive, got {self.arena}")
         for name in ("appearance_noise", "camera_drift", "speed"):
             v = getattr(self, name)
-            if not v >= 0:
-                raise InvalidConfig(f"{name} must be >= 0, got {v}")
+            if not (math.isfinite(v) and v >= 0):
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ class Tracklet:
     def __init__(self, tid: int, record: TrackRecord):
         self.id = tid
         self.records: list[TrackRecord] = [record]
-        self.state = "active"
         self.lost_age = 0
 
     def append(self, record: TrackRecord) -> None:
@@ -256,7 +255,6 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         trk.append(TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
                                embedding=det.embedding, delta=decision.delta,
                                confidence=det.confidence))
-        trk.state = "active"
         trk.lost_age = 0
         log.append(decision)
     matched_rows = {r for r, _, _ in applied}
@@ -282,7 +280,6 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         if c in matched_cols:
             survivors.append(trk)
             continue
-        trk.state = "lost"
         trk.lost_age += 1
         if trk.lost_age > cfg.max_lost:
             state.finished.append(trk)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from uatrack.contrastive import (ContrastiveBatch, LinearEmbedder,
-                                 TrainConfig, info_nce, info_nce_grad,
-                                 train_embedder)
-from uatrack.errors import InsufficientData
+                                 TrainConfig, draw_plan, info_nce,
+                                 info_nce_grad, train_embedder)
+from uatrack.errors import InsufficientData, NoCandidates
 from uatrack.geometry import BoundingBox
-from uatrack.tracker import Detection
+from uatrack.tracker import Detection, Tracklet, TrackRecord
 
 
 def unit(v):
@@ -157,3 +157,52 @@ class TestTrainEmbedder:
         frames[0][0].raw = None
         with pytest.raises(InsufficientData):
             train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
+
+    def test_det_index_out_of_position_rejected(self):
+        frames = toy_sequence(n_frames=5)
+        frames[2].reverse()
+        with pytest.raises(InsufficientData, match="position"):
+            train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
+
+
+def track_over(tid, frames):
+    """Tracklet with one record per frame, deltas varying along it."""
+    recs = [TrackRecord(frame=f, det_index=0,
+                        box=BoundingBox(10.0 * tid + f, 5.0, 4.0, 3.0),
+                        embedding=np.array([1.0, 0.0]), delta=math.sin(f))
+            for f in frames]
+    trk = Tracklet(tid, recs[0])
+    for rec in recs[1:]:
+        trk.append(rec)
+    return trk
+
+
+class TestDrawPlan:
+    FRAME = 30
+
+    def tracklets(self):
+        return [track_over(1, range(1, 31)),                 # history in the lag window
+                track_over(2, [1, 2, 3, 4, 5, 30]),          # history only before it
+                track_over(3, [30]),                         # born at FRAME
+                track_over(4, range(1, 11))]                 # absent at FRAME
+
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    def test_anchor_has_history_and_target_respects_lag(self, mode):
+        cfg = TrainConfig(anchor_sampling=mode)
+        tracks = {t.id: t for t in self.tracklets()}
+        anchors = set()
+        for seed in range(200):
+            plan = draw_plan(list(tracks.values()), self.FRAME,
+                             np.random.default_rng(seed), cfg)
+            anchor = tracks[plan.source_track_id]
+            anchors.add(anchor.id)
+            past = [r.frame for r in anchor.records if r.frame < self.FRAME]
+            assert plan.target_frame in past
+            if any(f >= self.FRAME - cfg.max_lag for f in past):
+                assert plan.target_frame >= self.FRAME - cfg.max_lag
+        assert anchors == {1, 2}
+
+    def test_no_anchor_with_history(self):
+        born = track_over(3, [30])
+        with pytest.raises(NoCandidates):
+            draw_plan([born], self.FRAME, np.random.default_rng(0), TrainConfig())

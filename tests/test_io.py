@@ -134,6 +134,15 @@ class TestGroundTruthAndLog:
         back = formats.read_weights(tmp_path / "w.txt")
         assert np.array_equal(back.weights, e.weights)
 
+    @pytest.mark.parametrize("text,line", [("a b\n", "line 1"),
+                                           ("1 2\n1 x\n", "line 2")],
+                             ids=["header", "value"])
+    def test_weights_non_numeric_rejected(self, tmp_path, text, line):
+        p = tmp_path / "w.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=line):
+            formats.read_weights(p)
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
@@ -270,6 +279,27 @@ class TestCli:
                        "--gt", str(tmp_path / "sim" / "gt.txt"))
         assert proc.returncode == 0, proc.stderr
         assert "correct_certain_rate" in proc.stdout
+
+    def test_augment_default_bundle_draws_anchor_with_history(self, tmp_path):
+        sim = tmp_path / "sim"
+        proc = run_cli("simulate", "--out", str(sim))
+        assert proc.returncode == 0, proc.stderr
+        # track 13 is born at frame 85; with this seed, a draw that admits
+        # anchors without history picks it
+        proc = run_cli("augment", "--bundle", str(sim), "--frame", "85", "--seed", "10")
+        assert proc.returncode == 0, proc.stderr
+        target = int(proc.stdout.split("target_frame: ")[1].split()[0])
+        assert 75 <= target < 85
+
+    def test_augment_without_candidates_exits_2(self, tmp_path):
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text("num_objects = 4\nnum_frames = 20\nseed = 3\n")
+        run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
+        proc = run_cli("augment", "--bundle", str(tmp_path / "sim"),
+                       "--frame", "1", "--seed", "0")
+        assert proc.returncode == 2, proc.stderr
+        assert "frame 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_augment_prints_plan(self, tmp_path):
         cfgp = tmp_path / "cfg.txt"

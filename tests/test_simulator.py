@@ -34,6 +34,12 @@ class TestConfigValidation:
         dict(camera_drift=float("nan")),
         dict(occlusion_noise_boost=float("nan")),
         dict(arena=(float("nan"), 420.0)),
+        dict(appearance_noise=float("inf")),
+        dict(occlusion_noise_boost=float("inf")),
+        dict(speed=float("inf")),
+        dict(camera_drift=float("inf")),
+        dict(arena=(float("inf"), 420.0)),
+        dict(arena=(560.0, float("inf"))),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(InvalidConfig):

@@ -261,16 +261,16 @@ class TestStep:
             step(state, f, [])
         assert state.tracks == []
         assert len(state.finished) == 1
-        assert state.finished[0].state == "lost"
+        assert state.finished[0].lost_age == cfg.max_lost + 1
 
     def test_lost_track_rematches_before_removal(self):
         cfg = TrackerConfig(max_lost=5)
         state = TrackerState(cfg)
         step(state, 1, [det(1, 0, unit(1, 0))])
         step(state, 2, [])
+        assert state.tracks[0].lost_age == 1
         rows = step(state, 3, [det(3, 0, unit(1, 0))])
         assert matched(rows) == [(0, 1)]
-        assert state.tracks[0].state == "active"
         assert state.tracks[0].lost_age == 0
 
 
