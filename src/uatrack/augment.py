@@ -36,9 +36,6 @@ class AugmentationPlan:
 class SamplingWeights:
     candidates: list  # (identity or frame index, probability) pairs
 
-    def keys(self):
-        return [k for k, _ in self.candidates]
-
     def probabilities(self):
         return [p for _, p in self.candidates]
 

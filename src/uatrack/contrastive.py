@@ -17,7 +17,7 @@ import numpy as np
 from .augment import (AugmentationPlan, SamplingWeights, build_plan,
                       default_jitter, sample, source_anchor_weights,
                       target_anchor_weights)
-from .errors import InsufficientData, NoCandidates
+from .errors import InsufficientData, InvalidConfig, NoCandidates
 from .tracker import TrackerConfig, Tracklet, track_sequence
 
 DEFAULT_TEMPERATURE = 0.07
@@ -94,6 +94,10 @@ class TrainConfig:
     seed: int = 0
     anchor_sampling: str = "uncertainty"  # "uncertainty" (TGA) or "random"
     jitter: float | None = None  # None -> 2% of anchor box diagonal
+
+    def __post_init__(self):
+        if self.jitter is not None and not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise InvalidConfig(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
 def _anchor_candidates(tracklets, frame: int) -> list[Tracklet]:

@@ -74,17 +74,22 @@ class AffineTransform:
         return pts @ lin.T + np.array([self.m13, self.m23])
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two axis-aligned boxes, in [0, 1]."""
-    ax1, ay1, ax2, ay2 = a.to_xyxy()
-    bx1, by1, bx2, by2 = b.to_xyxy()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
+def _edges(boxes) -> np.ndarray:
+    """Rows x1, y1, x2, y2, area over the boxes, computed as `to_xyxy` does."""
+    cx, cy, w, h = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4).T
+    return np.array([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0, w * h])
+
+
+def iou(a, b) -> np.ndarray:
+    """Pairwise intersection-over-union of two box sequences: the
+    (len(a), len(b)) matrix, entries in [0, 1] up to rounding. Disjoint
+    boxes get an intersection of 0, hence 0."""
+    ax1, ay1, ax2, ay2, a_area = _edges(a)[:, :, None]
+    bx1, by1, bx2, by2, b_area = _edges(b)
+    iw = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
+    ih = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
     inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return inter / union
+    return inter / (a_area + b_area - inter)
 
 
 def solve_affine(src, dst) -> AffineTransform:

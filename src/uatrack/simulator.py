@@ -110,8 +110,9 @@ def generate(cfg: ScenarioConfig):
 
     sizes = rng.uniform(BOX_MIN, BOX_MAX, size=(n, 2))
     half = sizes / 2.0
+    high = np.array([aw, ah]) - half   # the walls' limits on each box center
     lo = half + 1.0
-    hi = np.stack([aw - half[:, 0] - 1.0, ah - half[:, 1] - 1.0], axis=1)
+    hi = high - 1.0
     pos = lo + rng.random((n, 2)) * (hi - lo)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     vel = cfg.speed * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -124,28 +125,17 @@ def generate(cfg: ScenarioConfig):
     for frame in range(1, cfg.num_frames + 1):
         pos = pos + vel + rng.normal(0.0, POSITION_JITTER, size=(n, 2))
         # reflect box centers off the arena walls
-        for i in range(n):
-            for ax, limit in ((0, aw), (1, ah)):
-                low, high = half[i, ax], limit - half[i, ax]
-                if pos[i, ax] < low:
-                    pos[i, ax] = 2 * low - pos[i, ax]
-                    vel[i, ax] = abs(vel[i, ax])
-                elif pos[i, ax] > high:
-                    pos[i, ax] = 2 * high - pos[i, ax]
-                    vel[i, ax] = -abs(vel[i, ax])
+        below, above = pos < half, pos > high
+        pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
+        vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
         cam_angle += rng.normal(0.0, 0.3)
         cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
 
         boxes = [BoundingBox(pos[i, 0] + cam[0], pos[i, 1] + cam[1],
                              sizes[i, 0], sizes[i, 1]) for i in range(n)]
-        max_iou = np.zeros(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = iou(boxes[i], boxes[j])
-                if v > max_iou[i]:
-                    max_iou[i] = v
-                if v > max_iou[j]:
-                    max_iou[j] = v
+        overlap = iou(boxes, boxes)
+        np.fill_diagonal(overlap, 0.0)
+        max_iou = overlap.max(axis=1)
 
         # draw all per-object randomness before the dropout filter so the
         # stream consumed per frame does not depend on which objects survive

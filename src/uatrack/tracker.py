@@ -9,7 +9,7 @@ similarity gated by IoU -> propagation (births, lost handling).
 
 from __future__ import annotations
 
-
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +78,9 @@ class Tracklet:
         return [r.delta for r in self.records]
 
     def box_at(self, frame: int) -> BoundingBox | None:
-        for r in self.records:
-            if r.frame == frame:
-                return r.box
+        i = bisect_left(self.records, frame, key=lambda r: r.frame)
+        if i < len(self.records) and self.records[i].frame == frame:
+            return self.records[i].box
         return None
 
     def __len__(self) -> int:
@@ -173,8 +173,13 @@ def build_similarity(tracks: list[Tracklet], dets: list[Detection],
     return det_mat @ np.stack(reps).T
 
 
-def _verdict(sim: np.ndarray, r: int, c: int, cfg: TrackerConfig) -> AssociationVerdict:
-    return association_uncertainty(float(sim[r, c]), second_best(sim[r], c), cfg.margins)
+def _verdicts(sim: np.ndarray, pairs, cfg: TrackerConfig):
+    """(r, c, verdict) for every pair, with one runner-up pass over them."""
+    if not pairs:
+        return []
+    rows, cols = zip(*pairs)
+    return [(r, c, association_uncertainty(float(sim[r, c]), c2, cfg.margins))
+            for r, c, c2 in zip(rows, cols, second_best(sim, rows, cols).tolist())]
 
 
 def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
@@ -187,8 +192,7 @@ def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
     dissolved: list[tuple[int, int, AssociationVerdict]] = []
     pool_rows = list(matching.unmatched_rows)
     pool_cols = list(matching.unmatched_cols)
-    for r, c in matching.pairs:
-        verdict = _verdict(sim, r, c, cfg)
+    for r, c, verdict in _verdicts(sim, matching.pairs, cfg):
         if verdict.uncertain:
             dissolved.append((r, c, verdict))
             pool_rows.append(r)
@@ -202,19 +206,16 @@ def rectify(pool_rows: list[int], pool_cols: list[int], dets: list[Detection],
             tracks: list[Tracklet], cfg: TrackerConfig) -> list[tuple[int, int]]:
     """Re-match the uncertain pool with K-frame averaged similarity, IoU-gated.
 
-    A zero entry (failed gate) is a forbidden match; the Hungarian floor of 0
-    enforces that. Tracks shorter than K average over what they have."""
+    The mean of K dot products is the dot product with the mean of the last
+    K embeddings (all of them for tracks shorter than K). A zero entry (failed
+    gate) is a forbidden match; the Hungarian floor of 0 enforces that."""
     if not pool_rows or not pool_cols:
         return []
-    cprime = np.zeros((len(pool_rows), len(pool_cols)))
-    for i, r in enumerate(pool_rows):
-        det = dets[r]
-        for j, c in enumerate(pool_cols):
-            trk = tracks[c]
-            if iou(det.box, trk.last_box) <= cfg.beta:
-                continue
-            hist = trk.recent_embeddings(cfg.K)
-            cprime[i, j] = float(np.mean([det.embedding @ e for e in hist]))
+    gate = iou([dets[r].box for r in pool_rows], [tracks[c].last_box for c in pool_cols])
+    det_mat = np.stack([dets[r].embedding for r in pool_rows])
+    recent = [tracks[c].recent_embeddings(cfg.K) for c in pool_cols]
+    hist = np.stack([sum(embs) / len(embs) for embs in recent])
+    cprime = np.where(gate > cfg.beta, det_mat @ hist.T, 0.0)
     matched = hungarian_max(cprime, floor=0.0)
     return [(pool_rows[i], pool_cols[j]) for i, j in matched.pairs]
 
@@ -235,10 +236,9 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         certain, dissolved, pool_rows, pool_cols = verify(matching, sim, cfg)
         # delta is recomputed from the original similarity row so the
         # tracklet's delta history stays on one scale
-        rectified = [(r, c, _verdict(sim, r, c, cfg))
-                     for r, c in rectify(pool_rows, pool_cols, dets, tracks, cfg)]
+        rectified = _verdicts(sim, rectify(pool_rows, pool_cols, dets, tracks, cfg), cfg)
     else:
-        certain = [(r, c, _verdict(sim, r, c, cfg)) for r, c in matching.pairs]
+        certain = _verdicts(sim, matching.pairs, cfg)
         dissolved = rectified = []
 
     def row(r: int, c: int, v: AssociationVerdict, stage: int) -> LogRow:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyHistory, InvalidConfig
 
 DEFAULT_CLAMP_EPS = 1e-6
@@ -78,18 +80,16 @@ def association_uncertainty(c1: float, c2: float,
                               delta=delta, uncertain=delta > 0.0)
 
 
-def second_best(row, assigned: int) -> float:
-    """Highest similarity in the row excluding the assigned entry.
+def second_best(sim, rows, cols) -> np.ndarray:
+    """Runner-up of each assigned pair (rows[i], cols[i]): the highest
+    similarity in row rows[i] excluding column cols[i].
 
-    A single-candidate row has no competitor, which counts as zero risk."""
-    if len(row) == 0:
-        raise ValueError("row must be non-empty")
-    if not 0 <= assigned < len(row):
-        raise ValueError(f"assigned index {assigned} out of range")
-    rest = [v for i, v in enumerate(row) if i != assigned]
-    if not rest:
-        return 0.0
-    return float(max(rest))
+    A single-column matrix has no competitor, which counts as zero risk."""
+    if sim.shape[1] < 2:
+        return np.zeros(len(rows))
+    masked = sim[np.asarray(rows, dtype=int)]
+    masked[np.arange(len(rows)), np.asarray(cols, dtype=int)] = -np.inf
+    return masked.max(axis=1)
 
 
 def tracklet_uncertainty(deltas) -> float:

@@ -1,6 +1,7 @@
 """The traced benchmark (`perfbench/run.py --trace 1`) wraps package functions
-by name; every name it wraps must still exist, so a deletion or rename
-fails here rather than in the traced run."""
+by name and reads their arguments and results; every name it wraps must
+still exist and its count hooks must still read the calls, so a deletion,
+rename or signature change fails here rather than in the traced run."""
 
 import importlib.util
 from pathlib import Path
@@ -19,13 +20,36 @@ def load_tracing():
     return module
 
 
+PKG = SimpleNamespace(assignment=assignment, augment=augment, cli=cli,
+                      contrastive=contrastive, formats=formats, metrics=metrics,
+                      simulator=simulator, tracker=tracker)
+
+
 def test_every_traced_call_site_resolves():
-    pkg = SimpleNamespace(assignment=assignment, augment=augment, cli=cli,
-                          contrastive=contrastive, formats=formats, metrics=metrics,
-                          simulator=simulator, tracker=tracker)
-    sites = load_tracing().call_sites(pkg)
+    sites = load_tracing().call_sites(PKG)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for _name, owners, _count in sites for owner, attr in owners
                if not hasattr(owner, attr)]
     assert sites
     assert missing == []
+
+
+def test_traced_scene_pass_counts_rectification():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(PKG)
+    try:
+        frames, _ = simulator.generate(simulator.ScenarioConfig(num_objects=20, num_frames=20))
+        state = tracker.TrackerState(tracker.TrackerConfig())
+        for frame, dets in enumerate(frames, start=1):
+            tracker.step(state, frame, dets)
+    finally:
+        tracer.uninstall()
+    values = tracing.per_layer_values(tracer)
+    assert simulator.generate.__module__ == "uatrack.simulator"   # originals restored
+    for name in ("tracker.step_calls", "tracker.verify_pairs", "tracker.rectify_calls",
+                 "tracker.rectify_pool_pairs", "tracker.rectify_matched",
+                 "uncertainty.second_best_calls", "geometry.iou_tracker_calls",
+                 "geometry.iou_simulator_calls", "simulator.detections"):
+        assert values[name] > 0, name
+    assert 0 < values["tracker.rectify_matched_ratio"] <= 1

@@ -8,7 +8,7 @@ import pytest
 from uatrack.contrastive import (ContrastiveBatch, LinearEmbedder,
                                  TrainConfig, draw_plan, info_nce,
                                  info_nce_grad, train_embedder)
-from uatrack.errors import InsufficientData, NoCandidates
+from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
 from uatrack.geometry import BoundingBox
 from uatrack.tracker import Detection, Tracklet, TrackRecord
 
@@ -126,6 +126,17 @@ def toy_sequence(n_frames=30, n_objects=3, raw_dim=8, seed=0):
                 confidence=1.0, embedding=unit(raw[:4]), raw=raw))
         frames.append(dets)
     return frames
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
+    def test_jitter_accepted(self, jitter):
+        assert TrainConfig(jitter=jitter).jitter == jitter
+
+    @pytest.mark.parametrize("jitter", [math.inf, math.nan, -1.0])
+    def test_bad_jitter_rejected(self, jitter):
+        with pytest.raises(InvalidConfig, match="jitter"):
+            TrainConfig(jitter=jitter)
 
 
 class TestTrainEmbedder:

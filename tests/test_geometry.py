@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uatrack.errors import DegenerateBox, DegenerateCorrespondence
 from uatrack.geometry import (AffineTransform, BoundingBox, apply_affine, iou,
@@ -33,35 +35,76 @@ class TestBoundingBox:
             BoundingBox(float("nan"), 0.0, 1.0, 1.0)
 
 
+def scalar_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Per-pair reference: the arithmetic `iou` does for one pair."""
+    ax1, ay1, ax2, ay2 = a.to_xyxy()
+    bx1, by1, bx2, by2 = b.to_xyxy()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.w * a.h + b.w * b.h - inter)
+
+
+# Small-integer boxes meet edge to edge, nest and coincide often; free
+# floats cover the general case.
+grid_boxes = st.builds(BoundingBox, *[st.integers(-6, 6).map(float)] * 2,
+                       *[st.integers(1, 6).map(float)] * 2)
+float_boxes = st.builds(BoundingBox, *[st.floats(-1e3, 1e3)] * 2,
+                        *[st.floats(1e-3, 1e3)] * 2)
+box_lists = st.lists(st.one_of(grid_boxes, float_boxes), max_size=6)
+
+
 class TestIou:
     def test_identical_boxes(self):
         b = BoundingBox(5.0, 5.0, 2.0, 2.0)
-        assert iou(b, b) == pytest.approx(1.0)
+        assert iou([b], [b]).tolist() == [[1.0]]
 
     def test_disjoint(self):
         a = BoundingBox(0.0, 0.0, 2.0, 2.0)
         b = BoundingBox(10.0, 0.0, 2.0, 2.0)
-        assert iou(a, b) == 0.0
+        assert iou([a], [b]).tolist() == [[0.0]]
 
     def test_quarter_overlap(self):
         # unit squares offset by half in both axes: inter 1/4, union 7/4
         a = BoundingBox(0.0, 0.0, 1.0, 1.0)
         b = BoundingBox(0.5, 0.5, 1.0, 1.0)
-        assert iou(a, b) == pytest.approx(1.0 / 7.0)
+        assert iou([a], [b])[0, 0] == pytest.approx(1.0 / 7.0)
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            a = BoundingBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
-            b = BoundingBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
-            v, w = iou(a, b), iou(b, a)
-            assert v == pytest.approx(w)
-            assert 0.0 <= v <= 1.0
+        boxes = [BoundingBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
+                 for _ in range(200)]
+        m = iou(boxes, boxes)
+        assert m.shape == (200, 200)
+        assert np.array_equal(m, m.T)
+        # a box against itself is 1 only up to rounding of its edges
+        assert np.allclose(np.diag(m), 1.0)
+        np.fill_diagonal(m, 0.5)
+        assert ((m >= 0.0) & (m <= 1.0)).all()
 
     def test_touching_edges_is_zero(self):
         a = BoundingBox(0.0, 0.0, 2.0, 2.0)
         b = BoundingBox(2.0, 0.0, 2.0, 2.0)
-        assert iou(a, b) == 0.0
+        assert iou([a], [b]).tolist() == [[0.0]]
+
+    def test_nested_is_area_ratio(self):
+        outer = BoundingBox(0.0, 0.0, 4.0, 4.0)
+        inner = BoundingBox(0.5, -0.5, 2.0, 2.0)
+        assert iou([outer, inner], [inner, outer]).tolist() == [[0.25, 1.0], [1.0, 0.25]]
+
+    def test_empty_sequences(self):
+        b = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        assert iou([], [b]).shape == (0, 1)
+        assert iou([b, b], []).shape == (2, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_lists, box_lists)
+    def test_matches_scalar_reference_exactly(self, a, b):
+        m = iou(a, b)
+        assert m.shape == (len(a), len(b))
+        assert m.tolist() == [[scalar_iou(x, y) for y in b] for x in a]
 
 
 class TestAffineTransform:

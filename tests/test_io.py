@@ -309,3 +309,14 @@ class TestCli:
                        "--frame", "10", "--seed", "1")
         assert proc.returncode == 0, proc.stderr
         assert "transform:" in proc.stdout
+
+    @pytest.mark.parametrize("jitter", ["inf", "nan", "-1"])
+    def test_augment_bad_jitter_exits_2(self, tmp_path, jitter):
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text("num_objects = 4\nnum_frames = 20\nseed = 3\n")
+        run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
+        proc = run_cli("augment", "--bundle", str(tmp_path / "sim"),
+                       "--frame", "10", "--seed", "1", f"--jitter={jitter}")
+        assert proc.returncode == 2, proc.stderr
+        assert "jitter" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -126,11 +126,11 @@ class TestGenerate:
         frames, _ = generate(ScenarioConfig())
         found = False
         for dets in frames:
-            for i, a in enumerate(dets):
-                for b in dets[i + 1:]:
-                    if iou(a.box, b.box) > 0.4:
-                        assert a.confidence < 0.6 and b.confidence < 0.6
-                        found = True
+            overlap = iou([d.box for d in dets], [d.box for d in dets])
+            for i, j in zip(*np.nonzero(overlap > 0.4)):
+                if i < j:
+                    assert dets[i].confidence < 0.6 and dets[j].confidence < 0.6
+                    found = True
         assert found, "default scenario should contain heavy occlusions"
 
     def test_raw_features_linearly_decodable(self):

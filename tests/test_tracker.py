@@ -1,13 +1,16 @@
 """Tests for the association pipeline and tracklet lifecycle."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from uatrack import tracker
 from uatrack.assignment import hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
-from uatrack.geometry import BoundingBox
+from uatrack.geometry import BoundingBox, iou
 from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
@@ -52,6 +55,15 @@ class TestTracklet:
                                  embedding=unit(1, f), delta=0.0))
         assert len(t.recent_embeddings(5)) == 5
         assert len(t.recent_embeddings(100)) == 9
+
+    def test_box_at_finds_only_recorded_frames(self):
+        t = track(1, 3, unit(1, 0), cx=3.0)
+        for f in (4, 7, 8, 12):
+            t.append(TrackRecord(frame=f, det_index=0, box=BoundingBox(f, 0.0, 2.0, 2.0),
+                                 embedding=unit(1, 0), delta=0.0))
+        found = {f: t.box_at(f) for f in range(0, 15)}
+        assert {f for f, box in found.items() if box is not None} == {3, 4, 7, 8, 12}
+        assert all(found[r.frame] is r.box for r in t.records)
 
     def test_deltas_history(self):
         t = track(1, 1, unit(1, 0))
@@ -164,6 +176,62 @@ class TestRectify:
     def test_empty_pool(self):
         assert rectify([], [], [], [], TrackerConfig()) == []
 
+    @staticmethod
+    def _oracle(pool_rows, pool_cols, dets, tracks, cfg):
+        """Per-pair reference: the mean of the last K dot products wherever
+        the pair's own IoU passes the gate, else 0."""
+        cprime = np.zeros((len(pool_rows), len(pool_cols)))
+        for i, r in enumerate(pool_rows):
+            for j, c in enumerate(pool_cols):
+                if iou([dets[r].box], [tracks[c].last_box])[0, 0] > cfg.beta:
+                    cprime[i, j] = np.mean([dets[r].embedding @ e
+                                            for e in tracks[c].recent_embeddings(cfg.K)])
+        return cprime
+
+    def test_matches_per_pair_oracle_on_random_pools(self, monkeypatch):
+        seen = []
+
+        def capture(sim, floor=None):
+            seen.append(sim)
+            return hungarian_max(sim, floor=floor)
+
+        monkeypatch.setattr(tracker, "hungarian_max", capture)
+        rng = np.random.default_rng(5)
+        cfg = TrackerConfig(K=3)
+
+        def box():
+            return BoundingBox(*rng.uniform(0, 12, 2), *rng.uniform(2, 6, 2))
+
+        def record(frame, dim):
+            return TrackRecord(frame, 0, box(), unit(*rng.normal(size=dim)), 0.0)
+
+        def subset(n):
+            return sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+
+        gated = 0
+        for _ in range(100):
+            n_dets, n_tracks, dim = (int(x) for x in rng.integers(1, 9, size=3))
+            tracks = []
+            for tid in range(1, n_tracks + 1):
+                trk = Tracklet(tid, record(1, dim + 1))
+                for f in range(2, int(rng.integers(2, 8))):   # 1..6 records, K=3
+                    trk.append(record(f, dim + 1))
+                tracks.append(trk)
+            dets = [Detection(9, i, box(), 1.0, unit(*rng.normal(size=dim + 1)))
+                    for i in range(n_dets)]
+            pool_rows, pool_cols = subset(n_dets), subset(n_tracks)
+
+            seen.clear()
+            pairs = rectify(pool_rows, pool_cols, dets, tracks, cfg)
+            expect = self._oracle(pool_rows, pool_cols, dets, tracks, cfg)
+            (cprime,) = seen
+            assert np.array_equal(cprime == 0.0, expect == 0.0)
+            assert cprime == pytest.approx(expect, rel=0.0, abs=1e-12)
+            matched = hungarian_max(expect, floor=0.0)
+            assert pairs == [(pool_rows[i], pool_cols[j]) for i, j in matched.pairs]
+            gated += int((expect != 0.0).sum())
+        assert gated > 100   # the gate passes often enough to test the mean
+
 
 def matched(rows):
     """(det_index, track id) of the applied matches among a frame's rows."""
@@ -238,7 +306,7 @@ class TestStep:
             r = row.det_index
             c = row.track_id - 1  # ids 1,2 created in column order
             expect = association_uncertainty(float(sim[r, c]),
-                                             second_best(sim[r], c))
+                                             float(second_best(sim, [r], [c])[0]))
             assert row.delta == pytest.approx(expect.delta)
 
     def test_dissolved_pairs_are_logged(self):
@@ -318,6 +386,18 @@ class TestTrackSequence:
                     for t in ts]
 
         assert compose(tracklets_from_log(log)) == compose(tracklets)
+
+    def test_crowded_scene_composition_digest(self):
+        """A 60-object scene builds large rectification pools (hundreds of
+        pairs a frame) that the 12-object scenes rarely reach; its
+        tracklet composition is pinned."""
+        cfg = ScenarioConfig(num_objects=60, embed_dim=32, raw_dim=64, num_frames=40, seed=7)
+        frames, _ = generate(cfg)
+        tracklets, log = track_sequence(frames)
+        assert sum(row.stage == STAGE_RECTIFIED for row in log) > 100
+        rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "ca5487b7a4cb47afb4022dbcab77228a4a22aea413fd48f244ac68936f43ac6f"
 
     def test_plain_lists_accepted(self):
         frames = [dets for _, dets in self._frames(3)]

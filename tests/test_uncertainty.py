@@ -84,21 +84,40 @@ class TestMonotonicity:
 
 class TestSecondBest:
     def test_excludes_assigned_column(self):
-        row = np.array([0.9, 0.7, 0.3])
-        assert second_best(row, 0) == pytest.approx(0.7)
-        assert second_best(row, 1) == pytest.approx(0.9)
+        sim = np.array([[0.9, 0.7, 0.3],
+                        [0.2, 0.1, 0.6]])
+        assert second_best(sim, [0, 0, 1], [0, 1, 2]).tolist() == [0.7, 0.9, 0.2]
+
+    def test_ties(self):
+        # a tied maximum is its own runner-up, whichever copy is assigned
+        sim = np.array([[0.5, 0.5, 0.1],
+                        [0.4, 0.8, 0.8]])
+        assert second_best(sim, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2]).tolist() == \
+            [0.5, 0.5, 0.5, 0.8, 0.8, 0.8]
 
     def test_single_entry_row(self):
-        assert second_best(np.array([0.8]), 0) == 0.0
+        # a single-column matrix has no competitor in any row
+        sim = np.array([[0.8], [-0.3]])
+        assert second_best(sim, [0, 1], [0, 0]).tolist() == [0.0, 0.0]
+
+    def test_no_pairs(self):
+        assert second_best(np.ones((2, 3)), [], []).tolist() == []
+
+    def test_sim_left_unchanged(self):
+        sim = np.array([[0.9, 0.7], [0.2, 0.4]])
+        second_best(sim, [0, 1], [0, 1])
+        assert sim.tolist() == [[0.9, 0.7], [0.2, 0.4]]
 
     def test_random_rows(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            n = int(rng.integers(2, 8))
-            row = rng.uniform(-1, 1, size=n)
-            j = int(rng.integers(n))
-            expect = max(x for i, x in enumerate(row.tolist()) if i != j)
-            assert second_best(row, j) == pytest.approx(expect)
+            n_rows, n_cols = int(rng.integers(1, 6)), int(rng.integers(2, 8))
+            sim = rng.uniform(-3, 3, size=(n_rows, n_cols))   # not only cosines
+            rows = rng.integers(n_rows, size=4).tolist()
+            cols = rng.integers(n_cols, size=4).tolist()
+            expect = [max(x for i, x in enumerate(sim[r].tolist()) if i != c)
+                      for r, c in zip(rows, cols)]
+            assert second_best(sim, rows, cols).tolist() == expect
 
 
 class TestTrackletUncertainty:
