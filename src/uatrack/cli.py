@@ -125,12 +125,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    cfg = TrainConfig(seed=args.seed, jitter=args.jitter)
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     upto = [fd for fd in frames if fd[0] <= args.frame]
     tracklets, _log = track_sequence(upto, TrackerConfig())
-    plan = draw_plan(tracklets, args.frame, np.random.default_rng(args.seed),
-                     TrainConfig(jitter=args.jitter))
+    plan = draw_plan(tracklets, args.frame, np.random.default_rng(cfg.seed), cfg)
     t = plan.transform
     print(f"source_track_id: {plan.source_track_id}")
     print(f"target_frame: {plan.target_frame}")
@@ -144,12 +144,12 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
+                      anchor_sampling=args.sampling)
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     frames = formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
     det_lists = [dets for _, dets in frames]
-    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
-                      anchor_sampling=args.sampling)
     embedder, losses = train_embedder(det_lists, cfg)
     embedder.save(args.out)
     for i, loss in enumerate(losses, start=1):
@@ -178,8 +178,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (UatrackError, OSError) as exc:
+        # a float overflow or invalid operation means out-of-range inputs
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
+    except (UatrackError, OSError, FloatingPointError) as exc:
         print(f"uatrack {args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
 

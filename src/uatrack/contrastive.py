@@ -96,8 +96,14 @@ class TrainConfig:
     jitter: float | None = None  # None -> 2% of anchor box diagonal
 
     def __post_init__(self):
-        if self.jitter is not None and not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise InvalidConfig(f"jitter must be finite and >= 0, got {self.jitter}")
+        if self.epochs < 1:
+            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidConfig(f"lr must be finite and > 0, got {self.lr}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if self.jitter is not None and not (math.isfinite(2 * self.jitter) and self.jitter >= 0):
+            raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {self.jitter}")
 
 
 def _anchor_candidates(tracklets, frame: int) -> list[Tracklet]:

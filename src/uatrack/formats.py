@@ -18,12 +18,14 @@ from dataclasses import fields as dc_fields
 import numpy as np
 
 from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
-                     IoFailure, MissingEmbedding, NonPositiveSize, ParseError)
+                     IoFailure, MissingEmbedding, NonPositiveSize, ParseError,
+                     UatrackError)
 from .geometry import BoundingBox
 from .simulator import GroundTruthRecord, ScenarioConfig
 from .tracker import STAGE_BIRTH, STAGE_DISSOLVED, Detection, LogRow, Tracklet
 
 NORM_WARN_TOL = 1e-6
+MAX_FRAME = 100_000  # about an hour at 30 fps; bounds the per-frame list
 
 
 def _umask() -> int:
@@ -53,123 +55,122 @@ def atomic_write(path, lines) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _parse_lines(path, row, sep=",") -> list:
+    """`row(fields)` for each non-blank line of `path`, decoded as UTF-8,
+    stripped and split on `sep` (whitespace when None); returns the list of
+    results. The line number goes in front of any error `row` raises: a
+    ValueError (an undecodable byte included) becomes a ParseError, and a
+    package error keeps its type."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    out.append(row(line.split(sep)))
+            except UatrackError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from exc
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+    return out
+
+
 def read_detections(path):
     """Parse a MOT detections file into per-frame Detection lists (without
     embeddings). Returns a list of (frame, detections) for frames
-    1..max_frame, including empty frames."""
+    1..max_frame, including empty frames; frames above MAX_FRAME are
+    rejected."""
     per_frame: dict[int, list[Detection]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 7:
-                raise ParseError(f"line {lineno}: expected >= 7 fields, got {len(parts)}")
-            try:
-                frame = int(parts[0])
-                left, top, w, h = (float(p) for p in parts[2:6])
-                conf = float(parts[6])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if frame < 1:
-                raise ParseError(f"line {lineno}: frame must be >= 1, got {frame}")
-            if w <= 0 or h <= 0:
-                raise NonPositiveSize(f"line {lineno}: w={w} h={h}")
-            if not all(math.isfinite(v) for v in (left, top, w, h, conf)):
-                raise ParseError(f"line {lineno}: non-finite value")
-            dets = per_frame.setdefault(frame, [])
-            dets.append(Detection(frame=frame, det_index=len(dets),
-                                  box=BoundingBox(left + w / 2.0, top + h / 2.0, w, h),
-                                  confidence=conf, embedding=None))
-    if not per_frame:
-        return []
-    max_frame = max(per_frame)
-    return [(f, per_frame.get(f, [])) for f in range(1, max_frame + 1)]
+
+    def row(parts):
+        if len(parts) < 7:
+            raise ParseError(f"expected >= 7 fields, got {len(parts)}")
+        frame = int(parts[0])
+        left, top, w, h = (float(p) for p in parts[2:6])
+        conf = float(parts[6])
+        if frame < 1:
+            raise ParseError(f"frame must be >= 1, got {frame}")
+        if frame > MAX_FRAME:
+            raise ParseError(f"frame must be <= {MAX_FRAME}, got {frame}")
+        if w <= 0 or h <= 0:
+            raise NonPositiveSize(f"w={w} h={h}")
+        if not all(math.isfinite(v) for v in (left, top, w, h, conf)):
+            raise ParseError("non-finite value")
+        dets = per_frame.setdefault(frame, [])
+        dets.append(Detection(frame=frame, det_index=len(dets),
+                              box=BoundingBox(left + w / 2.0, top + h / 2.0, w, h),
+                              confidence=conf, embedding=None))
+
+    _parse_lines(path, row)
+    return [(f, per_frame.get(f, [])) for f in range(1, max(per_frame, default=0) + 1)]
 
 
 def _read_vectors(path, what: str):
     rows: dict[tuple[int, int], np.ndarray] = {}
-    dim = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ParseError(f"line {lineno}: expected frame,det_index,values")
-            try:
-                frame, det_index = int(parts[0]), int(parts[1])
-                vec = np.array([float(p) for p in parts[2:]])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if not np.isfinite(vec).all():
-                raise ParseError(f"line {lineno}: non-finite value")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"line {lineno}: {what} dim {vec.shape[0]} != {dim}")
-            key = (frame, det_index)
-            if key in rows:
-                raise DuplicateEmbedding(f"duplicate {what} for {key}")
-            rows[key] = vec
+
+    def row(parts):
+        if len(parts) < 3:
+            raise ParseError("expected frame,det_index,values")
+        key = int(parts[0]), int(parts[1])
+        vec = np.array([float(p) for p in parts[2:]])
+        if not np.isfinite(vec).all():
+            raise ParseError("non-finite value")
+        dim = len(next(iter(rows.values()), vec))  # the first row's
+        if len(vec) != dim:
+            raise DimensionMismatch(f"{what} dim {len(vec)} != {dim}")
+        if key in rows:
+            raise DuplicateEmbedding(f"duplicate {what} for {key}")
+        rows[key] = vec
+
+    _parse_lines(path, row)
     return rows
+
+
+def _matched_rows(path, frames, what: str):
+    """Yield (detection, vector) for every detection in `frames`, the vector
+    read from `path`; raises MissingEmbedding when a detection has no row
+    or a row matches no detection."""
+    rows = _read_vectors(path, what)
+    for frame, dets in frames:
+        for d in dets:
+            vec = rows.pop((frame, d.det_index), None)
+            if vec is None:
+                raise MissingEmbedding(f"no {what} for (frame={frame}, det={d.det_index})")
+            yield d, vec
+    if rows:
+        raise MissingEmbedding(f"{what} row {min(rows)} matches no detection")
 
 
 def read_embeddings(path, frames):
     """Attach l2-normalized embeddings to parsed detections. Returns
     (frames, renormalized_count); rows whose norm deviates by more than
     1e-6 are normalized and counted."""
-    rows = _read_vectors(path, "embedding")
     warned = 0
-    for frame, dets in frames:
-        for d in dets:
-            key = (frame, d.det_index)
-            if key not in rows:
-                raise MissingEmbedding(f"no embedding for (frame={frame}, det={d.det_index})")
-            vec = rows.pop(key)
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise ParseError(f"zero embedding for (frame={frame}, det={d.det_index})")
-            if abs(norm - 1.0) > NORM_WARN_TOL:
-                vec = vec / norm
-                warned += 1
-            d.embedding = vec
-    if rows:
-        key = sorted(rows)[0]
-        raise MissingEmbedding(f"embedding row {key} matches no detection")
+    for d, vec in _matched_rows(path, frames, "embedding"):
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            raise ParseError(f"zero embedding for (frame={d.frame}, det={d.det_index})")
+        if abs(norm - 1.0) > NORM_WARN_TOL:
+            vec = vec / norm
+            warned += 1
+        d.embedding = vec
     return frames, warned
 
 
 def read_raw_features(path, frames):
     """Attach raw (unnormalized) feature vectors to parsed detections."""
-    rows = _read_vectors(path, "raw feature")
-    for frame, dets in frames:
-        for d in dets:
-            key = (frame, d.det_index)
-            if key not in rows:
-                raise MissingEmbedding(f"no raw feature for (frame={frame}, det={d.det_index})")
-            d.raw = rows.pop(key)
+    for d, vec in _matched_rows(path, frames, "raw feature"):
+        d.raw = vec
     return frames
 
 
 def read_ground_truth(path):
-    gt = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected frame,det_index,true_id")
-            try:
-                gt.append(GroundTruthRecord(int(parts[0]), int(parts[1]), int(parts[2])))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-    return gt
+    def row(parts):
+        if len(parts) != 3:
+            raise ParseError("expected frame,det_index,true_id")
+        return GroundTruthRecord(int(parts[0]), int(parts[1]), int(parts[2]))
+
+    return _parse_lines(path, row)
 
 
 def _fmt(x: float) -> str:
@@ -224,27 +225,19 @@ def write_log(log: list[LogRow], path) -> None:
 
 
 def read_log(path) -> list[LogRow]:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 9:
-                raise ParseError(f"line {lineno}: expected 9 fields, got {len(parts)}")
-            try:
-                row = LogRow(frame=int(parts[0]), det_index=int(parts[1]),
-                             track_id=int(parts[2]), c1=float(parts[3]),
-                             c2=float(parts[4]), sigma=float(parts[5]),
-                             gamma=float(parts[6]), delta=float(parts[7]),
-                             stage=int(parts[8]))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if not STAGE_BIRTH <= row.stage <= STAGE_DISSOLVED:
-                raise ParseError(f"line {lineno}: unknown stage {row.stage}")
-            rows.append(row)
-    return rows
+    def row(parts):
+        if len(parts) != 9:
+            raise ParseError(f"expected 9 fields, got {len(parts)}")
+        log_row = LogRow(frame=int(parts[0]), det_index=int(parts[1]),
+                         track_id=int(parts[2]), c1=float(parts[3]),
+                         c2=float(parts[4]), sigma=float(parts[5]),
+                         gamma=float(parts[6]), delta=float(parts[7]),
+                         stage=int(parts[8]))
+        if not STAGE_BIRTH <= log_row.stage <= STAGE_DISSOLVED:
+            raise ParseError(f"unknown stage {log_row.stage}")
+        return log_row
+
+    return _parse_lines(path, row)
 
 
 def write_weights(embedder, path) -> None:
@@ -256,63 +249,57 @@ def write_weights(embedder, path) -> None:
 
 
 def read_weights(path):
+    """Text weights written by `write_weights`; the first non-blank line is
+    the `F D` header."""
     from .contrastive import LinearEmbedder
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError("line 1: weights header must be `F D`")
-        try:
-            f_dim, d_dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ParseError(f"line 1: {exc}") from exc
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                vals = [float(v) for v in line.split()]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if len(vals) != d_dim:
-                raise ParseError(f"line {lineno}: expected {d_dim} values")
-            rows.append(vals)
-    if len(rows) != f_dim:
-        raise ParseError(f"expected {f_dim} weight rows, got {len(rows)}")
+    shape, rows = [], []
+
+    def row(parts):
+        if not shape:
+            if len(parts) != 2:
+                raise ParseError("weights header must be `F D`")
+            shape.extend(int(p) for p in parts)
+            return
+        vals = [float(v) for v in parts]
+        if len(vals) != shape[1]:
+            raise ParseError(f"expected {shape[1]} values")
+        rows.append(vals)
+
+    _parse_lines(path, row, sep=None)
+    if not shape:
+        raise ParseError("line 1: weights header must be `F D`")
+    if len(rows) != shape[0]:
+        raise ParseError(f"expected {shape[0]} weight rows, got {len(rows)}")
     return LinearEmbedder(np.array(rows))
 
 
 # --- flat key = value config files ---------------------------------------
 
-_SCENARIO_FIELDS = {f.name: f.type for f in dc_fields(ScenarioConfig)}
+_SCENARIO_FIELDS = {f.name: f.type for f in dc_fields(ScenarioConfig)}  # name -> "int", ...
 
 
 def parse_scenario_config(path) -> ScenarioConfig:
     """Flat `key = value` lines, `#` comments; unknown keys are errors."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"line {lineno}: expected `key = value`")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _SCENARIO_FIELDS:
-                raise InvalidConfig(f"line {lineno}: unknown key `{key}`")
-            try:
-                if key in ("num_objects", "num_frames", "embed_dim", "raw_dim", "seed"):
-                    values[key] = int(raw)
-                elif key == "arena":
-                    parts = raw.split()
-                    if len(parts) != 2:
-                        raise ValueError("arena needs two values")
-                    values[key] = (float(parts[0]), float(parts[1]))
-                else:
-                    values[key] = float(raw)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-    return ScenarioConfig(**values)
+    def row(parts):
+        line = parts[0].strip()  # parts[1:] is the comment
+        if not line:
+            return None
+        if "=" not in line:
+            raise ParseError("expected `key = value`")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _SCENARIO_FIELDS:
+            raise InvalidConfig(f"unknown key `{key}`")
+        if _SCENARIO_FIELDS[key] == "int":
+            return key, int(raw)
+        if key == "arena":
+            parts = raw.split()
+            if len(parts) != 2:
+                raise ValueError("arena needs two values")
+            return key, (float(parts[0]), float(parts[1]))
+        return key, float(raw)
+
+    return ScenarioConfig(**dict(kv for kv in _parse_lines(path, row, sep="#") if kv))
 
 
 def write_scenario_config(cfg: ScenarioConfig, path) -> None:

@@ -7,11 +7,12 @@ detection that founded the tracklet.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingGroundTruth
+from .errors import InvalidConfig, MissingGroundTruth
 from .tracker import LogRow, STAGE_BIRTH, Tracklet
 
 
@@ -68,9 +69,10 @@ def pseudo_accuracy(tracklets: list[Tracklet], gt, max_age: int) -> AccuracyCurv
 
     accuracy(s) aggregates, over every tracklet of age >= s, whether its
     record at age s still carries the birth identity (age 0 = birth)."""
+    if max_age < 0:
+        raise InvalidConfig(f"max_age must be >= 0, got {max_age}")
     lookup = gt_index(gt)
-    correct = np.zeros(max_age + 1)
-    total = np.zeros(max_age + 1)
+    correct, total = Counter(), Counter()
     for trk in tracklets:
         birth = trk.records[0]
         birth_id = _resolve(lookup, birth.frame, birth.det_index)
@@ -78,7 +80,7 @@ def pseudo_accuracy(tracklets: list[Tracklet], gt, max_age: int) -> AccuracyCurv
             total[age] += 1
             if _resolve(lookup, rec.frame, rec.det_index) == birth_id:
                 correct[age] += 1
-    points = [(s, correct[s] / total[s]) for s in range(1, max_age + 1) if total[s] > 0]
+    points = [(s, correct[s] / total[s]) for s in sorted(total) if s > 0]
     return AccuracyCurve(points=points)
 
 

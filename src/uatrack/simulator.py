@@ -59,6 +59,8 @@ class ScenarioConfig:
         if self.raw_dim < self.embed_dim:
             raise InvalidConfig(
                 f"raw_dim must be >= embed_dim ({self.embed_dim}), got {self.raw_dim}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for name in ("confusable_fraction", "occlusion_rate", "dropout"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

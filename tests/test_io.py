@@ -1,16 +1,21 @@
 """Tests for file formats and the command-line interface."""
 
+import contextlib
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import uatrack
-from uatrack import formats
+from uatrack import cli, formats
 from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import (DuplicateEmbedding, InvalidConfig, IoFailure,
                             MissingEmbedding, NonPositiveSize, ParseError)
@@ -51,8 +56,8 @@ class TestDetectionsRoundtrip:
 
     def test_nonpositive_size_rejected(self, tmp_path):
         p = tmp_path / "det.txt"
-        p.write_text("1,-1,0,0,0,5,0.9,-1,-1,-1\n")
-        with pytest.raises(NonPositiveSize):
+        p.write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n\n1,-1,0,0,0,5,0.9,-1,-1,-1\n")
+        with pytest.raises(NonPositiveSize, match="line 3: w=0.0"):
             formats.read_detections(p)
 
     def test_malformed_line_reports_lineno(self, tmp_path):
@@ -101,7 +106,7 @@ class TestEmbeddings:
     def test_duplicate_embedding_raises(self, tmp_path):
         e = tmp_path / "emb.csv"
         e.write_text("1,0,1.0,0.0\n1,0,0.0,1.0\n")
-        with pytest.raises(DuplicateEmbedding):
+        with pytest.raises(DuplicateEmbedding, match="line 2: duplicate"):
             formats._read_vectors(e, "embedding")
 
 
@@ -142,6 +147,30 @@ class TestGroundTruthAndLog:
         p.write_text(text)
         with pytest.raises(ParseError, match=line):
             formats.read_weights(p)
+
+
+class TestParseLines:
+    READERS = {
+        "detections": formats.read_detections,
+        "vectors": lambda p: formats._read_vectors(p, "embedding"),
+        "ground_truth": formats.read_ground_truth,
+        "log": formats.read_log,
+        "weights": formats.read_weights,
+        "scenario_config": formats.parse_scenario_config,
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_undecodable_byte_names_line(self, tmp_path, reader):
+        p = tmp_path / "in.txt"
+        p.write_bytes(b"\n  \r\n\xff\n")
+        with pytest.raises(ParseError, match="line 3: 'utf-8' codec can't decode"):
+            self.READERS[reader](p)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_bytes(b"1,0,4\r\n\r\n \t\n2,1,3\r\n")
+        assert formats.read_ground_truth(p) == [GroundTruthRecord(1, 0, 4),
+                                                GroundTruthRecord(2, 1, 3)]
 
 
 class TestAtomicWrite:
@@ -320,3 +349,203 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "jitter" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_detections_exit_2(self, tmp_path, capsys):
+        small_bundle(tmp_path)
+        det = tmp_path / "det.txt"
+        det.write_bytes(det.read_bytes().replace(b"\n", b"\n\xff", 1))
+        code, err = run_main(capsys, "track", "--dets", det, "--embs", tmp_path / "emb.csv",
+                             "--out", tmp_path / "o.txt")
+        assert code == 2
+        assert "line 2: 'utf-8' codec can't decode" in err
+
+    def test_non_utf8_log_exit_2(self, tmp_path, capsys):
+        small_bundle(tmp_path)
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"1,0,1,0,0,0,0,0,0\n2,0,1,0\xe9,0,0,0,0,1\n")
+        code, err = run_main(capsys, "stats", "--log", log, "--gt", tmp_path / "gt.txt")
+        assert code == 2
+        assert "line 2: 'utf-8' codec can't decode" in err
+
+    def test_orphan_raw_feature_row_exit_2(self, tmp_path, capsys):
+        small_bundle(tmp_path)
+        raw = tmp_path / "raw.csv"
+        first = raw.read_text().splitlines()[0].split(",")
+        with raw.open("a") as fh:
+            fh.write(",".join(["9999", "0"] + first[2:]) + "\n")
+        code, err = run_main(capsys, "train", "--bundle", tmp_path, "--epochs", "1",
+                             "--lr", "1e-3", "--seed", "0", "--out", tmp_path / "w.txt")
+        assert code == 2
+        assert "raw feature row (9999, 0) matches no detection" in err
+        assert not (tmp_path / "w.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "1", "--lr", "1e-3", "--seed", "-1"],
+        ["augment", "--frame", "10", "--seed", "-3"],
+        ["simulate"],
+    ], ids=["train", "augment", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        small_bundle(tmp_path)
+        (tmp_path / "cfg.txt").write_text("num_objects = 4\nseed = -1\n")
+        where = (["--config", tmp_path / "cfg.txt", "--out", tmp_path / "sim"]
+                 if argv[0] == "simulate" else ["--bundle", tmp_path])
+        if argv[0] == "train":
+            where += ["--out", tmp_path / "w.txt"]
+        code, err = run_main(capsys, *argv, *where)
+        assert code == 2
+        assert "seed must be >= 0, got -" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--lr", "nan", "--epochs", "1"], "lr must be finite and > 0, got nan"),
+        (["--lr", "1e-3", "--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--lr", "1e-3", "--epochs", "-1"], "epochs must be >= 1, got -1"),
+    ], ids=["lr-nan", "epochs-0", "epochs-neg"])
+    def test_bad_train_flag_exit_2(self, tmp_path, capsys, flags, message):
+        small_bundle(tmp_path)
+        code, err = run_main(capsys, "train", "--bundle", tmp_path, *flags,
+                             "--seed", "0", "--out", tmp_path / "w.txt")
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "w.txt").exists()
+
+    def test_negative_max_age_exit_2(self, tmp_path, capsys):
+        indexed, _ = small_bundle(tmp_path)
+        _, log = track_sequence(indexed, TrackerConfig())
+        formats.write_log(log, tmp_path / "log.txt")
+        code, err = run_main(capsys, "eval", "--results", tmp_path / "det.txt",
+                             "--gt", tmp_path / "gt.txt", "--log", tmp_path / "log.txt",
+                             "--report", tmp_path / "r.txt", "--max-age", "-5")
+        assert code == 2
+        assert "max_age must be >= 0, got -5" in err
+
+    def test_frame_past_bound_exit_2(self, tmp_path, capsys):
+        (tmp_path / "det.txt").write_text(
+            f"1,-1,0,0,5,5,0.9,-1,-1,-1\n{formats.MAX_FRAME + 1},-1,0,0,5,5,0.9,-1,-1,-1\n")
+        (tmp_path / "emb.csv").write_text(f"1,0,1,0\n{formats.MAX_FRAME + 1},0,1,0\n")
+        code, err = run_main(capsys, "track", "--dets", tmp_path / "det.txt",
+                             "--embs", tmp_path / "emb.csv", "--out", tmp_path / "o.txt")
+        assert code == 2
+        assert f"line 2: frame must be <= {formats.MAX_FRAME}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--epochs", "1", "--lr", "1e308", "--seed", "0"], "overflow encountered"),
+        (["augment", "--frame", "10", "--seed", "1", "--jitter", "1e308"],
+         "jitter must be >= 0 with 2*jitter finite"),
+        (["augment", "--frame", "10", "--seed", "1", "--jitter", "8e307"],
+         "overflow encountered"),
+    ], ids=["train-lr", "augment-jitter-range", "augment-jitter-overflow"])
+    def test_float_overflow_exit_2(self, tmp_path, capsys, argv, message):
+        small_bundle(tmp_path)
+        extra = ["--out", tmp_path / "w.txt"] if argv[0] == "train" else []
+        code, err = run_main(capsys, *argv, "--bundle", tmp_path, *extra)
+        assert code == 2
+        assert message in err
+
+    def test_huge_embedding_value_exit_2(self, tmp_path, capsys):
+        small_bundle(tmp_path)
+        emb = tmp_path / "emb.csv"
+        lines = emb.read_text().splitlines()
+        lines[0] = ",".join(lines[0].split(",")[:2] + ["1e300"] * 16)
+        emb.write_text("\n".join(lines) + "\n")
+        code, err = run_main(capsys, "track", "--dets", tmp_path / "det.txt",
+                             "--embs", emb, "--out", tmp_path / "o.txt")
+        assert code == 2
+        assert "overflow encountered" in err
+
+
+def run_main(capsys, *argv):
+    """`cli.main` in-process; returns (exit code, stderr)."""
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+FUZZ_READS = {
+    "simulate": ("config.txt",),
+    "track": ("det.txt", "emb.csv"),
+    "eval": ("gt.txt", "log.txt"),
+    "stats": ("gt.txt", "log.txt"),
+    "augment": ("det.txt", "emb.csv"),
+    "train": ("det.txt", "emb.csv", "raw.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory):
+    """A small valid bundle, as file name -> bytes."""
+    root = tmp_path_factory.mktemp("bundle")
+    cfg = ScenarioConfig(num_objects=4, num_frames=20, seed=3)
+    indexed, _ = small_bundle(root, cfg)
+    formats.write_scenario_config(cfg, root / "config.txt")
+    formats.write_log(track_sequence(indexed, TrackerConfig())[1], root / "log.txt")
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@st.composite
+def damaged(draw, valid: bytes):
+    """Arbitrary bytes, or the valid file with a span replaced by arbitrary
+    bytes or by characters its formats are made of."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    at = draw(st.integers(0, len(valid)))
+    cut = draw(st.integers(0, 8))
+    span = draw(st.binary(min_size=1, max_size=8)
+                | st.text("0123456789.,-+e infa#=\n", min_size=1, max_size=8).map(str.encode))
+    return valid[:at] + span + valid[at + cut:]
+
+
+def fuzz_argv(draw, command, d):
+    """argv for `command` on bundle directory `d`. Each numeric flag is any
+    number, or one from the range where the command gets past its checks."""
+    def num(usual, anything):
+        return draw(anything if draw(st.integers(0, 3)) == 0 else usual)
+
+    ints, floats = st.integers(), st.floats()
+    if command == "simulate":
+        return ["simulate", "--config", d / "config.txt", "--out", d / "sim"]
+    if command == "track":
+        return ["track", "--dets", d / "det.txt", "--embs", d / "emb.csv",
+                "--out", d / "res.txt", "--log", d / "out.log"]
+    if command == "eval":
+        return ["eval", "--results", d / "det.txt", "--gt", d / "gt.txt",
+                "--log", d / "log.txt", "--report", d / "report.txt",
+                f"--max-age={num(st.integers(-1, 25), ints)}"]
+    if command == "stats":
+        return ["stats", "--log", d / "log.txt", "--gt", d / "gt.txt"]
+    if command == "augment":
+        jitter = draw(st.none() | st.floats(0, 10) | floats)
+        return (["augment", "--bundle", d, f"--frame={num(st.integers(0, 21), ints)}",
+                 f"--seed={num(st.integers(0, 3), ints)}"]
+                + ([] if jitter is None else [f"--jitter={jitter!r}"]))
+    # train: large epoch counts are valid and only make the run long
+    return ["train", "--bundle", d,
+            f"--epochs={num(st.integers(1, 2), st.integers(max_value=2))}",
+            f"--lr={num(st.floats(1e-4, 1.0), floats)!r}",
+            f"--seed={num(st.integers(0, 3), ints)}", "--out", d / "w.txt"]
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_READS))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_exit_code_contract(self, fuzz_bundle, command, data):
+        """Any bytes in one input file and any numeric flag values give exit
+        0 or 2, or argparse's usage exit 1; no other exception escapes."""
+        target = data.draw(st.sampled_from((None,) + FUZZ_READS[command]))
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            for name, content in fuzz_bundle.items():
+                (d / name).write_bytes(content)
+            if target is not None:
+                (d / target).write_bytes(data.draw(damaged(fuzz_bundle[target])))
+            argv = [str(a) for a in fuzz_argv(data.draw, command, d)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 1 and "usage:" in err.getvalue(), err.getvalue()
+                    code = "usage"
+            event(f"exit {code}")
+            assert code in (0, 2, "usage")
+            if code == 2:
+                assert err.getvalue().startswith(f"uatrack {command}: ")
