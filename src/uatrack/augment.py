@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateBox, NoCandidates, NoHistory
-from .geometry import AffineTransform, BoundingBox, solve_affine
+from .geometry import AffineTransform, BoundingBox, apply_affine, solve_affine
 from .tracker import Detection, Tracklet
 from .uncertainty import tracklet_uncertainty
 
@@ -29,7 +29,6 @@ class AugmentationPlan:
     source_track_id: int
     target_frame: int
     transform: AffineTransform
-    jitter_magnitude: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def build_plan(trk: Tracklet, frame: int, target: int, jitter: float,
         dst = dst + rng.uniform(-jitter, jitter, size=dst.shape)
     transform = solve_affine(src, dst)
     return AugmentationPlan(source_track_id=trk.id, target_frame=target,
-                            transform=transform, jitter_magnitude=jitter)
+                            transform=transform)
 
 
 def default_jitter(box: BoundingBox) -> float:
@@ -107,5 +106,4 @@ def default_jitter(box: BoundingBox) -> float:
 def augment_detections(dets: list[Detection], plan: AugmentationPlan) -> list[Detection]:
     """Apply the plan's transform to every detection box; embeddings and
     identities carry over (the copy of object i is a positive key for i)."""
-    from .geometry import apply_affine
     return [replace(d, box=apply_affine(plan.transform, d.box)) for d in dets]

@@ -17,7 +17,7 @@ from .contrastive import TrainConfig, draw_plan, train_embedder
 from .errors import UatrackError
 from .metrics import id_switches, pseudo_accuracy, uncertainty_separation
 from .simulator import ScenarioConfig, generate
-from .tracker import TrackerConfig, track_sequence, tracklets_from_log
+from .tracker import STAGE_DISSOLVED, TrackerConfig, track_sequence, tracklets_from_log
 from .uncertainty import UncertaintyMargins
 
 USAGE_ERROR = 1
@@ -87,10 +87,9 @@ def cmd_simulate(args) -> int:
     cfg = formats.parse_scenario_config(args.config) if args.config else ScenarioConfig()
     frames, gt = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
-    indexed = [(i + 1, dets) for i, dets in enumerate(frames)]
-    formats.write_detections(indexed, os.path.join(args.out, "det.txt"))
-    formats.write_vectors(indexed, os.path.join(args.out, "emb.csv"), "embedding")
-    formats.write_vectors(indexed, os.path.join(args.out, "raw.csv"), "raw")
+    formats.write_detections(frames, os.path.join(args.out, "det.txt"))
+    formats.write_vectors(frames, os.path.join(args.out, "emb.csv"), "embedding")
+    formats.write_vectors(frames, os.path.join(args.out, "raw.csv"), "raw")
     formats.write_ground_truth(gt, os.path.join(args.out, "gt.txt"))
     formats.write_scenario_config(cfg, os.path.join(args.out, "config.txt"))
     return 0
@@ -108,10 +107,12 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not os.path.exists(args.results):
-        raise UatrackError(f"results file not found: {args.results}")
+    results = sorted(formats.read_results(args.results))
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
+    if results != sorted((r.frame, r.track_id) for r in log if r.stage != STAGE_DISSOLVED):
+        raise UatrackError(f"{args.results}: (frame, track_id) rows differ from the "
+                           "log's applied decisions")
     tracklets = tracklets_from_log(log)
     curve = pseudo_accuracy(tracklets, gt, max_age=args.max_age)
     sep = uncertainty_separation(log, gt)
@@ -128,16 +129,15 @@ def cmd_augment(args) -> int:
     cfg = TrainConfig(seed=args.seed, jitter=args.jitter)
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
-    upto = [fd for fd in frames if fd[0] <= args.frame]
-    tracklets, _log = track_sequence(upto, TrackerConfig())
+    # clamped: a negative stop would track from the end
+    tracklets, _log = track_sequence(frames[:max(args.frame, 0)])
     plan = draw_plan(tracklets, args.frame, np.random.default_rng(cfg.seed), cfg)
     t = plan.transform
     print(f"source_track_id: {plan.source_track_id}")
     print(f"target_frame: {plan.target_frame}")
     print("transform: " + " ".join(f"{v:.6f}" for v in
                                    (t.m11, t.m12, t.m13, t.m21, t.m22, t.m23)))
-    dets = dict(frames)[args.frame]
-    for d in augment_detections(dets, plan):
+    for d in augment_detections(frames[args.frame - 1], plan):
         print(f"box {d.det_index}: {d.box.cx:.6f} {d.box.cy:.6f} "
               f"{d.box.w:.6f} {d.box.h:.6f}")
     return 0
@@ -149,9 +149,8 @@ def cmd_train(args) -> int:
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     frames = formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
-    det_lists = [dets for _, dets in frames]
-    embedder, losses = train_embedder(det_lists, cfg)
-    embedder.save(args.out)
+    embedder, losses = train_embedder(frames, cfg)
+    formats.write_weights(embedder, args.out)
     for i, loss in enumerate(losses, start=1):
         print(f"epoch {i}: mean_loss {loss:.6f}")
     return 0

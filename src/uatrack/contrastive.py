@@ -18,9 +18,10 @@ from .augment import (AugmentationPlan, SamplingWeights, build_plan,
                       default_jitter, sample, source_anchor_weights,
                       target_anchor_weights)
 from .errors import InsufficientData, InvalidConfig, NoCandidates
-from .tracker import TrackerConfig, Tracklet, track_sequence
+from .tracker import Tracklet, track_sequence
 
 DEFAULT_TEMPERATURE = 0.07
+MAX_LAG = 10  # frame-pair lag bound for positives
 
 
 @dataclass(frozen=True)
@@ -73,24 +74,13 @@ class LinearEmbedder:
             return z / np.linalg.norm(z)
         return z / np.linalg.norm(z, axis=1, keepdims=True)
 
-    def save(self, path) -> None:
-        from . import formats
-        formats.write_weights(self, path)
-
-    @staticmethod
-    def load(path) -> "LinearEmbedder":
-        from . import formats
-        return formats.read_weights(path)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     lr: float = 1e-3
     steps_per_epoch: int = 100
-    max_lag: int = 10            # frame-pair lag bound for positives
     embed_dim: int = 16
-    temperature: float = DEFAULT_TEMPERATURE
     seed: int = 0
     anchor_sampling: str = "uncertainty"  # "uncertainty" (TGA) or "random"
     jitter: float | None = None  # None -> 2% of anchor box diagonal
@@ -119,7 +109,7 @@ def draw_plan(tracklets, frame: int, rng: np.random.Generator,
     The anchor is drawn among the tracklets with a record at `frame` and one
     before it, favoring low tracklet uncertainty; the target is one of its
     historical frames, favoring high association uncertainty, within
-    `cfg.max_lag` frames when the anchor has a record there. With
+    MAX_LAG frames when the anchor has a record there. With
     anchor_sampling="random" both draws are uniform. The plan maps the
     anchor's box at `frame` onto its box at the target, with `cfg.jitter`
     (or the default jitter). Raises NoCandidates when no tracklet qualifies.
@@ -131,14 +121,14 @@ def draw_plan(tracklets, frame: int, rng: np.random.Generator,
         anchor_id = sample(source_anchor_weights(present, frame), rng)
         anchor = next(trk for trk in present if trk.id == anchor_id)
         tw = target_anchor_weights(anchor, frame)
-        window = [(f, p) for f, p in tw.candidates if f >= frame - cfg.max_lag]
+        window = [(f, p) for f, p in tw.candidates if f >= frame - MAX_LAG]
         if not window:
             window = tw.candidates
         total_p = sum(p for _, p in window)
         target = sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
     else:
         anchor = present[int(rng.integers(len(present)))]
-        past = [r.frame for r in anchor.records if frame - cfg.max_lag <= r.frame < frame]
+        past = [r.frame for r in anchor.records if frame - MAX_LAG <= r.frame < frame]
         if not past:
             past = [r.frame for r in anchor.records if r.frame < frame]
         target = int(past[int(rng.integers(len(past)))])
@@ -152,8 +142,7 @@ def _grad_through_normalization(q: np.ndarray, z_norm: float, grad_q: np.ndarray
     return (grad_q - q * (q @ grad_q)) / z_norm
 
 
-def train_embedder(frames, cfg: TrainConfig,
-                   tracker_cfg: TrackerConfig | None = None):
+def train_embedder(frames, cfg: TrainConfig):
     """Train the linear embedder on pseudo-tracklets.
 
     Each epoch re-embeds every detection, regenerates pseudo-tracklets, and
@@ -162,10 +151,9 @@ def train_embedder(frames, cfg: TrainConfig,
     historical frame, the negatives the other tracklets in that frame.
     Anchor selection follows the hierarchical uncertainty weights (or is
     uniform when anchor_sampling="random"). Learning rate is cosine-annealed
-    to zero. Returns (embedder, per-epoch mean losses).
+    to zero. Pseudo-tracklets come from the default TrackerConfig. Returns
+    (embedder, per-epoch mean losses).
     """
-    if tracker_cfg is None:
-        tracker_cfg = TrackerConfig()
     frames = list(frames)
     raw_dim = None
     for dets in frames:
@@ -191,8 +179,7 @@ def train_embedder(frames, cfg: TrainConfig,
         # re-embed and regenerate pseudo-labels with the current weights
         embedded = [[replace(d, embedding=embedder.embed(d.raw)) for d in dets]
                     for dets in frames]
-        tracklets, _log = track_sequence(
-            [(i + 1, dets) for i, dets in enumerate(embedded)], tracker_cfg)
+        tracklets, _log = track_sequence(embedded)
         if len(tracklets) < 2:
             raise InsufficientData(
                 f"sequence yielded {len(tracklets)} tracklet(s), need >= 2")
@@ -226,8 +213,7 @@ def train_embedder(frames, cfg: TrainConfig,
                 positive = key_recs[trk.id].embedding
                 negatives = [r.embedding for tid, r in sorted(key_recs.items())
                              if tid != trk.id]
-                batch = ContrastiveBatch(det.embedding, positive, negatives,
-                                         cfg.temperature)
+                batch = ContrastiveBatch(det.embedding, positive, negatives)
                 losses.append(info_nce(batch))
                 gq = info_nce_grad(batch)
                 z_norm = float(np.linalg.norm(det.raw @ embedder.weights))

@@ -17,15 +17,15 @@ from dataclasses import fields as dc_fields
 
 import numpy as np
 
+from .contrastive import LinearEmbedder
 from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
                      IoFailure, MissingEmbedding, NonPositiveSize, ParseError,
                      UatrackError)
 from .geometry import BoundingBox
-from .simulator import GroundTruthRecord, ScenarioConfig
+from .simulator import MAX_FRAME, GroundTruthRecord, ScenarioConfig
 from .tracker import STAGE_BIRTH, STAGE_DISSOLVED, Detection, LogRow, Tracklet
 
 NORM_WARN_TOL = 1e-6
-MAX_FRAME = 100_000  # about an hour at 30 fps; bounds the per-frame list
 
 
 def _umask() -> int:
@@ -77,9 +77,8 @@ def _parse_lines(path, row, sep=",") -> list:
 
 def read_detections(path):
     """Parse a MOT detections file into per-frame Detection lists (without
-    embeddings). Returns a list of (frame, detections) for frames
-    1..max_frame, including empty frames; frames above MAX_FRAME are
-    rejected."""
+    embeddings): frame t at index t-1, for frames 1..max_frame, empty frames
+    included; frames above MAX_FRAME are rejected."""
     per_frame: dict[int, list[Detection]] = {}
 
     def row(parts):
@@ -102,7 +101,7 @@ def read_detections(path):
                               confidence=conf, embedding=None))
 
     _parse_lines(path, row)
-    return [(f, per_frame.get(f, [])) for f in range(1, max(per_frame, default=0) + 1)]
+    return [per_frame.get(f, []) for f in range(1, max(per_frame, default=0) + 1)]
 
 
 def _read_vectors(path, what: str):
@@ -131,11 +130,11 @@ def _matched_rows(path, frames, what: str):
     read from `path`; raises MissingEmbedding when a detection has no row
     or a row matches no detection."""
     rows = _read_vectors(path, what)
-    for frame, dets in frames:
+    for dets in frames:
         for d in dets:
-            vec = rows.pop((frame, d.det_index), None)
+            vec = rows.pop((d.frame, d.det_index), None)
             if vec is None:
-                raise MissingEmbedding(f"no {what} for (frame={frame}, det={d.det_index})")
+                raise MissingEmbedding(f"no {what} for (frame={d.frame}, det={d.det_index})")
             yield d, vec
     if rows:
         raise MissingEmbedding(f"{what} row {min(rows)} matches no detection")
@@ -179,10 +178,10 @@ def _fmt(x: float) -> str:
 
 def write_detections(frames, path) -> None:
     lines = []
-    for frame, dets in frames:
+    for dets in frames:
         for d in dets:
             x1, y1, _, _ = d.box.to_xyxy()
-            lines.append(",".join([str(frame), "-1", _fmt(x1), _fmt(y1),
+            lines.append(",".join([str(d.frame), "-1", _fmt(x1), _fmt(y1),
                                    _fmt(d.box.w), _fmt(d.box.h), _fmt(d.confidence),
                                    "-1", "-1", "-1"]))
     atomic_write(path, lines)
@@ -190,10 +189,10 @@ def write_detections(frames, path) -> None:
 
 def write_vectors(frames, path, attr: str) -> None:
     lines = []
-    for frame, dets in frames:
+    for dets in frames:
         for d in dets:
             vec = getattr(d, attr)
-            lines.append(",".join([str(frame), str(d.det_index)]
+            lines.append(",".join([str(d.frame), str(d.det_index)]
                                   + [f"{v:.9g}" for v in vec]))
     atomic_write(path, lines)
 
@@ -215,6 +214,16 @@ def write_results(tracklets: list[Tracklet], path) -> None:
     atomic_write(path, [
         ",".join([str(f), str(tid), _fmt(x), _fmt(y), _fmt(w), _fmt(h),
                   _fmt(c), "-1", "-1", "-1"]) for f, tid, x, y, w, h, c in rows])
+
+
+def read_results(path) -> list[tuple[int, int]]:
+    """The (frame, track_id) pair of each row of a results file."""
+    def row(parts):
+        if len(parts) != 10:
+            raise ParseError(f"expected 10 fields, got {len(parts)}")
+        return int(parts[0]), int(parts[1])
+
+    return _parse_lines(path, row)
 
 
 def write_log(log: list[LogRow], path) -> None:
@@ -248,10 +257,9 @@ def write_weights(embedder, path) -> None:
     atomic_write(path, lines)
 
 
-def read_weights(path):
+def read_weights(path) -> LinearEmbedder:
     """Text weights written by `write_weights`; the first non-blank line is
     the `F D` header."""
-    from .contrastive import LinearEmbedder
     shape, rows = [], []
 
     def row(parts):

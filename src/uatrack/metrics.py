@@ -15,6 +15,8 @@ import numpy as np
 from .errors import InvalidConfig, MissingGroundTruth
 from .tracker import LogRow, STAGE_BIRTH, Tracklet
 
+DELTA_BINS = 20  # similarity_delta histogram bins over [-2, 2]
+
 
 def gt_index(gt) -> dict[tuple[int, int], int]:
     return {(g.frame, g.det_index): g.true_id for g in gt}
@@ -146,7 +148,7 @@ class SimilarityDeltaSummary:
         return out
 
 
-def similarity_delta(frames, gt, embedder=None, bins: int = 20) -> SimilarityDeltaSummary:
+def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     """Margin between the true next-frame match (c+) and the strongest
     distractor (c-): positive means the embedding separates identities.
 
@@ -176,8 +178,8 @@ def similarity_delta(frames, gt, embedder=None, bins: int = 20) -> SimilarityDel
     if not deltas:
         return SimilarityDeltaSummary(0, 0.0, 0.0, [])
     arr = np.asarray(deltas)
-    counts, edges = np.histogram(arr, bins=bins, range=(-2.0, 2.0))
-    hist = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)]
+    counts, edges = np.histogram(arr, bins=DELTA_BINS, range=(-2.0, 2.0))
+    hist = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(DELTA_BINS)]
     return SimilarityDeltaSummary(count=len(deltas), mean=float(arr.mean()),
                                   fraction_positive=float((arr > 0).mean()),
                                   histogram=hist)

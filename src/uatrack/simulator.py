@@ -31,6 +31,7 @@ CONFUSABLE_PERTURB = 0.4   # latent perturbation within a confusable pair
 NOISE_SCALE = 2.0       # global multiplier on appearance noise
 BOX_MIN = 24.0          # smallest box side
 BOX_MAX = 48.0          # largest box side
+MAX_FRAME = 100_000     # about an hour at 30 fps; bounds every frame sequence
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.num_objects < 1:
             raise InvalidConfig(f"num_objects must be >= 1, got {self.num_objects}")
-        if self.num_frames < 2:
-            raise InvalidConfig(f"num_frames must be >= 2, got {self.num_frames}")
+        if not 2 <= self.num_frames <= MAX_FRAME:
+            raise InvalidConfig(
+                f"num_frames must be in [2, {MAX_FRAME}], got {self.num_frames}")
         if self.embed_dim < 2:
             raise InvalidConfig(f"embed_dim must be >= 2, got {self.embed_dim}")
         if self.raw_dim < self.embed_dim:

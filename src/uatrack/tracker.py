@@ -25,6 +25,9 @@ STAGE_ASSOC = 1
 STAGE_RECTIFIED = 2
 STAGE_DISSOLVED = 3   # an uncertain pair: logged, never applied
 
+DET_CONF_MIN = 0.6    # new-track confidence gate
+MAX_LOST = 30         # frames a lost track stays matchable
+
 
 @dataclass
 class Detection:
@@ -64,10 +67,6 @@ class Tracklet:
     def last_box(self) -> BoundingBox:
         return self.records[-1].box
 
-    @property
-    def last_frame(self) -> int:
-        return self.records[-1].frame
-
     def representative(self) -> np.ndarray:
         return self.records[-1].embedding
 
@@ -92,8 +91,6 @@ class TrackerConfig:
     margins: UncertaintyMargins = field(default_factory=UncertaintyMargins)
     beta: float = 0.1           # IoU gate for rectification
     K: int = 5                  # rectification history window
-    det_conf_min: float = 0.6   # new-track confidence gate
-    max_lost: int = 30          # frames a lost track stays matchable
     utl_enabled: bool = True
 
     def __post_init__(self):
@@ -101,8 +98,6 @@ class TrackerConfig:
             raise InvalidConfig(f"beta must be in [0,1), got {self.beta}")
         if self.K < 1:
             raise InvalidConfig(f"K must be >= 1, got {self.K}")
-        if self.max_lost < 0:
-            raise InvalidConfig(f"max_lost must be >= 0, got {self.max_lost}")
 
 
 @dataclass
@@ -263,7 +258,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
     # births
     born: list[Tracklet] = []
     for r, det in enumerate(dets):
-        if r in matched_rows or det.confidence < cfg.det_conf_min:
+        if r in matched_rows or det.confidence < DET_CONF_MIN:
             continue
         trk = Tracklet(state.next_id,
                        TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
@@ -281,7 +276,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
             survivors.append(trk)
             continue
         trk.lost_age += 1
-        if trk.lost_age > cfg.max_lost:
+        if trk.lost_age > MAX_LOST:
             state.finished.append(trk)
         else:
             survivors.append(trk)
@@ -290,19 +285,13 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
 
 
 def track_sequence(frames, cfg: TrackerConfig | None = None):
-    """Fold `step` over an ordered sequence of per-frame detection lists.
-
-    `frames` is a sequence of (frame_index, detections) pairs or plain
-    detection lists (then frames are numbered 1..N). Returns all tracklets,
-    including removed ones, and one log row per association decision."""
+    """Fold `step` over per-frame detection lists, frame t at index t-1.
+    Returns all tracklets, including removed ones, and one log row per
+    association decision."""
     if cfg is None:
         cfg = TrackerConfig()
     state = TrackerState(cfg)
     log: list[LogRow] = []
-    for pos, entry in enumerate(frames):
-        if isinstance(entry, tuple):
-            frame, dets = entry
-        else:
-            frame, dets = pos + 1, entry
+    for frame, dets in enumerate(frames, start=1):
         log.extend(step(state, frame, dets))
     return state.all_tracklets(), log

@@ -23,22 +23,19 @@ import numpy as np
 
 from .errors import EmptyHistory, InvalidConfig
 
-DEFAULT_CLAMP_EPS = 1e-6
+CLAMP_EPS = 1e-6  # smallest argument any log here is given
 
 
 @dataclass(frozen=True)
 class UncertaintyMargins:
     m1: float = 0.5
     m2: float = 0.05
-    clamp_eps: float = DEFAULT_CLAMP_EPS
 
     def __post_init__(self):
         if not 0.0 < self.m1 < 1.0:
             raise InvalidConfig(f"m1 must be in (0,1), got {self.m1}")
         if not 0.0 < self.m2 < 1.0:
             raise InvalidConfig(f"m2 must be in (0,1), got {self.m2}")
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise InvalidConfig(f"clamp_eps must be in (0,0.5), got {self.clamp_eps}")
 
 
 @dataclass(frozen=True)
@@ -51,20 +48,20 @@ class AssociationVerdict:
     uncertain: bool
 
 
-def _clamp(x: float, eps: float) -> float:
-    return min(max(x, eps), 1.0 - eps)
+def _clamp(x: float) -> float:
+    return min(max(x, CLAMP_EPS), 1.0 - CLAMP_EPS)
 
 
-def association_risk(c1: float, c2: float, clamp_eps: float = DEFAULT_CLAMP_EPS) -> float:
+def association_risk(c1: float, c2: float) -> float:
     """Risk of an assignment: low c1 and a strong runner-up both raise it."""
-    c1 = _clamp(c1, clamp_eps)
-    c2 = _clamp(c2, clamp_eps)
+    c1 = _clamp(c1)
+    c2 = _clamp(c2)
     return -math.log(c1) - math.log(1.0 - c2)
 
 
 def adaptive_threshold(c1: float, margins: UncertaintyMargins) -> float:
     """Similarity-dependent cutoff the risk is compared against."""
-    arg = max(1.0 + margins.m2 - c1, margins.clamp_eps)
+    arg = max(1.0 + margins.m2 - c1, CLAMP_EPS)
     return -math.log(margins.m1) - math.log(arg)
 
 
@@ -73,7 +70,7 @@ def association_uncertainty(c1: float, c2: float,
     """delta = sigma - gamma; the match is uncertain iff delta > 0."""
     if margins is None:
         margins = UncertaintyMargins()
-    sigma = association_risk(c1, c2, margins.clamp_eps)
+    sigma = association_risk(c1, c2)
     gamma = adaptive_threshold(c1, margins)
     delta = sigma - gamma
     return AssociationVerdict(c1=c1, c2=c2, sigma=sigma, gamma=gamma,

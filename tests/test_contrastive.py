@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from uatrack.contrastive import (ContrastiveBatch, LinearEmbedder,
+from uatrack import formats
+from uatrack.contrastive import (MAX_LAG, ContrastiveBatch, LinearEmbedder,
                                  TrainConfig, draw_plan, info_nce,
                                  info_nce_grad, train_embedder)
 from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
@@ -105,8 +106,8 @@ class TestLinearEmbedder:
     def test_save_load_roundtrip(self, tmp_path):
         e = LinearEmbedder.init_random(6, 3, np.random.default_rng(5))
         p = tmp_path / "w.txt"
-        e.save(p)
-        back = LinearEmbedder.load(p)
+        formats.write_weights(e, p)
+        back = formats.read_weights(p)
         assert np.array_equal(back.weights, e.weights)
 
 
@@ -209,8 +210,8 @@ class TestDrawPlan:
             anchors.add(anchor.id)
             past = [r.frame for r in anchor.records if r.frame < self.FRAME]
             assert plan.target_frame in past
-            if any(f >= self.FRAME - cfg.max_lag for f in past):
-                assert plan.target_frame >= self.FRAME - cfg.max_lag
+            if any(f >= self.FRAME - MAX_LAG for f in past):
+                assert plan.target_frame >= self.FRAME - MAX_LAG
         assert anchors == {1, 2}
 
     def test_no_anchor_with_history(self):

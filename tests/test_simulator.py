@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uatrack import formats, simulator
 from uatrack.errors import InvalidConfig
 from uatrack.geometry import iou
 from uatrack.simulator import ScenarioConfig, generate
@@ -12,6 +13,15 @@ SMALL = ScenarioConfig(num_objects=4, num_frames=40, seed=3)
 
 
 class TestConfigValidation:
+    def test_num_frames_bounded_by_max_frame(self):
+        # the largest frame `read_detections` accepts, so `track` can read
+        # every bundle `simulate` writes
+        bound = simulator.MAX_FRAME
+        assert formats.MAX_FRAME == bound
+        assert ScenarioConfig(num_frames=bound).num_frames == bound
+        with pytest.raises(InvalidConfig, match=f"num_frames must be in \\[2, {bound}\\]"):
+            ScenarioConfig(num_frames=bound + 1)
+
     def test_defaults_valid(self):
         cfg = ScenarioConfig()
         assert cfg.num_objects == 12

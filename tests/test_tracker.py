@@ -321,19 +321,19 @@ class TestStep:
         assert [(r.frame, r.det_index) for t in state.tracks for r in t.records] == \
             [(1, 0), (2, 0), (1, 1), (2, 1)]
 
-    def test_lost_track_removed_after_max_lost(self):
-        cfg = TrackerConfig(max_lost=2)
-        state = TrackerState(cfg)
+    def test_lost_track_removed_after_max_lost(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MAX_LOST", 2)
+        state = TrackerState(TrackerConfig())
         step(state, 1, [det(1, 0, unit(1, 0))])
         for f in range(2, 6):
             step(state, f, [])
         assert state.tracks == []
         assert len(state.finished) == 1
-        assert state.finished[0].lost_age == cfg.max_lost + 1
+        assert state.finished[0].lost_age == tracker.MAX_LOST + 1
 
-    def test_lost_track_rematches_before_removal(self):
-        cfg = TrackerConfig(max_lost=5)
-        state = TrackerState(cfg)
+    def test_lost_track_rematches_before_removal(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MAX_LOST", 5)
+        state = TrackerState(TrackerConfig())
         step(state, 1, [det(1, 0, unit(1, 0))])
         step(state, 2, [])
         assert state.tracks[0].lost_age == 1
@@ -345,7 +345,7 @@ class TestStep:
 class TestTrackSequence:
     def _frames(self, n=5):
         e1, e2 = unit(1, 0), unit(0, 1)
-        return [(f, [det(f, 0, e1, cx=f * 1.0), det(f, 1, e2, cx=100.0 + f)])
+        return [[det(f, 0, e1, cx=f * 1.0), det(f, 1, e2, cx=100.0 + f)]
                 for f in range(1, n + 1)]
 
     def test_single_frame(self):
@@ -400,6 +400,5 @@ class TestTrackSequence:
         assert digest == "ca5487b7a4cb47afb4022dbcab77228a4a22aea413fd48f244ac68936f43ac6f"
 
     def test_plain_lists_accepted(self):
-        frames = [dets for _, dets in self._frames(3)]
-        tracklets, log = track_sequence(frames)
+        tracklets, log = track_sequence(self._frames(3))
         assert {r.frame for t in tracklets for r in t.records} == {1, 2, 3}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from uatrack.errors import EmptyHistory, InvalidConfig
-from uatrack.uncertainty import (UncertaintyMargins,
+from uatrack.uncertainty import (CLAMP_EPS, UncertaintyMargins,
                                  adaptive_threshold, association_risk,
                                  association_uncertainty, second_best,
                                  tracklet_uncertainty)
@@ -56,7 +56,7 @@ class TestClamping:
         # c1 = 1 + m2 makes the raw log argument zero; the clamp keeps it finite
         t = adaptive_threshold(1.0 + M.m2, M)
         assert math.isfinite(t)
-        assert t == pytest.approx(-math.log(M.m1) - math.log(M.clamp_eps))
+        assert t == pytest.approx(-math.log(M.m1) - math.log(CLAMP_EPS))
 
     def test_verdict_fields_consistent(self):
         rng = np.random.default_rng(5)
