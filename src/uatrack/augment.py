@@ -39,19 +39,22 @@ class SamplingWeights:
         return [p for _, p in self.candidates]
 
 
-def _softmax_weights(keys, scores) -> SamplingWeights:
+def softmax(scores) -> np.ndarray:
+    """exp(s_i) / sum exp(s), with the max subtracted first for numeric
+    safety (the result is shift invariant)."""
     scores = np.asarray(scores, dtype=float)
-    scores = scores - scores.max()  # shift invariance, numeric safety
-    w = np.exp(scores)
-    w /= w.sum()
-    return SamplingWeights(candidates=list(zip(keys, w.tolist())))
+    w = np.exp(scores - scores.max())
+    return w / w.sum()
+
+
+def _softmax_weights(keys, scores) -> SamplingWeights:
+    return SamplingWeights(candidates=list(zip(keys, softmax(scores).tolist())))
 
 
 def source_anchor_weights(tracklets: list[Tracklet], frame: int) -> SamplingWeights:
     """Selection weights over tracklets present at `frame`, favoring low
     tracklet uncertainty: w_i = exp(-Omega_i) / sum exp(-Omega)."""
-    present = [t for t in tracklets
-               if t.records and any(r.frame == frame for r in t.records)]
+    present = [t for t in tracklets if t.box_at(frame) is not None]
     if not present:
         raise NoCandidates(f"no tracklet present at frame {frame}")
     omegas = [tracklet_uncertainty(t.deltas()) for t in present]

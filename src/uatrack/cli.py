@@ -146,8 +146,8 @@ def cmd_augment(args) -> int:
 def cmd_train(args) -> int:
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
                       anchor_sampling=args.sampling)
-    frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
-                          os.path.join(args.bundle, "emb.csv"))
+    # training embeds from raw features, so emb.csv is not read
+    frames = formats.read_detections(os.path.join(args.bundle, "det.txt"))
     frames = formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
     embedder, losses = train_embedder(frames, cfg)
     formats.write_weights(embedder, args.out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .augment import (AugmentationPlan, SamplingWeights, build_plan,
-                      default_jitter, sample, source_anchor_weights,
+                      default_jitter, sample, softmax, source_anchor_weights,
                       target_anchor_weights)
 from .errors import InsufficientData, InvalidConfig, NoCandidates
 from .tracker import Tracklet, track_sequence
@@ -35,24 +35,20 @@ class ContrastiveBatch:
         return np.stack([self.positive] + list(self.negatives))
 
 
-def _softmax_over_keys(batch: ContrastiveBatch):
-    logits = batch.keys() @ batch.query / batch.temperature
-    shifted = logits - logits.max()
-    w = np.exp(shifted)
-    return logits, w / w.sum()
+def _probs(batch: ContrastiveBatch) -> np.ndarray:
+    return softmax(batch.keys() @ batch.query / batch.temperature)
 
 
 def info_nce(batch: ContrastiveBatch) -> float:
     """-log(exp(q.k+ / eps) / sum_i exp(q.k_i / eps)), positive included in
     the denominator; computed with max-logit subtraction."""
-    logits, probs = _softmax_over_keys(batch)
-    return float(-math.log(probs[0]))
+    return float(-math.log(_probs(batch)[0]))
 
 
 def info_nce_grad(batch: ContrastiveBatch) -> np.ndarray:
     """Gradient of the loss with respect to the query:
     (1/eps) * (sum_i p_i k_i - k+)."""
-    _, probs = _softmax_over_keys(batch)
+    probs = _probs(batch)
     keys = batch.keys()
     return (probs @ keys - keys[0]) / batch.temperature
 
@@ -117,21 +113,19 @@ def draw_plan(tracklets, frame: int, rng: np.random.Generator,
     present = _anchor_candidates(tracklets, frame)
     if not present:
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
-    if cfg.anchor_sampling == "uncertainty":
+    uniform = cfg.anchor_sampling != "uncertainty"
+    if uniform:
+        anchor = present[int(rng.integers(len(present)))]
+    else:
         anchor_id = sample(source_anchor_weights(present, frame), rng)
         anchor = next(trk for trk in present if trk.id == anchor_id)
-        tw = target_anchor_weights(anchor, frame)
-        window = [(f, p) for f, p in tw.candidates if f >= frame - MAX_LAG]
-        if not window:
-            window = tw.candidates
+    past = target_anchor_weights(anchor, frame).candidates
+    window = [(f, p) for f, p in past if f >= frame - MAX_LAG] or past
+    if uniform:
+        target = window[int(rng.integers(len(window)))][0]
+    else:
         total_p = sum(p for _, p in window)
         target = sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
-    else:
-        anchor = present[int(rng.integers(len(present)))]
-        past = [r.frame for r in anchor.records if frame - MAX_LAG <= r.frame < frame]
-        if not past:
-            past = [r.frame for r in anchor.records if r.frame < frame]
-        target = int(past[int(rng.integers(len(past)))])
     jitter = cfg.jitter if cfg.jitter is not None else default_jitter(
         anchor.box_at(frame))
     return build_plan(anchor, frame, target, jitter, rng)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import InvalidConfig, MissingGroundTruth
 from .tracker import LogRow, STAGE_BIRTH, Tracklet
-
-DELTA_BINS = 20  # similarity_delta histogram bins over [-2, 2]
+from .uncertainty import second_best
 
 
 def gt_index(gt) -> dict[tuple[int, int], int]:
@@ -138,48 +137,36 @@ class SimilarityDeltaSummary:
     count: int
     mean: float
     fraction_positive: float
-    histogram: list  # (bin_low, bin_high, count)
-
-    def lines(self) -> list[str]:
-        out = [f"count: {self.count}",
-               f"mean_delta: {self.mean:.6f}",
-               f"fraction_positive: {self.fraction_positive:.6f}"]
-        out += [f"bin {lo:.3f} {hi:.3f}: {c}" for lo, hi, c in self.histogram]
-        return out
 
 
 def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     """Margin between the true next-frame match (c+) and the strongest
-    distractor (c-): positive means the embedding separates identities.
+    distractor (c-, `second_best` of the pair): positive means the embedding
+    separates identities.
 
     With an embedder given, embeddings are recomputed from raw features;
     otherwise the detections' stored embeddings are used."""
     lookup = gt_index(gt)
 
-    def emb(det):
-        return embedder.embed(det.raw) if embedder is not None else det.embedding
+    def embs(dets):
+        if embedder is not None:
+            return embedder.embed(np.stack([d.raw for d in dets]))
+        return np.stack([d.embedding for d in dets])
 
-    deltas: list[float] = []
+    deltas = []
     for cur, nxt in zip(frames, frames[1:]):
         if not cur or len(nxt) < 2:
             continue
-        nxt_by_id = {}
-        for d in nxt:
-            nxt_by_id[_resolve(lookup, d.frame, d.det_index)] = d
-        nxt_embs = {tid: emb(d) for tid, d in nxt_by_id.items()}
-        for d in cur:
-            tid = _resolve(lookup, d.frame, d.det_index)
-            if tid not in nxt_by_id:
-                continue
-            q = emb(d)
-            c_pos = float(q @ nxt_embs[tid])
-            c_neg = max(float(q @ e) for t2, e in nxt_embs.items() if t2 != tid)
-            deltas.append(c_pos - c_neg)
+        col_of = {_resolve(lookup, d.frame, d.det_index): j for j, d in enumerate(nxt)}
+        pairs = [(i, col_of[tid]) for i, d in enumerate(cur)
+                 if (tid := _resolve(lookup, d.frame, d.det_index)) in col_of]
+        if not pairs:
+            continue
+        rows, cols = np.array(pairs).T
+        sim = embs(cur) @ embs(nxt).T
+        deltas.append(sim[rows, cols] - second_best(sim, rows, cols))
     if not deltas:
-        return SimilarityDeltaSummary(0, 0.0, 0.0, [])
-    arr = np.asarray(deltas)
-    counts, edges = np.histogram(arr, bins=DELTA_BINS, range=(-2.0, 2.0))
-    hist = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(DELTA_BINS)]
-    return SimilarityDeltaSummary(count=len(deltas), mean=float(arr.mean()),
-                                  fraction_positive=float((arr > 0).mean()),
-                                  histogram=hist)
+        return SimilarityDeltaSummary(0, 0.0, 0.0)
+    arr = np.concatenate(deltas)
+    return SimilarityDeltaSummary(count=len(arr), mean=float(arr.mean()),
+                                  fraction_positive=float((arr > 0).mean()))

@@ -147,8 +147,7 @@ class TrackerState:
         return sorted(self.tracks + self.finished, key=lambda t: t.id)
 
 
-def build_similarity(tracks: list[Tracklet], dets: list[Detection],
-                     cfg: TrackerConfig) -> np.ndarray:
+def build_similarity(tracks: list[Tracklet], dets: list[Detection]) -> np.ndarray:
     """Rows index detections, cols index tracks; entries are cosine
     similarities (dot products of unit-norm embeddings)."""
     if not tracks or not dets:
@@ -225,7 +224,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
     state.last_frame = frame
 
     tracks = state.tracks
-    sim = build_similarity(tracks, dets, cfg)
+    sim = build_similarity(tracks, dets)
     matching = hungarian_max(sim)
     if cfg.utl_enabled:
         certain, dissolved, pool_rows, pool_cols = verify(matching, sim, cfg)

@@ -380,6 +380,16 @@ class TestCli:
         assert "raw feature row (9999, 0) matches no detection" in err
         assert not (tmp_path / "w.txt").exists()
 
+    def test_train_needs_no_embeddings_file(self, tmp_path, capsys):
+        """`train` embeds from raw.csv, so a bundle without emb.csv trains to
+        the same weights as the full bundle."""
+        small_bundle(tmp_path)
+        argv = ["train", "--bundle", tmp_path, "--epochs", "2", "--lr", "1e-3", "--seed", "0"]
+        assert run_main(capsys, *argv, "--out", tmp_path / "full.txt") == (0, "")
+        (tmp_path / "emb.csv").unlink()
+        assert run_main(capsys, *argv, "--out", tmp_path / "no_emb.txt") == (0, "")
+        assert (tmp_path / "no_emb.txt").read_bytes() == (tmp_path / "full.txt").read_bytes()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--epochs", "1", "--lr", "1e-3", "--seed", "-1"],
         ["augment", "--frame", "10", "--seed", "-3"],
@@ -484,7 +494,7 @@ FUZZ_READS = {
     "eval": ("results.txt", "gt.txt", "log.txt"),
     "stats": ("gt.txt", "log.txt"),
     "augment": ("det.txt", "emb.csv"),
-    "train": ("det.txt", "emb.csv", "raw.csv"),
+    "train": ("det.txt", "raw.csv"),
 }
 
 
@@ -576,9 +586,11 @@ class TestWorkflowBytes:
     """sha256 of the documented workflow's outputs on criterion 10's scene.
 
     Criterion 10 only compares two reruns with each other; these hashes pin
-    the bytes themselves. The decision log and the trained weights are left
-    out on purpose: the log is to gain lost/retired stages and training an
-    array-native step (ROADMAP Directions 2 and 3), which change them."""
+    the bytes themselves, `train` stdout included. The decision log and the
+    trained weights are left out on purpose: the log is to gain lost/retired
+    stages (ROADMAP Direction 2), and the weights change with the
+    array-native training step and the split target draw (Directions 3 and
+    4)."""
 
     PINNED = {
         "det.txt": "7bad4b1ed60dfddb60041aeebc60f352575bb680ba20ffcda1dda9f3dc33138f",
@@ -591,6 +603,8 @@ class TestWorkflowBytes:
         "report.txt": "018c1579db5cbd2283d9080d40310173260d91e910317bd16a8d72a4ffcb5e78",
         "stats": "b478260c3d630702e6737b95ac7865e507f250471b1954b7cea8bdd11b6b2e38",
         "augment": "af0f7cf609e897385f946727492c5aecec0dc91084d278f14fd5c862c7f5e0bf",
+        "train_uncertainty": "270d4e9492981bca3725490ffbf73e38d93e57b178976c4cad78c84e9b225a65",
+        "train_random": "2108bcde88b13859c2a2c1c06de7daecdb9deb0322f70dcb67456dbbdcfcf486",
     }
 
     def test_outputs_match_pinned_sha256(self, tmp_path, capsys):
@@ -614,4 +628,8 @@ class TestWorkflowBytes:
             outputs[name] = (tmp_path / name).read_bytes()
         outputs["stats"] = run("stats", "--log", tmp_path / "log_on.txt", "--gt", b / "gt.txt")
         outputs["augment"] = run("augment", "--bundle", b, "--frame", "20", "--seed", "0")
+        for mode in ("uncertainty", "random"):
+            outputs[f"train_{mode}"] = run(
+                "train", "--bundle", b, "--epochs", "2", "--lr", "1e-3", "--seed", "0",
+                "--sampling", mode, "--out", tmp_path / f"w_{mode}.txt")
         assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == self.PINNED

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import MissingGroundTruth
 from uatrack.geometry import BoundingBox
-from uatrack.metrics import (SeparationReport, id_switches,
+from uatrack.metrics import (SeparationReport, gt_index, id_switches,
                              pseudo_accuracy, similarity_delta,
                              uncertainty_separation)
-from uatrack.simulator import GroundTruthRecord
+from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, Detection, LogRow,
                              Tracklet, TrackRecord)
 
@@ -168,9 +169,43 @@ class TestSimilarityDelta:
         assert out.mean == pytest.approx(0.0)
         assert out.fraction_positive == 0.0
 
-    def test_histogram_mass_equals_count(self):
+    def test_unresolved_detection_raises(self):
         frames = self._frames(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        gt = gt_records({(f, 0): 1 for f in range(1, 4)} |
-                        {(f, 1): 2 for f in range(1, 4)})
-        out = similarity_delta(frames, gt)
-        assert sum(n for _, _, n in out.histogram) == out.count
+        gt = gt_records({(f, 0): 1 for f in range(1, 4)} | {(1, 1): 2, (2, 1): 2})
+        with pytest.raises(MissingGroundTruth, match=r"frame=3, det=1"):
+            similarity_delta(frames, gt)
+
+    @staticmethod
+    def _per_pair_reference(frames, gt, embedder=None):
+        """(count, mean, fraction_positive) from one dot product per pair."""
+        lookup = gt_index(gt)
+
+        def emb(det):
+            return embedder.embed(det.raw) if embedder is not None else det.embedding
+
+        deltas = []
+        for cur, nxt in zip(frames, frames[1:]):
+            if not cur or len(nxt) < 2:
+                continue
+            nxt_embs = {lookup[(d.frame, d.det_index)]: emb(d) for d in nxt}
+            for d in cur:
+                tid = lookup[(d.frame, d.det_index)]
+                if tid not in nxt_embs:
+                    continue
+                q = emb(d)
+                c_neg = max(float(q @ e) for t2, e in nxt_embs.items() if t2 != tid)
+                deltas.append(float(q @ nxt_embs[tid]) - c_neg)
+        arr = np.asarray(deltas)
+        return len(deltas), float(arr.mean()), float((arr > 0).mean())
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["stored", "embedder"])
+    def test_whole_scene_matches_per_pair_reference(self, embedded):
+        frames, gt = generate(ScenarioConfig(seed=7))
+        embedder = (LinearEmbedder.init_random(frames[0][0].raw.shape[0], 16,
+                                               np.random.default_rng(0))
+                    if embedded else None)
+        count, mean, fraction_positive = self._per_pair_reference(frames, gt, embedder)
+        out = similarity_delta(frames, gt, embedder)
+        assert out.count == count > 0
+        assert out.fraction_positive == fraction_positive
+        assert out.mean == pytest.approx(mean, rel=0, abs=1e-12)

@@ -86,28 +86,28 @@ class TestBuildSimilarity:
     def test_identical_unit_vectors(self):
         tr = track(1, 1, unit(1, 0))
         d = det(2, 0, unit(1, 0))
-        assert build_similarity([tr], [d], TrackerConfig())[0, 0] == pytest.approx(1.0)
+        assert build_similarity([tr], [d])[0, 0] == pytest.approx(1.0)
 
     def test_orthonormal(self):
         trs = [track(1, 1, unit(1, 0)), track(2, 1, unit(0, 1))]
         ds = [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))]
-        m = build_similarity(trs, ds, TrackerConfig())
+        m = build_similarity(trs, ds)
         assert np.allclose(m, np.eye(2))
 
     def test_known_cosine(self):
         tr = track(1, 1, unit(1, 0))
         d = det(2, 0, unit(1, 1))
-        m = build_similarity([tr], [d], TrackerConfig())
+        m = build_similarity([tr], [d])
         assert m[0, 0] == pytest.approx(0.7071068, abs=1e-6)
 
     def test_dimension_mismatch(self):
         tr = track(1, 1, unit(1, 0, 0))
         d = det(2, 0, unit(1, 0))
         with pytest.raises(DimensionMismatch):
-            build_similarity([tr], [d], TrackerConfig())
+            build_similarity([tr], [d])
 
     def test_empty(self):
-        assert build_similarity([], [], TrackerConfig()).shape == (0, 0)
+        assert build_similarity([], []).shape == (0, 0)
 
 
 class TestVerify:
@@ -298,7 +298,7 @@ class TestStep:
 
     def test_rectified_delta_recomputed_from_original_row(self):
         state, d1, d2 = self._confusable_setup()
-        sim = build_similarity(state.tracks, [d1, d2], state.cfg)
+        sim = build_similarity(state.tracks, [d1, d2])
         rows = step(state, 2, [d1, d2])
         rect = [row for row in rows if row.stage == STAGE_RECTIFIED]
         assert len(rect) == 2
