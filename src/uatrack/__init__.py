@@ -7,7 +7,8 @@ from .augment import (AugmentationPlan, SamplingWeights, augment_detections,
                       build_plan, sample, source_anchor_weights,
                       target_anchor_weights)
 from .contrastive import (ContrastiveBatch, LinearEmbedder, TrainConfig,
-                          info_nce, info_nce_grad, train_embedder)
+                          info_nce, info_nce_batch, info_nce_grad,
+                          train_embedder)
 from .geometry import AffineTransform, BoundingBox, apply_affine, iou, solve_affine
 from .metrics import (id_switches, pseudo_accuracy, similarity_delta,
                       uncertainty_separation)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import TooLarge
 
@@ -53,6 +52,9 @@ def hungarian_max(matrix, floor: float = NEG_INF) -> Matching:
         return Matching(pairs=[],
                         unmatched_rows=list(range(n_rows)),
                         unmatched_cols=list(range(n_cols)))
+    # imported here: commands that never match (simulate, eval, stats, ...)
+    # skip scipy.optimize, most of the package's import time
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(m, maximize=True)
     return _finish(list(zip(rows.tolist(), cols.tolist())), n_rows, n_cols, m, floor)
 

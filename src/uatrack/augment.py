@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DegenerateBox, NoCandidates, NoHistory
 from .geometry import AffineTransform, BoundingBox, apply_affine, solve_affine
 from .tracker import Detection, Tracklet
-from .uncertainty import tracklet_uncertainty
+# Omega's per-history reference; perfbench's traced run wraps it at this name.
+from .uncertainty import tracklet_uncertainty  # noqa: F401
 
 # default corner perturbation, as a fraction of the anchor box diagonal
 DEFAULT_JITTER_FRACTION = 0.02
@@ -40,11 +41,12 @@ class SamplingWeights:
 
 
 def softmax(scores) -> np.ndarray:
-    """exp(s_i) / sum exp(s), with the max subtracted first for numeric
-    safety (the result is shift invariant)."""
+    """exp(s_i) / sum exp(s) along the last axis (each row of a matrix),
+    with the max subtracted first for numeric safety (the result is shift
+    invariant)."""
     scores = np.asarray(scores, dtype=float)
-    w = np.exp(scores - scores.max())
-    return w / w.sum()
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _softmax_weights(keys, scores) -> SamplingWeights:
@@ -53,12 +55,13 @@ def _softmax_weights(keys, scores) -> SamplingWeights:
 
 def source_anchor_weights(tracklets: list[Tracklet], frame: int) -> SamplingWeights:
     """Selection weights over tracklets present at `frame`, favoring low
-    tracklet uncertainty: w_i = exp(-Omega_i) / sum exp(-Omega)."""
+    tracklet uncertainty: w_i = exp(-Omega_i) / sum exp(-Omega), with Omega_i
+    read from the tracklet's running exp(delta) sum."""
     present = [t for t in tracklets if t.box_at(frame) is not None]
     if not present:
         raise NoCandidates(f"no tracklet present at frame {frame}")
-    omegas = [tracklet_uncertainty(t.deltas()) for t in present]
-    return _softmax_weights([t.id for t in present], [-o for o in omegas])
+    return _softmax_weights([t.id for t in present],
+                            [-(t.exp_delta_sum / len(t)) for t in present])
 
 
 def target_anchor_weights(trk: Tracklet, frame: int) -> SamplingWeights:

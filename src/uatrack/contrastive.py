@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -131,9 +132,26 @@ def draw_plan(tracklets, frame: int, rng: np.random.Generator,
     return build_plan(anchor, frame, target, jitter, rng)
 
 
-def _grad_through_normalization(q: np.ndarray, z_norm: float, grad_q: np.ndarray) -> np.ndarray:
+def info_nce_batch(queries: np.ndarray, raws: np.ndarray, keys: np.ndarray,
+                   positives: np.ndarray, weights: np.ndarray):
+    """InfoNCE of every query against one shared key set, and the gradient
+    of the summed loss with respect to the embedder weights, at
+    DEFAULT_TEMPERATURE.
+
+    Row i of `queries` is the unit embedding of raw feature `raws[i]`,
+    `positives[i]` the row of `keys` holding its positive. Per query this
+    is `info_nce` and `info_nce_grad` (the key order does not matter), then
+    the chain rule through the l2 normalization with |z| = |raws[i] @
+    weights|. Returns (per-query losses, gradient shaped like `weights`)."""
+    probs = softmax(queries @ keys.T / DEFAULT_TEMPERATURE)
+    picked = (np.arange(len(queries)), positives)
+    losses = -np.log(probs[picked])
+    probs[picked] -= 1.0
+    grad_q = probs @ keys / DEFAULT_TEMPERATURE
     # q = z / |z|; dL/dz = (I - q q^T) dL/dq / |z|
-    return (grad_q - q * (q @ grad_q)) / z_norm
+    z_norm = np.linalg.norm(raws @ weights, axis=1, keepdims=True)
+    grad_z = (grad_q - queries * np.sum(queries * grad_q, axis=1, keepdims=True)) / z_norm
+    return losses, raws.T @ grad_z
 
 
 def train_embedder(frames, cfg: TrainConfig):
@@ -168,19 +186,27 @@ def train_embedder(frames, cfg: TrainConfig):
     total_steps = max(1, cfg.epochs * cfg.steps_per_epoch)
     step_count = 0
     epoch_losses: list[float] = []
+    # one row per detection, frame by frame; the detections are copied once
+    # and each epoch rebinds the copies' embeddings
+    raw = np.stack([d.raw for dets in frames for d in dets])
+    first_row = list(accumulate((len(dets) for dets in frames), initial=0))
+    embedded = [[replace(d) for d in dets] for dets in frames]
 
     for _epoch in range(cfg.epochs):
         # re-embed and regenerate pseudo-labels with the current weights
-        embedded = [[replace(d, embedding=embedder.embed(d.raw)) for d in dets]
-                    for dets in frames]
+        emb = embedder.embed(raw)
+        for d, e in zip((d for dets in embedded for d in dets), emb):
+            d.embedding = e
         tracklets, _log = track_sequence(embedded)
         if len(tracklets) < 2:
             raise InsufficientData(
                 f"sequence yielded {len(tracklets)} tracklet(s), need >= 2")
+        # per frame, (tracklet, row of its detection) in track-id order
         by_frame: dict[int, list[tuple[Tracklet, int]]] = {}
-        for t in tracklets:
-            for idx, r in enumerate(t.records):
-                by_frame.setdefault(r.frame, []).append((t, idx))
+        for trk in tracklets:
+            for r in trk.records:
+                by_frame.setdefault(r.frame, []).append(
+                    (trk, first_row[r.frame - 1] + r.det_index))
 
         losses: list[float] = []
         for _ in range(cfg.steps_per_epoch):
@@ -194,27 +220,19 @@ def train_embedder(frames, cfg: TrainConfig):
             # draws, which the pinned training stream includes
             target = draw_plan(present, t, rng, cfg).target_frame
 
-            # one query per tracklet present at both frames
-            key_recs = {trk.id: rec for trk, ridx in by_frame.get(target, [])
-                        for rec in [trk.records[ridx]]}
-            grads = np.zeros_like(embedder.weights)
-            n_q = 0
-            for trk, ridx in by_frame[t]:
-                if trk.id not in key_recs or len(key_recs) < 2:
-                    continue
-                rec = trk.records[ridx]
-                det = embedded[t - 1][rec.det_index]
-                positive = key_recs[trk.id].embedding
-                negatives = [r.embedding for tid, r in sorted(key_recs.items())
-                             if tid != trk.id]
-                batch = ContrastiveBatch(det.embedding, positive, negatives)
-                losses.append(info_nce(batch))
-                gq = info_nce_grad(batch)
-                z_norm = float(np.linalg.norm(det.raw @ embedder.weights))
-                gz = _grad_through_normalization(det.embedding, z_norm, gq)
-                grads += np.outer(det.raw, gz)
-                n_q += 1
-            if n_q:
-                embedder.weights -= lr * grads / n_q
+            # the keys are every tracklet at the target frame; one query per
+            # tracklet present at both frames
+            keys = by_frame.get(target, [])
+            key_of = {trk.id: j for j, (trk, _) in enumerate(keys)}
+            queries = [(row, key_of[trk.id]) for trk, row in by_frame[t]
+                       if trk.id in key_of]
+            if len(keys) < 2 or not queries:
+                continue
+            rows, positives = (np.array(col) for col in zip(*queries))
+            step_losses, grad = info_nce_batch(
+                emb[rows], raw[rows], emb[[row for _, row in keys]], positives,
+                embedder.weights)
+            losses.extend(step_losses.tolist())
+            embedder.weights -= lr * grad / len(rows)
         epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
     return embedder, epoch_losses

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -148,13 +149,15 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     otherwise the detections' stored embeddings are used."""
     lookup = gt_index(gt)
 
-    def embs(dets):
+    @cache
+    def embs(t):
+        """Embeddings of frames[t], computed once for both pairs it is in."""
         if embedder is not None:
-            return embedder.embed(np.stack([d.raw for d in dets]))
-        return np.stack([d.embedding for d in dets])
+            return embedder.embed(np.stack([d.raw for d in frames[t]]))
+        return np.stack([d.embedding for d in frames[t]])
 
     deltas = []
-    for cur, nxt in zip(frames, frames[1:]):
+    for t, (cur, nxt) in enumerate(zip(frames, frames[1:])):
         if not cur or len(nxt) < 2:
             continue
         col_of = {_resolve(lookup, d.frame, d.det_index): j for j, d in enumerate(nxt)}
@@ -163,7 +166,7 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
         if not pairs:
             continue
         rows, cols = np.array(pairs).T
-        sim = embs(cur) @ embs(nxt).T
+        sim = embs(t) @ embs(t + 1).T
         deltas.append(sim[rows, cols] - second_best(sim, rows, cols))
     if not deltas:
         return SimilarityDeltaSummary(0, 0.0, 0.0)

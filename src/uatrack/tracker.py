@@ -9,6 +9,7 @@ similarity gated by IoU -> propagation (births, lost handling).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -50,11 +51,17 @@ class TrackRecord:
 
 
 class Tracklet:
-    """Identity-labeled sequence of per-frame records with a delta history."""
+    """Identity-labeled sequence of per-frame records with a delta history.
+
+    `exp_delta_sum` is the running sum of exp(delta) over the records, added
+    in append order, so `exp_delta_sum / len(t)` equals
+    `tracklet_uncertainty(t.deltas())` exactly without a pass over the
+    history."""
 
     def __init__(self, tid: int, record: TrackRecord):
         self.id = tid
         self.records: list[TrackRecord] = [record]
+        self.exp_delta_sum = math.exp(record.delta)
         self.lost_age = 0
 
     def append(self, record: TrackRecord) -> None:
@@ -62,6 +69,7 @@ class Tracklet:
             raise OutOfOrderFrame(
                 f"track {self.id}: frame {record.frame} after {self.records[-1].frame}")
         self.records.append(record)
+        self.exp_delta_sum += math.exp(record.delta)
 
     @property
     def last_box(self) -> BoundingBox:

@@ -17,7 +17,9 @@ the match should be reconsidered. Cosine similarities can fall outside
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -90,8 +92,10 @@ def second_best(sim, rows, cols) -> np.ndarray:
 
 
 def tracklet_uncertainty(deltas) -> float:
-    """Mean of exp(delta) over a tracklet's association history."""
-    deltas = list(deltas)
-    if not deltas:
+    """Mean of exp(delta) over a tracklet's association history, summed left
+    to right with plain float additions (as `Tracklet.exp_delta_sum` is;
+    the builtin `sum` compensates rounding from Python 3.12 on)."""
+    exps = [math.exp(d) for d in deltas]
+    if not exps:
         raise EmptyHistory("tracklet uncertainty needs at least one delta")
-    return sum(math.exp(d) for d in deltas) / len(deltas)
+    return reduce(operator.add, exps) / len(exps)

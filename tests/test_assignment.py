@@ -1,8 +1,13 @@
 """Tests for maximum-similarity assignment (production and oracle routes)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uatrack
 from uatrack.assignment import Matching, brute_force_max, hungarian_max
 from uatrack.errors import TooLarge
 
@@ -118,3 +123,14 @@ class TestMatchingInvariants:
 
     def test_total_empty(self):
         assert Matching([], [], []).total(np.zeros((0, 0))) == 0.0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """`scipy.optimize` is imported on the first match, so commands that
+    never match (`--help`, `simulate`, `eval`, `stats`) start without it."""
+    pkg_root = str(Path(uatrack.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {pkg_root!r}); import uatrack.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

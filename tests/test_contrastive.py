@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from uatrack import formats
-from uatrack.contrastive import (MAX_LAG, ContrastiveBatch, LinearEmbedder,
-                                 TrainConfig, draw_plan, info_nce,
-                                 info_nce_grad, train_embedder)
+from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
+                                 LinearEmbedder, TrainConfig, draw_plan,
+                                 info_nce, info_nce_batch, info_nce_grad,
+                                 train_embedder)
 from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
 from uatrack.geometry import BoundingBox
 from uatrack.tracker import Detection, Tracklet, TrackRecord
@@ -80,6 +81,53 @@ class TestInfoNceGrad:
         q = unit([1.0, 0.0])
         batch = ContrastiveBatch(q, q, [unit([-1.0, 0.0])], 0.07)
         assert np.linalg.norm(info_nce_grad(batch)) < 1e-9
+
+
+class TestInfoNceBatch:
+    """The training step's batched loss and weight gradient against the
+    per-query reference: `info_nce`, `info_nce_grad` and the chain rule
+    through the l2 normalization, summed over queries with np.outer."""
+
+    T = DEFAULT_TEMPERATURE
+
+    @classmethod
+    def reference(cls, queries, raws, keys, positives, weights):
+        """(losses, weight gradient, size of the gradient's terms)."""
+        losses, grad, scale = [], np.zeros_like(weights), 0.0
+        for q, raw, pos in zip(queries, raws, positives):
+            negatives = [k for j, k in enumerate(keys) if j != pos]
+            batch = ContrastiveBatch(q, keys[pos], negatives, cls.T)
+            losses.append(info_nce(batch))
+            gq = info_nce_grad(batch)
+            z_norm = np.linalg.norm(raw @ weights)
+            grad += np.outer(raw, (gq - q * (q @ gq)) / z_norm)
+            scale += np.linalg.norm(raw) / (cls.T * z_norm)   # unit-norm keys
+        return np.array(losses), grad, scale
+
+    @pytest.mark.parametrize("n_queries", range(1, 9))
+    def test_matches_per_query_reference(self, n_queries):
+        rng = np.random.default_rng(100 + n_queries)
+        raw_dim, dim = 12, 6
+        for _ in range(20):
+            n_keys = int(rng.integers(2, 9))
+            start = LinearEmbedder(rng.normal(size=(raw_dim, dim)))
+            # the queries were embedded with earlier weights; |z| comes
+            # from the current ones, as within a training epoch
+            weights = start.weights + 0.1 * rng.normal(size=(raw_dim, dim))
+            raws = rng.normal(size=(n_queries, raw_dim))
+            queries = start.embed(raws)
+            keys = start.embed(rng.normal(size=(n_keys, raw_dim)))
+            # first, last, then anywhere among the keys
+            positives = np.array([0, n_keys - 1][:n_queries]
+                                 + rng.integers(n_keys, size=n_queries).tolist()[2:])
+            want_losses, want_grad, grad_scale = self.reference(
+                queries, raws, keys, positives, weights)
+            losses, grad = info_nce_batch(queries, raws, keys, positives, weights)
+            # 1e-12 relative to the size of the terms (logits up to 1/T), not
+            # of the result: when the positive dominates, loss and gradient
+            # cancel towards 0 and one ulp of either route is a large share
+            assert np.abs(losses - want_losses).max() <= 1e-12 / self.T
+            assert np.linalg.norm(grad - want_grad) <= 1e-12 * grad_scale
 
 
 class TestLinearEmbedder:

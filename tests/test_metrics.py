@@ -209,3 +209,17 @@ class TestSimilarityDelta:
         assert out.count == count > 0
         assert out.fraction_positive == fraction_positive
         assert out.mean == pytest.approx(mean, rel=0, abs=1e-12)
+
+    def test_embedder_embeds_each_frame_once(self):
+        frames, gt = generate(ScenarioConfig(num_frames=30, seed=7))
+        embedder = LinearEmbedder.init_random(frames[0][0].raw.shape[0], 16,
+                                              np.random.default_rng(0))
+        embed, seen = embedder.embed, []
+
+        def counting_embed(raw):
+            seen.append(raw.tobytes())
+            return embed(raw)
+
+        embedder.embed = counting_embed
+        similarity_delta(frames, gt, embedder)
+        assert len(seen) == len(set(seen)) == sum(1 for dets in frames if dets)

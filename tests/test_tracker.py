@@ -16,7 +16,8 @@ from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
                              TrackerState, TrackRecord, build_similarity, rectify,
                              step, track_sequence, tracklets_from_log, verify)
-from uatrack.uncertainty import association_uncertainty, second_best
+from uatrack.uncertainty import (association_uncertainty, second_best,
+                                 tracklet_uncertainty)
 
 
 def unit(*xs):
@@ -398,6 +399,16 @@ class TestTrackSequence:
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "ca5487b7a4cb47afb4022dbcab77228a4a22aea413fd48f244ac68936f43ac6f"
+
+    @pytest.mark.parametrize("seed", range(7, 13))
+    def test_running_omega_equals_history_omega(self, seed):
+        """The running exp(delta) sum gives Omega exactly, not approximately,
+        on every tracklet of a default scene."""
+        frames, _ = generate(ScenarioConfig(seed=seed))
+        tracklets, _ = track_sequence(frames)
+        assert tracklets
+        for t in tracklets:
+            assert t.exp_delta_sum / len(t) == tracklet_uncertainty(t.deltas())
 
     def test_plain_lists_accepted(self):
         tracklets, log = track_sequence(self._frames(3))
