@@ -32,6 +32,8 @@ NOISE_SCALE = 2.0       # global multiplier on appearance noise
 BOX_MIN = 24.0          # smallest box side
 BOX_MAX = 48.0          # largest box side
 MAX_FRAME = 100_000     # about an hour at 30 fps; bounds every frame sequence
+MAX_OBJECTS = 1000      # bounds the per-frame (n, n) overlap matrix
+MAX_DIM = 4096          # bounds embed_dim and raw_dim, hence the basis and noise draws
 
 
 @dataclass(frozen=True)
@@ -51,16 +53,17 @@ class ScenarioConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.num_objects < 1:
-            raise InvalidConfig(f"num_objects must be >= 1, got {self.num_objects}")
+        if not 1 <= self.num_objects <= MAX_OBJECTS:
+            raise InvalidConfig(
+                f"num_objects must be in [1, {MAX_OBJECTS}], got {self.num_objects}")
         if not 2 <= self.num_frames <= MAX_FRAME:
             raise InvalidConfig(
                 f"num_frames must be in [2, {MAX_FRAME}], got {self.num_frames}")
-        if self.embed_dim < 2:
-            raise InvalidConfig(f"embed_dim must be >= 2, got {self.embed_dim}")
-        if self.raw_dim < self.embed_dim:
-            raise InvalidConfig(
-                f"raw_dim must be >= embed_dim ({self.embed_dim}), got {self.raw_dim}")
+        if not 2 <= self.embed_dim <= MAX_DIM:
+            raise InvalidConfig(f"embed_dim must be in [2, {MAX_DIM}], got {self.embed_dim}")
+        if not self.embed_dim <= self.raw_dim <= MAX_DIM:
+            raise InvalidConfig(f"raw_dim must be in [embed_dim ({self.embed_dim}), "
+                                f"{MAX_DIM}], got {self.raw_dim}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for name in ("confusable_fraction", "occlusion_rate", "dropout"):
@@ -91,7 +94,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def generate(cfg: ScenarioConfig):
     """Returns (frames, gt): frames is a list of per-frame Detection lists
-    (frame indices 1..num_frames), gt one record per emitted detection."""
+    (frame indices 1..num_frames), gt one record per emitted detection.
+    A frame's embeddings and raw features are row views of one matrix each."""
     rng = np.random.default_rng(cfg.seed)
     n, d, f = cfg.num_objects, cfg.embed_dim, cfg.raw_dim
     aw, ah = cfg.arena
@@ -109,8 +113,10 @@ def generate(cfg: ScenarioConfig):
         a, b = 2 * p, 2 * p + 1
         latents[b] = _unit(latents[a] + CONFUSABLE_PERTURB * rng.normal(size=d))
 
-    # fixed rotation of latents into raw-feature space
+    # fixed rotation of latents into raw-feature space, applied once per
+    # object: one `latents @ basis.T` product rounds differently on every row
     basis, _ = np.linalg.qr(rng.normal(size=(f, d)))
+    clean_raw = np.stack([basis @ latent for latent in latents])
 
     sizes = rng.uniform(BOX_MIN, BOX_MAX, size=(n, 2))
     half = sizes / 2.0
@@ -120,6 +126,7 @@ def generate(cfg: ScenarioConfig):
     pos = lo + rng.random((n, 2)) * (hi - lo)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     vel = cfg.speed * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    size_list = sizes.tolist()
 
     cam = np.zeros(2)
     cam_angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -135,8 +142,8 @@ def generate(cfg: ScenarioConfig):
         cam_angle += rng.normal(0.0, 0.3)
         cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
 
-        boxes = [BoundingBox(pos[i, 0] + cam[0], pos[i, 1] + cam[1],
-                             sizes[i, 0], sizes[i, 1]) for i in range(n)]
+        boxes = [BoundingBox(cx, cy, w, h)
+                 for (cx, cy), (w, h) in zip((pos + cam).tolist(), size_list)]
         overlap = iou(boxes, boxes)
         np.fill_diagonal(overlap, 0.0)
         max_iou = overlap.max(axis=1)
@@ -148,20 +155,22 @@ def generate(cfg: ScenarioConfig):
         forced_occ = rng.random(n) < cfg.occlusion_rate
         dropped = rng.random(n) < cfg.dropout
 
-        dets: list[Detection] = []
-        for i in range(n):
-            if dropped[i]:
-                continue
-            occluded = max_iou[i] > OCCLUSION_IOU or forced_occ[i]
-            sigma = cfg.appearance_noise * (cfg.occlusion_noise_boost if occluded else 1.0)
-            # appearance_noise is the RMS magnitude of the whole noise
-            # vector relative to the unit latent, not a per-dimension std
-            emb = _unit(latents[i] + sigma * NOISE_SCALE * emb_noise[i] / np.sqrt(d))
-            raw = basis @ latents[i] + RAW_NOISE * raw_noise[i]
-            conf = 1.0 - min(0.9, float(max_iou[i]))
-            det_index = len(dets)
-            dets.append(Detection(frame=frame, det_index=det_index, box=boxes[i],
-                                  confidence=conf, embedding=emb, raw=raw))
-            gt.append(GroundTruthRecord(frame=frame, det_index=det_index, true_id=i + 1))
-        frames.append(dets)
+        keep = np.flatnonzero(~dropped)
+        occluded = (max_iou[keep] > OCCLUSION_IOU) | forced_occ[keep]
+        sigma = cfg.appearance_noise * np.where(occluded, cfg.occlusion_noise_boost, 1.0)
+        # appearance_noise is the RMS magnitude of the whole noise vector
+        # relative to the unit latent, not a per-dimension std
+        emb = latents[keep] + sigma[:, None] * NOISE_SCALE * emb_noise[keep] / np.sqrt(d)
+        # each row's norm is the ddot `np.linalg.norm` takes of a vector;
+        # `norm(axis=1)` and `einsum` round differently on some rows
+        emb /= np.sqrt([v.dot(v) for v in emb])[:, None]
+        raw = clean_raw[keep] + RAW_NOISE * raw_noise[keep]
+        conf = (1.0 - np.minimum(0.9, max_iou[keep])).tolist()
+
+        ids = keep.tolist()
+        frames.append([Detection(frame=frame, det_index=j, box=boxes[i],
+                                 confidence=conf[j], embedding=emb[j], raw=raw[j])
+                       for j, i in enumerate(ids)])
+        gt.extend(GroundTruthRecord(frame=frame, det_index=j, true_id=i + 1)
+                  for j, i in enumerate(ids))
     return frames, gt

@@ -1,12 +1,17 @@
 """Tests for the synthetic scene generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from uatrack import formats, simulator
+from uatrack import cli, formats, simulator
 from uatrack.errors import InvalidConfig
-from uatrack.geometry import iou
-from uatrack.simulator import ScenarioConfig, generate
+from uatrack.geometry import BoundingBox, iou
+from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
+from uatrack.tracker import Detection
 
 
 SMALL = ScenarioConfig(num_objects=4, num_frames=40, seed=3)
@@ -21,6 +26,34 @@ class TestConfigValidation:
         assert ScenarioConfig(num_frames=bound).num_frames == bound
         with pytest.raises(InvalidConfig, match=f"num_frames must be in \\[2, {bound}\\]"):
             ScenarioConfig(num_frames=bound + 1)
+
+    @pytest.mark.parametrize("name, at", [
+        ("num_objects", dict(num_objects=simulator.MAX_OBJECTS)),
+        # embed_dim may not exceed raw_dim, so both sit at the bound
+        ("embed_dim", dict(embed_dim=simulator.MAX_DIM, raw_dim=simulator.MAX_DIM)),
+        ("raw_dim", dict(raw_dim=simulator.MAX_DIM)),
+    ])
+    def test_scene_size_bounded(self, name, at):
+        ScenarioConfig(**at)
+        with pytest.raises(InvalidConfig, match=f"^{name} must be in "):
+            ScenarioConfig(**dict(at, **{name: at[name] + 1}))
+
+    @pytest.mark.parametrize("line, name", [
+        ("num_objects = 50000", "num_objects"),
+        ("raw_dim = 1000000000", "raw_dim"),
+    ])
+    def test_cli_rejects_oversized_scene_before_generating(
+            self, tmp_path, capsys, monkeypatch, line, name):
+        def unreachable(cfg):
+            raise AssertionError("generate reached")
+        monkeypatch.setattr(cli, "generate", unreachable)
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(f"{line}\nnum_frames = 2\n")
+        code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == cli.DATA_ERROR
+        assert f"uatrack simulate: {name} must be in " in err
+        assert "Traceback" not in err
 
     def test_defaults_valid(self):
         cfg = ScenarioConfig()
@@ -154,3 +187,137 @@ class TestGenerate:
         W, *_ = np.linalg.lstsq(X, onehot, rcond=None)
         pred = (X @ W).argmax(axis=1) + 1
         assert (pred == y).mean() > 0.95
+
+
+def _reference_generate(cfg: ScenarioConfig):
+    """The per-object frame loop `generate` replaced, kept as its oracle:
+    one `BoundingBox`, normalised embedding and raw projection per object
+    and frame, from the same RNG stream."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    rng = np.random.default_rng(cfg.seed)
+    n, d, f = cfg.num_objects, cfg.embed_dim, cfg.raw_dim
+    aw, ah = cfg.arena
+    if n <= d:
+        latents, _ = np.linalg.qr(rng.normal(size=(d, n)))
+        latents = latents.T
+    else:
+        latents = np.stack([unit(rng.normal(size=d)) for _ in range(n)])
+    n_pairs = int(round(cfg.confusable_fraction * n / 2.0))
+    for p in range(min(n_pairs, n // 2)):
+        a, b = 2 * p, 2 * p + 1
+        latents[b] = unit(latents[a] + simulator.CONFUSABLE_PERTURB * rng.normal(size=d))
+    basis, _ = np.linalg.qr(rng.normal(size=(f, d)))
+
+    sizes = rng.uniform(simulator.BOX_MIN, simulator.BOX_MAX, size=(n, 2))
+    half = sizes / 2.0
+    high = np.array([aw, ah]) - half
+    lo = half + 1.0
+    hi = high - 1.0
+    pos = lo + rng.random((n, 2)) * (hi - lo)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    vel = cfg.speed * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    cam = np.zeros(2)
+    cam_angle = rng.uniform(0.0, 2.0 * np.pi)
+
+    frames, gt = [], []
+    for frame in range(1, cfg.num_frames + 1):
+        pos = pos + vel + rng.normal(0.0, simulator.POSITION_JITTER, size=(n, 2))
+        below, above = pos < half, pos > high
+        pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
+        vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
+        cam_angle += rng.normal(0.0, 0.3)
+        cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
+
+        boxes = [BoundingBox(pos[i, 0] + cam[0], pos[i, 1] + cam[1],
+                             sizes[i, 0], sizes[i, 1]) for i in range(n)]
+        overlap = iou(boxes, boxes)
+        np.fill_diagonal(overlap, 0.0)
+        max_iou = overlap.max(axis=1)
+        emb_noise = rng.normal(size=(n, d))
+        raw_noise = rng.normal(size=(n, f))
+        forced_occ = rng.random(n) < cfg.occlusion_rate
+        dropped = rng.random(n) < cfg.dropout
+
+        dets = []
+        for i in range(n):
+            if dropped[i]:
+                continue
+            occluded = max_iou[i] > simulator.OCCLUSION_IOU or forced_occ[i]
+            sigma = cfg.appearance_noise * (cfg.occlusion_noise_boost if occluded else 1.0)
+            emb = unit(latents[i] + sigma * simulator.NOISE_SCALE * emb_noise[i] / np.sqrt(d))
+            raw = basis @ latents[i] + simulator.RAW_NOISE * raw_noise[i]
+            conf = 1.0 - min(0.9, float(max_iou[i]))
+            det_index = len(dets)
+            dets.append(Detection(frame=frame, det_index=det_index, box=boxes[i],
+                                  confidence=conf, embedding=emb, raw=raw))
+            gt.append(GroundTruthRecord(frame=frame, det_index=det_index, true_id=i + 1))
+        frames.append(dets)
+    return frames, gt
+
+
+def _box_fields(det):
+    return (det.box.cx, det.box.cy, det.box.w, det.box.h, det.confidence)
+
+
+class TestWholeFrameGeneration:
+    """`generate` builds each frame from whole matrices; every output bit
+    must equal the per-object loop's."""
+
+    @given(num_objects=st.integers(1, 14),
+           embed_dim=st.integers(2, 8),
+           extra_raw=st.integers(0, 8),
+           num_frames=st.integers(2, 6),
+           dropout=st.floats(0.0, 1.0),
+           occlusion_rate=st.floats(0.0, 1.0),
+           confusable_fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    @example(num_objects=12, embed_dim=4, extra_raw=0, num_frames=5, dropout=1.0,
+             occlusion_rate=0.3, confusable_fraction=0.3, seed=3)   # n > d, every object dropped
+    @example(num_objects=3, embed_dim=8, extra_raw=4, num_frames=5, dropout=0.0,
+             occlusion_rate=0.3, confusable_fraction=1.0, seed=5)   # n <= d, none dropped
+    def test_equals_per_object_reference(self, num_objects, embed_dim, extra_raw,
+                                         num_frames, dropout, occlusion_rate,
+                                         confusable_fraction, seed):
+        cfg = ScenarioConfig(num_objects=num_objects, embed_dim=embed_dim,
+                             raw_dim=embed_dim + extra_raw, num_frames=num_frames,
+                             dropout=dropout, occlusion_rate=occlusion_rate,
+                             confusable_fraction=confusable_fraction, seed=seed)
+        frames, gt = generate(cfg)
+        ref_frames, ref_gt = _reference_generate(cfg)
+        assert gt == ref_gt
+        assert [len(dets) for dets in frames] == [len(dets) for dets in ref_frames]
+        for dets, ref_dets in zip(frames, ref_frames):
+            for det, ref in zip(dets, ref_dets):
+                assert (det.frame, det.det_index) == (ref.frame, ref.det_index)
+                assert _box_fields(det) == _box_fields(ref)
+                assert det.embedding.tobytes() == ref.embedding.tobytes()
+                assert det.raw.tobytes() == ref.raw.tobytes()
+
+    def test_output_bits_pinned(self):
+        """One sha256 over the exact bits of a 60-object scene: every
+        embedding and raw row, the box fields and confidences as
+        `float.hex`, and the ground-truth triples. Text outputs print
+        vectors to 9 digits, so only this catches a one-ulp drift."""
+        cfg = ScenarioConfig(num_objects=60, embed_dim=32, raw_dim=64,
+                             num_frames=40, seed=7)
+        frames, gt = generate(cfg)
+        h = hashlib.sha256()
+        for dets in frames:
+            for det in dets:
+                h.update(det.embedding.tobytes())
+                h.update(det.raw.tobytes())
+                h.update(" ".join(float.hex(v) for v in _box_fields(det)).encode())
+        for g in gt:
+            h.update(f"{g.frame} {g.det_index} {g.true_id}\n".encode())
+        assert h.hexdigest() == (
+            "bf1f0c4e3ffcbcfcdd112854387a2135244accaad3bc2908241145dcbbc9b6d1")
+
+    def test_vectors_are_rows_of_frame_matrices(self):
+        frames, _ = generate(SMALL)
+        for dets in frames:
+            if dets:
+                emb = dets[0].embedding.base
+                assert all(det.embedding.base is emb for det in dets)
+                assert emb.shape == (len(dets), SMALL.embed_dim)
