@@ -120,7 +120,7 @@ def cmd_eval(args) -> int:
     lines = [f"id_switches: {ids}"] + sep.lines()
     lines += [f"pseudo_accuracy {s}: {acc:.6f}" for s, acc in curve.points]
     formats.atomic_write(args.report, lines)
-    for line in lines[:7]:
+    for line in lines:
         print(line)
     return 0
 

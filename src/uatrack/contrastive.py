@@ -213,7 +213,8 @@ def train_embedder(frames, cfg: TrainConfig):
             lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step_count / total_steps))
             step_count += 1
             t = int(rng.integers(2, len(frames) + 1))
-            present = _anchor_candidates([trk for trk, _ in by_frame.get(t, [])], t)
+            # every tracklet listed at t has a record there; keep those with an earlier one
+            present = [trk for trk, _ in by_frame.get(t, []) if trk.records[0].frame < t]
             if len(present) < 2:
                 continue
             # only the target is used: the plan is built for its corner-jitter

@@ -34,6 +34,7 @@ BOX_MAX = 48.0          # largest box side
 MAX_FRAME = 100_000     # about an hour at 30 fps; bounds every frame sequence
 MAX_OBJECTS = 1000      # bounds the per-frame (n, n) overlap matrix
 MAX_DIM = 4096          # bounds embed_dim and raw_dim, hence the basis and noise draws
+MAX_SCENE_VALUES = 2**27   # 1 GiB of float64: bounds the vectors `generate` keeps
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,12 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidConfig(f"{name} must be finite and >= 0, got {v}")
+        values = self.num_objects * (self.embed_dim + self.raw_dim) * self.num_frames
+        if values > MAX_SCENE_VALUES:
+            raise InvalidConfig(
+                f"num_objects * (embed_dim + raw_dim) * num_frames must be <= "
+                f"{MAX_SCENE_VALUES}, got {self.num_objects} * ({self.embed_dim} + "
+                f"{self.raw_dim}) * {self.num_frames} = {values}")
 
 
 @dataclass(frozen=True)

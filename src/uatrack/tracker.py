@@ -176,12 +176,13 @@ def build_similarity(tracks: list[Tracklet], dets: list[Detection]) -> np.ndarra
 
 
 def _verdicts(sim: np.ndarray, pairs, cfg: TrackerConfig):
-    """(r, c, verdict) for every pair, with one runner-up pass over them."""
+    """(r, c, verdict) for every pair, all scored in one array pass."""
     if not pairs:
         return []
     rows, cols = zip(*pairs)
-    return [(r, c, association_uncertainty(float(sim[r, c]), c2, cfg.margins))
-            for r, c, c2 in zip(rows, cols, second_best(sim, rows, cols).tolist())]
+    scores = association_uncertainty(sim[rows, cols], second_best(sim, rows, cols), cfg.margins)
+    return [(r, c, AssociationVerdict(*v))
+            for r, c, *v in zip(rows, cols, *(a.tolist() for a in scores))]
 
 
 def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
@@ -243,24 +244,21 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         certain = _verdicts(sim, matching.pairs, cfg)
         dissolved = rectified = []
 
-    def row(r: int, c: int, v: AssociationVerdict, stage: int) -> LogRow:
-        return LogRow(frame, dets[r].det_index, tracks[c].id, v.c1, v.c2,
-                      v.sigma, v.gamma, v.delta, stage)
-
-    log = [row(r, c, v, STAGE_DISSOLVED) for r, c, v in dissolved]
-    applied = sorted([(r, c, row(r, c, v, STAGE_ASSOC)) for r, c, v in certain]
-                     + [(r, c, row(r, c, v, STAGE_RECTIFIED)) for r, c, v in rectified],
+    log = [LogRow(frame, dets[r].det_index, tracks[c].id, *v, STAGE_DISSOLVED)
+           for r, c, v in dissolved]
+    applied = sorted([(r, c, v, STAGE_ASSOC) for r, c, v in certain]
+                     + [(r, c, v, STAGE_RECTIFIED) for r, c, v in rectified],
                      key=lambda x: x[0])
-    for r, c, decision in applied:
+    for r, c, v, stage in applied:
         det = dets[r]
         trk = tracks[c]
         trk.append(TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
-                               embedding=det.embedding, delta=decision.delta,
+                               embedding=det.embedding, delta=v.delta,
                                confidence=det.confidence))
         trk.lost_age = 0
-        log.append(decision)
-    matched_rows = {r for r, _, _ in applied}
-    matched_cols = {c for _, c, _ in applied}
+        log.append(LogRow(frame, det.det_index, trk.id, *v, stage))
+    matched_rows = {r for r, *_ in applied}
+    matched_cols = {c for _, c, *_ in applied}
 
     # births
     born: list[Tracklet] = []

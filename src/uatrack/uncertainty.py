@@ -12,6 +12,8 @@ and is compared against the margin-derived adaptive threshold
 The association uncertainty delta = sigma - gamma is positive exactly when
 the match should be reconsidered. Cosine similarities can fall outside
 (0, 1), so all log arguments are clamped first. Natural logs throughout.
+Each function takes one pair or equal-length arrays of pairs, so the
+tracker scores all of a stage's pairs in one call with the same formula.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,43 +43,40 @@ class UncertaintyMargins:
             raise InvalidConfig(f"m2 must be in (0,1), got {self.m2}")
 
 
-@dataclass(frozen=True)
-class AssociationVerdict:
+class AssociationVerdict(NamedTuple):
+    """The scores of one pair, or of arrays of pairs, in log-row order."""
     c1: float
     c2: float
     sigma: float
     gamma: float
     delta: float
-    uncertain: bool
+
+    @property
+    def uncertain(self):
+        return self.delta > 0.0
 
 
-def _clamp(x: float) -> float:
-    return min(max(x, CLAMP_EPS), 1.0 - CLAMP_EPS)
-
-
-def association_risk(c1: float, c2: float) -> float:
+def association_risk(c1, c2):
     """Risk of an assignment: low c1 and a strong runner-up both raise it."""
-    c1 = _clamp(c1)
-    c2 = _clamp(c2)
-    return -math.log(c1) - math.log(1.0 - c2)
+    # the two ufuncs clamp like np.clip, at about half its cost on a frame's few pairs
+    c1 = np.minimum(np.maximum(c1, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    c2 = np.minimum(np.maximum(c2, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    return -np.log(c1) - np.log(1.0 - c2)
 
 
-def adaptive_threshold(c1: float, margins: UncertaintyMargins) -> float:
+def adaptive_threshold(c1, margins: UncertaintyMargins):
     """Similarity-dependent cutoff the risk is compared against."""
-    arg = max(1.0 + margins.m2 - c1, CLAMP_EPS)
-    return -math.log(margins.m1) - math.log(arg)
+    return -np.log(margins.m1) - np.log(np.maximum(1.0 + margins.m2 - c1, CLAMP_EPS))
 
 
-def association_uncertainty(c1: float, c2: float,
+def association_uncertainty(c1, c2,
                             margins: UncertaintyMargins | None = None) -> AssociationVerdict:
     """delta = sigma - gamma; the match is uncertain iff delta > 0."""
     if margins is None:
         margins = UncertaintyMargins()
     sigma = association_risk(c1, c2)
     gamma = adaptive_threshold(c1, margins)
-    delta = sigma - gamma
-    return AssociationVerdict(c1=c1, c2=c2, sigma=sigma, gamma=gamma,
-                              delta=delta, uncertain=delta > 0.0)
+    return AssociationVerdict(c1, c2, sigma, gamma, sigma - gamma)
 
 
 def second_best(sim, rows, cols) -> np.ndarray:

@@ -49,7 +49,8 @@ def test_traced_scene_pass_counts_rectification():
     assert simulator.generate.__module__ == "uatrack.simulator"   # originals restored
     for name in ("tracker.step_calls", "tracker.verify_pairs", "tracker.rectify_calls",
                  "tracker.rectify_pool_pairs", "tracker.rectify_matched",
-                 "uncertainty.second_best_calls", "geometry.iou_tracker_calls",
+                 "uncertainty.second_best_calls", "uncertainty.association_uncertainty_calls",
+                 "geometry.iou_tracker_calls",
                  "geometry.iou_simulator_calls", "simulator.detections"):
         assert values[name] > 0, name
     assert 0 < values["tracker.rectify_matched_ratio"] <= 1

@@ -430,6 +430,19 @@ class TestCli:
         assert code == 2
         assert "max_age must be >= 0, got -5" in err
 
+    def test_eval_prints_whole_report(self, tmp_path, capsys):
+        frames, _ = small_bundle(tmp_path)
+        tracklets, log = track_sequence(frames, TrackerConfig())
+        formats.write_results(tracklets, tmp_path / "results.txt")
+        formats.write_log(log, tmp_path / "log.txt")
+        code = cli.main([str(a) for a in (
+            "eval", "--results", tmp_path / "results.txt", "--gt", tmp_path / "gt.txt",
+            "--log", tmp_path / "log.txt", "--report", tmp_path / "report.txt")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (tmp_path / "report.txt").read_text()
+        assert any(line.startswith("pseudo_accuracy") for line in out.splitlines())
+
     @pytest.mark.parametrize("results", ["utl-off", "detections"])
     def test_eval_results_not_from_log_exit_2(self, tmp_path, capsys, results):
         # at 100 frames the default scene's UTL-on and UTL-off tracks differ

@@ -55,6 +55,37 @@ class TestConfigValidation:
         assert f"uatrack simulate: {name} must be in " in err
         assert "Traceback" not in err
 
+    # 512 * (1024 + 1024) * 128 is exactly 2**27. A scene with every field
+    # legal, 1000 objects, raw_dim 4096 and 100,000 frames, would keep ~3.3 TB
+    BIG = dict(num_objects=512, embed_dim=1024, raw_dim=1024, num_frames=128)
+
+    def test_scene_values_bounded(self):
+        assert simulator.MAX_SCENE_VALUES == 2**27
+        ScenarioConfig(**self.BIG)
+        with pytest.raises(InvalidConfig, match=r"^num_objects \* \(embed_dim \+ raw_dim\)"):
+            ScenarioConfig(**dict(self.BIG, num_frames=129))
+        with pytest.raises(InvalidConfig, match=r" = 411200000000$"):
+            ScenarioConfig(num_objects=1000, raw_dim=4096, num_frames=100_000)
+
+    @pytest.mark.parametrize("lines", [
+        "num_objects = 512\nembed_dim = 1024\nraw_dim = 1024\nnum_frames = 129\n",
+        "num_objects = 1000\nraw_dim = 4096\nnum_frames = 100000\n",
+    ], ids=["one-frame-past-bound", "fields-at-bounds"])
+    def test_cli_rejects_scene_too_large_before_generating(
+            self, tmp_path, capsys, monkeypatch, lines):
+        def unreachable(cfg):
+            raise AssertionError("generate reached")
+        monkeypatch.setattr(cli, "generate", unreachable)
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(lines)
+        code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == cli.DATA_ERROR
+        assert ("uatrack simulate: num_objects * (embed_dim + raw_dim) * num_frames "
+                "must be <= ") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
+
     def test_defaults_valid(self):
         cfg = ScenarioConfig()
         assert cfg.num_objects == 12

@@ -310,6 +310,37 @@ class TestStep:
                                              float(second_best(sim, [r], [c])[0]))
             assert row.delta == pytest.approx(expect.delta)
 
+    @pytest.mark.parametrize("utl", [True, False])
+    def test_logged_scores_equal_one_pair_formula(self, monkeypatch, utl):
+        """Each scored row equals the one-pair call on its similarity entry
+        and runner-up, bit for bit; a frame makes at most two array calls,
+        one for the Hungarian pairs and one for the rectified pairs."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return association_uncertainty(*args)
+
+        monkeypatch.setattr(tracker, "association_uncertainty", counted)
+        frames, _ = generate(ScenarioConfig(num_frames=60))
+        state = TrackerState(TrackerConfig(utl_enabled=utl))
+        stages = set()
+        for frame, dets in enumerate(frames, start=1):
+            col_of = {t.id: c for c, t in enumerate(state.tracks)}
+            sim = build_similarity(state.tracks, dets)
+            calls.clear()
+            for row in step(state, frame, dets):
+                stages.add(row.stage)
+                if row.stage == STAGE_BIRTH:
+                    continue
+                r, c = row.det_index, col_of[row.track_id]
+                expect = association_uncertainty(
+                    float(sim[r, c]), float(second_best(sim, [r], [c])[0]), state.cfg.margins)
+                assert (row.c1, row.c2, row.sigma, row.gamma, row.delta) == expect
+            assert len(calls) <= (2 if utl else 1)
+        assert stages == ({STAGE_BIRTH, STAGE_ASSOC, STAGE_RECTIFIED, STAGE_DISSOLVED}
+                          if utl else {STAGE_BIRTH, STAGE_ASSOC})
+
     def test_dissolved_pairs_are_logged(self):
         state, d1, d2 = self._confusable_setup()
         rows = step(state, 2, [d1, d2])

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uatrack.errors import EmptyHistory, InvalidConfig
 from uatrack.uncertainty import (CLAMP_EPS, UncertaintyMargins,
@@ -80,6 +82,24 @@ class TestMonotonicity:
         deltas = [association_uncertainty(c1, c2, M).delta
                   for c2 in np.linspace(0.01, 0.99, 200)]
         assert all(a < b for a, b in zip(deltas, deltas[1:]))
+
+
+SCORE = st.floats(-0.5, 1.5, allow_nan=False)
+
+
+class TestArrayForm:
+    @given(st.lists(st.tuples(SCORE, SCORE), min_size=1, max_size=40),
+           st.sampled_from([M, UncertaintyMargins(m1=0.3, m2=0.2)]))
+    # c1 <= 0, c1 >= 1, c2 >= 1, and c1 at and past 1 + m2 (the threshold's clamp)
+    @example([(-0.2, 0.3), (0.0, 0.0), (1.0, 0.5), (1.3, 0.2), (0.4, 1.0), (0.4, 1.2),
+              (1.0 + M.m2, 0.1), (1.0 + M.m2 + 1e-7, 0.1), (0.58, 0.6)], M)
+    def test_array_equals_scalar_elementwise(self, pairs, margins):
+        c1, c2 = (np.array(col) for col in zip(*pairs))
+        arrays = association_uncertainty(c1, c2, margins)
+        for i, (a, b) in enumerate(pairs):
+            scalar = association_uncertainty(a, b, margins)
+            assert tuple(col[i] for col in arrays) == scalar
+            assert arrays.uncertain[i] == scalar.uncertain
 
 
 class TestSecondBest:
