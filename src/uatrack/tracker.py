@@ -75,12 +75,6 @@ class Tracklet:
     def last_box(self) -> BoundingBox:
         return self.records[-1].box
 
-    def representative(self) -> np.ndarray:
-        return self.records[-1].embedding
-
-    def recent_embeddings(self, k: int) -> list[np.ndarray]:
-        return [r.embedding for r in self.records[-k:]]
-
     def deltas(self) -> list[float]:
         return [r.delta for r in self.records]
 
@@ -144,69 +138,153 @@ def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
 
 
 class TrackerState:
+    """The live tracks, plus their appearance as arrays in `tracks` order.
+
+    `ring` (n × depth × D) holds each track's last embeddings and `lengths`
+    counts its records; the next embedding goes to slot `lengths % K`. The
+    depth grows with the longest track, doubling up to K, so a large K
+    costs no more than the frames seen. The arrays take one scatter per
+    frame for the applied matches and are compacted only on frames with a
+    birth or a retirement. A window is summed from the ring, oldest to
+    newest, each time it is read and never kept as a running sum: its mean
+    has the bits of `sum(embeddings) / count` over the records themselves."""
+
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         self.tracks: list[Tracklet] = []     # active + lost, creation order
         self.finished: list[Tracklet] = []   # removed tracks
         self.next_id = 1
         self.last_frame: int | None = None
+        self.ring = np.zeros((0, 1, 0))
+        self.lengths = np.zeros(0, dtype=np.intp)
 
     def all_tracklets(self) -> list[Tracklet]:
         return sorted(self.tracks + self.finished, key=lambda t: t.id)
 
+    def last_embeddings(self) -> np.ndarray:
+        """Each track's last embedding, one row per track."""
+        return self.ring[np.arange(len(self.lengths)), (self.lengths - 1) % self.cfg.K]
 
-def build_similarity(tracks: list[Tracklet], dets: list[Detection]) -> np.ndarray:
+    def record(self, cols, embs: np.ndarray) -> None:
+        """Append row i of `embs` to the appearance of track cols[i]."""
+        cols = np.asarray(cols)
+        lengths = self.lengths[cols]
+        n, depth, dim = self.ring.shape
+        if depth < self.cfg.K and lengths.max() == depth:
+            # below K no track has wrapped, so the written slots keep their place
+            ring = np.zeros((n, min(2 * depth, self.cfg.K), dim), self.ring.dtype)
+            ring[:, :depth] = self.ring
+            self.ring = ring
+        self.ring[cols, lengths % self.cfg.K] = embs
+        self.lengths[cols] = lengths + 1
+
+    def compact(self, keep: list[int], born: list[Tracklet], born_embs: np.ndarray) -> None:
+        """Keep the tracks at indices `keep`, in order, then add the `born`
+        tracks; row i of `born_embs` is born[i]'s first embedding."""
+        self.tracks = [self.tracks[c] for c in keep] + born
+        if len(keep) < len(self.lengths):
+            self.ring, self.lengths = self.ring[keep], self.lengths[keep]
+        if not born:
+            return
+        ring = np.zeros((len(born), self.ring.shape[1], born_embs.shape[1]), born_embs.dtype)
+        ring[:, 0] = born_embs
+        lengths = np.ones(len(born), dtype=np.intp)
+        if keep:   # with no track kept, the born tracks set the dim
+            ring = np.concatenate([self.ring, ring])
+            lengths = np.concatenate([self.lengths, lengths])
+        self.ring, self.lengths = ring, lengths
+
+    def window_means(self, cols) -> np.ndarray:
+        """Mean of each track's last K embeddings (all of them for a track
+        shorter than K), one row per entry of `cols`."""
+        cols = np.asarray(cols)
+        lengths = self.lengths[cols]
+        depth = self.ring.shape[1]
+        # (depth × tracks × D), oldest slot first; a short track's unwritten,
+        # zero slots lead
+        window = self.ring[cols, (lengths + np.arange(depth)[:, None]) % depth]
+        total = window[0].copy()
+        for slot in window[1:]:   # one slot at a time, in order, for any D
+            total += slot
+        return total / np.minimum(lengths, self.cfg.K)[:, None]
+
+
+class ScoredPairs:
+    """A stage's (detection row, track column) pairs as columns, with the
+    verdict of each: every field of `verdict` is an array over the pairs."""
+    __slots__ = ("rows", "cols", "verdict")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, verdict: AssociationVerdict):
+        self.rows, self.cols, self.verdict = rows, cols, verdict
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, mask: np.ndarray) -> ScoredPairs:
+        return ScoredPairs(self.rows[mask], self.cols[mask],
+                           AssociationVerdict(*(a[mask] for a in self.verdict)))
+
+    def columns(self):
+        """Per pair: row, column, then the verdict fields in log-row order."""
+        return zip(self.rows.tolist(), self.cols.tolist(),
+                   *(a.tolist() for a in self.verdict))
+
+
+_NO_PAIRS = ScoredPairs(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                        AssociationVerdict(*[np.zeros(0)] * 5))
+
+
+def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:
+    """The frame's (detections × D) embedding matrix; an empty frame's has
+    the tracks' `dim`."""
+    if not dets:
+        return np.zeros((0, dim))
+    try:   # np.array stacks rows of equal length faster than np.stack
+        return np.array([d.embedding for d in dets])
+    except ValueError:
+        dims = sorted({d.embedding.shape for d in dets})
+        raise DimensionMismatch(f"detection embedding shapes differ in one frame: {dims}") from None
+
+
+def build_similarity(det_mat: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """Rows index detections, cols index tracks; entries are cosine
     similarities (dot products of unit-norm embeddings)."""
-    if not tracks or not dets:
-        return np.zeros((len(dets), len(tracks)))
-    dim = dets[0].embedding.shape[0]
-    for d in dets:
-        if d.embedding.shape[0] != dim:
-            raise DimensionMismatch(
-                f"detection embedding dim {d.embedding.shape[0]} != {dim}")
-    reps = []
-    for t in tracks:
-        rep = t.representative()
-        if rep.shape[0] != dim:
-            raise DimensionMismatch(f"track {t.id} embedding dim {rep.shape[0]} != {dim}")
-        reps.append(rep)
-    det_mat = np.stack([d.embedding for d in dets])
-    return det_mat @ np.stack(reps).T
+    if not len(det_mat) or not len(reps):
+        return np.zeros((len(det_mat), len(reps)))
+    if det_mat.shape[1] != reps.shape[1]:
+        raise DimensionMismatch(
+            f"detection embedding dim {det_mat.shape[1]} != track dim {reps.shape[1]}")
+    return det_mat @ reps.T
 
 
-def _verdicts(sim: np.ndarray, pairs, cfg: TrackerConfig):
-    """(r, c, verdict) for every pair, all scored in one array pass."""
+def _scored(sim: np.ndarray, pairs, cfg: TrackerConfig) -> ScoredPairs:
+    """Every pair scored in one array pass."""
     if not pairs:
-        return []
-    rows, cols = zip(*pairs)
-    scores = association_uncertainty(sim[rows, cols], second_best(sim, rows, cols), cfg.margins)
-    return [(r, c, AssociationVerdict(*v))
-            for r, c, *v in zip(rows, cols, *(a.tolist() for a in scores))]
+        return _NO_PAIRS
+    rows, cols = np.array(pairs).T
+    return ScoredPairs(rows, cols, association_uncertainty(
+        sim[rows, cols], second_best(sim, rows, cols), cfg.margins))
 
 
 def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
-    """Split matched pairs into certain pairs (with verdicts) and an
-    uncertain pool; the pool also absorbs all unmatched rows/cols.
+    """Split matched pairs into certain pairs and an uncertain pool, each
+    stage as `ScoredPairs`; the pool also absorbs all unmatched rows/cols.
 
     Dissolved pairs are returned with their verdicts as well so that every
     association decision can be logged, even the ones that do not survive."""
-    certain: list[tuple[int, int, AssociationVerdict]] = []
-    dissolved: list[tuple[int, int, AssociationVerdict]] = []
-    pool_rows = list(matching.unmatched_rows)
-    pool_cols = list(matching.unmatched_cols)
-    for r, c, verdict in _verdicts(sim, matching.pairs, cfg):
-        if verdict.uncertain:
-            dissolved.append((r, c, verdict))
-            pool_rows.append(r)
-            pool_cols.append(c)
-        else:
-            certain.append((r, c, verdict))
-    return certain, dissolved, sorted(pool_rows), sorted(pool_cols)
+    scored = _scored(sim, matching.pairs, cfg)
+    uncertain = scored.verdict.uncertain
+    if uncertain.any():   # two takes cost ~9 µs, 5% of a 12-track frame
+        certain, dissolved = scored.take(~uncertain), scored.take(uncertain)
+    else:
+        certain, dissolved = scored, _NO_PAIRS
+    return (certain, dissolved,
+            sorted(matching.unmatched_rows + dissolved.rows.tolist()),
+            sorted(matching.unmatched_cols + dissolved.cols.tolist()))
 
 
 def rectify(pool_rows: list[int], pool_cols: list[int], dets: list[Detection],
-            tracks: list[Tracklet], cfg: TrackerConfig) -> list[tuple[int, int]]:
+            det_mat: np.ndarray, state: TrackerState) -> list[tuple[int, int]]:
     """Re-match the uncertain pool with K-frame averaged similarity, IoU-gated.
 
     The mean of K dot products is the dot product with the mean of the last
@@ -214,11 +292,10 @@ def rectify(pool_rows: list[int], pool_cols: list[int], dets: list[Detection],
     gate) is a forbidden match; the Hungarian floor of 0 enforces that."""
     if not pool_rows or not pool_cols:
         return []
+    tracks = state.tracks
     gate = iou([dets[r].box for r in pool_rows], [tracks[c].last_box for c in pool_cols])
-    det_mat = np.stack([dets[r].embedding for r in pool_rows])
-    recent = [tracks[c].recent_embeddings(cfg.K) for c in pool_cols]
-    hist = np.stack([sum(embs) / len(embs) for embs in recent])
-    cprime = np.where(gate > cfg.beta, det_mat @ hist.T, 0.0)
+    hist = state.window_means(pool_cols)
+    cprime = np.where(gate > state.cfg.beta, det_mat[pool_rows] @ hist.T, 0.0)
     matched = hungarian_max(cprime, floor=0.0)
     return [(pool_rows[i], pool_cols[j]) for i, j in matched.pairs]
 
@@ -233,35 +310,39 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
     state.last_frame = frame
 
     tracks = state.tracks
-    sim = build_similarity(tracks, dets)
+    det_mat = _embeddings(dets, state.ring.shape[2])
+    sim = build_similarity(det_mat, state.last_embeddings())
     matching = hungarian_max(sim)
     if cfg.utl_enabled:
         certain, dissolved, pool_rows, pool_cols = verify(matching, sim, cfg)
         # delta is recomputed from the original similarity row so the
         # tracklet's delta history stays on one scale
-        rectified = _verdicts(sim, rectify(pool_rows, pool_cols, dets, tracks, cfg), cfg)
+        rectified = _scored(sim, rectify(pool_rows, pool_cols, dets, det_mat, state), cfg)
     else:
-        certain = _verdicts(sim, matching.pairs, cfg)
-        dissolved = rectified = []
+        certain = _scored(sim, matching.pairs, cfg)
+        dissolved = rectified = _NO_PAIRS
 
     log = [LogRow(frame, dets[r].det_index, tracks[c].id, *v, STAGE_DISSOLVED)
-           for r, c, v in dissolved]
-    applied = sorted([(r, c, v, STAGE_ASSOC) for r, c, v in certain]
-                     + [(r, c, v, STAGE_RECTIFIED) for r, c, v in rectified],
-                     key=lambda x: x[0])
-    for r, c, v, stage in applied:
+           for r, c, *v in dissolved.columns()]
+    applied = sorted([(*p, STAGE_ASSOC) for p in certain.columns()]
+                     + [(*p, STAGE_RECTIFIED) for p in rectified.columns()])
+    for r, c, *v, stage in applied:
         det = dets[r]
         trk = tracks[c]
         trk.append(TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
-                               embedding=det.embedding, delta=v.delta,
+                               embedding=det.embedding, delta=v[-1],
                                confidence=det.confidence))
         trk.lost_age = 0
         log.append(LogRow(frame, det.det_index, trk.id, *v, stage))
-    matched_rows = {r for r, *_ in applied}
-    matched_cols = {c for _, c, *_ in applied}
+    rows = [r for r, *_ in applied]
+    cols = [c for _, c, *_ in applied]
+    if applied:
+        state.record(cols, det_mat[rows])
+    matched_rows, matched_cols = set(rows), set(cols)
 
     # births
     born: list[Tracklet] = []
+    born_rows: list[int] = []
     for r, det in enumerate(dets):
         if r in matched_rows or det.confidence < DET_CONF_MIN:
             continue
@@ -271,21 +352,21 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
                                    confidence=det.confidence))
         state.next_id += 1
         born.append(trk)
+        born_rows.append(r)
         log.append(LogRow(frame, det.det_index, trk.id,
                           0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
 
     # lost handling
-    survivors = []
+    keep = []
     for c, trk in enumerate(tracks):
-        if c in matched_cols:
-            survivors.append(trk)
-            continue
-        trk.lost_age += 1
-        if trk.lost_age > MAX_LOST:
-            state.finished.append(trk)
-        else:
-            survivors.append(trk)
-    state.tracks = survivors + born
+        if c not in matched_cols:
+            trk.lost_age += 1
+            if trk.lost_age > MAX_LOST:
+                state.finished.append(trk)
+                continue
+        keep.append(c)
+    if born or len(keep) < len(tracks):
+        state.compact(keep, born, det_mat[born_rows])
     return log
 
 

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uatrack import tracker
 from uatrack.assignment import hungarian_max
@@ -18,6 +21,11 @@ from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              step, track_sequence, tracklets_from_log, verify)
 from uatrack.uncertainty import (association_uncertainty, second_best,
                                  tracklet_uncertainty)
+
+
+# perfbench's pinned digests and its crowd-track scene (perfbench/run.py's CROWD)
+PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+CROWD = dict(num_objects=150, embed_dim=160, raw_dim=320, num_frames=100)
 
 
 def unit(*xs):
@@ -36,26 +44,32 @@ def track(tid, frame, emb, cx=0.0, cy=0.0, w=2.0, h=2.0, delta=0.0):
     return Tracklet(tid, rec)
 
 
+def emb_matrix(dets):
+    return np.array([d.embedding for d in dets])
+
+
+def last_embeddings(tracks):
+    """Each track's last embedding, read from its records."""
+    return np.array([t.records[-1].embedding for t in tracks])
+
+
+def state_of(tracks, cfg=TrackerConfig()):
+    """A TrackerState holding `tracks`, its appearance arrays filled record
+    by record through the state's own updates."""
+    state = TrackerState(cfg)
+    state.compact([], list(tracks), np.array([t.records[0].embedding for t in tracks]))
+    for i in range(1, max(len(t) for t in tracks)):
+        cols = [c for c, t in enumerate(tracks) if len(t) > i]
+        state.record(cols, np.array([tracks[c].records[i].embedding for c in cols]))
+    return state
+
+
 class TestTracklet:
     def test_record_frames_strictly_increase(self):
         t = track(1, 1, unit(1, 0))
         with pytest.raises(OutOfOrderFrame):
             t.append(TrackRecord(frame=1, det_index=0, box=t.last_box,
                                  embedding=unit(1, 0), delta=0.0))
-
-    def test_representative_is_last_by_default(self):
-        t = track(1, 1, unit(1, 0))
-        t.append(TrackRecord(frame=2, det_index=0, box=t.last_box,
-                             embedding=unit(0, 1), delta=0.0))
-        assert np.allclose(t.representative(), unit(0, 1))
-
-    def test_recent_embeddings_window(self):
-        t = track(1, 1, unit(1, 0))
-        for f in range(2, 10):
-            t.append(TrackRecord(frame=f, det_index=0, box=t.last_box,
-                                 embedding=unit(1, f), delta=0.0))
-        assert len(t.recent_embeddings(5)) == 5
-        assert len(t.recent_embeddings(100)) == 9
 
     def test_box_at_finds_only_recorded_frames(self):
         t = track(1, 3, unit(1, 0), cx=3.0)
@@ -73,6 +87,78 @@ class TestTracklet:
         assert t.deltas() == [0.0, -0.5]
 
 
+class TestTrackerState:
+    def test_last_row_is_last_embedding(self):
+        t = track(1, 1, unit(1, 0))
+        t.append(TrackRecord(frame=2, det_index=0, box=t.last_box,
+                             embedding=unit(0, 1), delta=0.0))
+        assert np.array_equal(state_of([t]).last_embeddings(), [unit(0, 1)])
+
+    def test_window_covers_last_K_records(self):
+        t = track(1, 1, unit(1, 0))
+        for f in range(2, 10):
+            t.append(TrackRecord(frame=f, det_index=0, box=t.last_box,
+                                 embedding=unit(1, f), delta=0.0))
+        for K, count in ((5, 5), (100, 9)):
+            embs = [r.embedding for r in t.records[-count:]]
+            mean = state_of([t], TrackerConfig(K=K)).window_means([0])
+            assert np.array_equal(mean, [sum(embs) / count])
+
+    @pytest.mark.parametrize("K", [8, 9, 12, 10**6])
+    def test_one_dim_window_sums_in_record_order(self, K):
+        """With D = 1 and 8 or more slots, a pairwise sum would move the last
+        bit; the window is summed slot by slot, as the records are."""
+        rng = np.random.default_rng(K)
+        tracks = []
+        for tid in range(1, 41):
+            t = track(tid, 1, rng.normal(size=1))
+            for f in range(2, 2 + int(rng.integers(0, 20))):
+                t.append(TrackRecord(frame=f, det_index=0, box=t.last_box,
+                                     embedding=rng.normal(size=1), delta=0.0))
+            tracks.append(t)
+        means = state_of(tracks, TrackerConfig(K=K)).window_means(list(range(len(tracks))))
+        for c, t in enumerate(tracks):
+            recent = [r.embedding for r in t.records[-K:]]
+            assert np.array_equal(means[c], sum(recent) / len(recent))
+
+    def test_large_K_costs_only_the_frames_seen(self):
+        """The ring is as deep as the longest track (up to doubling), not K."""
+        frames, _ = generate(ScenarioConfig(seed=7, num_frames=12))
+        state = TrackerState(TrackerConfig(K=10**6))
+        for frame, dets in enumerate(frames, start=1):
+            step(state, frame, dets)
+            longest = max(len(t) for t in state.all_tracklets())
+            assert state.ring.shape[1] < 2 * longest
+        assert state.ring.nbytes < 2 * 12 * len(state.tracks) * state.ring.shape[2] * 8
+
+    @settings(max_examples=60)
+    @given(K=st.sampled_from([1, 2, 5, 10**6]), max_lost=st.integers(1, 3),
+           num_objects=st.integers(1, 5), num_frames=st.integers(2, 24),
+           dropout=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 10_000))
+    def test_window_bits_through_steps(self, K, max_lost, num_objects, num_frames,
+                                       dropout, seed):
+        """After every step, each live track's window mean has the bits of
+        summing its last K records, and its last-embedding row is its last
+        record's, through births, retirements and tracks shorter than K."""
+        frames, _ = generate(ScenarioConfig(num_objects=num_objects, num_frames=num_frames,
+                                            embed_dim=3, raw_dim=3, dropout=dropout,
+                                            seed=seed))
+        state = TrackerState(TrackerConfig(K=K))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracker, "MAX_LOST", max_lost)
+            for frame, dets in enumerate(frames, start=1):
+                step(state, frame, dets)
+                assert len(state.lengths) == len(state.ring) == len(state.tracks)
+                if not state.tracks:
+                    continue
+                means = state.window_means(list(range(len(state.tracks))))
+                for c, t in enumerate(state.tracks):
+                    recent = [r.embedding for r in t.records[-K:]]
+                    assert np.array_equal(means[c], sum(recent) / len(recent))
+                    assert np.array_equal(state.window_means([c])[0], means[c])
+                    assert np.array_equal(state.last_embeddings()[c], t.records[-1].embedding)
+
+
 class TestConfigValidation:
     def test_bad_beta(self):
         with pytest.raises(InvalidConfig):
@@ -87,28 +173,29 @@ class TestBuildSimilarity:
     def test_identical_unit_vectors(self):
         tr = track(1, 1, unit(1, 0))
         d = det(2, 0, unit(1, 0))
-        assert build_similarity([tr], [d])[0, 0] == pytest.approx(1.0)
+        assert build_similarity(emb_matrix([d]), last_embeddings([tr]))[0, 0] == \
+            pytest.approx(1.0)
 
     def test_orthonormal(self):
         trs = [track(1, 1, unit(1, 0)), track(2, 1, unit(0, 1))]
         ds = [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))]
-        m = build_similarity(trs, ds)
+        m = build_similarity(emb_matrix(ds), last_embeddings(trs))
         assert np.allclose(m, np.eye(2))
 
     def test_known_cosine(self):
         tr = track(1, 1, unit(1, 0))
         d = det(2, 0, unit(1, 1))
-        m = build_similarity([tr], [d])
+        m = build_similarity(emb_matrix([d]), last_embeddings([tr]))
         assert m[0, 0] == pytest.approx(0.7071068, abs=1e-6)
 
     def test_dimension_mismatch(self):
         tr = track(1, 1, unit(1, 0, 0))
         d = det(2, 0, unit(1, 0))
         with pytest.raises(DimensionMismatch):
-            build_similarity([tr], [d])
+            build_similarity(emb_matrix([d]), last_embeddings([tr]))
 
     def test_empty(self):
-        assert build_similarity([], []).shape == (0, 0)
+        assert build_similarity(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestVerify:
@@ -116,9 +203,9 @@ class TestVerify:
         sim = np.array([[1.0]])
         matching = hungarian_max(sim)
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
-        assert len(certain) == 1 and not dissolved
-        (r, c, v) = certain[0]
-        assert v.delta == pytest.approx(-3.6889, abs=1e-3)
+        assert len(certain) == 1 and len(dissolved) == 0
+        assert (certain.rows.tolist(), certain.cols.tolist()) == ([0], [0])
+        assert certain.verdict.delta[0] == pytest.approx(-3.6889, abs=1e-3)
 
     def test_confusable_pairs_both_dissolved(self):
         # cross-matching is optimal (0.50 + 0.49 > 0.52 + 0.46) and both
@@ -127,10 +214,9 @@ class TestVerify:
         matching = hungarian_max(sim)
         assert matching.pairs == [(0, 1), (1, 0)]
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
-        assert certain == []
-        assert [(r, c) for r, c, _ in dissolved] == [(0, 1), (1, 0)]
-        for _, _, v in dissolved:
-            assert v.uncertain
+        assert len(certain) == 0
+        assert list(zip(dissolved.rows.tolist(), dissolved.cols.tolist())) == [(0, 1), (1, 0)]
+        assert dissolved.verdict.uncertain.all()
         assert rows == [0, 1]
         assert cols == [0, 1]
 
@@ -138,7 +224,7 @@ class TestVerify:
         sim = np.zeros((2, 2))
         matching = hungarian_max(sim, floor=0.0)
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
-        assert certain == [] and dissolved == []
+        assert len(certain) == 0 and len(dissolved) == 0
         assert rows == [0, 1] and cols == [0, 1]
 
 
@@ -156,26 +242,26 @@ class TestRectify:
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 1.0], box)
         d = det(3, 0, unit(1, 0), cx=1.0, cy=1.0)  # IoU = 1/7 > beta
-        pairs = rectify([0], [0], [d], [t], TrackerConfig(K=2))
+        pairs = rectify([0], [0], [d], emb_matrix([d]), state_of([t], TrackerConfig(K=2)))
         assert pairs == [(0, 0)]
 
     def test_disjoint_boxes_forbidden(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 1.0], box)
         d = det(3, 0, unit(1, 0), cx=50.0, cy=50.0)
-        assert rectify([0], [0], [d], [t], TrackerConfig(K=2)) == []
+        assert rectify([0], [0], [d], emb_matrix([d]), state_of([t], TrackerConfig(K=2))) == []
 
     def test_short_history_mean(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 0.8, 0.6], box)
         d = det(4, 0, unit(1, 0), cx=0.5, cy=0.5)
         cfg = TrackerConfig(K=5)
-        cprime = np.mean([d.embedding @ e for e in t.recent_embeddings(cfg.K)])
+        cprime = np.mean([d.embedding @ r.embedding for r in t.records[-cfg.K:]])
         assert cprime == pytest.approx(0.8, abs=1e-9)
-        assert rectify([0], [0], [d], [t], cfg) == [(0, 0)]
+        assert rectify([0], [0], [d], emb_matrix([d]), state_of([t], cfg)) == [(0, 0)]
 
     def test_empty_pool(self):
-        assert rectify([], [], [], [], TrackerConfig()) == []
+        assert rectify([], [], [], np.zeros((0, 0)), TrackerConfig()) == []
 
     @staticmethod
     def _oracle(pool_rows, pool_cols, dets, tracks, cfg):
@@ -185,8 +271,8 @@ class TestRectify:
         for i, r in enumerate(pool_rows):
             for j, c in enumerate(pool_cols):
                 if iou([dets[r].box], [tracks[c].last_box])[0, 0] > cfg.beta:
-                    cprime[i, j] = np.mean([dets[r].embedding @ e
-                                            for e in tracks[c].recent_embeddings(cfg.K)])
+                    cprime[i, j] = np.mean([dets[r].embedding @ rec.embedding
+                                            for rec in tracks[c].records[-cfg.K:]])
         return cprime
 
     def test_matches_per_pair_oracle_on_random_pools(self, monkeypatch):
@@ -223,7 +309,7 @@ class TestRectify:
             pool_rows, pool_cols = subset(n_dets), subset(n_tracks)
 
             seen.clear()
-            pairs = rectify(pool_rows, pool_cols, dets, tracks, cfg)
+            pairs = rectify(pool_rows, pool_cols, dets, emb_matrix(dets), state_of(tracks, cfg))
             expect = self._oracle(pool_rows, pool_cols, dets, tracks, cfg)
             (cprime,) = seen
             assert np.array_equal(cprime == 0.0, expect == 0.0)
@@ -299,7 +385,7 @@ class TestStep:
 
     def test_rectified_delta_recomputed_from_original_row(self):
         state, d1, d2 = self._confusable_setup()
-        sim = build_similarity(state.tracks, [d1, d2])
+        sim = emb_matrix([d1, d2]) @ last_embeddings(state.tracks).T
         rows = step(state, 2, [d1, d2])
         rect = [row for row in rows if row.stage == STAGE_RECTIFIED]
         assert len(rect) == 2
@@ -327,7 +413,8 @@ class TestStep:
         stages = set()
         for frame, dets in enumerate(frames, start=1):
             col_of = {t.id: c for c, t in enumerate(state.tracks)}
-            sim = build_similarity(state.tracks, dets)
+            if state.tracks and dets:
+                sim = emb_matrix(dets) @ last_embeddings(state.tracks).T
             calls.clear()
             for row in step(state, frame, dets):
                 stages.add(row.stage)
@@ -340,6 +427,20 @@ class TestStep:
             assert len(calls) <= (2 if utl else 1)
         assert stages == ({STAGE_BIRTH, STAGE_ASSOC, STAGE_RECTIFIED, STAGE_DISSOLVED}
                           if utl else {STAGE_BIRTH, STAGE_ASSOC})
+
+    def test_mixed_dims_in_one_frame_raise(self):
+        state = TrackerState(TrackerConfig())
+        with pytest.raises(DimensionMismatch):
+            step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(1, 0, 0))])
+        step(state, 2, [det(2, 0, unit(1, 0))])
+        with pytest.raises(DimensionMismatch):
+            step(state, 3, [det(3, 0, unit(1, 0)), det(3, 1, unit(1, 0, 0))])
+
+    def test_dim_change_against_live_tracks_raises(self):
+        state = TrackerState(TrackerConfig())
+        step(state, 1, [det(1, 0, unit(1, 0))])
+        with pytest.raises(DimensionMismatch):
+            step(state, 2, [det(2, 0, unit(1, 0, 0))])
 
     def test_dissolved_pairs_are_logged(self):
         state, d1, d2 = self._confusable_setup()
@@ -430,6 +531,18 @@ class TestTrackSequence:
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "ca5487b7a4cb47afb4022dbcab77228a4a22aea413fd48f244ac68936f43ac6f"
+
+    @pytest.mark.parametrize("kind, seed", [("crowd", s) for s in (7, 8, 9)]
+                             + [("default", s) for s in range(7, 13)])
+    def test_benchmark_pins_reproduce(self, kind, seed):
+        """The benchmark's pinned tracklet-composition digests (read, never
+        written) hold here too, so a broken pin fails Tier-1 and not only
+        the benchmark."""
+        pinned = json.loads(PINS.read_text())[kind][str(seed)]
+        frames, _ = generate(ScenarioConfig(seed=seed, **(CROWD if kind == "crowd" else {})))
+        tracklets, _ = track_sequence(frames)
+        rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned
 
     @pytest.mark.parametrize("seed", range(7, 13))
     def test_running_omega_equals_history_omega(self, seed):
