@@ -93,27 +93,13 @@ class TrainConfig:
             raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {self.jitter}")
 
 
-def _anchor_candidates(tracklets, frame: int) -> list[Tracklet]:
-    """Tracklets with a record at `frame` and one before it."""
-    return [trk for trk in tracklets
-            if trk.records[0].frame < frame and trk.box_at(frame) is not None]
-
-
-def draw_plan(tracklets, frame: int, rng: np.random.Generator,
-              cfg: TrainConfig) -> AugmentationPlan:
-    """The hierarchical draw of tracklet-guided augmentation.
-
-    The anchor is drawn among the tracklets with a record at `frame` and one
-    before it, favoring low tracklet uncertainty; the target is one of its
-    historical frames, favoring high association uncertainty, within
-    MAX_LAG frames when the anchor has a record there. With
-    anchor_sampling="random" both draws are uniform. The plan maps the
-    anchor's box at `frame` onto its box at the target, with `cfg.jitter`
-    (or the default jitter). Raises NoCandidates when no tracklet qualifies.
-    """
-    present = _anchor_candidates(tracklets, frame)
-    if not present:
-        raise NoCandidates(f"no tracklet has records at and before frame {frame}")
+def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
+                cfg: TrainConfig) -> tuple[Tracklet, int]:
+    """The hierarchical draw of tracklet-guided augmentation among `present`,
+    tracklets with a record at `frame` and one before it: an anchor favoring
+    low tracklet uncertainty, then one of its historical frames favoring high
+    association uncertainty, within MAX_LAG frames when the anchor has a
+    record there. With anchor_sampling="random" both draws are uniform."""
     uniform = cfg.anchor_sampling != "uncertainty"
     if uniform:
         anchor = present[int(rng.integers(len(present)))]
@@ -123,10 +109,22 @@ def draw_plan(tracklets, frame: int, rng: np.random.Generator,
     past = target_anchor_weights(anchor, frame).candidates
     window = [(f, p) for f, p in past if f >= frame - MAX_LAG] or past
     if uniform:
-        target = window[int(rng.integers(len(window)))][0]
-    else:
-        total_p = sum(p for _, p in window)
-        target = sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
+        return anchor, window[int(rng.integers(len(window)))][0]
+    total_p = sum(p for _, p in window)
+    return anchor, sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
+
+
+def draw_plan(tracklets, frame: int, rng: np.random.Generator,
+              cfg: TrainConfig) -> AugmentationPlan:
+    """`draw_target` among the tracklets eligible at `frame`, then the plan
+    mapping the anchor's box at `frame` onto its box at the target, with
+    `cfg.jitter` (or the default jitter). Raises NoCandidates when no
+    tracklet is eligible."""
+    present = [trk for trk in tracklets
+               if trk.records[0].frame < frame and trk.box_at(frame) is not None]
+    if not present:
+        raise NoCandidates(f"no tracklet has records at and before frame {frame}")
+    anchor, target = draw_target(present, frame, rng, cfg)
     jitter = cfg.jitter if cfg.jitter is not None else default_jitter(
         anchor.box_at(frame))
     return build_plan(anchor, frame, target, jitter, rng)
@@ -180,6 +178,8 @@ def train_embedder(frames, cfg: TrainConfig):
             raw_dim = d.raw.shape[0]
     if raw_dim is None:
         raise InsufficientData("no detections to train on")
+    if len(frames) < 2:
+        raise InsufficientData("only 1 frame to train on, need >= 2")
 
     rng = np.random.default_rng(cfg.seed)
     embedder = LinearEmbedder.init_random(raw_dim, cfg.embed_dim, rng)
@@ -217,9 +217,11 @@ def train_embedder(frames, cfg: TrainConfig):
             present = [trk for trk, _ in by_frame.get(t, []) if trk.records[0].frame < t]
             if len(present) < 2:
                 continue
-            # only the target is used: the plan is built for its corner-jitter
-            # draws, which the pinned training stream includes
-            target = draw_plan(present, t, rng, cfg).target_frame
+            _, target = draw_target(present, t, rng, cfg)
+            # no plan is built, but build_plan's 8 corner-jitter doubles are
+            # drawn, so the stream, and with it every weight, is draw_plan's
+            if cfg.jitter is None or cfg.jitter > 0:
+                rng.random(8)
 
             # the keys are every tracklet at the target frame; one query per
             # tracklet present at both frames

@@ -8,8 +8,8 @@ import pytest
 from uatrack import formats
 from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
                                  LinearEmbedder, TrainConfig, draw_plan,
-                                 info_nce, info_nce_batch, info_nce_grad,
-                                 train_embedder)
+                                 draw_target, info_nce, info_nce_batch,
+                                 info_nce_grad, train_embedder)
 from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
 from uatrack.geometry import BoundingBox
 from uatrack.tracker import Detection, Tracklet, TrackRecord
@@ -224,6 +224,12 @@ class TestTrainEmbedder:
         with pytest.raises(InsufficientData, match="position"):
             train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
 
+    def test_single_frame_rejected(self):
+        # two tracklets but no frame t >= 2 to draw
+        frames = toy_sequence(n_frames=1, n_objects=2)
+        with pytest.raises(InsufficientData, match="only 1 frame"):
+            train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
+
 
 def track_over(tid, frames):
     """Tracklet with one record per frame, deltas varying along it."""
@@ -266,3 +272,20 @@ class TestDrawPlan:
         born = track_over(3, [30])
         with pytest.raises(NoCandidates):
             draw_plan([born], self.FRAME, np.random.default_rng(0), TrainConfig())
+
+    @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    def test_draw_target_keeps_plan_stream(self, mode, jitter):
+        """Training's draw_target plus its jitter advance leaves the generator
+        where draw_plan does, with the same anchor and target."""
+        cfg = TrainConfig(anchor_sampling=mode, jitter=jitter)
+        tracks = self.tracklets()
+        eligible = tracks[:2]  # the tracklets with a record at and before FRAME
+        for seed in range(50):
+            plan_rng, train_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            plan = draw_plan(tracks, self.FRAME, plan_rng, cfg)
+            anchor, target = draw_target(eligible, self.FRAME, train_rng, cfg)
+            if cfg.jitter is None or cfg.jitter > 0:  # as train_embedder does
+                train_rng.random(8)
+            assert (anchor.id, target) == (plan.source_track_id, plan.target_frame)
+            assert train_rng.bit_generator.state == plan_rng.bit_generator.state

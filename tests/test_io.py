@@ -380,6 +380,17 @@ class TestCli:
         assert "raw feature row (9999, 0) matches no detection" in err
         assert not (tmp_path / "w.txt").exists()
 
+    def test_train_single_frame_exits_2(self, tmp_path):
+        (tmp_path / "det.txt").write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n"
+                                          "1,-1,100,100,20,20,0.9,-1,-1,-1\n")
+        (tmp_path / "raw.csv").write_text("1,0,1,0,0\n1,1,0,1,0\n")
+        proc = run_cli("train", "--bundle", str(tmp_path), "--epochs", "1", "--lr", "1e-3",
+                       "--seed", "0", "--out", str(tmp_path / "w.txt"))
+        assert proc.returncode == 2, proc.stderr
+        assert "only 1 frame to train on" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "w.txt").exists()
+
     def test_train_needs_no_embeddings_file(self, tmp_path, capsys):
         """`train` embeds from raw.csv, so a bundle without emb.csv trains to
         the same weights as the full bundle."""
@@ -601,9 +612,10 @@ class TestWorkflowBytes:
     Criterion 10 only compares two reruns with each other; these hashes pin
     the bytes themselves, `train` stdout included. The decision log and the
     trained weights are left out on purpose: the log is to gain lost/retired
-    stages (ROADMAP Direction 2), and the weights change with the
-    array-native training step and the split target draw (Directions 3 and
-    4)."""
+    stages (ROADMAP Direction 3), and the weights moved in their last bits
+    with the array-native training step. Training draws only the target
+    (`draw_target`, no plan) but still consumes the plan's jitter draw, so
+    its weights and the `train` hashes are those of the plan-building step."""
 
     PINNED = {
         "det.txt": "7bad4b1ed60dfddb60041aeebc60f352575bb680ba20ffcda1dda9f3dc33138f",
