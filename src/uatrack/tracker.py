@@ -4,7 +4,7 @@ rectification, plus tracklet lifecycle management.
 Per frame: cosine similarity matrix -> Hungarian assignment -> (when
 enabled) verification of every matched pair via the uncertainty metric ->
 rectification of the dissolved/unmatched pool with K-frame averaged
-similarity gated by IoU -> propagation (births, lost handling).
+similarity gated by IoU -> lifecycle (births, lost ages, retirement).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class TrackRecord:
 
 
 class Tracklet:
-    """Identity-labeled sequence of per-frame records with a delta history.
+    """Identity-labeled sequence of per-frame records with a delta history;
+    the state that changes every frame lives in `TrackerState`.
 
     `exp_delta_sum` is the running sum of exp(delta) over the records, added
     in append order, so `exp_delta_sum / len(t)` equals
@@ -62,7 +64,6 @@ class Tracklet:
         self.id = tid
         self.records: list[TrackRecord] = [record]
         self.exp_delta_sum = math.exp(record.delta)
-        self.lost_age = 0
 
     def append(self, record: TrackRecord) -> None:
         if record.frame <= self.records[-1].frame:
@@ -98,8 +99,8 @@ class TrackerConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise InvalidConfig(f"beta must be in [0,1), got {self.beta}")
-        if self.K < 1:
-            raise InvalidConfig(f"K must be >= 1, got {self.K}")
+        if not 1 <= self.K <= np.iinfo(np.intp).max:   # slots are intp
+            raise InvalidConfig(f"K must be in [1, {np.iinfo(np.intp).max}], got {self.K}")
 
 
 @dataclass
@@ -138,14 +139,16 @@ def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
 
 
 class TrackerState:
-    """The live tracks, plus their appearance as arrays in `tracks` order.
+    """The live tracks, plus their appearance and lost ages as arrays in
+    `tracks` order.
 
     `ring` (n × depth × D) holds each track's last embeddings and `lengths`
     counts its records; the next embedding goes to slot `lengths % K`. The
     depth grows with the longest track, doubling up to K, so a large K
-    costs no more than the frames seen. The arrays take one scatter per
-    frame for the applied matches and are compacted only on frames with a
-    birth or a retirement. A window is summed from the ring, oldest to
+    costs no more than the frames seen. `lost` counts the frames since each
+    track's last match. The arrays take one scatter per frame for the
+    applied matches and are compacted only on frames with a birth or a
+    retirement. A window is summed from the ring, oldest to
     newest, each time it is read and never kept as a running sum: its mean
     has the bits of `sum(embeddings) / count` over the records themselves."""
 
@@ -157,6 +160,7 @@ class TrackerState:
         self.last_frame: int | None = None
         self.ring = np.zeros((0, 1, 0))
         self.lengths = np.zeros(0, dtype=np.intp)
+        self.lost = np.zeros(0, dtype=np.intp)
 
     def all_tracklets(self) -> list[Tracklet]:
         return sorted(self.tracks + self.finished, key=lambda t: t.id)
@@ -166,7 +170,8 @@ class TrackerState:
         return self.ring[np.arange(len(self.lengths)), (self.lengths - 1) % self.cfg.K]
 
     def record(self, cols, embs: np.ndarray) -> None:
-        """Append row i of `embs` to the appearance of track cols[i]."""
+        """Append row i of `embs` to the appearance of track cols[i], which
+        is matched: its lost age goes back to 0."""
         cols = np.asarray(cols)
         lengths = self.lengths[cols]
         n, depth, dim = self.ring.shape
@@ -177,22 +182,23 @@ class TrackerState:
             self.ring = ring
         self.ring[cols, lengths % self.cfg.K] = embs
         self.lengths[cols] = lengths + 1
+        self.lost[cols] = 0
 
-    def compact(self, keep: list[int], born: list[Tracklet], born_embs: np.ndarray) -> None:
-        """Keep the tracks at indices `keep`, in order, then add the `born`
-        tracks; row i of `born_embs` is born[i]'s first embedding."""
-        self.tracks = [self.tracks[c] for c in keep] + born
-        if len(keep) < len(self.lengths):
-            self.ring, self.lengths = self.ring[keep], self.lengths[keep]
+    def compact(self, keep: np.ndarray, born: list[Tracklet], born_embs: np.ndarray) -> None:
+        """Keep the tracks where the mask `keep` is set, in order, then add
+        the `born` tracks; row i of `born_embs` is born[i]'s first embedding."""
+        self.tracks = list(compress(self.tracks, keep.tolist())) + born
+        if not keep.all():
+            self.ring, self.lengths, self.lost = (self.ring[keep], self.lengths[keep],
+                                                  self.lost[keep])
         if not born:
             return
         ring = np.zeros((len(born), self.ring.shape[1], born_embs.shape[1]), born_embs.dtype)
         ring[:, 0] = born_embs
-        lengths = np.ones(len(born), dtype=np.intp)
-        if keep:   # with no track kept, the born tracks set the dim
-            ring = np.concatenate([self.ring, ring])
-            lengths = np.concatenate([self.lengths, lengths])
-        self.ring, self.lengths = ring, lengths
+        # with no track kept, the born tracks set the dim
+        self.ring = np.concatenate([self.ring, ring]) if len(self.lost) else ring
+        self.lengths = np.concatenate([self.lengths, np.ones(len(born), dtype=np.intp)])
+        self.lost = np.concatenate([self.lost, np.zeros(len(born), dtype=np.intp)])
 
     def window_means(self, cols) -> np.ndarray:
         """Mean of each track's last K embeddings (all of them for a track
@@ -332,40 +338,29 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         trk.append(TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
                                embedding=det.embedding, delta=v[-1],
                                confidence=det.confidence))
-        trk.lost_age = 0
         log.append(LogRow(frame, det.det_index, trk.id, *v, stage))
     rows = [r for r, *_ in applied]
-    cols = [c for _, c, *_ in applied]
+    state.lost += 1   # `record` zeroes the matched tracks' ages
     if applied:
-        state.record(cols, det_mat[rows])
-    matched_rows, matched_cols = set(rows), set(cols)
+        state.record([c for _, c, *_ in applied], det_mat[rows])
 
-    # births
+    matched_rows = set(rows)
+    born_rows = [r for r, det in enumerate(dets)
+                 if r not in matched_rows and det.confidence >= DET_CONF_MIN]
     born: list[Tracklet] = []
-    born_rows: list[int] = []
-    for r, det in enumerate(dets):
-        if r in matched_rows or det.confidence < DET_CONF_MIN:
-            continue
-        trk = Tracklet(state.next_id,
-                       TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
-                                   embedding=det.embedding, delta=0.0,
-                                   confidence=det.confidence))
-        state.next_id += 1
-        born.append(trk)
-        born_rows.append(r)
-        log.append(LogRow(frame, det.det_index, trk.id,
-                          0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
+    for tid, r in enumerate(born_rows, start=state.next_id):
+        det = dets[r]
+        born.append(Tracklet(tid, TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
+                                              embedding=det.embedding, delta=0.0,
+                                              confidence=det.confidence)))
+        log.append(LogRow(frame, det.det_index, tid, 0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
+    state.next_id += len(born)
 
-    # lost handling
-    keep = []
-    for c, trk in enumerate(tracks):
-        if c not in matched_cols:
-            trk.lost_age += 1
-            if trk.lost_age > MAX_LOST:
-                state.finished.append(trk)
-                continue
-        keep.append(c)
-    if born or len(keep) < len(tracks):
+    keep = state.lost <= MAX_LOST
+    retired = not keep.all()
+    if retired:
+        state.finished += compress(tracks, (~keep).tolist())
+    if born or retired:
         state.compact(keep, born, det_mat[born_rows])
     return log
 

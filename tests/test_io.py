@@ -265,6 +265,19 @@ class TestCli:
         assert "line 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_K_beyond_intp_exits_2(self, tmp_path):
+        """--K indexes intp ring slots: the largest intp runs, one more is a
+        data error and not a traceback."""
+        small_bundle(tmp_path)
+        argv = ["track", "--dets", str(tmp_path / "det.txt"), "--embs",
+                str(tmp_path / "emb.csv"), "--out", str(tmp_path / "o.txt"), "--K"]
+        proc = run_cli(*argv, str(2**63 - 1))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(*argv, str(2**63))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("uatrack track: K must be in [1, ")
+        assert "Traceback" not in proc.stderr
+
     def test_default_workflow_eval_matches_tracker(self, tmp_path):
         sim = tmp_path / "sim"
         proc = run_cli("simulate", "--out", str(sim))
@@ -559,7 +572,12 @@ def fuzz_argv(draw, command, d):
         return ["simulate", "--config", d / "config.txt", "--out", d / "sim"]
     if command == "track":
         return ["track", "--dets", d / "det.txt", "--embs", d / "emb.csv",
-                "--out", d / "res.txt", "--log", d / "out.log"]
+                "--out", d / "res.txt", "--log", d / "out.log",
+                f"--utl={draw(st.sampled_from(['on', 'off']))}",
+                f"--K={num(st.integers(1, 12), ints)}",
+                f"--m1={num(st.floats(0, 1, exclude_min=True, exclude_max=True), floats)!r}",
+                f"--m2={num(st.floats(0, 1, exclude_min=True, exclude_max=True), floats)!r}",
+                f"--beta={num(st.floats(0, 1, exclude_max=True), floats)!r}"]
     if command == "eval":
         return ["eval", "--results", d / "results.txt", "--gt", d / "gt.txt",
                 "--log", d / "log.txt", "--report", d / "report.txt",

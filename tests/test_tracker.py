@@ -57,7 +57,8 @@ def state_of(tracks, cfg=TrackerConfig()):
     """A TrackerState holding `tracks`, its appearance arrays filled record
     by record through the state's own updates."""
     state = TrackerState(cfg)
-    state.compact([], list(tracks), np.array([t.records[0].embedding for t in tracks]))
+    state.compact(np.zeros(0, dtype=bool), list(tracks),
+                  np.array([t.records[0].embedding for t in tracks]))
     for i in range(1, max(len(t) for t in tracks)):
         cols = [c for c, t in enumerate(tracks) if len(t) > i]
         state.record(cols, np.array([tracks[c].records[i].embedding for c in cols]))
@@ -138,8 +139,10 @@ class TestTrackerState:
     def test_window_bits_through_steps(self, K, max_lost, num_objects, num_frames,
                                        dropout, seed):
         """After every step, each live track's window mean has the bits of
-        summing its last K records, and its last-embedding row is its last
-        record's, through births, retirements and tracks shorter than K."""
+        summing its last K records, its last-embedding row is its last
+        record's and its lost age counts the frames since that record,
+        through births, retirements and tracks shorter than K. A track
+        retires on the step that makes it unmatched for max_lost + 1 frames."""
         frames, _ = generate(ScenarioConfig(num_objects=num_objects, num_frames=num_frames,
                                             embed_dim=3, raw_dim=3, dropout=dropout,
                                             seed=seed))
@@ -147,12 +150,17 @@ class TestTrackerState:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tracker, "MAX_LOST", max_lost)
             for frame, dets in enumerate(frames, start=1):
+                finished = len(state.finished)
                 step(state, frame, dets)
-                assert len(state.lengths) == len(state.ring) == len(state.tracks)
+                assert (len(state.lengths) == len(state.lost) == len(state.ring)
+                        == len(state.tracks))
+                for t in state.finished[finished:]:
+                    assert frame - t.records[-1].frame == max_lost + 1
                 if not state.tracks:
                     continue
                 means = state.window_means(list(range(len(state.tracks))))
                 for c, t in enumerate(state.tracks):
+                    assert state.lost[c] == frame - t.records[-1].frame <= max_lost
                     recent = [r.embedding for r in t.records[-K:]]
                     assert np.array_equal(means[c], sum(recent) / len(recent))
                     assert np.array_equal(state.window_means([c])[0], means[c])
@@ -164,9 +172,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             TrackerConfig(beta=1.0)
 
-    def test_bad_K(self):
+    @pytest.mark.parametrize("K", [0, 2**63])
+    def test_bad_K(self, K):
+        """K indexes intp ring slots, so it must fit in one."""
         with pytest.raises(InvalidConfig):
-            TrackerConfig(K=0)
+            TrackerConfig(K=K)
 
 
 class TestBuildSimilarity:
@@ -455,24 +465,29 @@ class TestStep:
             [(1, 0), (2, 0), (1, 1), (2, 1)]
 
     def test_lost_track_removed_after_max_lost(self, monkeypatch):
+        """A track is live through MAX_LOST empty frames and retires on the
+        next one."""
         monkeypatch.setattr(tracker, "MAX_LOST", 2)
         state = TrackerState(TrackerConfig())
         step(state, 1, [det(1, 0, unit(1, 0))])
-        for f in range(2, 6):
+        for f in range(2, 2 + tracker.MAX_LOST):
             step(state, f, [])
-        assert state.tracks == []
-        assert len(state.finished) == 1
-        assert state.finished[0].lost_age == tracker.MAX_LOST + 1
+        assert len(state.tracks) == 1 and state.finished == []
+        assert state.lost.tolist() == [tracker.MAX_LOST]
+        (trk,) = state.tracks
+        step(state, 2 + tracker.MAX_LOST, [])
+        assert state.tracks == [] and state.finished == [trk]
+        assert len(state.lost) == len(state.lengths) == len(state.ring) == 0
 
     def test_lost_track_rematches_before_removal(self, monkeypatch):
         monkeypatch.setattr(tracker, "MAX_LOST", 5)
         state = TrackerState(TrackerConfig())
         step(state, 1, [det(1, 0, unit(1, 0))])
         step(state, 2, [])
-        assert state.tracks[0].lost_age == 1
+        assert state.lost.tolist() == [1]
         rows = step(state, 3, [det(3, 0, unit(1, 0))])
         assert matched(rows) == [(0, 1)]
-        assert state.tracks[0].lost_age == 0
+        assert state.lost.tolist() == [0]
 
 
 class TestTrackSequence:
