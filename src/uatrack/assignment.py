@@ -8,7 +8,7 @@ the exhaustive oracle with the identical contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -20,43 +20,35 @@ NEG_INF = float("-inf")
 
 @dataclass
 class Matching:
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    unmatched_rows: list[int] = field(default_factory=list)
-    unmatched_cols: list[int] = field(default_factory=list)
-
-    def total(self, matrix) -> float:
-        m = np.asarray(matrix, dtype=float)
-        return float(sum(m[r, c] for r, c in self.pairs))
+    """The matched (row, col) pairs: one (pairs × 2) intp array, ascending
+    by row, of shape (0, 2) when nothing is matched."""
+    pairs: np.ndarray
 
 
-def _finish(pairs, n_rows, n_cols, matrix, floor) -> Matching:
-    kept = [(r, c) for r, c in sorted(pairs) if matrix[r, c] > floor]
-    used_r = {r for r, _ in kept}
-    used_c = {c for _, c in kept}
-    return Matching(
-        pairs=kept,
-        unmatched_rows=[r for r in range(n_rows) if r not in used_r],
-        unmatched_cols=[c for c in range(n_cols) if c not in used_c],
-    )
+def _empty() -> Matching:
+    return Matching(np.zeros((0, 2), dtype=np.intp))
+
+
+def _finish(rows, cols, matrix, floor) -> Matching:
+    """The pairs (rows[i], cols[i]), rows ascending, whose similarity is
+    above `floor`."""
+    return Matching(np.array([rows, cols]).T[matrix[rows, cols] > floor])
 
 
 def hungarian_max(matrix, floor: float = NEG_INF) -> Matching:
     """Max-similarity assignment of min(rows, cols) pairs, then drop any
-    pair with similarity <= floor. Empty matrices yield an all-unmatched
-    result rather than an error."""
+    pair with similarity <= floor. Empty matrices yield no pairs rather
+    than an error."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
-        return Matching(pairs=[],
-                        unmatched_rows=list(range(n_rows)),
-                        unmatched_cols=list(range(n_cols)))
+        return _empty()
     # imported here: commands that never match (simulate, eval, stats, ...)
     # skip scipy.optimize, most of the package's import time
     from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(m, maximize=True)
-    return _finish(list(zip(rows.tolist(), cols.tolist())), n_rows, n_cols, m, floor)
+    return _finish(*linear_sum_assignment(m, maximize=True), m, floor)
 
 
 def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
@@ -68,9 +60,7 @@ def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
     m = np.asarray(matrix, dtype=float)
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
-        return Matching(pairs=[],
-                        unmatched_rows=list(range(n_rows)),
-                        unmatched_cols=list(range(n_cols)))
+        return _empty()
     if min(n_rows, n_cols) > 8:
         raise TooLarge(f"brute force limited to min dimension 8, got {min(n_rows, n_cols)}")
 
@@ -90,4 +80,5 @@ def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
                 best_total = total
                 best_pairs = pairs
     assert best_pairs is not None
-    return _finish(best_pairs, n_rows, n_cols, m, floor)
+    rows, cols = np.array(best_pairs, dtype=np.intp).T   # rows ascend in every candidate
+    return _finish(rows, cols, m, floor)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateBox, NoCandidates, NoHistory
+from .errors import DegenerateBox, NoHistory
 from .geometry import AffineTransform, BoundingBox, apply_affine, solve_affine
 from .tracker import Detection, Tracklet
 # Omega's per-history reference; perfbench's traced run wraps it at this name.
@@ -53,13 +53,11 @@ def _softmax_weights(keys, scores) -> SamplingWeights:
     return SamplingWeights(candidates=list(zip(keys, softmax(scores).tolist())))
 
 
-def source_anchor_weights(tracklets: list[Tracklet], frame: int) -> SamplingWeights:
-    """Selection weights over tracklets present at `frame`, favoring low
-    tracklet uncertainty: w_i = exp(-Omega_i) / sum exp(-Omega), with Omega_i
-    read from the tracklet's running exp(delta) sum."""
-    present = [t for t in tracklets if t.box_at(frame) is not None]
-    if not present:
-        raise NoCandidates(f"no tracklet present at frame {frame}")
+def source_anchor_weights(present: list[Tracklet], frame: int) -> SamplingWeights:
+    """Selection weights over `present`, tracklets that the caller found
+    present at `frame`, favoring low tracklet uncertainty: w_i =
+    exp(-Omega_i) / sum exp(-Omega), with Omega_i read from the tracklet's
+    running exp(delta) sum."""
     return _softmax_weights([t.id for t in present],
                             [-(t.exp_delta_sum / len(t)) for t in present])
 

@@ -263,18 +263,19 @@ def build_similarity(det_mat: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return det_mat @ reps.T
 
 
-def _scored(sim: np.ndarray, pairs, cfg: TrackerConfig) -> ScoredPairs:
-    """Every pair scored in one array pass."""
-    if not pairs:
+def _scored(sim: np.ndarray, pairs: np.ndarray, cfg: TrackerConfig) -> ScoredPairs:
+    """Every (row, col) pair of the (pairs × 2) array scored in one array pass."""
+    if not len(pairs):
         return _NO_PAIRS
-    rows, cols = np.array(pairs).T
+    rows, cols = pairs.T
     return ScoredPairs(rows, cols, association_uncertainty(
         sim[rows, cols], second_best(sim, rows, cols), cfg.margins))
 
 
 def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
-    """Split matched pairs into certain pairs and an uncertain pool, each
-    stage as `ScoredPairs`; the pool also absorbs all unmatched rows/cols.
+    """Split matched pairs into certain and dissolved pairs, each stage as
+    `ScoredPairs`, and return the pool: every row and every col, ascending,
+    that no certain pair holds (the unmatched ones and the dissolved ones).
 
     Dissolved pairs are returned with their verdicts as well so that every
     association decision can be logged, even the ones that do not survive."""
@@ -284,26 +285,29 @@ def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
         certain, dissolved = scored.take(~uncertain), scored.take(uncertain)
     else:
         certain, dissolved = scored, _NO_PAIRS
-    return (certain, dissolved,
-            sorted(matching.unmatched_rows + dissolved.rows.tolist()),
-            sorted(matching.unmatched_cols + dissolved.cols.tolist()))
+    held_rows, held_cols = np.zeros(sim.shape[0], bool), np.zeros(sim.shape[1], bool)
+    held_rows[certain.rows] = held_cols[certain.cols] = True
+    # .nonzero() itself: the Python wrappers of flatnonzero and of numpy's set
+    # routines cost more than the rest of the pool on a 12-track frame
+    return certain, dissolved, (~held_rows).nonzero()[0], (~held_cols).nonzero()[0]
 
 
-def rectify(pool_rows: list[int], pool_cols: list[int], dets: list[Detection],
-            det_mat: np.ndarray, state: TrackerState) -> list[tuple[int, int]]:
+def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
+            det_mat: np.ndarray, state: TrackerState) -> np.ndarray:
     """Re-match the uncertain pool with K-frame averaged similarity, IoU-gated.
 
     The mean of K dot products is the dot product with the mean of the last
     K embeddings (all of them for tracks shorter than K). A zero entry (failed
-    gate) is a forbidden match; the Hungarian floor of 0 enforces that."""
-    if not pool_rows or not pool_cols:
-        return []
+    gate) is a forbidden match; the Hungarian floor of 0 enforces that.
+    Returns the matched (row, col) pairs as a (pairs × 2) array."""
+    if not len(pool_rows) or not len(pool_cols):
+        return np.zeros((0, 2), dtype=np.intp)
     tracks = state.tracks
     gate = iou([dets[r].box for r in pool_rows], [tracks[c].last_box for c in pool_cols])
     hist = state.window_means(pool_cols)
     cprime = np.where(gate > state.cfg.beta, det_mat[pool_rows] @ hist.T, 0.0)
-    matched = hungarian_max(cprime, floor=0.0)
-    return [(pool_rows[i], pool_cols[j]) for i, j in matched.pairs]
+    i, j = hungarian_max(cprime, floor=0.0).pairs.T
+    return np.array([pool_rows[i], pool_cols[j]]).T
 
 
 def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]:

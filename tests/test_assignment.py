@@ -8,47 +8,50 @@ import numpy as np
 import pytest
 
 import uatrack
-from uatrack.assignment import Matching, brute_force_max, hungarian_max
+from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import TooLarge
+
+
+def pair_sum(matrix, matching) -> float:
+    return float(matrix[tuple(matching.pairs.T)].sum())
+
+
+SOLVERS = (hungarian_max, brute_force_max)
 
 
 class TestHungarian:
     def test_identity_matrix(self):
         m = np.eye(3)
         got = hungarian_max(m)
-        assert got.pairs == [(0, 0), (1, 1), (2, 2)]
-        assert got.total(m) == pytest.approx(3.0)
+        assert got.pairs.tolist() == [[0, 0], [1, 1], [2, 2]]
+        assert pair_sum(m, got) == pytest.approx(3.0)
 
     def test_anti_diagonal(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         got = hungarian_max(m)
-        assert got.pairs == [(0, 1), (1, 0)]
+        assert got.pairs.tolist() == [[0, 1], [1, 0]]
 
     def test_rectangular_more_rows(self):
         m = np.array([[0.9, 0.1], [0.8, 0.7], [0.2, 0.3]])
         got = hungarian_max(m)
-        assert len(got.pairs) == 2
-        assert got.unmatched_rows == [2]
-        assert got.unmatched_cols == []
+        assert got.pairs.tolist() == [[0, 0], [1, 1]]   # row 2 unmatched
 
     def test_empty_inputs(self):
-        got = hungarian_max(np.zeros((0, 3)))
-        assert got.pairs == []
-        assert got.unmatched_cols == [0, 1, 2]
-        got = hungarian_max(np.zeros((2, 0)))
-        assert got.unmatched_rows == [0, 1]
+        for solve in SOLVERS:
+            for shape in ((0, 3), (2, 0), (0, 0)):
+                got = solve(np.zeros(shape))
+                assert got.pairs.shape == (0, 2)
+                assert got.pairs.dtype == np.intp
 
     def test_floor_drops_low_pairs(self):
         m = np.array([[0.9, 0.0], [0.0, -0.5]])
-        got = hungarian_max(m, floor=0.0)
-        assert got.pairs == [(0, 0)]
-        assert got.unmatched_rows == [1]
-        assert got.unmatched_cols == [1]
+        for solve in SOLVERS:
+            assert solve(m, floor=0.0).pairs.tolist() == [[0, 0]]
 
     def test_floor_zero_treats_zero_as_forbidden(self):
         m = np.zeros((2, 2))
-        got = hungarian_max(m, floor=0.0)
-        assert got.pairs == []
+        for solve in SOLVERS:
+            assert solve(m, floor=0.0).pairs.shape == (0, 2)
 
 
 class TestBruteForce:
@@ -56,7 +59,8 @@ class TestBruteForce:
         m = np.array([[0.5, 0.9], [0.9, 0.6]])
         got = brute_force_max(m)
         # 0.9 + 0.9 beats 0.5 + 0.6
-        assert got.pairs == [(0, 1), (1, 0)]
+        assert got.pairs.tolist() == [[0, 1], [1, 0]]
+        assert got.pairs.dtype == np.intp
 
     def test_too_large_raises(self):
         with pytest.raises(TooLarge):
@@ -66,7 +70,7 @@ class TestBruteForce:
         # both diagonals score 1.0; lexicographically smaller pair list wins
         m = np.array([[0.5, 0.5], [0.5, 0.5]])
         got = brute_force_max(m)
-        assert got.pairs == [(0, 0), (1, 1)]
+        assert got.pairs.tolist() == [[0, 0], [1, 1]]
 
 
 class TestDualRouteAgreement:
@@ -79,7 +83,7 @@ class TestDualRouteAgreement:
             m = rng.uniform(-1, 1, size=(n, n))
             h = hungarian_max(m)
             b = brute_force_max(m)
-            assert h.total(m) == pytest.approx(b.total(m), abs=1e-12)
+            assert pair_sum(m, h) == pytest.approx(pair_sum(m, b), abs=1e-12)
 
     def test_rectangular_random(self):
         rng = np.random.default_rng(202)
@@ -89,7 +93,7 @@ class TestDualRouteAgreement:
             m = rng.uniform(-1, 1, size=(r, c))
             h = hungarian_max(m)
             b = brute_force_max(m)
-            assert h.total(m) == pytest.approx(b.total(m), abs=1e-12)
+            assert pair_sum(m, h) == pytest.approx(pair_sum(m, b), abs=1e-12)
             assert len(h.pairs) == min(r, c) == len(b.pairs)
 
     def test_with_floor_random(self):
@@ -103,26 +107,28 @@ class TestDualRouteAgreement:
 
 class TestMatchingInvariants:
     def test_partition_of_rows_and_cols(self):
+        """Rows and cols are each matched at most once, and the smaller
+        side is matched in full."""
         rng = np.random.default_rng(404)
         for _ in range(200):
             r = int(rng.integers(1, 6))
             c = int(rng.integers(1, 6))
             m = rng.uniform(0, 1, size=(r, c))
             got = hungarian_max(m)
-            rows = sorted([p[0] for p in got.pairs] + got.unmatched_rows)
-            cols = sorted([p[1] for p in got.pairs] + got.unmatched_cols)
-            assert rows == list(range(r))
-            assert cols == list(range(c))
+            assert got.pairs.shape == (min(r, c), 2)
+            rows, cols = got.pairs.T
+            assert len(set(rows.tolist())) == len(rows)
+            assert len(set(cols.tolist())) == len(cols)
+            assert rows.min() >= 0 and rows.max() < r and cols.min() >= 0 and cols.max() < c
 
     def test_pairs_sorted(self):
         rng = np.random.default_rng(505)
         for _ in range(100):
-            m = rng.uniform(0, 1, size=(5, 5))
-            got = hungarian_max(m)
-            assert got.pairs == sorted(got.pairs)
-
-    def test_total_empty(self):
-        assert Matching([], [], []).total(np.zeros((0, 0))) == 0.0
+            m = rng.uniform(0, 1, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+            for solve in SOLVERS:
+                got = solve(m)
+                assert got.pairs.dtype == np.intp
+                assert np.all(np.diff(got.pairs[:, 0]) > 0)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

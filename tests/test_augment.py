@@ -8,7 +8,7 @@ import pytest
 from uatrack.augment import (SamplingWeights, build_plan,
                              default_jitter, augment_detections, sample,
                              source_anchor_weights, target_anchor_weights)
-from uatrack.errors import DegenerateBox, NoCandidates, NoHistory
+from uatrack.errors import DegenerateBox, NoHistory
 from uatrack.geometry import BoundingBox, apply_affine
 from uatrack.tracker import Detection, Tracklet, TrackRecord
 
@@ -53,17 +53,6 @@ class TestSourceAnchorWeights:
         b = make_track(2, [(1, d2), (2, d2)])
         w = source_anchor_weights([a, b], 2)
         assert w.probabilities() == pytest.approx([0.75, 0.25], abs=1e-6)
-
-    def test_absent_tracklets_excluded(self):
-        a = make_track(1, [(1, 0.0), (2, 0.0)])
-        b = make_track(2, [(1, 0.0)])  # not present at frame 2
-        w = source_anchor_weights([a, b], 2)
-        assert keys(w) == [1]
-
-    def test_no_candidates(self):
-        a = make_track(1, [(1, 0.0)])
-        with pytest.raises(NoCandidates):
-            source_anchor_weights([a], 7)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)

@@ -273,6 +273,21 @@ class TestDrawPlan:
         with pytest.raises(NoCandidates):
             draw_plan([born], self.FRAME, np.random.default_rng(0), TrainConfig())
 
+    def test_absent_tracklets_excluded(self):
+        """A tracklet with history but no record at the frame is never the
+        anchor, under either sampling."""
+        present, absent = track_over(1, [1, 30]), track_over(4, range(1, 30))
+        for mode in ("uncertainty", "random"):
+            for seed in range(50):
+                plan = draw_plan([absent, present], self.FRAME, np.random.default_rng(seed),
+                                 TrainConfig(anchor_sampling=mode))
+                assert plan.source_track_id == 1
+
+    def test_no_candidates(self):
+        absent = track_over(4, range(1, 30))   # history, but no record at FRAME
+        with pytest.raises(NoCandidates):
+            draw_plan([absent], self.FRAME, np.random.default_rng(0), TrainConfig())
+
     @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
     @pytest.mark.parametrize("mode", ["uncertainty", "random"])
     def test_draw_target_keeps_plan_stream(self, mode, jitter):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uatrack import tracker
-from uatrack.assignment import hungarian_max
+from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from uatrack.geometry import BoundingBox, iou
 from uatrack.simulator import ScenarioConfig, generate
@@ -216,26 +216,47 @@ class TestVerify:
         assert len(certain) == 1 and len(dissolved) == 0
         assert (certain.rows.tolist(), certain.cols.tolist()) == ([0], [0])
         assert certain.verdict.delta[0] == pytest.approx(-3.6889, abs=1e-3)
+        assert rows.shape == cols.shape == (0,)
 
     def test_confusable_pairs_both_dissolved(self):
         # cross-matching is optimal (0.50 + 0.49 > 0.52 + 0.46) and both
         # matched pairs land above the adaptive threshold
         sim = np.array([[0.52, 0.50], [0.49, 0.46]])
         matching = hungarian_max(sim)
-        assert matching.pairs == [(0, 1), (1, 0)]
+        assert matching.pairs.tolist() == [[0, 1], [1, 0]]
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
         assert len(certain) == 0
         assert list(zip(dissolved.rows.tolist(), dissolved.cols.tolist())) == [(0, 1), (1, 0)]
         assert dissolved.verdict.uncertain.all()
-        assert rows == [0, 1]
-        assert cols == [0, 1]
+        assert rows.tolist() == [0, 1]
+        assert cols.tolist() == [0, 1]
 
     def test_empty_matching_pools_everything(self):
         sim = np.zeros((2, 2))
         matching = hungarian_max(sim, floor=0.0)
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
         assert len(certain) == 0 and len(dissolved) == 0
-        assert rows == [0, 1] and cols == [0, 1]
+        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
+
+    def test_pool_is_unmatched_and_dissolved(self):
+        """The pool is every row and col no certain pair holds: the
+        oracle's unmatched ones together with the dissolved ones."""
+        rng = np.random.default_rng(606)
+        dissolving = 0
+        for _ in range(200):
+            sim = rng.uniform(-1, 1, size=tuple(rng.integers(1, 7, size=2)))
+            for floor in (-np.inf, 0.0):
+                matching = brute_force_max(sim, floor=floor)
+                certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
+                for n, pool, held, matched, gone in (
+                        (sim.shape[0], rows, certain.rows, matching.pairs[:, 0], dissolved.rows),
+                        (sim.shape[1], cols, certain.cols, matching.pairs[:, 1], dissolved.cols)):
+                    assert pool.dtype == np.intp
+                    assert pool.tolist() == sorted(set(range(n)) - set(held.tolist()))
+                    free = set(range(n)) - set(matched.tolist())
+                    assert pool.tolist() == sorted(free | set(gone.tolist()))
+                dissolving += len(dissolved) > 0
+        assert dissolving > 100   # the dissolved side of the union is exercised
 
 
 class TestRectify:
@@ -252,14 +273,17 @@ class TestRectify:
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 1.0], box)
         d = det(3, 0, unit(1, 0), cx=1.0, cy=1.0)  # IoU = 1/7 > beta
-        pairs = rectify([0], [0], [d], emb_matrix([d]), state_of([t], TrackerConfig(K=2)))
-        assert pairs == [(0, 0)]
+        pairs = rectify(np.array([0]), np.array([0]), [d], emb_matrix([d]),
+                        state_of([t], TrackerConfig(K=2)))
+        assert pairs.tolist() == [[0, 0]]
 
     def test_disjoint_boxes_forbidden(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 1.0], box)
         d = det(3, 0, unit(1, 0), cx=50.0, cy=50.0)
-        assert rectify([0], [0], [d], emb_matrix([d]), state_of([t], TrackerConfig(K=2))) == []
+        pairs = rectify(np.array([0]), np.array([0]), [d], emb_matrix([d]),
+                        state_of([t], TrackerConfig(K=2)))
+        assert pairs.shape == (0, 2)
 
     def test_short_history_mean(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
@@ -268,10 +292,13 @@ class TestRectify:
         cfg = TrackerConfig(K=5)
         cprime = np.mean([d.embedding @ r.embedding for r in t.records[-cfg.K:]])
         assert cprime == pytest.approx(0.8, abs=1e-9)
-        assert rectify([0], [0], [d], emb_matrix([d]), state_of([t], cfg)) == [(0, 0)]
+        pairs = rectify(np.array([0]), np.array([0]), [d], emb_matrix([d]), state_of([t], cfg))
+        assert pairs.tolist() == [[0, 0]]
 
     def test_empty_pool(self):
-        assert rectify([], [], [], np.zeros((0, 0)), TrackerConfig()) == []
+        none = np.zeros(0, dtype=np.intp)
+        pairs = rectify(none, none, [], np.zeros((0, 0)), TrackerConfig())
+        assert pairs.shape == (0, 2) and pairs.dtype == np.intp
 
     @staticmethod
     def _oracle(pool_rows, pool_cols, dets, tracks, cfg):
@@ -303,7 +330,7 @@ class TestRectify:
             return TrackRecord(frame, 0, box(), unit(*rng.normal(size=dim)), 0.0)
 
         def subset(n):
-            return sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+            return np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
 
         gated = 0
         for _ in range(100):
@@ -325,7 +352,7 @@ class TestRectify:
             assert np.array_equal(cprime == 0.0, expect == 0.0)
             assert cprime == pytest.approx(expect, rel=0.0, abs=1e-12)
             matched = hungarian_max(expect, floor=0.0)
-            assert pairs == [(pool_rows[i], pool_cols[j]) for i, j in matched.pairs]
+            assert pairs.tolist() == [[pool_rows[i], pool_cols[j]] for i, j in matched.pairs]
             gated += int((expect != 0.0).sum())
         assert gated > 100   # the gate passes often enough to test the mean
 
