@@ -57,10 +57,6 @@ class AffineTransform:
     m22: float
     m23: float
 
-    @staticmethod
-    def identity() -> "AffineTransform":
-        return AffineTransform(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12, self.m13],
                          [self.m21, self.m22, self.m23]])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -57,8 +56,8 @@ class Tracklet:
 
     `exp_delta_sum` is the running sum of exp(delta) over the records, added
     in append order, so `exp_delta_sum / len(t)` equals
-    `tracklet_uncertainty(t.deltas())` exactly without a pass over the
-    history."""
+    `tracklet_uncertainty([r.delta for r in t.records])` exactly without a
+    pass over the history."""
 
     def __init__(self, tid: int, record: TrackRecord):
         self.id = tid
@@ -75,9 +74,6 @@ class Tracklet:
     @property
     def last_box(self) -> BoundingBox:
         return self.records[-1].box
-
-    def deltas(self) -> list[float]:
-        return [r.delta for r in self.records]
 
     def box_at(self, frame: int) -> BoundingBox | None:
         i = bisect_left(self.records, frame, key=lambda r: r.frame)
@@ -139,31 +135,32 @@ def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
 
 
 class TrackerState:
-    """The live tracks, plus their appearance and lost ages as arrays in
-    `tracks` order.
+    """Every track's history, and the live tracks as columns.
 
-    `ring` (n × depth × D) holds each track's last embeddings and `lengths`
-    counts its records; the next embedding goes to slot `lengths % K`. The
-    depth grows with the longest track, doubling up to K, so a large K
-    costs no more than the frames seen. `lost` counts the frames since each
-    track's last match. The arrays take one scatter per frame for the
-    applied matches and are compacted only on frames with a birth or a
-    retirement. A window is summed from the ring, oldest to
-    newest, each time it is read and never kept as a running sum: its mean
-    has the bits of `sum(embeddings) / count` over the records themselves."""
+    `tracklets` holds every track made, retired ones too, in id order:
+    track i is at index i - 1. The live tracks are the rows of the columns,
+    ascending by id. `ids` names each row's track, `ring` (n × depth × D)
+    holds its last embeddings and `lengths` counts its records; the next
+    embedding goes to slot `lengths % K`. The depth grows with the longest
+    track, doubling up to K, so a large K costs no more than the frames
+    seen. `lost` counts the frames since each track's last match. The
+    columns take one scatter per frame for the applied matches and are
+    compacted together only on frames with a birth or a retirement. A
+    window is summed from the ring, oldest to newest, each time it is read
+    and never kept as a running sum: its mean has the bits of
+    `sum(embeddings) / count` over the records themselves."""
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
-        self.tracks: list[Tracklet] = []     # active + lost, creation order
-        self.finished: list[Tracklet] = []   # removed tracks
-        self.next_id = 1
+        self.tracklets: list[Tracklet] = []   # every track, id order
         self.last_frame: int | None = None
+        self.ids = np.zeros(0, dtype=np.intp)
         self.ring = np.zeros((0, 1, 0))
         self.lengths = np.zeros(0, dtype=np.intp)
         self.lost = np.zeros(0, dtype=np.intp)
 
     def all_tracklets(self) -> list[Tracklet]:
-        return sorted(self.tracks + self.finished, key=lambda t: t.id)
+        return list(self.tracklets)
 
     def last_embeddings(self) -> np.ndarray:
         """Each track's last embedding, one row per track."""
@@ -184,21 +181,23 @@ class TrackerState:
         self.lengths[cols] = lengths + 1
         self.lost[cols] = 0
 
-    def compact(self, keep: np.ndarray, born: list[Tracklet], born_embs: np.ndarray) -> None:
-        """Keep the tracks where the mask `keep` is set, in order, then add
-        the `born` tracks; row i of `born_embs` is born[i]'s first embedding."""
-        self.tracks = list(compress(self.tracks, keep.tolist())) + born
+    def compact(self, keep: np.ndarray, born_ids: np.ndarray, born_embs: np.ndarray) -> None:
+        """Keep the live tracks where the mask `keep` is set, in order, then
+        add the tracks `born_ids`; row i of `born_embs` is the first
+        embedding of track born_ids[i]."""
         if not keep.all():
-            self.ring, self.lengths, self.lost = (self.ring[keep], self.lengths[keep],
-                                                  self.lost[keep])
-        if not born:
+            self.ids, self.ring, self.lengths, self.lost = (
+                self.ids[keep], self.ring[keep], self.lengths[keep], self.lost[keep])
+        if not len(born_ids):
             return
-        ring = np.zeros((len(born), self.ring.shape[1], born_embs.shape[1]), born_embs.dtype)
+        ring = np.zeros((len(born_ids), self.ring.shape[1], born_embs.shape[1]),
+                        born_embs.dtype)
         ring[:, 0] = born_embs
         # with no track kept, the born tracks set the dim
         self.ring = np.concatenate([self.ring, ring]) if len(self.lost) else ring
-        self.lengths = np.concatenate([self.lengths, np.ones(len(born), dtype=np.intp)])
-        self.lost = np.concatenate([self.lost, np.zeros(len(born), dtype=np.intp)])
+        self.ids = np.concatenate([self.ids, born_ids])
+        self.lengths = np.concatenate([self.lengths, np.ones(len(born_ids), dtype=np.intp)])
+        self.lost = np.concatenate([self.lost, np.zeros(len(born_ids), dtype=np.intp)])
 
     def window_means(self, cols) -> np.ndarray:
         """Mean of each track's last K embeddings (all of them for a track
@@ -302,8 +301,8 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
     Returns the matched (row, col) pairs as a (pairs × 2) array."""
     if not len(pool_rows) or not len(pool_cols):
         return np.zeros((0, 2), dtype=np.intp)
-    tracks = state.tracks
-    gate = iou([dets[r].box for r in pool_rows], [tracks[c].last_box for c in pool_cols])
+    gate = iou([dets[r].box for r in pool_rows],
+               [state.tracklets[i - 1].last_box for i in state.ids[pool_cols].tolist()])
     hist = state.window_means(pool_cols)
     cprime = np.where(gate > state.cfg.beta, det_mat[pool_rows] @ hist.T, 0.0)
     i, j = hungarian_max(cprime, floor=0.0).pairs.T
@@ -319,7 +318,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         raise OutOfOrderFrame(f"frame {frame} after {state.last_frame}")
     state.last_frame = frame
 
-    tracks = state.tracks
+    tracklets, ids = state.tracklets, state.ids.tolist()
     det_mat = _embeddings(dets, state.ring.shape[2])
     sim = build_similarity(det_mat, state.last_embeddings())
     matching = hungarian_max(sim)
@@ -332,17 +331,16 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         certain = _scored(sim, matching.pairs, cfg)
         dissolved = rectified = _NO_PAIRS
 
-    log = [LogRow(frame, dets[r].det_index, tracks[c].id, *v, STAGE_DISSOLVED)
+    log = [LogRow(frame, dets[r].det_index, ids[c], *v, STAGE_DISSOLVED)
            for r, c, *v in dissolved.columns()]
     applied = sorted([(*p, STAGE_ASSOC) for p in certain.columns()]
                      + [(*p, STAGE_RECTIFIED) for p in rectified.columns()])
     for r, c, *v, stage in applied:
-        det = dets[r]
-        trk = tracks[c]
-        trk.append(TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
-                               embedding=det.embedding, delta=v[-1],
-                               confidence=det.confidence))
-        log.append(LogRow(frame, det.det_index, trk.id, *v, stage))
+        det, tid = dets[r], ids[c]
+        tracklets[tid - 1].append(TrackRecord(frame=frame, det_index=det.det_index,
+                                              box=det.box, embedding=det.embedding,
+                                              delta=v[-1], confidence=det.confidence))
+        log.append(LogRow(frame, det.det_index, tid, *v, stage))
     rows = [r for r, *_ in applied]
     state.lost += 1   # `record` zeroes the matched tracks' ages
     if applied:
@@ -351,21 +349,17 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
     matched_rows = set(rows)
     born_rows = [r for r, det in enumerate(dets)
                  if r not in matched_rows and det.confidence >= DET_CONF_MIN]
-    born: list[Tracklet] = []
-    for tid, r in enumerate(born_rows, start=state.next_id):
+    first_id = len(tracklets) + 1
+    for tid, r in enumerate(born_rows, start=first_id):
         det = dets[r]
-        born.append(Tracklet(tid, TrackRecord(frame=frame, det_index=det.det_index, box=det.box,
-                                              embedding=det.embedding, delta=0.0,
-                                              confidence=det.confidence)))
+        tracklets.append(Tracklet(tid, TrackRecord(frame=frame, det_index=det.det_index,
+                                                   box=det.box, embedding=det.embedding,
+                                                   delta=0.0, confidence=det.confidence)))
         log.append(LogRow(frame, det.det_index, tid, 0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
-    state.next_id += len(born)
 
     keep = state.lost <= MAX_LOST
-    retired = not keep.all()
-    if retired:
-        state.finished += compress(tracks, (~keep).tolist())
-    if born or retired:
-        state.compact(keep, born, det_mat[born_rows])
+    if born_rows or not keep.all():
+        state.compact(keep, np.arange(first_id, len(tracklets) + 1), det_mat[born_rows])
     return log
 
 

@@ -1,20 +1,27 @@
 """The traced benchmark (`perfbench/run.py --trace 1`) wraps package functions
 by name and reads their arguments and results; every name it wraps must
 still exist and its count hooks must still read the calls, so a deletion,
-rename or signature change fails here rather than in the traced run."""
+rename or signature change fails here rather than in the traced run. The
+benchmark's own scene check runs here too, so a tracker change that breaks
+it fails Tier-1 and not only the benchmark."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 from uatrack import (assignment, augment, cli, contrastive, formats, metrics,
                      simulator, tracker)
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """Import perfbench/<name>.py by file path; perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +33,7 @@ PKG = SimpleNamespace(assignment=assignment, augment=augment, cli=cli,
 
 
 def test_every_traced_call_site_resolves():
-    sites = load_tracing().call_sites(PKG)
+    sites = load_perfbench("tracing").call_sites(PKG)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for _name, owners, _count in sites for owner, attr in owners
                if not hasattr(owner, attr)]
@@ -35,7 +42,7 @@ def test_every_traced_call_site_resolves():
 
 
 def test_traced_scene_pass_counts_rectification():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     tracer.install(PKG)
     try:
@@ -60,3 +67,21 @@ def test_traced_scene_pass_counts_rectification():
     assert values["tracker.verify_pairs"] == (stages.count(tracker.STAGE_ASSOC)
                                               + stages.count(tracker.STAGE_DISSOLVED))
     assert values["tracker.verify_dissolved"] == stages.count(tracker.STAGE_DISSOLVED)
+
+
+def test_benchmark_scene_pass_is_clean():
+    """`run.py`'s scene_pass, with its pinned composition digests, on the
+    default scene and on a 150-object crowd scene, seed 7."""
+    environ = dict(os.environ)
+    try:
+        run = load_perfbench("run")   # sets the BLAS thread variables on import
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+    pkg = SimpleNamespace(**vars(PKG), np=np, id_switches=metrics.id_switches,
+                          pseudo_accuracy=metrics.pseudo_accuracy)
+    rec = run.Recorder(json.loads(run.PINS.read_text()))
+    run.scene_pass(pkg, rec, "default", simulator.ScenarioConfig(seed=7))
+    run.scene_pass(pkg, rec, "crowd", run.crowd_config(pkg, 7))
+    assert rec.failures == []
+    assert rec.pinned == 2

@@ -109,7 +109,7 @@ class TestIou:
 
 class TestAffineTransform:
     def test_identity(self):
-        t = AffineTransform.identity()
+        t = AffineTransform(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
         pts = np.array([[3.0, 4.0], [-1.5, 0.25]])
         assert np.array_equal(t.apply_points(pts), pts)
         assert t.det() == pytest.approx(1.0)

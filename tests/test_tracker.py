@@ -53,11 +53,17 @@ def last_embeddings(tracks):
     return np.array([t.records[-1].embedding for t in tracks])
 
 
+def live(state):
+    """The state's live tracklets, in column order."""
+    return [state.tracklets[tid - 1] for tid in state.ids.tolist()]
+
+
 def state_of(tracks, cfg=TrackerConfig()):
-    """A TrackerState holding `tracks`, its appearance arrays filled record
-    by record through the state's own updates."""
+    """A TrackerState holding `tracks` (ids 1..n in order), its appearance
+    arrays filled record by record through the state's own updates."""
     state = TrackerState(cfg)
-    state.compact(np.zeros(0, dtype=bool), list(tracks),
+    state.tracklets += tracks
+    state.compact(np.zeros(0, dtype=bool), np.array([t.id for t in tracks]),
                   np.array([t.records[0].embedding for t in tracks]))
     for i in range(1, max(len(t) for t in tracks)):
         cols = [c for c, t in enumerate(tracks) if len(t) > i]
@@ -85,7 +91,7 @@ class TestTracklet:
         t = track(1, 1, unit(1, 0))
         t.append(TrackRecord(frame=2, det_index=0, box=t.last_box,
                              embedding=unit(1, 0), delta=-0.5))
-        assert t.deltas() == [0.0, -0.5]
+        assert [r.delta for r in t.records] == [0.0, -0.5]
 
 
 class TestTrackerState:
@@ -130,7 +136,7 @@ class TestTrackerState:
             step(state, frame, dets)
             longest = max(len(t) for t in state.all_tracklets())
             assert state.ring.shape[1] < 2 * longest
-        assert state.ring.nbytes < 2 * 12 * len(state.tracks) * state.ring.shape[2] * 8
+        assert state.ring.nbytes < 2 * 12 * len(state.ids) * state.ring.shape[2] * 8
 
     @settings(max_examples=60)
     @given(K=st.sampled_from([1, 2, 5, 10**6]), max_lost=st.integers(1, 3),
@@ -138,11 +144,14 @@ class TestTrackerState:
            dropout=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 10_000))
     def test_window_bits_through_steps(self, K, max_lost, num_objects, num_frames,
                                        dropout, seed):
-        """After every step, each live track's window mean has the bits of
-        summing its last K records, its last-embedding row is its last
-        record's and its lost age counts the frames since that record,
-        through births, retirements and tracks shorter than K. A track
-        retires on the step that makes it unmatched for max_lost + 1 frames."""
+        """After every step, the tracklets are numbered 1..N in order and the
+        live ids ascend, one per row of the columns; each live track's window
+        mean has the bits of summing its last K records, its last-embedding
+        row is its last record's and its lost age counts the frames since
+        that record, through births, retirements and tracks shorter than K.
+        A track retires on the step that makes it unmatched for max_lost + 1
+        frames, and every track missing from `ids` went unmatched for more
+        than max_lost."""
         frames, _ = generate(ScenarioConfig(num_objects=num_objects, num_frames=num_frames,
                                             embed_dim=3, raw_dim=3, dropout=dropout,
                                             seed=seed))
@@ -150,16 +159,23 @@ class TestTrackerState:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tracker, "MAX_LOST", max_lost)
             for frame, dets in enumerate(frames, start=1):
-                finished = len(state.finished)
+                was_live = set(state.ids.tolist())
                 step(state, frame, dets)
-                assert (len(state.lengths) == len(state.lost) == len(state.ring)
-                        == len(state.tracks))
-                for t in state.finished[finished:]:
-                    assert frame - t.records[-1].frame == max_lost + 1
-                if not state.tracks:
+                tracklets = state.all_tracklets()
+                assert [t.id for t in tracklets] == list(range(1, len(tracklets) + 1))
+                ids = state.ids.tolist()
+                assert state.ids.dtype == np.intp and ids == sorted(set(ids))
+                assert (len(state.ids) == len(state.lengths) == len(state.lost)
+                        == len(state.ring))
+                for t in tracklets:
+                    if t.id not in ids:
+                        assert frame - t.records[-1].frame > max_lost
+                        if t.id in was_live:
+                            assert frame - t.records[-1].frame == max_lost + 1
+                if not ids:
                     continue
-                means = state.window_means(list(range(len(state.tracks))))
-                for c, t in enumerate(state.tracks):
+                means = state.window_means(list(range(len(ids))))
+                for c, t in enumerate(live(state)):
                     assert state.lost[c] == frame - t.records[-1].frame <= max_lost
                     recent = [r.embedding for r in t.records[-K:]]
                     assert np.array_equal(means[c], sum(recent) / len(recent))
@@ -378,7 +394,7 @@ class TestStep:
         state = TrackerState(TrackerConfig())
         rows = step(state, 1, [det(1, 0, unit(1, 0), conf=0.5)])
         assert born(rows) == []
-        assert state.tracks == []
+        assert state.ids.tolist() == [] and state.all_tracklets() == []
 
     def test_orthonormal_continuation(self):
         state = TrackerState(TrackerConfig())
@@ -422,7 +438,7 @@ class TestStep:
 
     def test_rectified_delta_recomputed_from_original_row(self):
         state, d1, d2 = self._confusable_setup()
-        sim = emb_matrix([d1, d2]) @ last_embeddings(state.tracks).T
+        sim = emb_matrix([d1, d2]) @ last_embeddings(live(state)).T
         rows = step(state, 2, [d1, d2])
         rect = [row for row in rows if row.stage == STAGE_RECTIFIED]
         assert len(rect) == 2
@@ -449,9 +465,9 @@ class TestStep:
         state = TrackerState(TrackerConfig(utl_enabled=utl))
         stages = set()
         for frame, dets in enumerate(frames, start=1):
-            col_of = {t.id: c for c, t in enumerate(state.tracks)}
-            if state.tracks and dets:
-                sim = emb_matrix(dets) @ last_embeddings(state.tracks).T
+            col_of = {tid: c for c, tid in enumerate(state.ids.tolist())}
+            if col_of and dets:
+                sim = emb_matrix(dets) @ last_embeddings(live(state)).T
             calls.clear()
             for row in step(state, frame, dets):
                 stages.add(row.stage)
@@ -488,7 +504,7 @@ class TestStep:
         assert [(r.det_index, r.track_id) for r in dissolved] == [(0, 2), (1, 1)]
         assert all(row.delta > 0 for row in dissolved)
         # ... but never applied: each tracklet holds only its rectified record
-        assert [(r.frame, r.det_index) for t in state.tracks for r in t.records] == \
+        assert [(r.frame, r.det_index) for t in state.all_tracklets() for r in t.records] == \
             [(1, 0), (2, 0), (1, 1), (2, 1)]
 
     def test_lost_track_removed_after_max_lost(self, monkeypatch):
@@ -499,11 +515,11 @@ class TestStep:
         step(state, 1, [det(1, 0, unit(1, 0))])
         for f in range(2, 2 + tracker.MAX_LOST):
             step(state, f, [])
-        assert len(state.tracks) == 1 and state.finished == []
+        assert state.ids.tolist() == [1]
         assert state.lost.tolist() == [tracker.MAX_LOST]
-        (trk,) = state.tracks
+        (trk,) = state.all_tracklets()
         step(state, 2 + tracker.MAX_LOST, [])
-        assert state.tracks == [] and state.finished == [trk]
+        assert state.ids.tolist() == [] and state.all_tracklets() == [trk]
         assert len(state.lost) == len(state.lengths) == len(state.ring) == 0
 
     def test_lost_track_rematches_before_removal(self, monkeypatch):
@@ -546,10 +562,13 @@ class TestTrackSequence:
         assert a_log == b_log
 
     def test_delta_history_matches_record_count(self):
-        tracklets, _ = track_sequence(self._frames(6))
+        """Each record carries its applied log row's delta, 0 at birth."""
+        tracklets, log = track_sequence(self._frames(6))
         for t in tracklets:
-            assert len(t.deltas()) == len(t)
-            assert t.deltas()[0] == 0.0
+            assert [r.delta for r in t.records] == [
+                row.delta for row in log
+                if row.track_id == t.id and row.stage != STAGE_DISSOLVED]
+            assert t.records[0].delta == 0.0
 
     def test_log_rebuild_matches_tracklets(self):
         frames, _ = generate(ScenarioConfig(num_objects=12, num_frames=60, seed=7))
@@ -594,7 +613,7 @@ class TestTrackSequence:
         tracklets, _ = track_sequence(frames)
         assert tracklets
         for t in tracklets:
-            assert t.exp_delta_sum / len(t) == tracklet_uncertainty(t.deltas())
+            assert t.exp_delta_sum / len(t) == tracklet_uncertainty([r.delta for r in t.records])
 
     def test_plain_lists_accepted(self):
         tracklets, log = track_sequence(self._frames(3))
