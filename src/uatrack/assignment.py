@@ -1,13 +1,20 @@
 """Optimal bipartite matching over similarity matrices.
 
 `hungarian_max` maximizes total similarity over one-to-one assignments of a
-rectangular matrix (rows = detections, cols = tracks); `brute_force_max` is
-the exhaustive oracle with the identical contract.
+rectangular matrix (rows = detections, cols = tracks) with scipy's compiled
+`linear_sum_assignment` (the shortest augmenting path algorithm of Crouse,
+2016, in `scipy/optimize/_lsap`); `brute_force_max` is the exhaustive oracle
+with the identical contract.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -35,6 +42,33 @@ def _finish(rows, cols, matrix, floor) -> Matching:
     return Matching(np.array([rows, cols]).T[matrix[rows, cols] > floor])
 
 
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's `linear_sum_assignment`, loaded without `scipy.optimize`.
+
+    Importing `scipy.optimize` costs ~0.6 s and ~49 MB, while the solver is
+    one extension module, `scipy/optimize/_lsap`, that needs only numpy. It
+    is found through scipy's directory (which `find_spec` reads without
+    importing scipy), loaded from its file and registered under its own
+    name, so a later `import scipy.optimize` reuses it; if that import came
+    first, its module is reused here. A scipy laid out otherwise gets the
+    public import, so the solver is the same function either way."""
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
+        dirs = [os.path.join(d, "optimize") for d in scipy_dirs or ()]
+        found = importlib.machinery.PathFinder.find_spec("_lsap", dirs)
+        if found is None or not isinstance(found.loader, importlib.machinery.ExtensionFileLoader):
+            from scipy.optimize import linear_sum_assignment
+            return linear_sum_assignment
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.linear_sum_assignment
+
+
 def hungarian_max(matrix, floor: float = NEG_INF) -> Matching:
     """Max-similarity assignment of min(rows, cols) pairs, then drop any
     pair with similarity <= floor. Empty matrices yield no pairs rather
@@ -45,10 +79,7 @@ def hungarian_max(matrix, floor: float = NEG_INF) -> Matching:
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
         return _empty()
-    # imported here: commands that never match (simulate, eval, stats, ...)
-    # skip scipy.optimize, most of the package's import time
-    from scipy.optimize import linear_sum_assignment
-    return _finish(*linear_sum_assignment(m, maximize=True), m, floor)
+    return _finish(*_linear_sum_assignment()(m, maximize=True), m, floor)
 
 
 def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
