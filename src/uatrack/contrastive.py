@@ -87,8 +87,15 @@ class TrainConfig:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidConfig(f"lr must be finite and > 0, got {self.lr}")
+        if self.steps_per_epoch < 1:
+            raise InvalidConfig(f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}")
+        if self.embed_dim < 1:
+            raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if self.anchor_sampling not in ("uncertainty", "random"):
+            raise InvalidConfig("anchor_sampling must be 'uncertainty' or 'random', "
+                                f"got {self.anchor_sampling!r}")
         if self.jitter is not None and not (math.isfinite(2 * self.jitter) and self.jitter >= 0):
             raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {self.jitter}")
 

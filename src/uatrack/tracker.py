@@ -54,17 +54,21 @@ class Tracklet:
     """Identity-labeled sequence of per-frame records with a delta history;
     the state that changes every frame lives in `TrackerState`.
 
+    A record carries at least `frame`, `det_index` and `delta`, which is all
+    the metrics read: the tracker's are `TrackRecord`s, which add the box
+    and embedding, and `tracklets_from_log`'s are the applied `LogRow`s.
+
     `exp_delta_sum` is the running sum of exp(delta) over the records, added
     in append order, so `exp_delta_sum / len(t)` equals
     `tracklet_uncertainty([r.delta for r in t.records])` exactly without a
     pass over the history."""
 
-    def __init__(self, tid: int, record: TrackRecord):
+    def __init__(self, tid: int, record: TrackRecord | LogRow):
         self.id = tid
-        self.records: list[TrackRecord] = [record]
+        self.records: list[TrackRecord | LogRow] = [record]
         self.exp_delta_sum = math.exp(record.delta)
 
-    def append(self, record: TrackRecord) -> None:
+    def append(self, record: TrackRecord | LogRow) -> None:
         if record.frame <= self.records[-1].frame:
             raise OutOfOrderFrame(
                 f"track {self.id}: frame {record.frame} after {self.records[-1].frame}")
@@ -115,22 +119,17 @@ class LogRow:
 
 
 def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
-    """Rebuild tracklet composition (frame, det_index, delta) from a log.
-
-    Dissolved rows were never applied, so they are skipped. Boxes and
-    embeddings are not in the log; the metrics only need identity and
-    delta, so placeholder geometry is used."""
+    """Group a log's applied rows by track id, in frame order, each row one
+    record of its tracklet. Dissolved rows were never applied, so they are
+    skipped. The log has no boxes, so these tracklets have none."""
     by_id: dict[int, Tracklet] = {}
-    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
     for row in sorted(log, key=lambda r: (r.frame, r.track_id)):
         if row.stage == STAGE_DISSOLVED:
             continue
-        rec = TrackRecord(frame=row.frame, det_index=row.det_index, box=box,
-                          embedding=np.zeros(1), delta=row.delta)
         if row.track_id in by_id:
-            by_id[row.track_id].append(rec)
+            by_id[row.track_id].append(row)
         else:
-            by_id[row.track_id] = Tracklet(row.track_id, rec)
+            by_id[row.track_id] = Tracklet(row.track_id, row)
     return [by_id[k] for k in sorted(by_id)]
 
 
@@ -214,29 +213,11 @@ class TrackerState:
         return total / np.minimum(lengths, self.cfg.K)[:, None]
 
 
-class ScoredPairs:
-    """A stage's (detection row, track column) pairs as columns, with the
-    verdict of each: every field of `verdict` is an array over the pairs."""
-    __slots__ = ("rows", "cols", "verdict")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, verdict: AssociationVerdict):
-        self.rows, self.cols, self.verdict = rows, cols, verdict
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def take(self, mask: np.ndarray) -> ScoredPairs:
-        return ScoredPairs(self.rows[mask], self.cols[mask],
-                           AssociationVerdict(*(a[mask] for a in self.verdict)))
-
-    def columns(self):
-        """Per pair: row, column, then the verdict fields in log-row order."""
-        return zip(self.rows.tolist(), self.cols.tolist(),
-                   *(a.tolist() for a in self.verdict))
-
-
-_NO_PAIRS = ScoredPairs(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
-                        AssociationVerdict(*[np.zeros(0)] * 5))
+# A stage's (detection row, track column) pairs, one element each, with the
+# pair's verdict fields in log-row order.
+SCORED = np.dtype([("row", np.intp), ("col", np.intp)]
+                  + [(f, float) for f in AssociationVerdict._fields])
+_NO_PAIRS = np.zeros(0, SCORED)
 
 
 def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:
@@ -262,30 +243,32 @@ def build_similarity(det_mat: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return det_mat @ reps.T
 
 
-def _scored(sim: np.ndarray, pairs: np.ndarray, cfg: TrackerConfig) -> ScoredPairs:
-    """Every (row, col) pair of the (pairs × 2) array scored in one array pass."""
+def _scored(sim: np.ndarray, pairs: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """Every (row, col) pair of the (pairs × 2) array scored in one array
+    pass, as a `SCORED` array."""
     if not len(pairs):
         return _NO_PAIRS
     rows, cols = pairs.T
-    return ScoredPairs(rows, cols, association_uncertainty(
-        sim[rows, cols], second_best(sim, rows, cols), cfg.margins))
+    verdict = association_uncertainty(sim[rows, cols], second_best(sim, rows, cols),
+                                      cfg.margins)
+    scored = np.empty(len(pairs), SCORED)
+    for name, values in zip(SCORED.names, (rows, cols, *verdict)):
+        scored[name] = values
+    return scored
 
 
 def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
     """Split matched pairs into certain and dissolved pairs, each stage as
-    `ScoredPairs`, and return the pool: every row and every col, ascending,
+    a `SCORED` array, and return the pool: every row and every col, ascending,
     that no certain pair holds (the unmatched ones and the dissolved ones).
 
     Dissolved pairs are returned with their verdicts as well so that every
     association decision can be logged, even the ones that do not survive."""
     scored = _scored(sim, matching.pairs, cfg)
-    uncertain = scored.verdict.uncertain
-    if uncertain.any():   # two takes cost ~9 µs, 5% of a 12-track frame
-        certain, dissolved = scored.take(~uncertain), scored.take(uncertain)
-    else:
-        certain, dissolved = scored, _NO_PAIRS
+    uncertain = scored["delta"] > 0.0
+    certain, dissolved = scored[~uncertain], scored[uncertain]
     held_rows, held_cols = np.zeros(sim.shape[0], bool), np.zeros(sim.shape[1], bool)
-    held_rows[certain.rows] = held_cols[certain.cols] = True
+    held_rows[certain["row"]] = held_cols[certain["col"]] = True
     # .nonzero() itself: the Python wrappers of flatnonzero and of numpy's set
     # routines cost more than the rest of the pool on a 12-track frame
     return certain, dissolved, (~held_rows).nonzero()[0], (~held_cols).nonzero()[0]
@@ -332,9 +315,9 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
         dissolved = rectified = _NO_PAIRS
 
     log = [LogRow(frame, dets[r].det_index, ids[c], *v, STAGE_DISSOLVED)
-           for r, c, *v in dissolved.columns()]
-    applied = sorted([(*p, STAGE_ASSOC) for p in certain.columns()]
-                     + [(*p, STAGE_RECTIFIED) for p in rectified.columns()])
+           for r, c, *v in dissolved.tolist()]
+    applied = sorted([(*p, STAGE_ASSOC) for p in certain.tolist()]
+                     + [(*p, STAGE_RECTIFIED) for p in rectified.tolist()])
     for r, c, *v, stage in applied:
         det, tid = dets[r], ids[c]
         tracklets[tid - 1].append(TrackRecord(frame=frame, det_index=det.det_index,

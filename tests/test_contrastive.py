@@ -187,6 +187,16 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig, match="jitter"):
             TrainConfig(jitter=jitter)
 
+    @pytest.mark.parametrize("field, value", [
+        ("anchor_sampling", "uncertanity"), ("anchor_sampling", ""),
+        ("steps_per_epoch", 0), ("steps_per_epoch", -1),
+        ("embed_dim", 0), ("embed_dim", -3)])
+    def test_bad_field_rejected(self, field, value):
+        """Unchecked, each would train silently: a misspelt sampling as the
+        random ablation, a zero step count or width to `[nan]` losses."""
+        with pytest.raises(InvalidConfig, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestTrainEmbedder:
     def test_loss_decreases(self):

@@ -15,7 +15,7 @@ from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from uatrack.geometry import BoundingBox, iou
 from uatrack.simulator import ScenarioConfig, generate
-from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
+from uatrack.tracker import (SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
                              TrackerState, TrackRecord, build_similarity, rectify,
                              step, track_sequence, tracklets_from_log, verify)
@@ -230,8 +230,8 @@ class TestVerify:
         matching = hungarian_max(sim)
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
         assert len(certain) == 1 and len(dissolved) == 0
-        assert (certain.rows.tolist(), certain.cols.tolist()) == ([0], [0])
-        assert certain.verdict.delta[0] == pytest.approx(-3.6889, abs=1e-3)
+        assert (certain["row"].tolist(), certain["col"].tolist()) == ([0], [0])
+        assert certain["delta"][0] == pytest.approx(-3.6889, abs=1e-3)
         assert rows.shape == cols.shape == (0,)
 
     def test_confusable_pairs_both_dissolved(self):
@@ -242,8 +242,8 @@ class TestVerify:
         assert matching.pairs.tolist() == [[0, 1], [1, 0]]
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
         assert len(certain) == 0
-        assert list(zip(dissolved.rows.tolist(), dissolved.cols.tolist())) == [(0, 1), (1, 0)]
-        assert dissolved.verdict.uncertain.all()
+        assert list(zip(dissolved["row"].tolist(), dissolved["col"].tolist())) == [(0, 1), (1, 0)]
+        assert (dissolved["delta"] > 0).all()
         assert rows.tolist() == [0, 1]
         assert cols.tolist() == [0, 1]
 
@@ -256,7 +256,9 @@ class TestVerify:
 
     def test_pool_is_unmatched_and_dissolved(self):
         """The pool is every row and col no certain pair holds: the
-        oracle's unmatched ones together with the dissolved ones."""
+        oracle's unmatched ones together with the dissolved ones. The two
+        stages are `SCORED` arrays that split the matched pairs by the sign
+        of delta."""
         rng = np.random.default_rng(606)
         dissolving = 0
         for _ in range(200):
@@ -264,9 +266,14 @@ class TestVerify:
             for floor in (-np.inf, 0.0):
                 matching = brute_force_max(sim, floor=floor)
                 certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
-                for n, pool, held, matched, gone in (
-                        (sim.shape[0], rows, certain.rows, matching.pairs[:, 0], dissolved.rows),
-                        (sim.shape[1], cols, certain.cols, matching.pairs[:, 1], dissolved.cols)):
+                assert certain.dtype == dissolved.dtype == SCORED
+                assert sorted(certain[["row", "col"]].tolist()
+                              + dissolved[["row", "col"]].tolist()) == sorted(
+                    map(tuple, matching.pairs.tolist()))
+                assert (certain["delta"] <= 0).all() and (dissolved["delta"] > 0).all()
+                for n, pool, field, matched in ((sim.shape[0], rows, "row", matching.pairs[:, 0]),
+                                                (sim.shape[1], cols, "col", matching.pairs[:, 1])):
+                    held, gone = certain[field], dissolved[field]
                     assert pool.dtype == np.intp
                     assert pool.tolist() == sorted(set(range(n)) - set(held.tolist()))
                     free = set(range(n)) - set(matched.tolist())
