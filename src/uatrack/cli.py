@@ -17,7 +17,7 @@ from .contrastive import TrainConfig, draw_plan, train_embedder
 from .errors import UatrackError
 from .metrics import id_switches, pseudo_accuracy, uncertainty_separation
 from .simulator import ScenarioConfig, generate
-from .tracker import STAGE_DISSOLVED, TrackerConfig, track_sequence, tracklets_from_log
+from .tracker import TrackerConfig, track_sequence, tracklets_from_log
 from .uncertainty import UncertaintyMargins
 
 USAGE_ERROR = 1
@@ -110,10 +110,10 @@ def cmd_eval(args) -> int:
     results = sorted(formats.read_results(args.results))
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
-    if results != sorted((r.frame, r.track_id) for r in log if r.stage != STAGE_DISSOLVED):
+    tracklets = tracklets_from_log(log)
+    if results != sorted((r.frame, t.id) for t in tracklets for r in t.records):
         raise UatrackError(f"{args.results}: (frame, track_id) rows differ from the "
                            "log's applied decisions")
-    tracklets = tracklets_from_log(log)
     curve = pseudo_accuracy(tracklets, gt, max_age=args.max_age)
     sep = uncertainty_separation(log, gt)
     ids = id_switches(tracklets, gt)
@@ -126,12 +126,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    cfg = TrainConfig(seed=args.seed, jitter=args.jitter)
+    cfg = TrainConfig(seed=args.seed)
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     # clamped: a negative stop would track from the end
     tracklets, _log = track_sequence(frames[:max(args.frame, 0)])
-    plan = draw_plan(tracklets, args.frame, np.random.default_rng(cfg.seed), cfg)
+    plan = draw_plan(tracklets, args.frame, np.random.default_rng(cfg.seed), cfg,
+                     args.jitter)
     t = plan.transform
     print(f"source_track_id: {plan.source_track_id}")
     print(f"target_frame: {plan.target_frame}")

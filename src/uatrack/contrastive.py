@@ -10,7 +10,9 @@ quality and representation quality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -67,9 +69,7 @@ class LinearEmbedder:
 
     def embed(self, raw: np.ndarray) -> np.ndarray:
         z = np.asarray(raw, dtype=float) @ self.weights
-        if z.ndim == 1:
-            return z / np.linalg.norm(z)
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ class TrainConfig:
     embed_dim: int = 16
     seed: int = 0
     anchor_sampling: str = "uncertainty"  # "uncertainty" (TGA) or "random"
-    jitter: float | None = None  # None -> 2% of anchor box diagonal
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -96,8 +95,6 @@ class TrainConfig:
         if self.anchor_sampling not in ("uncertainty", "random"):
             raise InvalidConfig("anchor_sampling must be 'uncertainty' or 'random', "
                                 f"got {self.anchor_sampling!r}")
-        if self.jitter is not None and not (math.isfinite(2 * self.jitter) and self.jitter >= 0):
-            raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {self.jitter}")
 
 
 def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
@@ -117,23 +114,26 @@ def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
     window = [(f, p) for f, p in past if f >= frame - MAX_LAG] or past
     if uniform:
         return anchor, window[int(rng.integers(len(window)))][0]
-    total_p = sum(p for _, p in window)
+    # summed left to right: from Python 3.12 the builtin sum compensates rounding
+    total_p = reduce(operator.add, (p for _, p in window))
     return anchor, sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
 
 
 def draw_plan(tracklets, frame: int, rng: np.random.Generator,
-              cfg: TrainConfig) -> AugmentationPlan:
+              cfg: TrainConfig, jitter: float | None = None) -> AugmentationPlan:
     """`draw_target` among the tracklets eligible at `frame`, then the plan
     mapping the anchor's box at `frame` onto its box at the target, with
-    `cfg.jitter` (or the default jitter). Raises NoCandidates when no
-    tracklet is eligible."""
+    `jitter` (None: 2% of the anchor box diagonal). Raises InvalidConfig
+    for a bad jitter and NoCandidates when no tracklet is eligible."""
+    if jitter is not None and not (math.isfinite(2 * jitter) and jitter >= 0):
+        raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {jitter}")
     present = [trk for trk in tracklets
                if trk.records[0].frame < frame and trk.box_at(frame) is not None]
     if not present:
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
     anchor, target = draw_target(present, frame, rng, cfg)
-    jitter = cfg.jitter if cfg.jitter is not None else default_jitter(
-        anchor.box_at(frame))
+    if jitter is None:
+        jitter = default_jitter(anchor.box_at(frame))
     return build_plan(anchor, frame, target, jitter, rng)
 
 
@@ -190,7 +190,7 @@ def train_embedder(frames, cfg: TrainConfig):
 
     rng = np.random.default_rng(cfg.seed)
     embedder = LinearEmbedder.init_random(raw_dim, cfg.embed_dim, rng)
-    total_steps = max(1, cfg.epochs * cfg.steps_per_epoch)
+    total_steps = cfg.epochs * cfg.steps_per_epoch
     step_count = 0
     epoch_losses: list[float] = []
     # one row per detection, frame by frame; the detections are copied once
@@ -227,8 +227,7 @@ def train_embedder(frames, cfg: TrainConfig):
             _, target = draw_target(present, t, rng, cfg)
             # no plan is built, but build_plan's 8 corner-jitter doubles are
             # drawn, so the stream, and with it every weight, is draw_plan's
-            if cfg.jitter is None or cfg.jitter > 0:
-                rng.random(8)
+            rng.random(8)
 
             # the keys are every tracklet at the target frame; one query per
             # tracklet present at both frames

@@ -53,10 +53,6 @@ class ParseError(UatrackError):
     """Malformed input line; message carries the line number."""
 
 
-class NonPositiveSize(UatrackError):
-    """Detection with w <= 0 or h <= 0; message carries the line number."""
-
-
 class MissingEmbedding(UatrackError):
     """A detection has no embedding row."""
 

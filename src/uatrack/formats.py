@@ -19,8 +19,7 @@ import numpy as np
 
 from .contrastive import LinearEmbedder
 from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
-                     IoFailure, MissingEmbedding, NonPositiveSize, ParseError,
-                     UatrackError)
+                     IoFailure, MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
 from .simulator import MAX_FRAME, GroundTruthRecord, ScenarioConfig
 from .tracker import STAGE_BIRTH, STAGE_DISSOLVED, Detection, LogRow, Tracklet
@@ -91,13 +90,11 @@ def read_detections(path):
             raise ParseError(f"frame must be >= 1, got {frame}")
         if frame > MAX_FRAME:
             raise ParseError(f"frame must be <= {MAX_FRAME}, got {frame}")
-        if w <= 0 or h <= 0:
-            raise NonPositiveSize(f"w={w} h={h}")
-        if not all(math.isfinite(v) for v in (left, top, w, h, conf)):
+        box = BoundingBox(left + w / 2.0, top + h / 2.0, w, h)
+        if not math.isfinite(conf):
             raise ParseError("non-finite value")
         dets = per_frame.setdefault(frame, [])
-        dets.append(Detection(frame=frame, det_index=len(dets),
-                              box=BoundingBox(left + w / 2.0, top + h / 2.0, w, h),
+        dets.append(Detection(frame=frame, det_index=len(dets), box=box,
                               confidence=conf, embedding=None))
 
     _parse_lines(path, row)

@@ -1,11 +1,14 @@
 """Tests for the InfoNCE loss/gradient and the linear embedder trainer."""
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from uatrack import formats
+from uatrack import contrastive, formats
+from uatrack.augment import target_anchor_weights
 from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
                                  LinearEmbedder, TrainConfig, draw_plan,
                                  draw_target, info_nce, info_nce_batch,
@@ -178,15 +181,6 @@ def toy_sequence(n_frames=30, n_objects=3, raw_dim=8, seed=0):
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
-    def test_jitter_accepted(self, jitter):
-        assert TrainConfig(jitter=jitter).jitter == jitter
-
-    @pytest.mark.parametrize("jitter", [math.inf, math.nan, -1.0])
-    def test_bad_jitter_rejected(self, jitter):
-        with pytest.raises(InvalidConfig, match="jitter"):
-            TrainConfig(jitter=jitter)
-
     @pytest.mark.parametrize("field, value", [
         ("anchor_sampling", "uncertanity"), ("anchor_sampling", ""),
         ("steps_per_epoch", 0), ("steps_per_epoch", -1),
@@ -299,18 +293,67 @@ class TestDrawPlan:
             draw_plan([absent], self.FRAME, np.random.default_rng(0), TrainConfig())
 
     @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
+    def test_jitter_accepted(self, jitter):
+        plan = draw_plan(self.tracklets(), self.FRAME, np.random.default_rng(0),
+                         TrainConfig(), jitter)
+        assert plan.source_track_id in (1, 2)
+
+    @pytest.mark.parametrize("jitter", [math.inf, math.nan, -1.0])
+    def test_bad_jitter_rejected(self, jitter):
+        with pytest.raises(InvalidConfig, match="jitter"):
+            draw_plan(self.tracklets(), self.FRAME, np.random.default_rng(0),
+                      TrainConfig(), jitter)
+
+    @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
     @pytest.mark.parametrize("mode", ["uncertainty", "random"])
     def test_draw_target_keeps_plan_stream(self, mode, jitter):
         """Training's draw_target plus its jitter advance leaves the generator
-        where draw_plan does, with the same anchor and target."""
-        cfg = TrainConfig(anchor_sampling=mode, jitter=jitter)
+        where draw_plan does, with the same anchor and target. A zero jitter
+        draws nothing, so that plan's generator is where draw_target leaves
+        it."""
+        cfg = TrainConfig(anchor_sampling=mode)
         tracks = self.tracklets()
         eligible = tracks[:2]  # the tracklets with a record at and before FRAME
         for seed in range(50):
             plan_rng, train_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            plan = draw_plan(tracks, self.FRAME, plan_rng, cfg)
+            plan = draw_plan(tracks, self.FRAME, plan_rng, cfg, jitter)
             anchor, target = draw_target(eligible, self.FRAME, train_rng, cfg)
-            if cfg.jitter is None or cfg.jitter > 0:  # as train_embedder does
-                train_rng.random(8)
             assert (anchor.id, target) == (plan.source_track_id, plan.target_frame)
-            assert train_rng.bit_generator.state == plan_rng.bit_generator.state
+            if jitter == 0:
+                assert train_rng.bit_generator.state == plan_rng.bit_generator.state
+            train_rng.random(8)  # as train_embedder does
+            if jitter != 0:
+                assert train_rng.bit_generator.state == plan_rng.bit_generator.state
+
+    def test_target_weights_summed_left_to_right(self, monkeypatch):
+        """The target weights are each p over the left-to-right sum of the
+        window's p. The window is one where a compensated sum, the builtin
+        `sum` from Python 3.12, rounds differently."""
+        def compensated(xs):  # Neumaier's, as the 3.12 builtin sums floats
+            s = c = 0.0
+            for x in xs:
+                t = s + x
+                c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+                s = t
+            return s + c
+
+        frame = 11
+        deltas = np.random.default_rng(0).normal(size=frame - 1)
+        recs = [TrackRecord(frame=f, det_index=0, box=BoundingBox(f, 5.0, 4.0, 3.0),
+                            embedding=np.array([1.0, 0.0]), delta=float(d))
+                for f, d in zip(range(1, frame + 1), list(deltas) + [0.0])]
+        trk = Tracklet(1, recs[0])
+        for rec in recs[1:]:
+            trk.append(rec)
+        ps = target_anchor_weights(trk, frame).probabilities()
+        assert len(ps) == MAX_LAG                      # the whole history is the window
+        assert compensated(ps) != reduce(operator.add, ps)
+
+        seen = []
+        def recording_sample(weights, rng):
+            seen.append(weights)
+            return weights.candidates[0][0]
+        monkeypatch.setattr(contrastive, "sample", recording_sample)
+        draw_target([trk], frame, np.random.default_rng(0), TrainConfig())
+        total = reduce(operator.add, ps)
+        assert seen[-1].probabilities() == [p / total for p in ps]

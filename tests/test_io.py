@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import uatrack
 from uatrack import cli, formats
 from uatrack.contrastive import LinearEmbedder
-from uatrack.errors import (DuplicateEmbedding, InvalidConfig, IoFailure,
-                            MissingEmbedding, NonPositiveSize, ParseError)
+from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
+                            IoFailure, MissingEmbedding, ParseError)
 from uatrack.metrics import id_switches, pseudo_accuracy
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import TrackerConfig, track_sequence
@@ -58,7 +58,21 @@ class TestDetectionsRoundtrip:
     def test_nonpositive_size_rejected(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n\n1,-1,0,0,0,5,0.9,-1,-1,-1\n")
-        with pytest.raises(NonPositiveSize, match="line 3: w=0.0"):
+        with pytest.raises(DegenerateBox, match="line 3: non-positive size w=0.0"):
+            formats.read_detections(p)
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ("0,0,5,-2,0.9", DegenerateBox, "non-positive size w=5.0 h=-2.0"),
+        ("nan,0,5,5,0.9", DegenerateBox, "non-finite box"),
+        ("0,0,inf,5,0.9", DegenerateBox, "non-finite box"),
+        ("0,0,5,5,nan", ParseError, "non-finite value"),
+    ], ids=["negative-h", "nan-left", "inf-w", "nan-conf"])
+    def test_bad_box_values_rejected(self, tmp_path, fields, error, message):
+        """BoundingBox checks the box, read_detections the confidence; each
+        error carries the line number."""
+        p = tmp_path / "det.txt"
+        p.write_text(f"1,-1,0,0,5,5,0.9,-1,-1,-1\n\n1,-1,{fields},-1,-1,-1\n")
+        with pytest.raises(error, match=f"line 3: {message}"):
             formats.read_detections(p)
 
     def test_malformed_line_reports_lineno(self, tmp_path):
@@ -363,6 +377,15 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "jitter" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_bad_box_exits_2(self, tmp_path):
+        (tmp_path / "det.txt").write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n"
+                                          "1,-1,0,0,0,5,0.9,-1,-1,-1\n")
+        (tmp_path / "emb.csv").write_text("1,0,1,0\n1,1,1,0\n")
+        proc = run_cli("track", "--dets", str(tmp_path / "det.txt"),
+                       "--embs", str(tmp_path / "emb.csv"), "--out", str(tmp_path / "o.txt"))
+        assert proc.returncode == 2
+        assert proc.stderr == "uatrack track: line 2: non-positive size w=0.0 h=5.0\n"
 
     def test_non_utf8_detections_exit_2(self, tmp_path, capsys):
         small_bundle(tmp_path)
