@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uatrack import tracker
+from uatrack import formats, tracker
 from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from uatrack.geometry import BoundingBox, iou
@@ -25,6 +25,8 @@ from uatrack.uncertainty import (association_uncertainty, second_best,
 
 # perfbench's pinned digests and its crowd-track scene (perfbench/run.py's CROWD)
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+# sha256 of the `formats.write_log` bytes per scene, UTL on and off
+LOG_PINS = Path(__file__).resolve().parent / "log_pins.json"
 CROWD = dict(num_objects=150, embed_dim=160, raw_dim=320, num_frames=100)
 
 
@@ -611,6 +613,19 @@ class TestTrackSequence:
         tracklets, _ = track_sequence(frames)
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("kind, seed", [("crowd", s) for s in (7, 8, 9)]
+                             + [("default", s) for s in range(7, 13)])
+    def test_log_bytes_pinned(self, kind, seed, tmp_path):
+        """The written decision log, every row and field, is pinned on the
+        benchmark's scenes with UTL on and off."""
+        pinned = json.loads(LOG_PINS.read_text())[kind][str(seed)]
+        frames, _ = generate(ScenarioConfig(seed=seed, **(CROWD if kind == "crowd" else {})))
+        for utl in ("on", "off"):
+            _, log = track_sequence(frames, TrackerConfig(utl_enabled=utl == "on"))
+            formats.write_log(log, tmp_path / "log.txt")
+            digest = hashlib.sha256((tmp_path / "log.txt").read_bytes()).hexdigest()
+            assert digest == pinned[utl], utl
 
     @pytest.mark.parametrize("seed", range(7, 13))
     def test_running_omega_equals_history_omega(self, seed):
