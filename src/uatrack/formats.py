@@ -90,7 +90,7 @@ def read_detections(path):
             raise ParseError(f"frame must be >= 1, got {frame}")
         if frame > MAX_FRAME:
             raise ParseError(f"frame must be <= {MAX_FRAME}, got {frame}")
-        box = BoundingBox(left + w / 2.0, top + h / 2.0, w, h)
+        box = BoundingBox.from_ltwh(left, top, w, h)
         if not math.isfinite(conf):
             raise ParseError("non-finite value")
         dets = per_frame.setdefault(frame, [])

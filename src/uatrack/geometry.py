@@ -42,6 +42,17 @@ class BoundingBox:
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
     @staticmethod
+    def from_ltwh(left: float, top: float, w: float, h: float) -> "BoundingBox":
+        """The box with top-left corner (left, top) and size (w, h), as MOT
+        files give it. The centre can overflow where these four values are
+        finite; the error then says so and names them."""
+        cx, cy = left + w / 2.0, top + h / 2.0
+        if (all(map(math.isfinite, (left, top, w, h)))
+                and not (math.isfinite(cx) and math.isfinite(cy))):
+            raise DegenerateBox(f"box centre overflows: bb_left={left} bb_top={top} w={w} h={h}")
+        return BoundingBox(cx, cy, w, h)
+
+    @staticmethod
     def from_xyxy(x1: float, y1: float, x2: float, y2: float) -> "BoundingBox":
         return BoundingBox((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -58,15 +61,16 @@ class Tracklet:
     the metrics read: the tracker's are `TrackRecord`s, which add the box
     and embedding, and `tracklets_from_log`'s are the applied `LogRow`s.
 
-    `exp_delta_sum` is the running sum of exp(delta) over the records, added
-    in append order, so `exp_delta_sum / len(t)` equals
+    `Tracklet(tid, *records)` takes one or more records, already in frame
+    order. `exp_delta_sum` is the running sum of exp(delta) over the
+    records, added left to right, so `exp_delta_sum / len(t)` equals
     `tracklet_uncertainty([r.delta for r in t.records])` exactly without a
     pass over the history."""
 
-    def __init__(self, tid: int, record: TrackRecord | LogRow):
+    def __init__(self, tid: int, *records: TrackRecord | LogRow):
         self.id = tid
-        self.records: list[TrackRecord | LogRow] = [record]
-        self.exp_delta_sum = math.exp(record.delta)
+        self.records: list[TrackRecord | LogRow] = list(records)
+        self.exp_delta_sum = reduce(add, [math.exp(r.delta) for r in records])
 
     def append(self, record: TrackRecord | LogRow) -> None:
         if record.frame <= self.records[-1].frame:
@@ -74,10 +78,6 @@ class Tracklet:
                 f"track {self.id}: frame {record.frame} after {self.records[-1].frame}")
         self.records.append(record)
         self.exp_delta_sum += math.exp(record.delta)
-
-    @property
-    def last_box(self) -> BoundingBox:
-        return self.records[-1].box
 
     def box_at(self, frame: int) -> BoundingBox | None:
         i = bisect_left(self.records, frame, key=lambda r: r.frame)
@@ -134,40 +134,122 @@ def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
 
 
 class TrackerState:
-    """Every track's history, and the live tracks as columns.
+    """Every decision of the frames stepped, and the live tracks as columns.
 
-    `tracklets` holds every track made, retired ones too, in id order:
-    track i is at index i - 1. The live tracks are the rows of the columns,
-    ascending by id. `ids` names each row's track, `ring` (n × depth × D)
-    holds its last embeddings and `lengths` counts its records; the next
-    embedding goes to slot `lengths % K`. The depth grows with the longest
-    track, doubling up to K, so a large K costs no more than the frames
-    seen. `lost` counts the frames since each track's last match. The
-    columns take one scatter per frame for the applied matches and are
-    compacted together only on frames with a birth or a retirement. A
-    window is summed from the ring, oldest to newest, each time it is read
-    and never kept as a running sum: its mean has the bits of
-    `sum(embeddings) / count` over the records themselves."""
+    `dets` is every detection stepped, in order. The decisions are one
+    table, one row each, in log order: per row the detection's index into
+    `dets`, the track id, the five verdict fields (0 for a birth) and the
+    stage, in column buffers that double when full; `spans` holds
+    (frame, row count) per frame stepped. `log()` and `all_tracklets()`
+    build the log rows and the tracklets from the table, in bulk, when they
+    are read.
+
+    The live tracks are the rows of the columns, ascending by id. `ids`
+    names each row's track, `ring` (n × depth × D) holds its last
+    embeddings, `lengths` counts its records and `last` is the `dets` index
+    of its last record; the next embedding goes to slot `lengths % K`. The
+    depth grows with the longest track, doubling up to K, so a large K
+    costs no more than the frames seen. `lost` counts the frames since each
+    track's last match. The columns take one scatter per frame for the
+    applied matches and are compacted together only on frames with a birth
+    or a retirement. A window is summed from the ring, oldest to newest,
+    each time it is read and never kept as a running sum: its mean has the
+    bits of `sum(embeddings) / count` over the records themselves."""
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
-        self.tracklets: list[Tracklet] = []   # every track, id order
+        self.dets: list[Detection] = []
+        self.spans: list[tuple[int, int]] = []
+        self.made = 0                     # tracks made; the next id is made + 1
         self.last_frame: int | None = None
         self.ids = np.zeros(0, dtype=np.intp)
         self.ring = np.zeros((0, 1, 0))
         self.lengths = np.zeros(0, dtype=np.intp)
+        self.last = np.zeros(0, dtype=np.intp)
         self.lost = np.zeros(0, dtype=np.intp)
+        self.n_rows = 0                   # rows of the table in use
+        self.row_det = np.zeros(0, dtype=np.intp)
+        self.row_tid = np.zeros(0, dtype=np.intp)
+        self.row_verdict = np.zeros((0, len(AssociationVerdict._fields)))
+        self.row_stage = np.zeros(0, dtype=np.intp)
+
+    def take(self, count: int) -> tuple[int, int]:
+        """Reserve the next `count` rows of the table, growing its buffers,
+        and return their (start, stop). A row past `n_rows` was never
+        written, so a reserved row's verdict is 0."""
+        start, stop = self.n_rows, self.n_rows + count
+        if stop > len(self.row_stage):
+            size = max(2 * len(self.row_stage), stop, 64)
+            for name in ("row_det", "row_tid", "row_verdict", "row_stage"):
+                old = getattr(self, name)
+                new = np.zeros((size, *old.shape[1:]), old.dtype)
+                new[:start] = old[:start]
+                setattr(self, name, new)
+        self.n_rows = stop
+        return start, stop
+
+    def add_pairs(self, pairs: np.ndarray, stage: int, base: int) -> None:
+        """Add one stage's `SCORED` pairs as rows: a pair's detection is
+        `dets[base + row]` and its track is on row `col` of the columns."""
+        if not len(pairs):
+            return
+        start, stop = self.take(len(pairs))
+        np.add(pairs["row"], base, out=self.row_det[start:stop])
+        self.row_tid[start:stop] = self.ids[pairs["col"]]
+        self.row_verdict[start:stop] = pairs.view(_VERDICTS)["v"]
+        self.row_stage[start:stop] = stage
+
+    def add_births(self, first: np.ndarray, ids: np.ndarray) -> None:
+        """Add a birth row, verdict 0, for each new track ids[i], whose
+        first record is `dets[first[i]]`."""
+        start, stop = self.take(len(ids))
+        self.row_det[start:stop] = first
+        self.row_tid[start:stop] = ids
+        self.row_stage[start:stop] = STAGE_BIRTH
+
+    def sort_rows(self, start: int) -> None:
+        """Put the rows from `start` on in detection order, stably."""
+        order = self.row_det[start:self.n_rows].argsort(kind="stable")
+        for column in (self.row_det, self.row_tid, self.row_verdict, self.row_stage):
+            column[start:self.n_rows] = column[start:self.n_rows][order]
+
+    def _frames(self) -> list[int]:
+        """The frame of each row of the table."""
+        return list(chain.from_iterable(repeat(f, count) for f, count in self.spans))
+
+    def log(self) -> list[LogRow]:
+        """One `LogRow` per decision, in log order."""
+        rows = self.n_rows
+        dets = list(map(self.dets.__getitem__, self.row_det[:rows].tolist()))
+        return list(map(LogRow, self._frames(), map(attrgetter("det_index"), dets),
+                        self.row_tid[:rows].tolist(), *self.row_verdict[:rows].T.tolist(),
+                        self.row_stage[:rows].tolist()))
 
     def all_tracklets(self) -> list[Tracklet]:
-        return list(self.tracklets)
+        """Every track made, retired ones too, in id order: track i is at
+        index i - 1. Its records are its applied rows, in frame order."""
+        tid = self.row_tid[:self.n_rows]
+        applied = (self.row_stage[:self.n_rows] != STAGE_DISSOLVED).nonzero()[0]
+        applied = applied[tid[applied].argsort(kind="stable")]
+        # ids are 1..made and each track has its birth row
+        stops = np.bincount(tid[applied])[1:].cumsum().tolist()
+        dets = list(map(self.dets.__getitem__, self.row_det[applied].tolist()))
+        records = list(map(TrackRecord, map(self._frames().__getitem__, applied.tolist()),
+                           map(attrgetter("det_index"), dets), map(attrgetter("box"), dets),
+                           map(attrgetter("embedding"), dets),
+                           self.row_verdict[applied, -1].tolist(),
+                           map(attrgetter("confidence"), dets)))
+        return [Tracklet(i, *records[start:stop])
+                for i, start, stop in zip(range(1, len(stops) + 1), [0, *stops], stops)]
 
     def last_embeddings(self) -> np.ndarray:
         """Each track's last embedding, one row per track."""
         return self.ring[np.arange(len(self.lengths)), (self.lengths - 1) % self.cfg.K]
 
-    def record(self, cols, embs: np.ndarray) -> None:
+    def record(self, cols, embs: np.ndarray, last) -> None:
         """Append row i of `embs` to the appearance of track cols[i], which
-        is matched: its lost age goes back to 0."""
+        is matched: its last record is `dets[last[i]]` and its lost age goes
+        back to 0."""
         cols = np.asarray(cols)
         lengths = self.lengths[cols]
         n, depth, dim = self.ring.shape
@@ -178,15 +260,18 @@ class TrackerState:
             self.ring = ring
         self.ring[cols, lengths % self.cfg.K] = embs
         self.lengths[cols] = lengths + 1
+        self.last[cols] = last
         self.lost[cols] = 0
 
-    def compact(self, keep: np.ndarray, born_ids: np.ndarray, born_embs: np.ndarray) -> None:
+    def compact(self, keep: np.ndarray, born_ids: np.ndarray, born_embs: np.ndarray,
+                born_last) -> None:
         """Keep the live tracks where the mask `keep` is set, in order, then
         add the tracks `born_ids`; row i of `born_embs` is the first
-        embedding of track born_ids[i]."""
+        embedding of track born_ids[i], whose record is `dets[born_last[i]]`."""
         if not keep.all():
-            self.ids, self.ring, self.lengths, self.lost = (
-                self.ids[keep], self.ring[keep], self.lengths[keep], self.lost[keep])
+            self.ids, self.ring, self.lengths, self.last, self.lost = (
+                self.ids[keep], self.ring[keep], self.lengths[keep], self.last[keep],
+                self.lost[keep])
         if not len(born_ids):
             return
         ring = np.zeros((len(born_ids), self.ring.shape[1], born_embs.shape[1]),
@@ -196,6 +281,7 @@ class TrackerState:
         self.ring = np.concatenate([self.ring, ring]) if len(self.lost) else ring
         self.ids = np.concatenate([self.ids, born_ids])
         self.lengths = np.concatenate([self.lengths, np.ones(len(born_ids), dtype=np.intp)])
+        self.last = np.concatenate([self.last, born_last])
         self.lost = np.concatenate([self.lost, np.zeros(len(born_ids), dtype=np.intp)])
 
     def window_means(self, cols) -> np.ndarray:
@@ -218,6 +304,9 @@ class TrackerState:
 SCORED = np.dtype([("row", np.intp), ("col", np.intp)]
                   + [(f, float) for f in AssociationVerdict._fields])
 _NO_PAIRS = np.zeros(0, SCORED)
+# the five verdict fields of a `SCORED` array, as one (pairs × 5) float view
+_VERDICTS = np.dtype({"names": ["v"], "formats": [(float, 5)],
+                      "offsets": [SCORED.fields["c1"][1]], "itemsize": SCORED.itemsize})
 
 
 def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:
@@ -285,23 +374,22 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
     if not len(pool_rows) or not len(pool_cols):
         return np.zeros((0, 2), dtype=np.intp)
     gate = iou([dets[r].box for r in pool_rows],
-               [state.tracklets[i - 1].last_box for i in state.ids[pool_cols].tolist()])
+               [state.dets[i].box for i in state.last[pool_cols].tolist()])
     hist = state.window_means(pool_cols)
     cprime = np.where(gate > state.cfg.beta, det_mat[pool_rows] @ hist.T, 0.0)
     i, j = hungarian_max(cprime, floor=0.0).pairs.T
     return np.array([pool_rows[i], pool_cols[j]]).T
 
 
-def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]:
-    """Advance the tracker by one frame and return its decisions: the
-    dissolved pairs, then the applied matches in detection order, then the
-    births."""
+def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
+    """Advance the tracker by one frame and write its decisions to the
+    state's table: the dissolved pairs, then the applied matches in
+    detection order, then the births."""
     cfg = state.cfg
     if state.last_frame is not None and frame <= state.last_frame:
         raise OutOfOrderFrame(f"frame {frame} after {state.last_frame}")
     state.last_frame = frame
 
-    tracklets, ids = state.tracklets, state.ids.tolist()
     det_mat = _embeddings(dets, state.ring.shape[2])
     sim = build_similarity(det_mat, state.last_embeddings())
     matching = hungarian_max(sim)
@@ -313,37 +401,36 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> list[LogRow]
     else:
         certain = _scored(sim, matching.pairs, cfg)
         dissolved = rectified = _NO_PAIRS
+    base, first_row = len(state.dets), state.n_rows
+    state.dets += dets
+    state.add_pairs(dissolved, STAGE_DISSOLVED, base)
+    applied = state.n_rows
+    state.add_pairs(certain, STAGE_ASSOC, base)
+    rows, cols = certain["row"], certain["col"]
+    if len(rectified):
+        state.add_pairs(rectified, STAGE_RECTIFIED, base)
+        # no row is both certain and rectified: one sort puts them in
+        # detection order
+        state.sort_rows(applied)
+        rows = np.concatenate([rows, rectified["row"]])
+        cols = np.concatenate([cols, rectified["col"]])
 
-    log = [LogRow(frame, dets[r].det_index, ids[c], *v, STAGE_DISSOLVED)
-           for r, c, *v in dissolved.tolist()]
-    applied = sorted([(*p, STAGE_ASSOC) for p in certain.tolist()]
-                     + [(*p, STAGE_RECTIFIED) for p in rectified.tolist()])
-    for r, c, *v, stage in applied:
-        det, tid = dets[r], ids[c]
-        tracklets[tid - 1].append(TrackRecord(frame=frame, det_index=det.det_index,
-                                              box=det.box, embedding=det.embedding,
-                                              delta=v[-1], confidence=det.confidence))
-        log.append(LogRow(frame, det.det_index, tid, *v, stage))
-    rows = [r for r, *_ in applied]
     state.lost += 1   # `record` zeroes the matched tracks' ages
-    if applied:
-        state.record([c for _, c, *_ in applied], det_mat[rows])
+    if len(rows):
+        state.record(cols, det_mat[rows], rows + base)
 
-    matched_rows = set(rows)
+    matched_rows = set(rows.tolist())
     born_rows = [r for r, det in enumerate(dets)
                  if r not in matched_rows and det.confidence >= DET_CONF_MIN]
-    first_id = len(tracklets) + 1
-    for tid, r in enumerate(born_rows, start=first_id):
-        det = dets[r]
-        tracklets.append(Tracklet(tid, TrackRecord(frame=frame, det_index=det.det_index,
-                                                   box=det.box, embedding=det.embedding,
-                                                   delta=0.0, confidence=det.confidence)))
-        log.append(LogRow(frame, det.det_index, tid, 0.0, 0.0, 0.0, 0.0, 0.0, STAGE_BIRTH))
-
+    first_id = state.made + 1
+    state.made += len(born_rows)
     keep = state.lost <= MAX_LOST
     if born_rows or not keep.all():
-        state.compact(keep, np.arange(first_id, len(tracklets) + 1), det_mat[born_rows])
-    return log
+        born_last = np.array(born_rows, dtype=np.intp) + base
+        born_ids = np.arange(first_id, state.made + 1)
+        state.add_births(born_last, born_ids)
+        state.compact(keep, born_ids, det_mat[born_rows], born_last)
+    state.spans.append((frame, state.n_rows - first_row))
 
 
 def track_sequence(frames, cfg: TrackerConfig | None = None):
@@ -353,7 +440,6 @@ def track_sequence(frames, cfg: TrackerConfig | None = None):
     if cfg is None:
         cfg = TrackerConfig()
     state = TrackerState(cfg)
-    log: list[LogRow] = []
     for frame, dets in enumerate(frames, start=1):
-        log.extend(step(state, frame, dets))
-    return state.all_tracklets(), log
+        step(state, frame, dets)
+    return state.all_tracklets(), state.log()

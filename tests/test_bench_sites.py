@@ -48,8 +48,8 @@ def test_traced_scene_pass_counts_rectification():
     try:
         frames, _ = simulator.generate(simulator.ScenarioConfig(num_objects=20, num_frames=20))
         state = tracker.TrackerState(tracker.TrackerConfig())
-        log = [row for frame, dets in enumerate(frames, start=1)
-               for row in tracker.step(state, frame, dets)]
+        for frame, dets in enumerate(frames, start=1):
+            tracker.step(state, frame, dets)
     finally:
         tracer.uninstall()
     values = tracing.per_layer_values(tracer)
@@ -62,7 +62,7 @@ def test_traced_scene_pass_counts_rectification():
         assert values[name] > 0, name
     assert 0 < values["tracker.rectify_matched_ratio"] <= 1
     # the hooks count pairs, so each count is the number of its stage's log rows
-    stages = [row.stage for row in log]
+    stages = [row.stage for row in state.log()]
     assert values["tracker.rectify_matched"] == stages.count(tracker.STAGE_RECTIFIED)
     assert values["tracker.verify_pairs"] == (stages.count(tracker.STAGE_ASSOC)
                                               + stages.count(tracker.STAGE_DISSOLVED))

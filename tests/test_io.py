@@ -66,7 +66,9 @@ class TestDetectionsRoundtrip:
         ("nan,0,5,5,0.9", DegenerateBox, "non-finite box"),
         ("0,0,inf,5,0.9", DegenerateBox, "non-finite box"),
         ("0,0,5,5,nan", ParseError, "non-finite value"),
-    ], ids=["negative-h", "nan-left", "inf-w", "nan-conf"])
+        ("1e308,0,1.7e308,5,0.9", DegenerateBox,
+         r"box centre overflows: bb_left=1e\+308 bb_top=0.0 w=1.7e\+308 h=5.0$"),
+    ], ids=["negative-h", "nan-left", "inf-w", "nan-conf", "overflowing-centre"])
     def test_bad_box_values_rejected(self, tmp_path, fields, error, message):
         """BoundingBox checks the box, read_detections the confidence; each
         error carries the line number."""

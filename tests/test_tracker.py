@@ -57,19 +57,34 @@ def last_embeddings(tracks):
 
 def live(state):
     """The state's live tracklets, in column order."""
-    return [state.tracklets[tid - 1] for tid in state.ids.tolist()]
+    tracklets = state.all_tracklets()
+    return [tracklets[tid - 1] for tid in state.ids.tolist()]
+
+
+def rows_at(state, frame):
+    """The log rows of one frame, as `step` wrote them."""
+    return [row for row in state.log() if row.frame == frame]
 
 
 def state_of(tracks, cfg=TrackerConfig()):
-    """A TrackerState holding `tracks` (ids 1..n in order), its appearance
-    arrays filled record by record through the state's own updates."""
+    """A TrackerState whose live tracks are `tracks` (ids 1..n in order),
+    its columns filled record by record through the state's own updates;
+    each record's detection is added to `dets`."""
     state = TrackerState(cfg)
-    state.tracklets += tracks
+
+    def added(records):
+        first = len(state.dets)
+        state.dets += [Detection(r.frame, r.det_index, r.box, r.confidence, r.embedding)
+                       for r in records]
+        return np.arange(first, len(state.dets))
+
+    firsts = [t.records[0] for t in tracks]
     state.compact(np.zeros(0, dtype=bool), np.array([t.id for t in tracks]),
-                  np.array([t.records[0].embedding for t in tracks]))
+                  np.array([r.embedding for r in firsts]), added(firsts))
     for i in range(1, max(len(t) for t in tracks)):
         cols = [c for c, t in enumerate(tracks) if len(t) > i]
-        state.record(cols, np.array([tracks[c].records[i].embedding for c in cols]))
+        records = [tracks[c].records[i] for c in cols]
+        state.record(cols, np.array([r.embedding for r in records]), added(records))
     return state
 
 
@@ -77,7 +92,7 @@ class TestTracklet:
     def test_record_frames_strictly_increase(self):
         t = track(1, 1, unit(1, 0))
         with pytest.raises(OutOfOrderFrame):
-            t.append(TrackRecord(frame=1, det_index=0, box=t.last_box,
+            t.append(TrackRecord(frame=1, det_index=0, box=t.records[-1].box,
                                  embedding=unit(1, 0), delta=0.0))
 
     def test_box_at_finds_only_recorded_frames(self):
@@ -91,7 +106,7 @@ class TestTracklet:
 
     def test_deltas_history(self):
         t = track(1, 1, unit(1, 0))
-        t.append(TrackRecord(frame=2, det_index=0, box=t.last_box,
+        t.append(TrackRecord(frame=2, det_index=0, box=t.records[-1].box,
                              embedding=unit(1, 0), delta=-0.5))
         assert [r.delta for r in t.records] == [0.0, -0.5]
 
@@ -99,14 +114,14 @@ class TestTracklet:
 class TestTrackerState:
     def test_last_row_is_last_embedding(self):
         t = track(1, 1, unit(1, 0))
-        t.append(TrackRecord(frame=2, det_index=0, box=t.last_box,
+        t.append(TrackRecord(frame=2, det_index=0, box=t.records[-1].box,
                              embedding=unit(0, 1), delta=0.0))
         assert np.array_equal(state_of([t]).last_embeddings(), [unit(0, 1)])
 
     def test_window_covers_last_K_records(self):
         t = track(1, 1, unit(1, 0))
         for f in range(2, 10):
-            t.append(TrackRecord(frame=f, det_index=0, box=t.last_box,
+            t.append(TrackRecord(frame=f, det_index=0, box=t.records[-1].box,
                                  embedding=unit(1, f), delta=0.0))
         for K, count in ((5, 5), (100, 9)):
             embs = [r.embedding for r in t.records[-count:]]
@@ -122,7 +137,7 @@ class TestTrackerState:
         for tid in range(1, 41):
             t = track(tid, 1, rng.normal(size=1))
             for f in range(2, 2 + int(rng.integers(0, 20))):
-                t.append(TrackRecord(frame=f, det_index=0, box=t.last_box,
+                t.append(TrackRecord(frame=f, det_index=0, box=t.records[-1].box,
                                      embedding=rng.normal(size=1), delta=0.0))
             tracks.append(t)
         means = state_of(tracks, TrackerConfig(K=K)).window_means(list(range(len(tracks))))
@@ -332,7 +347,7 @@ class TestRectify:
         cprime = np.zeros((len(pool_rows), len(pool_cols)))
         for i, r in enumerate(pool_rows):
             for j, c in enumerate(pool_cols):
-                if iou([dets[r].box], [tracks[c].last_box])[0, 0] > cfg.beta:
+                if iou([dets[r].box], [tracks[c].records[-1].box])[0, 0] > cfg.beta:
                     cprime[i, j] = np.mean([dets[r].embedding @ rec.embedding
                                             for rec in tracks[c].records[-cfg.K:]])
         return cprime
@@ -395,20 +410,22 @@ def born(rows):
 class TestStep:
     def test_births_in_det_order(self):
         state = TrackerState(TrackerConfig())
-        rows = step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
+        step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
+        rows = rows_at(state, 1)
         assert born(rows) == [1, 2]
         assert [row.stage for row in rows] == [STAGE_BIRTH, STAGE_BIRTH]
 
     def test_low_confidence_no_birth(self):
         state = TrackerState(TrackerConfig())
-        rows = step(state, 1, [det(1, 0, unit(1, 0), conf=0.5)])
-        assert born(rows) == []
+        step(state, 1, [det(1, 0, unit(1, 0), conf=0.5)])
+        assert born(rows_at(state, 1)) == []
         assert state.ids.tolist() == [] and state.all_tracklets() == []
 
     def test_orthonormal_continuation(self):
         state = TrackerState(TrackerConfig())
         step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
-        rows = step(state, 2, [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))])
+        step(state, 2, [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))])
+        rows = rows_at(state, 2)
         assert matched(rows) == [(0, 1), (1, 2)]
         assert born(rows) == []
 
@@ -441,14 +458,16 @@ class TestStep:
         """Confusable embeddings cross-match, but the IoU gate only passes
         the true pairs, so rectification restores them."""
         state, d1, d2 = self._confusable_setup()
-        rows = step(state, 2, [d1, d2])
+        step(state, 2, [d1, d2])
+        rows = rows_at(state, 2)
         assert matched(rows) == [(0, 1), (1, 2)]
         assert {row.stage for row in rows} == {STAGE_DISSOLVED, STAGE_RECTIFIED}
 
     def test_rectified_delta_recomputed_from_original_row(self):
         state, d1, d2 = self._confusable_setup()
         sim = emb_matrix([d1, d2]) @ last_embeddings(live(state)).T
-        rows = step(state, 2, [d1, d2])
+        step(state, 2, [d1, d2])
+        rows = rows_at(state, 2)
         rect = [row for row in rows if row.stage == STAGE_RECTIFIED]
         assert len(rect) == 2
         for row in rect:
@@ -478,7 +497,8 @@ class TestStep:
             if col_of and dets:
                 sim = emb_matrix(dets) @ last_embeddings(live(state)).T
             calls.clear()
-            for row in step(state, frame, dets):
+            step(state, frame, dets)
+            for row in rows_at(state, frame):
                 stages.add(row.stage)
                 if row.stage == STAGE_BIRTH:
                     continue
@@ -506,7 +526,8 @@ class TestStep:
 
     def test_dissolved_pairs_are_logged(self):
         state, d1, d2 = self._confusable_setup()
-        rows = step(state, 2, [d1, d2])
+        step(state, 2, [d1, d2])
+        rows = rows_at(state, 2)
         dissolved = [row for row in rows if row.stage == STAGE_DISSOLVED]
         # the dissolved cross pairs are logged first, with positive delta
         assert rows[:2] == dissolved
@@ -528,7 +549,8 @@ class TestStep:
         assert state.lost.tolist() == [tracker.MAX_LOST]
         (trk,) = state.all_tracklets()
         step(state, 2 + tracker.MAX_LOST, [])
-        assert state.ids.tolist() == [] and state.all_tracklets() == [trk]
+        assert state.ids.tolist() == []
+        assert [(t.id, t.records) for t in state.all_tracklets()] == [(trk.id, trk.records)]
         assert len(state.lost) == len(state.lengths) == len(state.ring) == 0
 
     def test_lost_track_rematches_before_removal(self, monkeypatch):
@@ -537,8 +559,8 @@ class TestStep:
         step(state, 1, [det(1, 0, unit(1, 0))])
         step(state, 2, [])
         assert state.lost.tolist() == [1]
-        rows = step(state, 3, [det(3, 0, unit(1, 0))])
-        assert matched(rows) == [(0, 1)]
+        step(state, 3, [det(3, 0, unit(1, 0))])
+        assert matched(rows_at(state, 3)) == [(0, 1)]
         assert state.lost.tolist() == [0]
 
 
@@ -613,6 +635,48 @@ class TestTrackSequence:
         tracklets, _ = track_sequence(frames)
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("utl", [True, False])
+    def test_mid_run_reads_equal_a_run_stopped_there(self, utl):
+        """`all_tracklets()` and `log()` read after any frame equal the
+        results of a fresh run over the frames up to it, record objects
+        and `exp_delta_sum` bits included, and reading changes nothing
+        that later frames decide."""
+        frames, _ = generate(ScenarioConfig(num_frames=40, seed=7))
+        cfg = TrackerConfig(utl_enabled=utl)
+
+        def compose(tracklets):
+            return [(t.id, t.exp_delta_sum.hex(),
+                     [(r.frame, r.det_index, r.delta.hex(), id(r.box), id(r.embedding),
+                       id(r.confidence)) for r in t.records]) for t in tracklets]
+
+        state = TrackerState(cfg)
+        for frame, dets in enumerate(frames, start=1):
+            step(state, frame, dets)
+            if frame in (1, 2, 17, 40):
+                tracklets, log = track_sequence(frames[:frame], cfg)
+                assert state.log() == log
+                assert compose(state.all_tracklets()) == compose(tracklets)
+
+    def test_step_builds_no_decision_objects(self, monkeypatch):
+        """`step` returns nothing and makes no log row, record or tracklet;
+        the builders make them from the table when they are read."""
+        frames, _ = generate(ScenarioConfig(num_frames=30, seed=7))
+        expected = track_sequence(frames)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("step built a decision object")
+
+        state = TrackerState(TrackerConfig())
+        with monkeypatch.context() as mp:
+            for name in ("LogRow", "TrackRecord", "Tracklet"):
+                mp.setattr(tracker, name, forbidden)
+            for frame, dets in enumerate(frames, start=1):
+                assert step(state, frame, dets) is None
+        assert not hasattr(state, "tracklets")
+        assert state.log() == expected[1]
+        assert ([(t.id, t.records) for t in state.all_tracklets()]
+                == [(t.id, t.records) for t in expected[0]])
 
     @pytest.mark.parametrize("kind, seed", [("crowd", s) for s in (7, 8, 9)]
                              + [("default", s) for s in range(7, 13)])
