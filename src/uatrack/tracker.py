@@ -173,7 +173,7 @@ class TrackerState:
         self.row_verdict = np.zeros((0, len(AssociationVerdict._fields)))
         self.row_stage = np.zeros(0, dtype=np.intp)
 
-    def take(self, count: int) -> tuple[int, int]:
+    def _take(self, count: int) -> tuple[int, int]:
         """Reserve the next `count` rows of the table, growing its buffers,
         and return their (start, stop). A row past `n_rows` was never
         written, so a reserved row's verdict is 0."""
@@ -193,7 +193,7 @@ class TrackerState:
         `dets[base + row]` and its track is on row `col` of the columns."""
         if not len(pairs):
             return
-        start, stop = self.take(len(pairs))
+        start, stop = self._take(len(pairs))
         np.add(pairs["row"], base, out=self.row_det[start:stop])
         self.row_tid[start:stop] = self.ids[pairs["col"]]
         self.row_verdict[start:stop] = pairs.view(_VERDICTS)["v"]
@@ -202,7 +202,7 @@ class TrackerState:
     def add_births(self, first: np.ndarray, ids: np.ndarray) -> None:
         """Add a birth row, verdict 0, for each new track ids[i], whose
         first record is `dets[first[i]]`."""
-        start, stop = self.take(len(ids))
+        start, stop = self._take(len(ids))
         self.row_det[start:stop] = first
         self.row_tid[start:stop] = ids
         self.row_stage[start:stop] = STAGE_BIRTH
