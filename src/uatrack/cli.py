@@ -99,10 +99,10 @@ def cmd_track(args) -> int:
     frames = _load_bundle(args.dets, args.embs)
     cfg = TrackerConfig(margins=UncertaintyMargins(m1=args.m1, m2=args.m2),
                         beta=args.beta, K=args.K, utl_enabled=args.utl == "on")
-    tracklets, log = track_sequence(frames, cfg)
-    formats.write_results(tracklets, args.out)
+    state = track_sequence(frames, cfg)
+    formats.write_results(state.all_tracklets(), args.out)
     if args.log:
-        formats.write_log(log, args.log)
+        formats.write_log(state.log(), args.log)
     return 0
 
 
@@ -130,7 +130,7 @@ def cmd_augment(args) -> int:
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     # clamped: a negative stop would track from the end
-    tracklets, _log = track_sequence(frames[:max(args.frame, 0)])
+    tracklets = track_sequence(frames[:max(args.frame, 0)]).all_tracklets()
     plan = draw_plan(tracklets, args.frame, np.random.default_rng(cfg.seed), cfg,
                      args.jitter)
     t = plan.transform

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .augment import (AugmentationPlan, SamplingWeights, build_plan,
                       default_jitter, sample, softmax, source_anchor_weights,
                       target_anchor_weights)
 from .errors import InsufficientData, InvalidConfig, NoCandidates
-from .tracker import Tracklet, track_sequence
+from .tracker import Detection, Tracklet, TrackerState, track_sequence
+from .uncertainty import tracklet_uncertainty
 
 DEFAULT_TEMPERATURE = 0.07
 MAX_LAG = 10  # frame-pair lag bound for positives
@@ -97,6 +99,24 @@ class TrainConfig:
                                 f"got {self.anchor_sampling!r}")
 
 
+def _draw_in_window(past: list[int], probs: list[float], frame: int,
+                    rng: np.random.Generator, uniform: bool) -> int:
+    """The target frame of an anchor whose historical frames before `frame`
+    are `past`, ascending, with softmax weights `probs`. It is drawn from
+    the frames within MAX_LAG of `frame`, or from the whole history when
+    none is: uniformly, or by each weight over the window's sum."""
+    start = bisect_left(past, frame - MAX_LAG)
+    if start == len(past):
+        start = 0
+    if uniform:
+        return past[start + int(rng.integers(len(past) - start))]
+    window = probs[start:]
+    # summed left to right: from Python 3.12 the builtin sum compensates rounding
+    total_p = reduce(operator.add, window)
+    return sample(SamplingWeights(list(zip(past[start:], [p / total_p for p in window]))),
+                  rng)
+
+
 def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
                 cfg: TrainConfig) -> tuple[Tracklet, int]:
     """The hierarchical draw of tracklet-guided augmentation among `present`,
@@ -110,13 +130,80 @@ def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
     else:
         anchor_id = sample(source_anchor_weights(present, frame), rng)
         anchor = next(trk for trk in present if trk.id == anchor_id)
-    past = target_anchor_weights(anchor, frame).candidates
-    window = [(f, p) for f, p in past if f >= frame - MAX_LAG] or past
-    if uniform:
-        return anchor, window[int(rng.integers(len(window)))][0]
-    # summed left to right: from Python 3.12 the builtin sum compensates rounding
-    total_p = reduce(operator.add, (p for _, p in window))
-    return anchor, sample(SamplingWeights([(f, p / total_p) for f, p in window]), rng)
+    past = target_anchor_weights(anchor, frame)
+    return anchor, _draw_in_window([f for f, _ in past.candidates], past.probabilities(),
+                                   frame, rng, uniform)
+
+
+@dataclass(frozen=True)
+class EpochColumns:
+    """One epoch's pseudo-tracklets, read from the tracker's applied
+    decisions as columns, for the training steps' draws and batches.
+
+    Track k (id k + 1) holds entries `bounds[k]:bounds[k + 1]` of `frames`,
+    ascending, and of `deltas`; `omega[k]` is its tracklet uncertainty and
+    `first[k]` its first frame. Frame t's tracks, in id order, are
+    `tracks[at[t - 1]:at[t]]`, and the same places of `rows` hold the
+    index of each one's detection among every detection stepped."""
+    frames: list
+    deltas: np.ndarray
+    bounds: list
+    omega: np.ndarray
+    first: np.ndarray
+    at: list
+    tracks: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def from_state(cls, state: TrackerState, num_frames: int) -> "EpochColumns":
+        """The columns of the applied rows of `state`, which stepped
+        `num_frames` frames."""
+        tid, frames, rows, deltas = state.applied()
+        bounds = np.bincount(tid).cumsum().tolist()   # ids start at 1: bounds[0] is 0
+        history = deltas.tolist()
+        omega = np.array([tracklet_uncertainty(history[start:stop])
+                          for start, stop in zip(bounds, bounds[1:])])
+        by_frame = frames.argsort(kind="stable")   # frame, then track id
+        at = frames[by_frame].searchsorted(np.arange(num_frames + 1), side="right")
+        return cls(frames.tolist(), deltas, bounds, omega, frames[bounds[:-1]],
+                   at.tolist(), tid[by_frame] - 1, rows[by_frame])
+
+    def present(self, frame: int) -> np.ndarray:
+        """The tracks with an entry at `frame` and one before it, in id order."""
+        tracks = self.tracks[self.at[frame - 1]:self.at[frame]]
+        return tracks[self.first[tracks] < frame]
+
+    def draw(self, present: np.ndarray, frame: int, rng: np.random.Generator,
+             cfg: TrainConfig) -> tuple[int, int]:
+        """`draw_target` among the tracks `present`, with the same draws
+        from `rng`: the anchor track and its target frame."""
+        uniform = cfg.anchor_sampling != "uncertainty"
+        if uniform:
+            anchor = int(present[rng.integers(len(present))])
+        else:
+            weights = softmax(-self.omega[present]).tolist()
+            anchor = sample(SamplingWeights(list(zip(present.tolist(), weights))), rng)
+        start = self.bounds[anchor]
+        stop = bisect_left(self.frames, frame, start, self.bounds[anchor + 1])
+        return anchor, _draw_in_window(self.frames[start:stop],
+                                       softmax(self.deltas[start:stop]).tolist(),
+                                       frame, rng, uniform)
+
+    def batch(self, frame: int, target: int):
+        """The InfoNCE batch of a draw: the keys are the detections of every
+        track at `target`, the queries those at `frame` of the tracks at
+        both. Returns (query rows, the key index of each query's positive,
+        key rows), or None when there are fewer than 2 keys or no query."""
+        there = slice(self.at[target - 1], self.at[target])
+        here = slice(self.at[frame - 1], self.at[frame])
+        keys, tracks = self.tracks[there], self.tracks[here]
+        if len(keys) < 2:
+            return None
+        positives = keys.searchsorted(tracks)
+        hit = keys[np.minimum(positives, len(keys) - 1)] == tracks
+        if not hit.any():
+            return None
+        return self.rows[here][hit], positives[hit], self.rows[there]
 
 
 def draw_plan(tracklets, frame: int, rng: np.random.Generator,
@@ -168,8 +255,9 @@ def train_embedder(frames, cfg: TrainConfig):
     historical frame, the negatives the other tracklets in that frame.
     Anchor selection follows the hierarchical uncertainty weights (or is
     uniform when anchor_sampling="random"). Learning rate is cosine-annealed
-    to zero. Pseudo-tracklets come from the default TrackerConfig. Returns
-    (embedder, per-epoch mean losses).
+    to zero. Pseudo-tracklets come from the default TrackerConfig; each
+    epoch reads them from the tracker state's decision table as
+    `EpochColumns`. Returns (embedder, per-epoch mean losses).
     """
     frames = list(frames)
     raw_dim = None
@@ -193,54 +281,43 @@ def train_embedder(frames, cfg: TrainConfig):
     total_steps = cfg.epochs * cfg.steps_per_epoch
     step_count = 0
     epoch_losses: list[float] = []
-    # one row per detection, frame by frame; the detections are copied once
-    # and each epoch rebinds the copies' embeddings
-    raw = np.stack([d.raw for dets in frames for d in dets])
-    first_row = list(accumulate((len(dets) for dets in frames), initial=0))
-    embedded = [[replace(d) for d in dets] for dets in frames]
+    # one row per detection, frame by frame, which is also each detection's
+    # index among those the tracker steps; the detections are copied once and
+    # each epoch rebinds the copies' embeddings
+    raw = np.array([d.raw for dets in frames for d in dets])   # np.stack is slower
+    embedded = [[Detection(d.frame, d.det_index, d.box, d.confidence, d.embedding)
+                 for d in dets] for dets in frames]
 
     for _epoch in range(cfg.epochs):
         # re-embed and regenerate pseudo-labels with the current weights
         emb = embedder.embed(raw)
-        for d, e in zip((d for dets in embedded for d in dets), emb):
+        for d, e in zip(chain.from_iterable(embedded), emb):
             d.embedding = e
-        tracklets, _log = track_sequence(embedded)
-        if len(tracklets) < 2:
+        state = track_sequence(embedded)
+        if state.made < 2:
             raise InsufficientData(
-                f"sequence yielded {len(tracklets)} tracklet(s), need >= 2")
-        # per frame, (tracklet, row of its detection) in track-id order
-        by_frame: dict[int, list[tuple[Tracklet, int]]] = {}
-        for trk in tracklets:
-            for r in trk.records:
-                by_frame.setdefault(r.frame, []).append(
-                    (trk, first_row[r.frame - 1] + r.det_index))
+                f"sequence yielded {state.made} tracklet(s), need >= 2")
+        columns = EpochColumns.from_state(state, len(frames))
 
         losses: list[float] = []
         for _ in range(cfg.steps_per_epoch):
             lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step_count / total_steps))
             step_count += 1
             t = int(rng.integers(2, len(frames) + 1))
-            # every tracklet listed at t has a record there; keep those with an earlier one
-            present = [trk for trk, _ in by_frame.get(t, []) if trk.records[0].frame < t]
+            present = columns.present(t)
             if len(present) < 2:
                 continue
-            _, target = draw_target(present, t, rng, cfg)
+            _, target = columns.draw(present, t, rng, cfg)
             # no plan is built, but build_plan's 8 corner-jitter doubles are
             # drawn, so the stream, and with it every weight, is draw_plan's
             rng.random(8)
 
-            # the keys are every tracklet at the target frame; one query per
-            # tracklet present at both frames
-            keys = by_frame.get(target, [])
-            key_of = {trk.id: j for j, (trk, _) in enumerate(keys)}
-            queries = [(row, key_of[trk.id]) for trk, row in by_frame[t]
-                       if trk.id in key_of]
-            if len(keys) < 2 or not queries:
+            batch = columns.batch(t, target)
+            if batch is None:
                 continue
-            rows, positives = (np.array(col) for col in zip(*queries))
+            rows, positives, keys = batch
             step_losses, grad = info_nce_batch(
-                emb[rows], raw[rows], emb[[row for _, row in keys]], positives,
-                embedder.weights)
+                emb[rows], raw[rows], emb[keys], positives, embedder.weights)
             losses.extend(step_losses.tolist())
             embedder.weights -= lr * grad / len(rows)
         epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))

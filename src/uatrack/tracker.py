@@ -13,7 +13,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat
 from operator import add, attrgetter
 
 import numpy as np
@@ -142,7 +141,7 @@ class TrackerState:
     stage, in column buffers that double when full; `spans` holds
     (frame, row count) per frame stepped. `log()` and `all_tracklets()`
     build the log rows and the tracklets from the table, in bulk, when they
-    are read.
+    are read; `applied()` gives the applied rows as columns.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -213,31 +212,37 @@ class TrackerState:
         for column in (self.row_det, self.row_tid, self.row_verdict, self.row_stage):
             column[start:self.n_rows] = column[start:self.n_rows][order]
 
-    def _frames(self) -> list[int]:
+    def _frames(self) -> np.ndarray:
         """The frame of each row of the table."""
-        return list(chain.from_iterable(repeat(f, count) for f, count in self.spans))
+        frames, counts = np.array(self.spans, dtype=np.intp).reshape(-1, 2).T
+        return frames.repeat(counts)
 
     def log(self) -> list[LogRow]:
         """One `LogRow` per decision, in log order."""
         rows = self.n_rows
         dets = list(map(self.dets.__getitem__, self.row_det[:rows].tolist()))
-        return list(map(LogRow, self._frames(), map(attrgetter("det_index"), dets),
+        return list(map(LogRow, self._frames().tolist(), map(attrgetter("det_index"), dets),
                         self.row_tid[:rows].tolist(), *self.row_verdict[:rows].T.tolist(),
                         self.row_stage[:rows].tolist()))
+
+    def applied(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The applied rows as columns (track id, frame, `dets` index,
+        delta), grouped by track id, ascending, and in frame order within a
+        track. The ids are 1..made and each track has its birth row."""
+        tid = self.row_tid[:self.n_rows]
+        rows = (self.row_stage[:self.n_rows] != STAGE_DISSOLVED).nonzero()[0]
+        rows = rows[tid[rows].argsort(kind="stable")]
+        return tid[rows], self._frames()[rows], self.row_det[rows], self.row_verdict[rows, -1]
 
     def all_tracklets(self) -> list[Tracklet]:
         """Every track made, retired ones too, in id order: track i is at
         index i - 1. Its records are its applied rows, in frame order."""
-        tid = self.row_tid[:self.n_rows]
-        applied = (self.row_stage[:self.n_rows] != STAGE_DISSOLVED).nonzero()[0]
-        applied = applied[tid[applied].argsort(kind="stable")]
-        # ids are 1..made and each track has its birth row
-        stops = np.bincount(tid[applied])[1:].cumsum().tolist()
-        dets = list(map(self.dets.__getitem__, self.row_det[applied].tolist()))
-        records = list(map(TrackRecord, map(self._frames().__getitem__, applied.tolist()),
+        tid, frames, det, delta = self.applied()
+        stops = np.bincount(tid)[1:].cumsum().tolist()
+        dets = list(map(self.dets.__getitem__, det.tolist()))
+        records = list(map(TrackRecord, frames.tolist(),
                            map(attrgetter("det_index"), dets), map(attrgetter("box"), dets),
-                           map(attrgetter("embedding"), dets),
-                           self.row_verdict[applied, -1].tolist(),
+                           map(attrgetter("embedding"), dets), delta.tolist(),
                            map(attrgetter("confidence"), dets)))
         return [Tracklet(i, *records[start:stop])
                 for i, start, stop in zip(range(1, len(stops) + 1), [0, *stops], stops)]
@@ -433,13 +438,13 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     state.spans.append((frame, state.n_rows - first_row))
 
 
-def track_sequence(frames, cfg: TrackerConfig | None = None):
-    """Fold `step` over per-frame detection lists, frame t at index t-1.
-    Returns all tracklets, including removed ones, and one log row per
-    association decision."""
+def track_sequence(frames, cfg: TrackerConfig | None = None) -> TrackerState:
+    """Fold `step` over per-frame detection lists, frame t at index t-1, and
+    return the state: its `all_tracklets()` are every track made, removed
+    ones too, and its `log()` has one row per association decision."""
     if cfg is None:
         cfg = TrackerConfig()
     state = TrackerState(cfg)
     for frame, dets in enumerate(frames, start=1):
         step(state, frame, dets)
-    return state.all_tracklets(), state.log()
+    return state

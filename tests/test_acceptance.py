@@ -47,9 +47,9 @@ def default_scenario():
 @pytest.fixture(scope="module")
 def default_runs(default_scenario):
     _, frames, gt = default_scenario
-    on_tracks, on_log = track_sequence(frames, TrackerConfig(utl_enabled=True))
-    off_tracks, off_log = track_sequence(frames, TrackerConfig(utl_enabled=False))
-    return gt, (on_tracks, on_log), (off_tracks, off_log)
+    on = track_sequence(frames, TrackerConfig(utl_enabled=True))
+    off = track_sequence(frames, TrackerConfig(utl_enabled=False))
+    return gt, (on.all_tracklets(), on.log()), (off.all_tracklets(), off.log())
 
 
 def test_criterion_1_formula_exactness():
@@ -204,8 +204,8 @@ def test_criterion_8_id_switch_ablation():
     per_seed = []
     for seed in ABLATION_SEEDS:
         frames, gt = generate(replace(ScenarioConfig(), seed=seed))
-        on_tracks, _ = track_sequence(frames, TrackerConfig(utl_enabled=True))
-        off_tracks, _ = track_sequence(frames, TrackerConfig(utl_enabled=False))
+        on_tracks = track_sequence(frames, TrackerConfig(utl_enabled=True)).all_tracklets()
+        off_tracks = track_sequence(frames, TrackerConfig(utl_enabled=False)).all_tracklets()
         ids_on, ids_off = id_switches(on_tracks, gt), id_switches(off_tracks, gt)
         per_seed.append(f"seed {seed}: {ids_on} vs {ids_off}")
         if ids_on <= ids_off:

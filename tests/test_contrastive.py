@@ -1,13 +1,16 @@
 """Tests for the InfoNCE loss/gradient and the linear embedder trainer."""
 
+import copy
 import math
 import operator
+from dataclasses import replace
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from uatrack import contrastive, formats
+from uatrack import contrastive, formats, tracker
 from uatrack.augment import target_anchor_weights
 from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
                                  LinearEmbedder, TrainConfig, draw_plan,
@@ -15,7 +18,8 @@ from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
                                  info_nce_grad, train_embedder)
 from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
 from uatrack.geometry import BoundingBox
-from uatrack.tracker import Detection, Tracklet, TrackRecord
+from uatrack.simulator import ScenarioConfig, generate
+from uatrack.tracker import Detection, Tracklet, TrackRecord, track_sequence
 
 
 def unit(v):
@@ -235,6 +239,146 @@ class TestTrainEmbedder:
             train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
 
 
+def reference_train_embedder(frames, cfg: TrainConfig):
+    """The per-object reference for `train_embedder`'s epoch loop: each
+    epoch builds the tracklets and the log, lists (tracklet, detection row)
+    per frame and draws with `draw_target` on the tracklets present."""
+    frames = list(frames)
+    raw_dim = frames[0][0].raw.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    embedder = LinearEmbedder.init_random(raw_dim, cfg.embed_dim, rng)
+    total_steps = cfg.epochs * cfg.steps_per_epoch
+    step_count = 0
+    epoch_losses = []
+    raw = np.stack([d.raw for dets in frames for d in dets])
+    first_row = list(accumulate((len(dets) for dets in frames), initial=0))
+    embedded = [[replace(d) for d in dets] for dets in frames]
+
+    for _epoch in range(cfg.epochs):
+        emb = embedder.embed(raw)
+        for d, e in zip((d for dets in embedded for d in dets), emb):
+            d.embedding = e
+        state = track_sequence(embedded)
+        tracklets, _log = state.all_tracklets(), state.log()
+        by_frame = {}
+        for trk in tracklets:
+            for r in trk.records:
+                by_frame.setdefault(r.frame, []).append(
+                    (trk, first_row[r.frame - 1] + r.det_index))
+
+        losses = []
+        for _ in range(cfg.steps_per_epoch):
+            lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step_count / total_steps))
+            step_count += 1
+            t = int(rng.integers(2, len(frames) + 1))
+            present = [trk for trk, _ in by_frame.get(t, []) if trk.records[0].frame < t]
+            if len(present) < 2:
+                continue
+            _, target = draw_target(present, t, rng, cfg)
+            rng.random(8)
+            keys = by_frame.get(target, [])
+            key_of = {trk.id: j for j, (trk, _) in enumerate(keys)}
+            queries = [(row, key_of[trk.id]) for trk, row in by_frame[t]
+                       if trk.id in key_of]
+            if len(keys) < 2 or not queries:
+                continue
+            rows, positives = (np.array(col) for col in zip(*queries))
+            step_losses, grad = info_nce_batch(
+                emb[rows], raw[rows], emb[[row for _, row in keys]], positives,
+                embedder.weights)
+            losses.extend(step_losses.tolist())
+            embedder.weights -= lr * grad / len(rows)
+        epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
+    return embedder, epoch_losses
+
+
+class TestEpochColumns:
+    """Training reads each epoch's pseudo-tracklets as `EpochColumns`; these
+    check it against the per-object loop and draw it replaced."""
+
+    SCENES = {"default7": (ScenarioConfig(seed=7), {}),
+              "default11": (ScenarioConfig(seed=11), {}),
+              "dense": (ScenarioConfig(num_objects=30, dropout=0.3, num_frames=80),
+                        {"lr": 1e-2})}
+
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_training_equals_per_object_reference(self, scene, mode):
+        """The same weight bytes and losses as the reference loop, run on
+        this host."""
+        scenario, train = self.SCENES[scene]
+        frames, _ = generate(scenario)
+        cfg = TrainConfig(epochs=3, anchor_sampling=mode, **train)
+        embedder, losses = train_embedder(frames, cfg)
+        want_embedder, want_losses = reference_train_embedder(frames, cfg)
+        assert embedder.weights.tobytes() == want_embedder.weights.tobytes()
+        assert [x.hex() for x in losses] == [x.hex() for x in want_losses]
+
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    def test_column_draw_equals_draw_target(self, monkeypatch, mode):
+        """At every step of one seeded epoch, the column draw picks the
+        anchor and target that `draw_target` picks on the tracklets present
+        at the frame, from the epoch's `state.all_tracklets()`, with the
+        same weights, and leaves the generator in the same state."""
+        frames, _ = generate(ScenarioConfig(seed=7))
+        cfg = TrainConfig(epochs=1, anchor_sampling=mode)
+        states, drawn, weights = [], [], []
+        track, sample = contrastive.track_sequence, contrastive.sample
+        monkeypatch.setattr(contrastive, "track_sequence",
+                            lambda fr: states.append(track(fr)) or states[-1])
+        monkeypatch.setattr(contrastive, "sample",
+                            lambda w, rng: weights.append(w.candidates) or sample(w, rng))
+        draw = contrastive.EpochColumns.draw
+
+        def checked_draw(columns, present, frame, rng, cfg):
+            tracklets = states[-1].all_tracklets()
+            eligible = [trk for trk in tracklets
+                        if trk.records[0].frame < frame and trk.box_at(frame) is not None]
+            assert [trk.id for trk in eligible] == (present + 1).tolist()
+            tracklet_rng = copy.deepcopy(rng)
+            weights.clear()
+            anchor, target = draw_target(eligible, frame, tracklet_rng, cfg)
+            want = weights[:]
+            weights.clear()
+            got = draw(columns, present, frame, rng, cfg)
+            assert got == (anchor.id - 1, target)
+            assert rng.bit_generator.state == tracklet_rng.bit_generator.state
+            if mode == "uncertainty":
+                anchor_weights, target_weights = weights
+                # keyed by track index here, by track id there
+                assert [(k + 1, p) for k, p in anchor_weights] == want[0]
+                assert target_weights == want[1]
+            else:
+                assert weights == want == []
+            drawn.append(got)
+            return got
+
+        monkeypatch.setattr(contrastive.EpochColumns, "draw", checked_draw)
+        train_embedder(frames, cfg)
+        assert len(states) == 1
+        assert len(drawn) == cfg.steps_per_epoch
+        assert len(set(drawn)) > 1
+
+    def test_training_builds_no_decision_objects(self, monkeypatch):
+        """Training reads the decision table only: no log row, record or
+        tracklet is made, and the result is the same."""
+        frames, _ = generate(ScenarioConfig(num_frames=60, seed=7))
+        cfg = TrainConfig(epochs=2)
+        want_embedder, want_losses = train_embedder(frames, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training built a decision object")
+
+        with monkeypatch.context() as mp:
+            for module in (tracker, contrastive):
+                for name in ("LogRow", "TrackRecord", "Tracklet"):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, forbidden)
+            embedder, losses = train_embedder(frames, cfg)
+        assert embedder.weights.tobytes() == want_embedder.weights.tobytes()
+        assert losses == want_losses
+
+
 def track_over(tid, frames):
     """Tracklet with one record per frame, deltas varying along it."""
     recs = [TrackRecord(frame=f, det_index=0,
@@ -307,10 +451,11 @@ class TestDrawPlan:
     @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
     @pytest.mark.parametrize("mode", ["uncertainty", "random"])
     def test_draw_target_keeps_plan_stream(self, mode, jitter):
-        """Training's draw_target plus its jitter advance leaves the generator
-        where draw_plan does, with the same anchor and target. A zero jitter
-        draws nothing, so that plan's generator is where draw_target leaves
-        it."""
+        """draw_target plus the jitter advance that training makes leaves
+        the generator where draw_plan does, with the same anchor and target;
+        training's own draw, from its epoch columns, is draw_target's
+        (`test_column_draw_equals_draw_target`). A zero jitter draws
+        nothing, so that plan's generator is where draw_target leaves it."""
         cfg = TrainConfig(anchor_sampling=mode)
         tracks = self.tracklets()
         eligible = tracks[:2]  # the tracklets with a record at and before FRAME

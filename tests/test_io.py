@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uatrack
-from uatrack import cli, formats
+from uatrack import cli, formats, tracker
 from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
                             IoFailure, MissingEmbedding, ParseError)
@@ -135,7 +135,7 @@ class TestGroundTruthAndLog:
 
     def test_log_roundtrip(self, tmp_path):
         frames, _ = small_bundle(tmp_path)
-        _, log = track_sequence(frames, TrackerConfig())
+        log = track_sequence(frames, TrackerConfig()).log()
         formats.write_log(log, tmp_path / "log.txt")
         back = formats.read_log(tmp_path / "log.txt")
         assert len(back) == len(log)
@@ -309,7 +309,7 @@ class TestCli:
         # the same scene, tracked in memory from the bundle the CLI read
         frames = formats.read_embeddings(sim / "emb.csv",
                                          formats.read_detections(sim / "det.txt"))[0]
-        tracklets, _ = track_sequence(frames, TrackerConfig())
+        tracklets = track_sequence(frames, TrackerConfig()).all_tracklets()
         gt = formats.read_ground_truth(sim / "gt.txt")
         report = (tmp_path / "report.txt").read_text().splitlines()
         assert report[0] == f"id_switches: {id_switches(tracklets, gt)}"
@@ -470,7 +470,8 @@ class TestCli:
 
     def test_negative_max_age_exit_2(self, tmp_path, capsys):
         frames, _ = small_bundle(tmp_path)
-        tracklets, log = track_sequence(frames, TrackerConfig())
+        state = track_sequence(frames, TrackerConfig())
+        tracklets, log = state.all_tracklets(), state.log()
         formats.write_results(tracklets, tmp_path / "results.txt")
         formats.write_log(log, tmp_path / "log.txt")
         code, err = run_main(capsys, "eval", "--results", tmp_path / "results.txt",
@@ -481,7 +482,8 @@ class TestCli:
 
     def test_eval_prints_whole_report(self, tmp_path, capsys):
         frames, _ = small_bundle(tmp_path)
-        tracklets, log = track_sequence(frames, TrackerConfig())
+        state = track_sequence(frames, TrackerConfig())
+        tracklets, log = state.all_tracklets(), state.log()
         formats.write_results(tracklets, tmp_path / "results.txt")
         formats.write_log(log, tmp_path / "log.txt")
         code = cli.main([str(a) for a in (
@@ -496,8 +498,8 @@ class TestCli:
     def test_eval_results_not_from_log_exit_2(self, tmp_path, capsys, results):
         # at 100 frames the default scene's UTL-on and UTL-off tracks differ
         frames, gt = generate(ScenarioConfig(num_frames=100))
-        _, on_log = track_sequence(frames, TrackerConfig())
-        off_tracks, _ = track_sequence(frames, TrackerConfig(utl_enabled=False))
+        on_log = track_sequence(frames, TrackerConfig()).log()
+        off_tracks = track_sequence(frames, TrackerConfig(utl_enabled=False)).all_tracklets()
         formats.write_detections(frames, tmp_path / "det.txt")
         formats.write_results(off_tracks, tmp_path / "utl-off")
         formats.write_log(on_log, tmp_path / "log.txt")
@@ -508,6 +510,31 @@ class TestCli:
         assert code == 2
         assert "rows differ from the log's applied decisions" in err
         assert not (tmp_path / "r.txt").exists()
+
+    def test_track_builds_the_log_only_to_write_it(self, tmp_path, capsys, monkeypatch):
+        """`track` without --log writes the same results.txt bytes as with
+        it and writes no log; only `track --log` builds the log, `augment`
+        never does."""
+        small_bundle(tmp_path)
+        built = []
+        log = tracker.TrackerState.log
+        monkeypatch.setattr(tracker.TrackerState, "log",
+                            lambda state: built.append(state) or log(state))
+        for run, flags in (("with", ["--log", tmp_path / "with" / "log.txt"]),
+                           ("without", [])):
+            (tmp_path / run).mkdir()
+            code, err = run_main(capsys, "track", "--dets", tmp_path / "det.txt",
+                                 "--embs", tmp_path / "emb.csv",
+                                 "--out", tmp_path / run / "results.txt", *flags)
+            assert code == 0, err
+        assert len(built) == 1
+        assert ((tmp_path / "without" / "results.txt").read_bytes()
+                == (tmp_path / "with" / "results.txt").read_bytes())
+        assert [p.name for p in (tmp_path / "without").iterdir()] == ["results.txt"]
+        code, err = run_main(capsys, "augment", "--bundle", tmp_path, "--frame", "10",
+                             "--seed", "1")
+        assert code == 0, err
+        assert len(built) == 1
 
     def test_frame_past_bound_exit_2(self, tmp_path, capsys):
         (tmp_path / "det.txt").write_text(
@@ -567,7 +594,8 @@ def fuzz_bundle(tmp_path_factory):
     cfg = ScenarioConfig(num_objects=4, num_frames=20, seed=3)
     frames, _ = small_bundle(root, cfg)
     formats.write_scenario_config(cfg, root / "config.txt")
-    tracklets, log = track_sequence(frames, TrackerConfig())
+    state = track_sequence(frames, TrackerConfig())
+    tracklets, log = state.all_tracklets(), state.log()
     formats.write_results(tracklets, root / "results.txt")
     formats.write_log(log, root / "log.txt")
     return {p.name: p.read_bytes() for p in root.iterdir()}
@@ -655,10 +683,11 @@ class TestWorkflowBytes:
     Criterion 10 only compares two reruns with each other; these hashes pin
     the bytes themselves, `train` stdout included. The decision log and the
     trained weights are left out on purpose: the log is to gain lost/retired
-    stages (ROADMAP Direction 3), and the weights moved in their last bits
+    stages (ROADMAP Direction 7), and the weights moved in their last bits
     with the array-native training step. Training draws only the target
-    (`draw_target`, no plan) but still consumes the plan's jitter draw, so
-    its weights and the `train` hashes are those of the plan-building step."""
+    (`draw_target`'s draw, from its epoch columns, no plan) but still
+    consumes the plan's jitter draw, so its weights and the `train` hashes
+    are those of the plan-building step."""
 
     PINNED = {
         "det.txt": "7bad4b1ed60dfddb60041aeebc60f352575bb680ba20ffcda1dda9f3dc33138f",

@@ -571,11 +571,11 @@ class TestTrackSequence:
                 for f in range(1, n + 1)]
 
     def test_single_frame(self):
-        tracklets, log = track_sequence(self._frames(1))
+        tracklets = track_sequence(self._frames(1)).all_tracklets()
         assert [len(t) for t in tracklets] == [1, 1]
 
     def test_identity_conservation(self):
-        tracklets, log = track_sequence(self._frames(8))
+        tracklets = track_sequence(self._frames(8)).all_tracklets()
         for f in range(1, 9):
             seen_dets = [r.det_index for t in tracklets for r in t.records
                          if r.frame == f]
@@ -583,18 +583,20 @@ class TestTrackSequence:
 
     def test_baseline_reduces_to_plain_hungarian(self):
         frames = self._frames(6)
-        base, log = track_sequence(frames, TrackerConfig(utl_enabled=False))
+        state = track_sequence(frames, TrackerConfig(utl_enabled=False))
+        base, log = state.all_tracklets(), state.log()
         assert all(row.stage in (STAGE_BIRTH, STAGE_ASSOC) for row in log)
         assert len(base) == 2
 
     def test_deterministic_rerun(self):
-        a_t, a_log = track_sequence(self._frames(6))
-        b_t, b_log = track_sequence(self._frames(6))
+        a_log = track_sequence(self._frames(6)).log()
+        b_log = track_sequence(self._frames(6)).log()
         assert a_log == b_log
 
     def test_delta_history_matches_record_count(self):
         """Each record carries its applied log row's delta, 0 at birth."""
-        tracklets, log = track_sequence(self._frames(6))
+        state = track_sequence(self._frames(6))
+        tracklets, log = state.all_tracklets(), state.log()
         for t in tracklets:
             assert [r.delta for r in t.records] == [
                 row.delta for row in log
@@ -603,7 +605,8 @@ class TestTrackSequence:
 
     def test_log_rebuild_matches_tracklets(self):
         frames, _ = generate(ScenarioConfig(num_objects=12, num_frames=60, seed=7))
-        tracklets, log = track_sequence(frames)
+        state = track_sequence(frames)
+        tracklets, log = state.all_tracklets(), state.log()
         assert any(row.stage == STAGE_DISSOLVED for row in log)
 
         def compose(ts):
@@ -618,7 +621,8 @@ class TestTrackSequence:
         tracklet composition is pinned."""
         cfg = ScenarioConfig(num_objects=60, embed_dim=32, raw_dim=64, num_frames=40, seed=7)
         frames, _ = generate(cfg)
-        tracklets, log = track_sequence(frames)
+        state = track_sequence(frames)
+        tracklets, log = state.all_tracklets(), state.log()
         assert sum(row.stage == STAGE_RECTIFIED for row in log) > 100
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
@@ -632,7 +636,7 @@ class TestTrackSequence:
         the benchmark."""
         pinned = json.loads(PINS.read_text())[kind][str(seed)]
         frames, _ = generate(ScenarioConfig(seed=seed, **(CROWD if kind == "crowd" else {})))
-        tracklets, _ = track_sequence(frames)
+        tracklets = track_sequence(frames).all_tracklets()
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned
 
@@ -654,9 +658,9 @@ class TestTrackSequence:
         for frame, dets in enumerate(frames, start=1):
             step(state, frame, dets)
             if frame in (1, 2, 17, 40):
-                tracklets, log = track_sequence(frames[:frame], cfg)
-                assert state.log() == log
-                assert compose(state.all_tracklets()) == compose(tracklets)
+                stopped = track_sequence(frames[:frame], cfg)
+                assert state.log() == stopped.log()
+                assert compose(state.all_tracklets()) == compose(stopped.all_tracklets())
 
     def test_step_builds_no_decision_objects(self, monkeypatch):
         """`step` returns nothing and makes no log row, record or tracklet;
@@ -674,9 +678,9 @@ class TestTrackSequence:
             for frame, dets in enumerate(frames, start=1):
                 assert step(state, frame, dets) is None
         assert not hasattr(state, "tracklets")
-        assert state.log() == expected[1]
+        assert state.log() == expected.log()
         assert ([(t.id, t.records) for t in state.all_tracklets()]
-                == [(t.id, t.records) for t in expected[0]])
+                == [(t.id, t.records) for t in expected.all_tracklets()])
 
     @pytest.mark.parametrize("kind, seed", [("crowd", s) for s in (7, 8, 9)]
                              + [("default", s) for s in range(7, 13)])
@@ -686,7 +690,7 @@ class TestTrackSequence:
         pinned = json.loads(LOG_PINS.read_text())[kind][str(seed)]
         frames, _ = generate(ScenarioConfig(seed=seed, **(CROWD if kind == "crowd" else {})))
         for utl in ("on", "off"):
-            _, log = track_sequence(frames, TrackerConfig(utl_enabled=utl == "on"))
+            log = track_sequence(frames, TrackerConfig(utl_enabled=utl == "on")).log()
             formats.write_log(log, tmp_path / "log.txt")
             digest = hashlib.sha256((tmp_path / "log.txt").read_bytes()).hexdigest()
             assert digest == pinned[utl], utl
@@ -696,11 +700,11 @@ class TestTrackSequence:
         """The running exp(delta) sum gives Omega exactly, not approximately,
         on every tracklet of a default scene."""
         frames, _ = generate(ScenarioConfig(seed=seed))
-        tracklets, _ = track_sequence(frames)
+        tracklets = track_sequence(frames).all_tracklets()
         assert tracklets
         for t in tracklets:
             assert t.exp_delta_sum / len(t) == tracklet_uncertainty([r.delta for r in t.records])
 
     def test_plain_lists_accepted(self):
-        tracklets, log = track_sequence(self._frames(3))
+        tracklets = track_sequence(self._frames(3)).all_tracklets()
         assert {r.frame for t in tracklets for r in t.records} == {1, 2, 3}
