@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import fields as dc_fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -169,33 +170,35 @@ def read_ground_truth(path):
     return _parse_lines(path, row)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+# One `%` template per written line: `%.6f` and `%.9g` give the bytes of
+# `format(x, ".6f")` and `format(v, ".9g")`, and `%d` those of `str(i)`.
+_MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1"   # frame, id, left, top, w, h, conf
 
 
 def write_detections(frames, path) -> None:
     lines = []
     for dets in frames:
         for d in dets:
-            x1, y1, _, _ = d.box.to_xyxy()
-            lines.append(",".join([str(d.frame), "-1", _fmt(x1), _fmt(y1),
-                                   _fmt(d.box.w), _fmt(d.box.h), _fmt(d.confidence),
-                                   "-1", "-1", "-1"]))
+            box = d.box
+            x1, y1, _, _ = box.to_xyxy()
+            lines.append(_MOT_LINE % (d.frame, -1, x1, y1, box.w, box.h, d.confidence))
     atomic_write(path, lines)
 
 
 def write_vectors(frames, path, attr: str) -> None:
     lines = []
+    dim, template = None, ""
     for dets in frames:
         for d in dets:
-            vec = getattr(d, attr)
-            lines.append(",".join([str(d.frame), str(d.det_index)]
-                                  + [f"{v:.9g}" for v in vec]))
+            vec = getattr(d, attr).tolist()
+            if len(vec) != dim:
+                dim, template = len(vec), "%d,%d" + ",%.9g" * len(vec)
+            lines.append(template % (d.frame, d.det_index, *vec))
     atomic_write(path, lines)
 
 
 def write_ground_truth(gt, path) -> None:
-    atomic_write(path, [f"{g.frame},{g.det_index},{g.true_id}" for g in gt])
+    atomic_write(path, ["%d,%d,%d" % (g.frame, g.det_index, g.true_id) for g in gt])
 
 
 def write_results(tracklets: list[Tracklet], path) -> None:
@@ -204,13 +207,11 @@ def write_results(tracklets: list[Tracklet], path) -> None:
     rows = []
     for trk in tracklets:
         for rec in trk.records:
-            x1, y1, _, _ = rec.box.to_xyxy()
-            rows.append((rec.frame, trk.id, x1, y1, rec.box.w, rec.box.h,
-                         rec.confidence))
+            box = rec.box
+            x1, y1, _, _ = box.to_xyxy()
+            rows.append((rec.frame, trk.id, x1, y1, box.w, box.h, rec.confidence))
     rows.sort(key=lambda r: (r[0], r[1]))
-    atomic_write(path, [
-        ",".join([str(f), str(tid), _fmt(x), _fmt(y), _fmt(w), _fmt(h),
-                  _fmt(c), "-1", "-1", "-1"]) for f, tid, x, y, w, h, c in rows])
+    atomic_write(path, [_MOT_LINE % row for row in rows])
 
 
 def read_results(path) -> list[tuple[int, int]]:
@@ -223,11 +224,11 @@ def read_results(path) -> list[tuple[int, int]]:
     return _parse_lines(path, row)
 
 
+_LOG_FIELDS = attrgetter(*(f.name for f in dc_fields(LogRow)))
+
+
 def write_log(log: list[LogRow], path) -> None:
-    atomic_write(path, [
-        ",".join([str(r.frame), str(r.det_index), str(r.track_id),
-                  _fmt(r.c1), _fmt(r.c2), _fmt(r.sigma), _fmt(r.gamma),
-                  _fmt(r.delta), str(r.stage)]) for r in log])
+    atomic_write(path, ["%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d" % _LOG_FIELDS(r) for r in log])
 
 
 def read_log(path) -> list[LogRow]:
@@ -311,8 +312,8 @@ def write_scenario_config(cfg: ScenarioConfig, path) -> None:
     lines = []
     for f in dc_fields(ScenarioConfig):
         v = getattr(cfg, f.name)
-        if f.name == "arena":
-            lines.append(f"arena = {v[0]:g} {v[1]:g}")
+        if f.name == "arena":   # 17 digits read back as the same doubles
+            lines.append(f"arena = {v[0]:.17g} {v[1]:.17g}")
         else:
             lines.append(f"{f.name} = {v}")
     atomic_write(path, lines)

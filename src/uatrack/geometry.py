@@ -22,7 +22,9 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
+        isfinite = math.isfinite
+        if not (isfinite(self.cx) and isfinite(self.cy)
+                and isfinite(self.w) and isfinite(self.h)):
             raise DegenerateBox(f"non-finite box {self!r}")
         if self.w <= 0 or self.h <= 0:
             raise DegenerateBox(f"non-positive size w={self.w} h={self.h}")
@@ -91,8 +93,9 @@ def iou(a, b) -> np.ndarray:
     """Pairwise intersection-over-union of two box sequences: the
     (len(a), len(b)) matrix, entries in [0, 1] up to rounding. Disjoint
     boxes get an intersection of 0, hence 0."""
-    ax1, ay1, ax2, ay2, a_area = _edges(a)[:, :, None]
-    bx1, by1, bx2, by2, b_area = _edges(b)
+    b_edges = _edges(b)
+    ax1, ay1, ax2, ay2, a_area = (b_edges if a is b else _edges(a))[:, :, None]
+    bx1, by1, bx2, by2, b_area = b_edges
     iw = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
     ih = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
     inter = iw * ih

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -133,34 +134,41 @@ def generate(cfg: ScenarioConfig):
     pos = lo + rng.random((n, 2)) * (hi - lo)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     vel = cfg.speed * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    size_list = sizes.tolist()
+    widths, heights = sizes.T.tolist()
 
     cam = np.zeros(2)
     cam_angle = rng.uniform(0.0, 2.0 * np.pi)
 
+    # each frame draws one block of normals (position jitter, camera turn,
+    # embedding noise, raw noise) and one of uniforms (forced occlusion,
+    # dropout), in that order and before the dropout filter, so the stream
+    # consumed per frame does not depend on which objects survive; a slice
+    # scaled as `0.0 + scale * z` has the bits of `rng.normal(0.0, scale)`
+    turn = 2 * n
+    emb_end = turn + 1 + n * d
     frames: list[list[Detection]] = []
     gt: list[GroundTruthRecord] = []
     for frame in range(1, cfg.num_frames + 1):
-        pos = pos + vel + rng.normal(0.0, POSITION_JITTER, size=(n, 2))
+        z = rng.standard_normal(emb_end + n * f)
+        uniform = rng.random(2 * n)
+        pos = pos + vel + (0.0 + POSITION_JITTER * z[:turn].reshape(n, 2))
         # reflect box centers off the arena walls
         below, above = pos < half, pos > high
         pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
         vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
-        cam_angle += rng.normal(0.0, 0.3)
+        cam_angle += 0.0 + 0.3 * float(z[turn])
         cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
 
-        boxes = [BoundingBox(cx, cy, w, h)
-                 for (cx, cy), (w, h) in zip((pos + cam).tolist(), size_list)]
+        cx, cy = (pos + cam).T.tolist()
+        boxes = list(map(BoundingBox, cx, cy, widths, heights))
         overlap = iou(boxes, boxes)
         np.fill_diagonal(overlap, 0.0)
         max_iou = overlap.max(axis=1)
 
-        # draw all per-object randomness before the dropout filter so the
-        # stream consumed per frame does not depend on which objects survive
-        emb_noise = rng.normal(size=(n, d))
-        raw_noise = rng.normal(size=(n, f))
-        forced_occ = rng.random(n) < cfg.occlusion_rate
-        dropped = rng.random(n) < cfg.dropout
+        emb_noise = z[turn + 1:emb_end].reshape(n, d)
+        raw_noise = z[emb_end:].reshape(n, f)
+        forced_occ = uniform[:n] < cfg.occlusion_rate
+        dropped = uniform[n:] < cfg.dropout
 
         keep = np.flatnonzero(~dropped)
         occluded = (max_iou[keep] > OCCLUSION_IOU) | forced_occ[keep]
@@ -174,10 +182,11 @@ def generate(cfg: ScenarioConfig):
         raw = clean_raw[keep] + RAW_NOISE * raw_noise[keep]
         conf = (1.0 - np.minimum(0.9, max_iou[keep])).tolist()
 
+        # one object per kept detection, built positionally from the columns;
+        # iterating a matrix gives its rows as views
         ids = keep.tolist()
-        frames.append([Detection(frame=frame, det_index=j, box=boxes[i],
-                                 confidence=conf[j], embedding=emb[j], raw=raw[j])
-                       for j, i in enumerate(ids)])
-        gt.extend(GroundTruthRecord(frame=frame, det_index=j, true_id=i + 1)
-                  for j, i in enumerate(ids))
+        indices = range(len(ids))
+        frames.append(list(map(Detection, repeat(frame), indices,
+                               map(boxes.__getitem__, ids), conf, emb, raw)))
+        gt.extend(map(GroundTruthRecord, repeat(frame), indices, (keep + 1).tolist()))
     return frames, gt

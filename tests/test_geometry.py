@@ -34,6 +34,20 @@ class TestBoundingBox:
         with pytest.raises(DegenerateBox):
             BoundingBox(float("nan"), 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+    def test_non_finite_field_named_in_message(self, field, value):
+        values = {"cx": 0.0, "cy": 0.0, "w": 1.0, "h": 1.0, field: float(value)}
+        shown = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        with pytest.raises(DegenerateBox) as info:
+            BoundingBox(**values)
+        assert str(info.value) == f"non-finite box BoundingBox({shown})"
+
+    def test_non_finite_reported_before_non_positive_size(self):
+        with pytest.raises(DegenerateBox) as info:
+            BoundingBox(0.0, 0.0, float("-inf"), 0.0)
+        assert str(info.value) == "non-finite box BoundingBox(cx=0.0, cy=0.0, w=-inf, h=0.0)"
+
 
 def scalar_iou(a: BoundingBox, b: BoundingBox) -> float:
     """Per-pair reference: the arithmetic `iou` does for one pair."""

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import stat
 import subprocess
@@ -21,8 +22,10 @@ from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
                             IoFailure, MissingEmbedding, ParseError)
 from uatrack.metrics import id_switches, pseudo_accuracy
+from uatrack.geometry import BoundingBox
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
-from uatrack.tracker import TrackerConfig, track_sequence
+from uatrack.tracker import (Detection, LogRow, TrackerConfig, TrackRecord, Tracklet,
+                             track_sequence)
 
 
 def small_bundle(tmp_path, cfg=None):
@@ -166,6 +169,115 @@ class TestGroundTruthAndLog:
             formats.read_weights(p)
 
 
+def _reference_detection_lines(frames):
+    """The per-field writers the `%` templates replaced, kept as their
+    oracle: `format(x, ".6f")` per box value, `format(v, ".9g")` per vector
+    value and `str` per integer, joined with commas."""
+    def fmt(x):
+        return f"{x:.6f}"
+
+    lines = []
+    for dets in frames:
+        for d in dets:
+            x1, y1, _, _ = d.box.to_xyxy()
+            lines.append(",".join([str(d.frame), "-1", fmt(x1), fmt(y1), fmt(d.box.w),
+                                   fmt(d.box.h), fmt(d.confidence), "-1", "-1", "-1"]))
+    return lines
+
+
+def _reference_vector_lines(frames, attr):
+    return [",".join([str(d.frame), str(d.det_index)] + [f"{v:.9g}" for v in getattr(d, attr)])
+            for dets in frames for d in dets]
+
+
+def _reference_ground_truth_lines(gt):
+    return [f"{g.frame},{g.det_index},{g.true_id}" for g in gt]
+
+
+def _reference_result_lines(tracklets):
+    def fmt(x):
+        return f"{x:.6f}"
+
+    rows = []
+    for trk in tracklets:
+        for rec in trk.records:
+            x1, y1, _, _ = rec.box.to_xyxy()
+            rows.append((rec.frame, trk.id, x1, y1, rec.box.w, rec.box.h, rec.confidence))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return [",".join([str(f), str(tid), fmt(x), fmt(y), fmt(w), fmt(h), fmt(c),
+                      "-1", "-1", "-1"]) for f, tid, x, y, w, h, c in rows]
+
+
+def _reference_log_lines(log):
+    def fmt(x):
+        return f"{x:.6f}"
+
+    return [",".join([str(r.frame), str(r.det_index), str(r.track_id), fmt(r.c1), fmt(r.c2),
+                      fmt(r.sigma), fmt(r.gamma), fmt(r.delta), str(r.stage)]) for r in log]
+
+
+def _written(write):
+    """The bytes `write(path)` puts in a file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "out.txt")
+        write(path)
+        return Path(path).read_bytes()
+
+
+def _text(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# Floats whose printed form is hard to get right: signed zeros, the smallest
+# subnormal, the largest magnitudes, halfway points of the 6th decimal and
+# of the 9th significant digit, and any float (nan and inf included).
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 5e-7, 2.5e-6,
+                     0.1234565, 1.0000000005, -9.9999999995, 123456789.5]),
+    st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),
+    st.builds(lambda k, e: (k + 0.5) * 10.0 ** e,
+              st.integers(10**8, 10**9 - 1), st.integers(-330, 298)),
+    st.floats())
+FINITE = EDGE_FLOATS.filter(math.isfinite)
+SIZES = FINITE.map(abs).filter(lambda v: v > 0)
+INTS = st.integers(-10, 10**7)
+BOXES = st.builds(BoundingBox, FINITE, FINITE, SIZES, SIZES)
+VECTORS = st.lists(EDGE_FLOATS, max_size=4).map(lambda v: np.array(v, dtype=float))
+DETECTIONS = st.builds(Detection, INTS, INTS, BOXES, EDGE_FLOATS, VECTORS, VECTORS)
+FRAMES = st.lists(st.lists(DETECTIONS, max_size=3), max_size=4)   # empty frames included
+
+
+class TestWritersEqualReference:
+    """Each writer formats a line with one `%` template; its bytes must be
+    those of the per-field writer it replaced."""
+
+    @given(frames=FRAMES)
+    def test_detections_and_vectors(self, frames):
+        assert _written(lambda p: formats.write_detections(frames, p)) == _text(
+            _reference_detection_lines(frames))
+        for attr in ("embedding", "raw"):
+            assert _written(lambda p: formats.write_vectors(frames, p, attr)) == _text(
+                _reference_vector_lines(frames, attr))
+
+    @given(gt=st.lists(st.builds(GroundTruthRecord, INTS, INTS, INTS), max_size=6))
+    def test_ground_truth(self, gt):
+        assert _written(lambda p: formats.write_ground_truth(gt, p)) == _text(
+            _reference_ground_truth_lines(gt))
+
+    @given(tracklets=st.lists(st.builds(
+        lambda tid, records: Tracklet(tid, *records), INTS,
+        st.lists(st.builds(TrackRecord, INTS, INTS, BOXES, st.none(), st.just(0.0),
+                           EDGE_FLOATS), min_size=1, max_size=3)), max_size=4))
+    def test_results(self, tracklets):
+        assert _written(lambda p: formats.write_results(tracklets, p)) == _text(
+            _reference_result_lines(tracklets))
+
+    @given(log=st.lists(st.builds(LogRow, INTS, INTS, INTS, *[EDGE_FLOATS] * 5, INTS),
+                        max_size=6))
+    def test_log(self, log):
+        assert _written(lambda p: formats.write_log(log, p)) == _text(_reference_log_lines(log))
+
+
 class TestParseLines:
     READERS = {
         "detections": formats.read_detections,
@@ -226,6 +338,24 @@ class TestScenarioConfigFile:
         p.write_text("bogus = 1\n")
         with pytest.raises(InvalidConfig):
             formats.parse_scenario_config(p)
+
+    def test_written_config_simulates_the_same_bundle(self, tmp_path, capsys):
+        """`config.txt` holds the arena at full precision, so simulating
+        from it again writes every file of the bundle byte for byte."""
+        (tmp_path / "cfg.txt").write_text(
+            "arena = 560.1234567 420.5\nnum_objects = 5\nnum_frames = 20\nseed = 3\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main(["simulate", "--config", str(tmp_path / "cfg.txt"),
+                         "--out", str(first)]) == 0
+        assert cli.main(["simulate", "--config", str(first / "config.txt"),
+                         "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert formats.parse_scenario_config(first / "config.txt").arena == (560.1234567, 420.5)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == ["config.txt", "det.txt", "emb.csv", "gt.txt", "raw.csv"]
+        assert sorted(p.name for p in again.iterdir()) == names
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def run_cli(*args, cwd=None):
