@@ -21,8 +21,8 @@ from uatrack import cli, formats, tracker
 from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
                             IoFailure, MissingEmbedding, ParseError)
-from uatrack.metrics import id_switches, pseudo_accuracy
 from uatrack.geometry import BoundingBox
+from uatrack.metrics import id_switches, pseudo_accuracy
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import (Detection, LogRow, TrackerConfig, TrackRecord, Tracklet,
                              track_sequence)
@@ -169,19 +169,20 @@ class TestGroundTruthAndLog:
             formats.read_weights(p)
 
 
-def _reference_detection_lines(frames):
-    """The per-field writers the `%` templates replaced, kept as their
-    oracle: `format(x, ".6f")` per box value, `format(v, ".9g")` per vector
-    value and `str` per integer, joined with commas."""
-    def fmt(x):
-        return f"{x:.6f}"
+# The per-field writers the `%` templates replaced, kept as their oracle:
+# `format(x, ".6f")` per box value or score, `format(v, ".9g")` per vector
+# value and `str` per integer, joined with commas.
+def _fmt6(x):
+    return f"{x:.6f}"
 
+
+def _reference_detection_lines(frames):
     lines = []
     for dets in frames:
         for d in dets:
             x1, y1, _, _ = d.box.to_xyxy()
-            lines.append(",".join([str(d.frame), "-1", fmt(x1), fmt(y1), fmt(d.box.w),
-                                   fmt(d.box.h), fmt(d.confidence), "-1", "-1", "-1"]))
+            lines.append(",".join([str(d.frame), "-1", _fmt6(x1), _fmt6(y1), _fmt6(d.box.w),
+                                   _fmt6(d.box.h), _fmt6(d.confidence), "-1", "-1", "-1"]))
     return lines
 
 
@@ -195,25 +196,20 @@ def _reference_ground_truth_lines(gt):
 
 
 def _reference_result_lines(tracklets):
-    def fmt(x):
-        return f"{x:.6f}"
-
     rows = []
     for trk in tracklets:
         for rec in trk.records:
             x1, y1, _, _ = rec.box.to_xyxy()
             rows.append((rec.frame, trk.id, x1, y1, rec.box.w, rec.box.h, rec.confidence))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return [",".join([str(f), str(tid), fmt(x), fmt(y), fmt(w), fmt(h), fmt(c),
+    return [",".join([str(f), str(tid), _fmt6(x), _fmt6(y), _fmt6(w), _fmt6(h), _fmt6(c),
                       "-1", "-1", "-1"]) for f, tid, x, y, w, h, c in rows]
 
 
 def _reference_log_lines(log):
-    def fmt(x):
-        return f"{x:.6f}"
-
-    return [",".join([str(r.frame), str(r.det_index), str(r.track_id), fmt(r.c1), fmt(r.c2),
-                      fmt(r.sigma), fmt(r.gamma), fmt(r.delta), str(r.stage)]) for r in log]
+    return [",".join([str(r.frame), str(r.det_index), str(r.track_id),
+                      _fmt6(r.c1), _fmt6(r.c2), _fmt6(r.sigma), _fmt6(r.gamma),
+                      _fmt6(r.delta), str(r.stage)]) for r in log]
 
 
 def _written(write):
