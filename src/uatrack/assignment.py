@@ -79,7 +79,12 @@ def hungarian_max(matrix, floor: float = NEG_INF) -> Matching:
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
         return _empty()
-    return _finish(*_linear_sum_assignment()(m, maximize=True), m, floor)
+    rows, cols = _linear_sum_assignment()(m, maximize=True)
+    if floor == NEG_INF:
+        # the solver never assigns a -inf cell (where every complete
+        # assignment needs one, it raises), so this floor drops nothing
+        return Matching(np.array([rows, cols]).T)
+    return _finish(rows, cols, m, floor)
 
 
 def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
@@ -107,7 +112,8 @@ def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
         for cols in permutations(range(n_cols), k):
             pairs = list(zip(rows, cols))
             total = float(sum(m[r, c] for r, c in pairs))
-            if total > best_total or (total == best_total and pairs < best_pairs):
+            if (best_pairs is None or total > best_total
+                    or (total == best_total and pairs < best_pairs)):
                 best_total = total
                 best_pairs = pairs
     assert best_pairs is not None

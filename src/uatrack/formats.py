@@ -5,14 +5,15 @@ Detections use MOTChallenge-style lines
 with 1-based frames; the corner convention is converted to center+size at
 this boundary. Embeddings/raw features are CSV rows `frame,det_index,v1..`.
 All writes go through a write-temp-then-rename helper so outputs are atomic
-and byte-reproducible.
+and byte-reproducible; the temp file is created beside the target with mode
+0o666, so the kernel applies the umask and the process umask is never
+changed.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import fields as dc_fields
 from operator import attrgetter
 
@@ -28,25 +29,31 @@ from .tracker import STAGE_BIRTH, STAGE_DISSOLVED, Detection, LogRow, Tracklet
 NORM_WARN_TOL = 1e-6
 
 
-def _umask() -> int:
-    """The process umask; `os.umask` can only read it by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+def _open_temp(directory: str) -> tuple[int, str]:
+    """Create a new file in `directory` under a random name and return its
+    descriptor and path. It is created with mode 0o666, which the kernel
+    narrows by the umask as for a plain `open`; a name already taken is
+    drawn again."""
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def atomic_write(path, lines) -> None:
-    """Write text lines to `path` via a temp file + rename. The file gets
-    the mode a plain `open` would give it (0o666 less the umask); the temp
-    file is removed if the write or the rename fails."""
+    """Write text lines to `path` via a temp file in the same directory +
+    rename. The file gets the mode a plain `open` would give it (0o666 less
+    the umask) without reading or setting the process umask; the temp file
+    is removed if the write or the rename fails."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd, tmp = _open_temp(directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 for line in lines:
                     fh.write(line + "\n")
-            os.chmod(tmp, 0o666 & ~_umask())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

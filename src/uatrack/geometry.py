@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -83,23 +85,35 @@ class AffineTransform:
         return pts @ lin.T + np.array([self.m13, self.m23])
 
 
-def _edges(boxes) -> np.ndarray:
-    """Rows x1, y1, x2, y2, area over the boxes, computed as `to_xyxy` does."""
-    cx, cy, w, h = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4).T
-    return np.array([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0, w * h])
+_CENTRE_SIZE = attrgetter("cx", "cy", "w", "h")
+
+
+def _edges(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The low edges (x1, y1) and high edges (x2, y2) of the boxes as two
+    (2 × n) arrays, computed as `to_xyxy` does, and their areas."""
+    m = np.fromiter(chain.from_iterable(map(_CENTRE_SIZE, boxes)), float).reshape(-1, 4).T
+    half = m[2:] / 2.0
+    # rows in C order: the pairwise passes read each row contiguously
+    return np.subtract(m[:2], half, order="C"), np.add(m[:2], half, order="C"), m[2] * m[3]
 
 
 def iou(a, b) -> np.ndarray:
     """Pairwise intersection-over-union of two box sequences: the
     (len(a), len(b)) matrix, entries in [0, 1] up to rounding. Disjoint
-    boxes get an intersection of 0, hence 0."""
-    b_edges = _edges(b)
-    ax1, ay1, ax2, ay2, a_area = (b_edges if a is b else _edges(a))[:, :, None]
-    bx1, by1, bx2, by2, b_area = b_edges
-    iw = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
-    ih = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
-    inter = iw * ih
-    return inter / (a_area + b_area - inter)
+    boxes get an intersection of 0, hence 0. The edges of both sequences
+    are computed in one pass, and the x and y overlaps in one array."""
+    lo, hi, area = _edges(a if a is b else [*a, *b])
+    n = len(a)
+    a_lo, a_hi, a_area = lo[:, :n, None], hi[:, :n, None], area[:n, None]
+    if a is not b:
+        lo, hi, area = lo[:, n:], hi[:, n:], area[n:]
+    # (x and y) × a × b, in place: separate temporaries of that size fall
+    # out of cache on a 150-box frame
+    overlap = np.minimum(a_hi, hi[:, None])
+    overlap -= np.maximum(a_lo, lo[:, None])
+    np.maximum(overlap, 0.0, out=overlap)
+    inter = overlap[0] * overlap[1]
+    return inter / (a_area + area - inter)
 
 
 def solve_affine(src, dst) -> AffineTransform:

@@ -148,8 +148,10 @@ class TrackerState:
     embeddings, `lengths` counts its records and `last` is the `dets` index
     of its last record; the next embedding goes to slot `lengths % K`. The
     depth grows with the longest track, doubling up to K, so a large K
-    costs no more than the frames seen. `lost` counts the frames since each
-    track's last match. The columns take one scatter per frame for the
+    costs no more than the frames seen. `newest` (n × D) repeats the ring's
+    newest slot, each track's last embedding, so that the frame's similarity
+    reads it without a gather from the ring. `lost` counts the frames since
+    each track's last match. The columns take one scatter per frame for the
     applied matches and are compacted together only on frames with a birth
     or a retirement. A window is summed from the ring, oldest to newest,
     each time it is read and never kept as a running sum: its mean has the
@@ -163,6 +165,7 @@ class TrackerState:
         self.last_frame: int | None = None
         self.ids = np.zeros(0, dtype=np.intp)
         self.ring = np.zeros((0, 1, 0))
+        self.newest = np.zeros((0, 0))
         self.lengths = np.zeros(0, dtype=np.intp)
         self.last = np.zeros(0, dtype=np.intp)
         self.lost = np.zeros(0, dtype=np.intp)
@@ -249,13 +252,12 @@ class TrackerState:
 
     def last_embeddings(self) -> np.ndarray:
         """Each track's last embedding, one row per track."""
-        return self.ring[np.arange(len(self.lengths)), (self.lengths - 1) % self.cfg.K]
+        return self.newest
 
     def record(self, cols, embs: np.ndarray, last) -> None:
         """Append row i of `embs` to the appearance of track cols[i], which
         is matched: its last record is `dets[last[i]]` and its lost age goes
         back to 0."""
-        cols = np.asarray(cols)
         lengths = self.lengths[cols]
         n, depth, dim = self.ring.shape
         if depth < self.cfg.K and lengths.max() == depth:
@@ -263,7 +265,7 @@ class TrackerState:
             ring = np.zeros((n, min(2 * depth, self.cfg.K), dim), self.ring.dtype)
             ring[:, :depth] = self.ring
             self.ring = ring
-        self.ring[cols, lengths % self.cfg.K] = embs
+        self.ring[cols, lengths % self.cfg.K] = self.newest[cols] = embs
         self.lengths[cols] = lengths + 1
         self.last[cols] = last
         self.lost[cols] = 0
@@ -274,16 +276,18 @@ class TrackerState:
         add the tracks `born_ids`; row i of `born_embs` is the first
         embedding of track born_ids[i], whose record is `dets[born_last[i]]`."""
         if not keep.all():
-            self.ids, self.ring, self.lengths, self.last, self.lost = (
-                self.ids[keep], self.ring[keep], self.lengths[keep], self.last[keep],
-                self.lost[keep])
+            self.ids, self.ring, self.newest, self.lengths, self.last, self.lost = (
+                self.ids[keep], self.ring[keep], self.newest[keep], self.lengths[keep],
+                self.last[keep], self.lost[keep])
         if not len(born_ids):
             return
         ring = np.zeros((len(born_ids), self.ring.shape[1], born_embs.shape[1]),
                         born_embs.dtype)
         ring[:, 0] = born_embs
         # with no track kept, the born tracks set the dim
-        self.ring = np.concatenate([self.ring, ring]) if len(self.lost) else ring
+        kept = len(self.lost)
+        self.ring = np.concatenate([self.ring, ring]) if kept else ring
+        self.newest = np.concatenate([self.newest, born_embs]) if kept else born_embs.copy()
         self.ids = np.concatenate([self.ids, born_ids])
         self.lengths = np.concatenate([self.lengths, np.ones(len(born_ids), dtype=np.intp)])
         self.last = np.concatenate([self.last, born_last])
@@ -292,7 +296,6 @@ class TrackerState:
     def window_means(self, cols) -> np.ndarray:
         """Mean of each track's last K embeddings (all of them for a track
         shorter than K), one row per entry of `cols`."""
-        cols = np.asarray(cols)
         lengths = self.lengths[cols]
         depth = self.ring.shape[1]
         # (depth × tracks × D), oldest slot first; a short track's unwritten,
@@ -360,7 +363,9 @@ def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
     association decision can be logged, even the ones that do not survive."""
     scored = _scored(sim, matching.pairs, cfg)
     uncertain = scored["delta"] > 0.0
-    certain, dissolved = scored[~uncertain], scored[uncertain]
+    certain, dissolved = scored, _NO_PAIRS
+    if np.count_nonzero(uncertain):   # most frames dissolve nothing and skip the split
+        certain, dissolved = scored.compress(~uncertain), scored.compress(uncertain)
     held_rows, held_cols = np.zeros(sim.shape[0], bool), np.zeros(sim.shape[1], bool)
     held_rows[certain["row"]] = held_cols[certain["col"]] = True
     # .nonzero() itself: the Python wrappers of flatnonzero and of numpy's set
@@ -378,10 +383,10 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
     Returns the matched (row, col) pairs as a (pairs × 2) array."""
     if not len(pool_rows) or not len(pool_cols):
         return np.zeros((0, 2), dtype=np.intp)
-    gate = iou([dets[r].box for r in pool_rows],
+    gate = iou([dets[r].box for r in pool_rows.tolist()],
                [state.dets[i].box for i in state.last[pool_cols].tolist()])
     hist = state.window_means(pool_cols)
-    cprime = np.where(gate > state.cfg.beta, det_mat[pool_rows] @ hist.T, 0.0)
+    cprime = np.where(gate > state.cfg.beta, det_mat.take(pool_rows, axis=0) @ hist.T, 0.0)
     i, j = hungarian_max(cprime, floor=0.0).pairs.T
     return np.array([pool_rows[i], pool_cols[j]]).T
 
@@ -422,7 +427,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
 
     state.lost += 1   # `record` zeroes the matched tracks' ages
     if len(rows):
-        state.record(cols, det_mat[rows], rows + base)
+        state.record(cols, det_mat.take(rows, axis=0), rows + base)
 
     matched_rows = set(rows.tolist())
     born_rows = [r for r, det in enumerate(dets)
@@ -430,11 +435,11 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     first_id = state.made + 1
     state.made += len(born_rows)
     keep = state.lost <= MAX_LOST
-    if born_rows or not keep.all():
+    if born_rows or np.count_nonzero(keep) < len(keep):
         born_last = np.array(born_rows, dtype=np.intp) + base
         born_ids = np.arange(first_id, state.made + 1)
         state.add_births(born_last, born_ids)
-        state.compact(keep, born_ids, det_mat[born_rows], born_last)
+        state.compact(keep, born_ids, det_mat.take(born_rows, axis=0), born_last)
     state.spans.append((frame, state.n_rows - first_row))
 
 

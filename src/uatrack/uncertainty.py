@@ -86,8 +86,8 @@ def second_best(sim, rows, cols) -> np.ndarray:
     A single-column matrix has no competitor, which counts as zero risk."""
     if sim.shape[1] < 2:
         return np.zeros(len(rows))
-    masked = sim[np.asarray(rows, dtype=int)]
-    masked[np.arange(len(rows)), np.asarray(cols, dtype=int)] = -np.inf
+    masked = sim.take(rows, axis=0)   # a copy; `take` gathers rows faster than indexing
+    masked[np.arange(len(rows)), cols] = -np.inf
     return masked.max(axis=1)
 
 

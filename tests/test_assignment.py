@@ -139,6 +139,13 @@ class TestBruteForce:
         assert got.pairs.tolist() == [[0, 0], [1, 1]]
 
 
+    def test_forbidden_first_candidate(self):
+        """The first candidate enumerated may total -inf; a finite one
+        later still wins."""
+        m = np.array([[NEG_INF, 1.0], [2.0, NEG_INF]])
+        assert brute_force_max(m).pairs.tolist() == [[0, 1], [1, 0]]
+
+
 class TestDualRouteAgreement:
     """Production Hungarian equals the exhaustive oracle in total score."""
 
@@ -169,6 +176,33 @@ class TestDualRouteAgreement:
             h = hungarian_max(m, floor=0.0)
             for r, c in h.pairs:
                 assert m[r, c] > 0.0
+
+
+    def test_forbidden_cells_at_default_floor(self):
+        """At the default floor `hungarian_max` keeps every pair the solver
+        returns, and the oracle drops pairs <= floor: on matrices with -inf
+        cells that still allow a full assignment the two agree pair for
+        pair, and no -inf cell is matched."""
+        rng = np.random.default_rng(404)
+        forbidden = 0
+        for _ in range(300):
+            r, c = (int(x) for x in rng.integers(1, 7, size=2))
+            m = rng.uniform(-1, 1, size=(r, c))
+            k = min(r, c)
+            allowed = np.zeros((r, c), bool)   # one full assignment stays finite
+            allowed[rng.permutation(r)[:k], rng.permutation(c)[:k]] = True
+            m[~allowed & (rng.random((r, c)) < 0.6)] = -np.inf
+            h, b = hungarian_max(m), brute_force_max(m)
+            assert h.pairs.tolist() == b.pairs.tolist()
+            assert len(h.pairs) == k and np.isfinite(m[tuple(h.pairs.T)]).all()
+            forbidden += int(np.isinf(m).sum())
+        assert forbidden > 1000
+
+    def test_only_forbidden_cells_complete_raises(self):
+        """Where every full assignment needs a -inf cell the solver raises,
+        so the default floor never has such a pair to drop."""
+        with pytest.raises(ValueError):
+            hungarian_max(np.array([[1.0, NEG_INF], [NEG_INF, NEG_INF]]))
 
 
 class TestMatchingInvariants:

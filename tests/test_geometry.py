@@ -120,6 +120,20 @@ class TestIou:
         assert m.shape == (len(a), len(b))
         assert m.tolist() == [[scalar_iou(x, y) for y in b] for x in a]
 
+    @settings(max_examples=300, deadline=None)
+    @given(box_lists, box_lists)
+    def test_one_edge_pass_keeps_bits(self, a, b):
+        """The edges of both lists come from one pass, or from one list when
+        both arguments are the same object; either way each entry has the
+        bits of the scalar reference, a zero's sign included."""
+        def reference(xs, ys):
+            return np.array([[scalar_iou(x, y) for y in ys] for x in xs],
+                            dtype=float).reshape(len(xs), len(ys))
+
+        assert iou(a, b).tobytes() == reference(a, b).tobytes()
+        assert iou(a, a).tobytes() == iou(a, list(a)).tobytes() == reference(a, a).tobytes()
+        assert iou(tuple(a), tuple(b)).tobytes() == reference(a, b).tobytes()
+
 
 class TestAffineTransform:
     def test_identity(self):

@@ -315,6 +315,23 @@ class TestAtomicWrite:
             formats.atomic_write(tmp_path / "target", ["x"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
 
+    def test_process_umask_left_alone(self, tmp_path, monkeypatch):
+        """The umask is process-wide: setting it, even for a moment, gives a
+        file another thread creates in that window the wrong mode."""
+        def forbidden(mask):
+            raise AssertionError("atomic_write called os.umask")
+
+        old = os.umask(0o027)
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(os, "umask", forbidden)
+                formats.atomic_write(tmp_path / "out.txt", ["x", "y"])
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.txt").read_text() == "x\ny\n"
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
 
 class TestScenarioConfigFile:
     def test_roundtrip(self, tmp_path):

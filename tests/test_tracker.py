@@ -19,8 +19,8 @@ from uatrack.tracker import (SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
                              TrackerState, TrackRecord, build_similarity, rectify,
                              step, track_sequence, tracklets_from_log, verify)
-from uatrack.uncertainty import (association_uncertainty, second_best,
-                                 tracklet_uncertainty)
+from uatrack.uncertainty import (AssociationVerdict, association_uncertainty,
+                                 second_best, tracklet_uncertainty)
 
 
 # perfbench's pinned digests and its crowd-track scene (perfbench/run.py's CROWD)
@@ -199,6 +199,28 @@ class TestTrackerState:
                     assert np.array_equal(state.window_means([c])[0], means[c])
                     assert np.array_equal(state.last_embeddings()[c], t.records[-1].embedding)
 
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_stored_last_row_equals_newest_ring_slot(self, K, monkeypatch):
+        """The last-embedding rows are kept beside the ring, written by
+        `record` and `compact`; after every step, through births and
+        retirements, they equal the ring's newest slot of each track and
+        the track's last record."""
+        monkeypatch.setattr(tracker, "MAX_LOST", 2)
+        frames, _ = generate(ScenarioConfig(num_objects=8, num_frames=60, dropout=0.3,
+                                            embed_dim=4, raw_dim=4, seed=K))
+        state = TrackerState(TrackerConfig(K=K))
+        retired = 0
+        for frame, dets in enumerate(frames, start=1):
+            was_live = set(state.ids.tolist())
+            step(state, frame, dets)
+            retired += len(was_live - set(state.ids.tolist()))
+            if not len(state.ids):
+                continue
+            newest = state.ring[np.arange(len(state.ids)), (state.lengths - 1) % K]
+            assert np.array_equal(state.last_embeddings(), newest)
+            assert np.array_equal(state.last_embeddings(), last_embeddings(live(state)))
+        assert retired > 0
+
 
 class TestConfigValidation:
     def test_bad_beta(self):
@@ -297,6 +319,32 @@ class TestVerify:
                     assert pool.tolist() == sorted(free | set(gone.tolist()))
                 dissolving += len(dissolved) > 0
         assert dissolving > 100   # the dissolved side of the union is exercised
+
+
+    def test_certain_frame_keeps_every_pair(self):
+        """With no pair uncertain, nothing is split off: `certain` is every
+        pair of the oracle's matching, in its order, with the one-pair
+        formula's bits, `dissolved` is an empty `SCORED` array and the pool
+        is the unmatched rows and cols."""
+        rng = np.random.default_rng(707)
+        cfg = TrackerConfig()
+        for _ in range(100):
+            n_rows, n_cols = (int(x) for x in rng.integers(1, 7, size=2))
+            sim = rng.uniform(-0.1, 0.1, size=(n_rows, n_cols))
+            k = min(n_rows, n_cols)
+            sim[rng.permutation(n_rows)[:k], rng.permutation(n_cols)[:k]] = rng.uniform(0.9, 1.0, k)
+            matching = brute_force_max(sim)
+            certain, dissolved, rows, cols = verify(matching, sim, cfg)
+            assert dissolved.dtype == SCORED and len(dissolved) == 0
+            assert certain[["row", "col"]].tolist() == list(map(tuple, matching.pairs.tolist()))
+            for pair in certain:
+                r, c = int(pair["row"]), int(pair["col"])
+                expect = association_uncertainty(
+                    float(sim[r, c]), float(second_best(sim, [r], [c])[0]), cfg.margins)
+                assert tuple(pair[list(AssociationVerdict._fields)].tolist()) == expect
+                assert expect.delta <= 0.0
+            assert rows.tolist() == sorted(set(range(n_rows)) - set(matching.pairs[:, 0].tolist()))
+            assert cols.tolist() == sorted(set(range(n_cols)) - set(matching.pairs[:, 1].tolist()))
 
 
 class TestRectify:
