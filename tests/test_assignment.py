@@ -138,7 +138,6 @@ class TestBruteForce:
         got = brute_force_max(m)
         assert got.pairs.tolist() == [[0, 0], [1, 1]]
 
-
     def test_forbidden_first_candidate(self):
         """The first candidate enumerated may total -inf; a finite one
         later still wins."""
@@ -176,7 +175,6 @@ class TestDualRouteAgreement:
             h = hungarian_max(m, floor=0.0)
             for r, c in h.pairs:
                 assert m[r, c] > 0.0
-
 
     def test_forbidden_cells_at_default_floor(self):
         """At the default floor `hungarian_max` keeps every pair the solver

@@ -320,7 +320,6 @@ class TestVerify:
                 dissolving += len(dissolved) > 0
         assert dissolving > 100   # the dissolved side of the union is exercised
 
-
     def test_certain_frame_keeps_every_pair(self):
         """With no pair uncertain, nothing is split off: `certain` is every
         pair of the oracle's matching, in its order, with the one-pair
