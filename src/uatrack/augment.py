@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DegenerateBox, NoHistory
 from .geometry import AffineTransform, BoundingBox, apply_affine, solve_affine
 from .tracker import Detection, Tracklet
-# Omega's per-history reference; perfbench's traced run wraps it at this name.
-from .uncertainty import tracklet_uncertainty  # noqa: F401
+from .uncertainty import tracklet_uncertainty
 
 # default corner perturbation, as a fraction of the anchor box diagonal
 DEFAULT_JITTER_FRACTION = 0.02
@@ -56,10 +55,10 @@ def _softmax_weights(keys, scores) -> SamplingWeights:
 def source_anchor_weights(present: list[Tracklet], frame: int) -> SamplingWeights:
     """Selection weights over `present`, tracklets that the caller found
     present at `frame`, favoring low tracklet uncertainty: w_i =
-    exp(-Omega_i) / sum exp(-Omega), with Omega_i read from the tracklet's
-    running exp(delta) sum."""
+    exp(-Omega_i) / sum exp(-Omega), Omega_i over the tracklet's deltas."""
     return _softmax_weights([t.id for t in present],
-                            [-(t.exp_delta_sum / len(t)) for t in present])
+                            [-tracklet_uncertainty([r.delta for r in t.records])
+                             for t in present])
 
 
 def target_anchor_weights(trk: Tracklet, frame: int) -> SamplingWeights:

@@ -130,9 +130,8 @@ def cmd_augment(args) -> int:
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     # clamped: a negative stop would track from the end
-    tracklets = track_sequence(frames[:max(args.frame, 0)]).all_tracklets()
-    plan = draw_plan(tracklets, args.frame, np.random.default_rng(cfg.seed), cfg,
-                     args.jitter)
+    state = track_sequence(frames[:max(args.frame, 0)])
+    plan = draw_plan(state, args.frame, np.random.default_rng(cfg.seed), cfg, args.jitter)
     t = plan.transform
     print(f"source_track_id: {plan.source_track_id}")
     print(f"target_frame: {plan.target_frame}")

@@ -19,10 +19,11 @@ from itertools import chain
 import numpy as np
 
 from .augment import (AugmentationPlan, SamplingWeights, build_plan,
-                      default_jitter, sample, softmax, source_anchor_weights,
-                      target_anchor_weights)
+                      default_jitter, sample, softmax)
+# unused here; perfbench's traced run wraps them at these names
+from .augment import source_anchor_weights, target_anchor_weights  # noqa: F401
 from .errors import InsufficientData, InvalidConfig, NoCandidates
-from .tracker import Detection, Tracklet, TrackerState, track_sequence
+from .tracker import Detection, TrackerState, track_sequence
 from .uncertainty import tracklet_uncertainty
 
 DEFAULT_TEMPERATURE = 0.07
@@ -117,24 +118,6 @@ def _draw_in_window(past: list[int], probs: list[float], frame: int,
                   rng)
 
 
-def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
-                cfg: TrainConfig) -> tuple[Tracklet, int]:
-    """The hierarchical draw of tracklet-guided augmentation among `present`,
-    tracklets with a record at `frame` and one before it: an anchor favoring
-    low tracklet uncertainty, then one of its historical frames favoring high
-    association uncertainty, within MAX_LAG frames when the anchor has a
-    record there. With anchor_sampling="random" both draws are uniform."""
-    uniform = cfg.anchor_sampling != "uncertainty"
-    if uniform:
-        anchor = present[int(rng.integers(len(present)))]
-    else:
-        anchor_id = sample(source_anchor_weights(present, frame), rng)
-        anchor = next(trk for trk in present if trk.id == anchor_id)
-    past = target_anchor_weights(anchor, frame)
-    return anchor, _draw_in_window([f for f, _ in past.candidates], past.probabilities(),
-                                   frame, rng, uniform)
-
-
 @dataclass(frozen=True)
 class EpochColumns:
     """One epoch's pseudo-tracklets, read from the tracker's applied
@@ -175,8 +158,12 @@ class EpochColumns:
 
     def draw(self, present: np.ndarray, frame: int, rng: np.random.Generator,
              cfg: TrainConfig) -> tuple[int, int]:
-        """`draw_target` among the tracks `present`, with the same draws
-        from `rng`: the anchor track and its target frame."""
+        """The hierarchical draw of tracklet-guided augmentation among the
+        tracks `present`: an anchor favoring low tracklet uncertainty, then
+        one of its historical frames before `frame` favoring high
+        association uncertainty, within MAX_LAG frames when the anchor has
+        an entry there. With anchor_sampling="random" both draws are
+        uniform. Returns the anchor track and its target frame."""
         uniform = cfg.anchor_sampling != "uncertainty"
         if uniform:
             anchor = int(present[rng.integers(len(present))])
@@ -206,22 +193,24 @@ class EpochColumns:
         return self.rows[here][hit], positives[hit], self.rows[there]
 
 
-def draw_plan(tracklets, frame: int, rng: np.random.Generator,
+def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
               cfg: TrainConfig, jitter: float | None = None) -> AugmentationPlan:
-    """`draw_target` among the tracklets eligible at `frame`, then the plan
-    mapping the anchor's box at `frame` onto its box at the target, with
-    `jitter` (None: 2% of the anchor box diagonal). Raises InvalidConfig
-    for a bad jitter and NoCandidates when no tracklet is eligible."""
+    """The columns' draw among the tracks of `state` present at `frame`,
+    then the plan mapping the anchor's box at `frame` onto its box at the
+    target, with `jitter` (None: 2% of the anchor box diagonal). Raises
+    InvalidConfig for a bad jitter and NoCandidates when no track is
+    present, a frame `state` did not step included."""
     if jitter is not None and not (math.isfinite(2 * jitter) and jitter >= 0):
         raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {jitter}")
-    present = [trk for trk in tracklets
-               if trk.records[0].frame < frame and trk.box_at(frame) is not None]
-    if not present:
+    columns = EpochColumns.from_state(state, len(state.spans))
+    present = columns.present(frame) if 1 <= frame <= len(state.spans) else []
+    if not len(present):
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
-    anchor, target = draw_target(present, frame, rng, cfg)
+    anchor, target = columns.draw(present, frame, rng, cfg)
+    trk = state.all_tracklets()[anchor]
     if jitter is None:
-        jitter = default_jitter(anchor.box_at(frame))
-    return build_plan(anchor, frame, target, jitter, rng)
+        jitter = default_jitter(trk.box_at(frame))
+    return build_plan(trk, frame, target, jitter, rng)
 
 
 def info_nce_batch(queries: np.ndarray, raws: np.ndarray, keys: np.ndarray,

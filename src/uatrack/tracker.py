@@ -9,11 +9,9 @@ similarity gated by IoU -> lifecycle (births, lost ages, retirement).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, attrgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -61,22 +59,17 @@ class Tracklet:
     and embedding, and `tracklets_from_log`'s are the applied `LogRow`s.
 
     `Tracklet(tid, *records)` takes one or more records, already in frame
-    order. `exp_delta_sum` is the running sum of exp(delta) over the
-    records, added left to right, so `exp_delta_sum / len(t)` equals
-    `tracklet_uncertainty([r.delta for r in t.records])` exactly without a
-    pass over the history."""
+    order."""
 
     def __init__(self, tid: int, *records: TrackRecord | LogRow):
         self.id = tid
         self.records: list[TrackRecord | LogRow] = list(records)
-        self.exp_delta_sum = reduce(add, [math.exp(r.delta) for r in records])
 
     def append(self, record: TrackRecord | LogRow) -> None:
         if record.frame <= self.records[-1].frame:
             raise OutOfOrderFrame(
                 f"track {self.id}: frame {record.frame} after {self.records[-1].frame}")
         self.records.append(record)
-        self.exp_delta_sum += math.exp(record.delta)
 
     def box_at(self, frame: int) -> BoundingBox | None:
         i = bisect_left(self.records, frame, key=lambda r: r.frame)

@@ -51,10 +51,6 @@ class AssociationVerdict(NamedTuple):
     gamma: float
     delta: float
 
-    @property
-    def uncertain(self):
-        return self.delta > 0.0
-
 
 def association_risk(c1, c2):
     """Risk of an assignment: low c1 and a strong runner-up both raise it."""
@@ -93,8 +89,8 @@ def second_best(sim, rows, cols) -> np.ndarray:
 
 def tracklet_uncertainty(deltas) -> float:
     """Mean of exp(delta) over a tracklet's association history, summed left
-    to right with plain float additions (as `Tracklet.exp_delta_sum` is;
-    the builtin `sum` compensates rounding from Python 3.12 on)."""
+    to right with plain float additions (the builtin `sum` compensates
+    rounding from Python 3.12 on)."""
     exps = [math.exp(d) for d in deltas]
     if not exps:
         raise EmptyHistory("tracklet uncertainty needs at least one delta")

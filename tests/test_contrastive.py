@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from uatrack import contrastive, formats, tracker
-from uatrack.augment import target_anchor_weights
+from uatrack.augment import source_anchor_weights, target_anchor_weights
 from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
-                                 LinearEmbedder, TrainConfig, draw_plan,
-                                 draw_target, info_nce, info_nce_batch,
+                                 EpochColumns, LinearEmbedder, TrainConfig,
+                                 draw_plan, info_nce, info_nce_batch,
                                  info_nce_grad, train_embedder)
 from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
 from uatrack.geometry import BoundingBox
@@ -239,6 +239,23 @@ class TestTrainEmbedder:
             train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
 
 
+def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
+                cfg: TrainConfig) -> tuple[Tracklet, int]:
+    """The per-object reference for `EpochColumns.draw` among `present`,
+    tracklets with a record at `frame` and one before it: the anchor
+    through `source_anchor_weights`, then its target frame through
+    `target_anchor_weights`, with the same draws from `rng`."""
+    uniform = cfg.anchor_sampling != "uncertainty"
+    if uniform:
+        anchor = present[int(rng.integers(len(present)))]
+    else:
+        anchor_id = contrastive.sample(source_anchor_weights(present, frame), rng)
+        anchor = next(trk for trk in present if trk.id == anchor_id)
+    past = target_anchor_weights(anchor, frame)
+    return anchor, contrastive._draw_in_window(
+        [f for f, _ in past.candidates], past.probabilities(), frame, rng, uniform)
+
+
 def reference_train_embedder(frames, cfg: TrainConfig):
     """The per-object reference for `train_embedder`'s epoch loop: each
     epoch builds the tracklets and the log, lists (tracklet, detection row)
@@ -379,91 +396,123 @@ class TestEpochColumns:
         assert losses == want_losses
 
 
-def track_over(tid, frames):
-    """Tracklet with one record per frame, deltas varying along it."""
-    recs = [TrackRecord(frame=f, det_index=0,
-                        box=BoundingBox(10.0 * tid + f, 5.0, 4.0, 3.0),
-                        embedding=np.array([1.0, 0.0]), delta=math.sin(f))
-            for f in frames]
-    trk = Tracklet(tid, recs[0])
-    for rec in recs[1:]:
-        trk.append(rec)
-    return trk
+def presence_state(patterns, n_frames=30):
+    """Tracker state over a hand-built sequence: object k, in the order of
+    `patterns`, has a detection at each of the frames `patterns[k]`, with
+    embedding e_k and a box of its own far from the others', so that it
+    forms one track. Frame 1's objects are born first, in this order."""
+    frames = [[] for _ in range(n_frames)]
+    for k, present in enumerate(patterns):
+        for f in present:
+            frames[f - 1].append((k, f))
+    dets = [[Detection(f, i, BoundingBox(100.0 * k + f, 50.0, 4.0, 3.0), 0.9,
+                       np.eye(len(patterns))[k])
+             for i, (k, f) in enumerate(sorted(objects))]
+            for objects in frames]
+    return track_sequence(dets)
+
+
+def frames_of(state):
+    return {t.id: [r.frame for r in t.records] for t in state.all_tracklets()}
 
 
 class TestDrawPlan:
     FRAME = 30
+    LAGGED = list(range(1, 31))            # history in the lag window
+    EARLY = [1, 2, 3, 4, 5, 30]            # history only before it
+    BORN = [30]                            # born at FRAME
+    ABSENT = list(range(1, 11))            # absent at FRAME
 
-    def tracklets(self):
-        return [track_over(1, range(1, 31)),                 # history in the lag window
-                track_over(2, [1, 2, 3, 4, 5, 30]),          # history only before it
-                track_over(3, [30]),                         # born at FRAME
-                track_over(4, range(1, 11))]                 # absent at FRAME
+    def state(self):
+        state = presence_state([self.LAGGED, self.EARLY, self.ABSENT, self.BORN])
+        # ids follow birth order: the track born at FRAME is made last
+        assert frames_of(state) == {1: self.LAGGED, 2: self.EARLY, 3: self.ABSENT,
+                                    4: self.BORN}
+        return state
 
     @pytest.mark.parametrize("mode", ["uncertainty", "random"])
     def test_anchor_has_history_and_target_respects_lag(self, mode):
         cfg = TrainConfig(anchor_sampling=mode)
-        tracks = {t.id: t for t in self.tracklets()}
+        state = self.state()
+        tracks = frames_of(state)
         anchors = set()
         for seed in range(200):
-            plan = draw_plan(list(tracks.values()), self.FRAME,
-                             np.random.default_rng(seed), cfg)
-            anchor = tracks[plan.source_track_id]
-            anchors.add(anchor.id)
-            past = [r.frame for r in anchor.records if r.frame < self.FRAME]
+            plan = draw_plan(state, self.FRAME, np.random.default_rng(seed), cfg)
+            anchors.add(plan.source_track_id)
+            past = [f for f in tracks[plan.source_track_id] if f < self.FRAME]
             assert plan.target_frame in past
             if any(f >= self.FRAME - MAX_LAG for f in past):
                 assert plan.target_frame >= self.FRAME - MAX_LAG
         assert anchors == {1, 2}
 
     def test_no_anchor_with_history(self):
-        born = track_over(3, [30])
+        state = presence_state([self.BORN])
+        assert frames_of(state) == {1: self.BORN}
         with pytest.raises(NoCandidates):
-            draw_plan([born], self.FRAME, np.random.default_rng(0), TrainConfig())
+            draw_plan(state, self.FRAME, np.random.default_rng(0), TrainConfig())
 
     def test_absent_tracklets_excluded(self):
-        """A tracklet with history but no record at the frame is never the
+        """A track with history but no record at the frame is never the
         anchor, under either sampling."""
-        present, absent = track_over(1, [1, 30]), track_over(4, range(1, 30))
+        state = presence_state([[1, 30], list(range(1, 30))])
+        assert frames_of(state) == {1: [1, 30], 2: list(range(1, 30))}
         for mode in ("uncertainty", "random"):
             for seed in range(50):
-                plan = draw_plan([absent, present], self.FRAME, np.random.default_rng(seed),
+                plan = draw_plan(state, self.FRAME, np.random.default_rng(seed),
                                  TrainConfig(anchor_sampling=mode))
                 assert plan.source_track_id == 1
 
     def test_no_candidates(self):
-        absent = track_over(4, range(1, 30))   # history, but no record at FRAME
+        state = presence_state([list(range(1, 30))])   # history, but no record at FRAME
+        assert frames_of(state) == {1: list(range(1, 30))}
         with pytest.raises(NoCandidates):
-            draw_plan([absent], self.FRAME, np.random.default_rng(0), TrainConfig())
+            draw_plan(state, self.FRAME, np.random.default_rng(0), TrainConfig())
+
+    @pytest.mark.parametrize("frame", [-1, 0, 1, 31])
+    def test_frame_not_stepped_has_no_candidates(self, frame):
+        """A frame the state did not step, or frame 1, which has no frame
+        before it, has no candidates, with the same message."""
+        with pytest.raises(NoCandidates, match=f"before frame {frame}$"):
+            draw_plan(self.state(), frame, np.random.default_rng(0), TrainConfig())
+
+    def test_empty_table_has_no_candidates(self):
+        state = presence_state([])
+        assert state.made == 0 and len(state.spans) == self.FRAME
+        with pytest.raises(NoCandidates, match=f"before frame {self.FRAME}$"):
+            draw_plan(state, self.FRAME, np.random.default_rng(0), TrainConfig())
 
     @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
     def test_jitter_accepted(self, jitter):
-        plan = draw_plan(self.tracklets(), self.FRAME, np.random.default_rng(0),
+        plan = draw_plan(self.state(), self.FRAME, np.random.default_rng(0),
                          TrainConfig(), jitter)
         assert plan.source_track_id in (1, 2)
 
     @pytest.mark.parametrize("jitter", [math.inf, math.nan, -1.0])
     def test_bad_jitter_rejected(self, jitter):
         with pytest.raises(InvalidConfig, match="jitter"):
-            draw_plan(self.tracklets(), self.FRAME, np.random.default_rng(0),
+            draw_plan(self.state(), self.FRAME, np.random.default_rng(0),
                       TrainConfig(), jitter)
 
     @pytest.mark.parametrize("jitter", [None, 0.0, 2.5])
     @pytest.mark.parametrize("mode", ["uncertainty", "random"])
     def test_draw_target_keeps_plan_stream(self, mode, jitter):
-        """draw_target plus the jitter advance that training makes leaves
-        the generator where draw_plan does, with the same anchor and target;
-        training's own draw, from its epoch columns, is draw_target's
-        (`test_column_draw_equals_draw_target`). A zero jitter draws
-        nothing, so that plan's generator is where draw_target leaves it."""
+        """draw_plan leaves the generator where the column draw plus the
+        jitter advance that training makes leaves it, with the same anchor
+        and target, which `draw_target` picks too. A zero jitter draws
+        nothing, so that plan's generator is where the column draw alone
+        leaves it."""
         cfg = TrainConfig(anchor_sampling=mode)
-        tracks = self.tracklets()
-        eligible = tracks[:2]  # the tracklets with a record at and before FRAME
+        state = self.state()
+        columns = EpochColumns.from_state(state, len(state.spans))
+        present = columns.present(self.FRAME)
+        eligible = state.all_tracklets()[:2]   # the tracks with a record at and before FRAME
         for seed in range(50):
             plan_rng, train_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            plan = draw_plan(tracks, self.FRAME, plan_rng, cfg, jitter)
-            anchor, target = draw_target(eligible, self.FRAME, train_rng, cfg)
-            assert (anchor.id, target) == (plan.source_track_id, plan.target_frame)
+            plan = draw_plan(state, self.FRAME, plan_rng, cfg, jitter)
+            anchor, target = columns.draw(present, self.FRAME, train_rng, cfg)
+            assert (anchor + 1, target) == (plan.source_track_id, plan.target_frame)
+            trk, want = draw_target(eligible, self.FRAME, np.random.default_rng(seed), cfg)
+            assert (trk.id, want) == (anchor + 1, target)
             if jitter == 0:
                 assert train_rng.bit_generator.state == plan_rng.bit_generator.state
             train_rng.random(8)  # as train_embedder does

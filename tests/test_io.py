@@ -503,6 +503,26 @@ class TestCli:
         assert "frame 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case", ["past-last", "zero", "no-birth"])
+    def test_augment_without_table_rows_exits_2(self, tmp_path, case):
+        """A frame past the bundle's last, frame 0, and a bundle where no
+        detection is confident enough to start a track (an empty decision
+        table) have no candidates either."""
+        frames, _ = small_bundle(tmp_path)   # 20 frames
+        if case == "no-birth":
+            for dets in frames:
+                for d in dets:
+                    d.confidence = tracker.DET_CONF_MIN / 2
+            formats.write_detections(frames, tmp_path / "det.txt")
+            assert track_sequence(formats.read_embeddings(
+                tmp_path / "emb.csv", formats.read_detections(tmp_path / "det.txt"))[0]).made == 0
+        frame = {"past-last": 21, "zero": 0, "no-birth": 10}[case]
+        proc = run_cli("augment", "--bundle", str(tmp_path), "--frame", str(frame),
+                       "--seed", "0")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("uatrack augment: no tracklet has records at and before "
+                               f"frame {frame}\n")
+
     def test_augment_prints_plan(self, tmp_path):
         cfgp = tmp_path / "cfg.txt"
         cfgp.write_text("num_objects = 4\nnum_frames = 20\nseed = 3\n")
@@ -827,10 +847,11 @@ class TestWorkflowBytes:
     the bytes themselves, `train` stdout included. The decision log and the
     trained weights are left out on purpose: the log is to gain lost/retired
     stages (ROADMAP Direction 7), and the weights moved in their last bits
-    with the array-native training step. Training draws only the target
-    (`draw_target`'s draw, from its epoch columns, no plan) but still
-    consumes the plan's jitter draw, so its weights and the `train` hashes
-    are those of the plan-building step."""
+    with the array-native training step. `train` and `augment` make one
+    draw, `EpochColumns.draw` on the epoch's decision table. Training reads
+    only the target and builds no plan, but still consumes the plan's
+    jitter draw, so its weights and the `train` hashes are those of the
+    plan-building step."""
 
     PINNED = {
         "det.txt": "7bad4b1ed60dfddb60041aeebc60f352575bb680ba20ffcda1dda9f3dc33138f",

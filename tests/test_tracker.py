@@ -19,8 +19,7 @@ from uatrack.tracker import (SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
                              TrackerState, TrackRecord, build_similarity, rectify,
                              step, track_sequence, tracklets_from_log, verify)
-from uatrack.uncertainty import (AssociationVerdict, association_uncertainty,
-                                 second_best, tracklet_uncertainty)
+from uatrack.uncertainty import AssociationVerdict, association_uncertainty, second_best
 
 
 # perfbench's pinned digests and its crowd-track scene (perfbench/run.py's CROWD)
@@ -691,13 +690,12 @@ class TestTrackSequence:
     def test_mid_run_reads_equal_a_run_stopped_there(self, utl):
         """`all_tracklets()` and `log()` read after any frame equal the
         results of a fresh run over the frames up to it, record objects
-        and `exp_delta_sum` bits included, and reading changes nothing
-        that later frames decide."""
+        included, and reading changes nothing that later frames decide."""
         frames, _ = generate(ScenarioConfig(num_frames=40, seed=7))
         cfg = TrackerConfig(utl_enabled=utl)
 
         def compose(tracklets):
-            return [(t.id, t.exp_delta_sum.hex(),
+            return [(t.id,
                      [(r.frame, r.det_index, r.delta.hex(), id(r.box), id(r.embedding),
                        id(r.confidence)) for r in t.records]) for t in tracklets]
 
@@ -741,16 +739,6 @@ class TestTrackSequence:
             formats.write_log(log, tmp_path / "log.txt")
             digest = hashlib.sha256((tmp_path / "log.txt").read_bytes()).hexdigest()
             assert digest == pinned[utl], utl
-
-    @pytest.mark.parametrize("seed", range(7, 13))
-    def test_running_omega_equals_history_omega(self, seed):
-        """The running exp(delta) sum gives Omega exactly, not approximately,
-        on every tracklet of a default scene."""
-        frames, _ = generate(ScenarioConfig(seed=seed))
-        tracklets = track_sequence(frames).all_tracklets()
-        assert tracklets
-        for t in tracklets:
-            assert t.exp_delta_sum / len(t) == tracklet_uncertainty([r.delta for r in t.records])
 
     def test_plain_lists_accepted(self):
         tracklets = track_sequence(self._frames(3)).all_tracklets()

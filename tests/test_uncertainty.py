@@ -30,12 +30,12 @@ class TestFrozenValues:
     def test_delta_uncertain_case(self):
         v = association_uncertainty(0.4, 0.38, M)
         assert v.delta == pytest.approx(0.2703964, abs=1e-6)
-        assert v.uncertain
+        assert v.delta > 0
 
     def test_delta_certain_case(self):
         v = association_uncertainty(0.9, 0.8, M)
         assert v.delta == pytest.approx(-0.8754688, abs=1e-6)
-        assert not v.uncertain
+        assert not v.delta > 0
 
     def test_threshold_at_perfect_match(self):
         # -ln(0.5) - ln(0.05 + 1 - 1)
@@ -45,7 +45,7 @@ class TestFrozenValues:
     def test_near_tie_is_uncertain(self):
         v = association_uncertainty(0.58, 0.60, M)
         assert v.delta == pytest.approx(0.0129, abs=1e-3)
-        assert v.uncertain
+        assert v.delta > 0
 
 
 class TestClamping:
@@ -66,7 +66,6 @@ class TestClamping:
             c1, c2 = rng.uniform(0.01, 0.99, 2)
             v = association_uncertainty(float(c1), float(c2), M)
             assert v.delta == pytest.approx(v.sigma - v.gamma)
-            assert v.uncertain == (v.delta > 0)
             assert v.c1 == c1 and v.c2 == c2
 
 
@@ -99,7 +98,6 @@ class TestArrayForm:
         for i, (a, b) in enumerate(pairs):
             scalar = association_uncertainty(a, b, margins)
             assert tuple(col[i] for col in arrays) == scalar
-            assert arrays.uncertain[i] == scalar.uncertain
 
 
 class TestSecondBest:
