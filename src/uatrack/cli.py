@@ -100,7 +100,7 @@ def cmd_track(args) -> int:
     cfg = TrackerConfig(margins=UncertaintyMargins(m1=args.m1, m2=args.m2),
                         beta=args.beta, K=args.K, utl_enabled=args.utl == "on")
     state = track_sequence(frames, cfg)
-    formats.write_results(state.all_tracklets(), args.out)
+    formats.write_results(state, args.out)
     if args.log:
         formats.write_log(state.log(), args.log)
     return 0

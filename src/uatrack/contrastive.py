@@ -138,16 +138,15 @@ class EpochColumns:
     rows: np.ndarray
 
     @classmethod
-    def from_state(cls, state: TrackerState, num_frames: int) -> "EpochColumns":
-        """The columns of the applied rows of `state`, which stepped
-        `num_frames` frames."""
+    def from_state(cls, state: TrackerState) -> "EpochColumns":
+        """The columns of the applied rows of `state`, over the frames it stepped."""
         tid, frames, rows, deltas = state.applied()
         bounds = np.bincount(tid).cumsum().tolist()   # ids start at 1: bounds[0] is 0
         history = deltas.tolist()
         omega = np.array([tracklet_uncertainty(history[start:stop])
                           for start, stop in zip(bounds, bounds[1:])])
         by_frame = frames.argsort(kind="stable")   # frame, then track id
-        at = frames[by_frame].searchsorted(np.arange(num_frames + 1), side="right")
+        at = frames[by_frame].searchsorted(np.arange(len(state.spans) + 1), side="right")
         return cls(frames.tolist(), deltas, bounds, omega, frames[bounds[:-1]],
                    at.tolist(), tid[by_frame] - 1, rows[by_frame])
 
@@ -202,7 +201,7 @@ def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
     present, a frame `state` did not step included."""
     if jitter is not None and not (math.isfinite(2 * jitter) and jitter >= 0):
         raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {jitter}")
-    columns = EpochColumns.from_state(state, len(state.spans))
+    columns = EpochColumns.from_state(state)
     present = columns.present(frame) if 1 <= frame <= len(state.spans) else []
     if not len(present):
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
@@ -286,7 +285,7 @@ def train_embedder(frames, cfg: TrainConfig):
         if state.made < 2:
             raise InsufficientData(
                 f"sequence yielded {state.made} tracklet(s), need >= 2")
-        columns = EpochColumns.from_state(state, len(frames))
+        columns = EpochColumns.from_state(state)
 
         losses: list[float] = []
         for _ in range(cfg.steps_per_epoch):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields as dc_fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
                      IoFailure, MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
 from .simulator import MAX_FRAME, GroundTruthRecord, ScenarioConfig
-from .tracker import STAGE_BIRTH, STAGE_DISSOLVED, Detection, LogRow, Tracklet
+from .tracker import LOG, STAGE_BIRTH, STAGE_DISSOLVED, Detection, TrackerState
 
 NORM_WARN_TOL = 1e-6
 
@@ -208,17 +207,17 @@ def write_ground_truth(gt, path) -> None:
     atomic_write(path, ["%d,%d,%d" % (g.frame, g.det_index, g.true_id) for g in gt])
 
 
-def write_results(tracklets: list[Tracklet], path) -> None:
-    """MOT-style output, center converted back to corners, sorted by
-    (frame, id)."""
-    rows = []
-    for trk in tracklets:
-        for rec in trk.records:
-            box = rec.box
-            x1, y1, _, _ = box.to_xyxy()
-            rows.append((rec.frame, trk.id, x1, y1, box.w, box.h, rec.confidence))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    atomic_write(path, [_MOT_LINE % row for row in rows])
+def write_results(state: TrackerState, path) -> None:
+    """MOT-style output, one line per applied row of `state`, sorted by (frame, id): its
+    detection's box, center converted back to corners, and confidence."""
+    tid, frames, det, _ = state.applied()
+    order = np.lexsort((tid, frames))
+    lines = []
+    for frame, track_id, i in zip(*(column[order].tolist() for column in (frames, tid, det))):
+        d = state.dets[i]
+        x1, y1, _, _ = d.box.to_xyxy()
+        lines.append(_MOT_LINE % (frame, track_id, x1, y1, d.box.w, d.box.h, d.confidence))
+    atomic_write(path, lines)
 
 
 def read_results(path) -> list[tuple[int, int]]:
@@ -231,27 +230,30 @@ def read_results(path) -> list[tuple[int, int]]:
     return _parse_lines(path, row)
 
 
-_LOG_FIELDS = attrgetter(*(f.name for f in dc_fields(LogRow)))
+def write_log(log: np.ndarray, path) -> None:
+    """One line per element of the `LOG` array `log`."""
+    atomic_write(path, ["%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d" % row for row in log.tolist()])
 
 
-def write_log(log: list[LogRow], path) -> None:
-    atomic_write(path, ["%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d" % _LOG_FIELDS(r) for r in log])
+_INTP_LO, _INTP_HI = np.iinfo(np.intp).min, np.iinfo(np.intp).max
 
 
-def read_log(path) -> list[LogRow]:
+def read_log(path) -> np.ndarray:
+    """A log file as a `LOG` array; an integer outside `np.intp` is a ParseError."""
     def row(parts):
         if len(parts) != 9:
             raise ParseError(f"expected 9 fields, got {len(parts)}")
-        log_row = LogRow(frame=int(parts[0]), det_index=int(parts[1]),
-                         track_id=int(parts[2]), c1=float(parts[3]),
-                         c2=float(parts[4]), sigma=float(parts[5]),
-                         gamma=float(parts[6]), delta=float(parts[7]),
-                         stage=int(parts[8]))
-        if not STAGE_BIRTH <= log_row.stage <= STAGE_DISSOLVED:
-            raise ParseError(f"unknown stage {log_row.stage}")
-        return log_row
+        values = (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]),
+                  float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]),
+                  int(parts[8]))
+        if not STAGE_BIRTH <= values[8] <= STAGE_DISSOLVED:
+            raise ParseError(f"unknown stage {values[8]}")
+        for name, value in zip(LOG.names, values[:3]):
+            if not _INTP_LO <= value <= _INTP_HI:
+                raise ParseError(f"{name} {value} does not fit np.intp")
+        return values
 
-    return _parse_lines(path, row)
+    return np.array(_parse_lines(path, row), LOG)
 
 
 def write_weights(embedder, path) -> None:

@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidConfig, MissingGroundTruth
-from .tracker import LogRow, STAGE_BIRTH, Tracklet
+from .tracker import STAGE_BIRTH, Tracklet
 from .uncertainty import second_best
 
 
@@ -86,29 +86,32 @@ def pseudo_accuracy(tracklets: list[Tracklet], gt, max_age: int) -> AccuracyCurv
     return AccuracyCurve(points=points)
 
 
-def uncertainty_separation(log: list[LogRow], gt) -> SeparationReport:
-    """Fig-3a-style split: how many wrong associations carry delta > 0 and
-    how many correct ones carry delta <= 0. Birth rows define each track's
-    reference identity; every other row counts, dissolved ones included."""
+def uncertainty_separation(log: np.ndarray, gt) -> SeparationReport:
+    """Fig-3a-style split of a `LOG` array: how many wrong associations
+    carry delta > 0 and how many correct ones carry delta <= 0. Birth rows
+    define each track's reference identity; every other row counts,
+    dissolved ones included."""
     lookup = gt_index(gt)
+    rows = list(zip(*(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta",
+                                                "stage"))))
     birth_id: dict[int, int] = {}
-    for row in log:
-        if row.stage == STAGE_BIRTH and row.track_id not in birth_id:
-            birth_id[row.track_id] = _resolve(lookup, row.frame, row.det_index)
+    for frame, det_index, tid, _, stage in rows:
+        if stage == STAGE_BIRTH and tid not in birth_id:
+            birth_id[tid] = _resolve(lookup, frame, det_index)
     wrong_total = wrong_flagged = correct_total = correct_flagged = 0
-    for row in log:
-        if row.stage == STAGE_BIRTH:
+    for frame, det_index, tid, delta, stage in rows:
+        if stage == STAGE_BIRTH:
             continue
-        true_id = _resolve(lookup, row.frame, row.det_index)
-        if row.track_id not in birth_id:
-            raise MissingGroundTruth(f"no birth row for track {row.track_id}")
-        if true_id == birth_id[row.track_id]:
+        true_id = _resolve(lookup, frame, det_index)
+        if tid not in birth_id:
+            raise MissingGroundTruth(f"no birth row for track {tid}")
+        if true_id == birth_id[tid]:
             correct_total += 1
-            if row.delta <= 0:
+            if delta <= 0:
                 correct_flagged += 1
         else:
             wrong_total += 1
-            if row.delta > 0:
+            if delta > 0:
                 wrong_flagged += 1
     return SeparationReport(wrong_total=wrong_total,
                             wrong_flagged_uncertain=wrong_flagged,

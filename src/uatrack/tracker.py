@@ -44,28 +44,27 @@ class Detection:
 class TrackRecord:
     frame: int
     det_index: int
-    box: BoundingBox
-    embedding: np.ndarray
+    box: BoundingBox | None
+    embedding: np.ndarray | None
     delta: float
-    confidence: float = 1.0
 
 
 class Tracklet:
     """Identity-labeled sequence of per-frame records with a delta history;
     the state that changes every frame lives in `TrackerState`.
 
-    A record carries at least `frame`, `det_index` and `delta`, which is all
-    the metrics read: the tracker's are `TrackRecord`s, which add the box
-    and embedding, and `tracklets_from_log`'s are the applied `LogRow`s.
+    The metrics read a record's `frame`, `det_index` and `delta` only: the
+    tracker's records add the box and embedding, and `tracklets_from_log`'s,
+    read from a log, have neither.
 
     `Tracklet(tid, *records)` takes one or more records, already in frame
     order."""
 
-    def __init__(self, tid: int, *records: TrackRecord | LogRow):
+    def __init__(self, tid: int, *records: TrackRecord):
         self.id = tid
-        self.records: list[TrackRecord | LogRow] = list(records)
+        self.records: list[TrackRecord] = list(records)
 
-    def append(self, record: TrackRecord | LogRow) -> None:
+    def append(self, record: TrackRecord) -> None:
         if record.frame <= self.records[-1].frame:
             raise OutOfOrderFrame(
                 f"track {self.id}: frame {record.frame} after {self.records[-1].frame}")
@@ -95,33 +94,21 @@ class TrackerConfig:
             raise InvalidConfig(f"K must be in [1, {np.iinfo(np.intp).max}], got {self.K}")
 
 
-@dataclass
-class LogRow:
-    """One association decision; stage 0 = birth, 1 = direct match,
-    2 = rectified, 3 = dissolved (logged, not applied)."""
-    frame: int
-    det_index: int
-    track_id: int
-    c1: float
-    c2: float
-    sigma: float
-    gamma: float
-    delta: float
-    stage: int
-
-
-def tracklets_from_log(log: list[LogRow]) -> list[Tracklet]:
-    """Group a log's applied rows by track id, in frame order, each row one
-    record of its tracklet. Dissolved rows were never applied, so they are
-    skipped. The log has no boxes, so these tracklets have none."""
+def tracklets_from_log(log: np.ndarray) -> list[Tracklet]:
+    """Group a `LOG` array's applied rows by track id, in frame order, each
+    row one record of its tracklet. Dissolved rows were never applied, so
+    they are skipped. The log has no boxes or embeddings, so these records
+    have none. Two rows of one track in one frame raise OutOfOrderFrame."""
+    log = log[log["stage"] != STAGE_DISSOLVED]
+    log = log[np.lexsort((log["track_id"], log["frame"]))]
     by_id: dict[int, Tracklet] = {}
-    for row in sorted(log, key=lambda r: (r.frame, r.track_id)):
-        if row.stage == STAGE_DISSOLVED:
-            continue
-        if row.track_id in by_id:
-            by_id[row.track_id].append(row)
+    for frame, det_index, tid, delta in zip(
+            *(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta"))):
+        record = TrackRecord(frame, det_index, None, None, delta)
+        if tid in by_id:
+            by_id[tid].append(record)
         else:
-            by_id[row.track_id] = Tracklet(row.track_id, row)
+            by_id[tid] = Tracklet(tid, record)
     return [by_id[k] for k in sorted(by_id)]
 
 
@@ -132,9 +119,9 @@ class TrackerState:
     table, one row each, in log order: per row the detection's index into
     `dets`, the track id, the five verdict fields (0 for a birth) and the
     stage, in column buffers that double when full; `spans` holds
-    (frame, row count) per frame stepped. `log()` and `all_tracklets()`
-    build the log rows and the tracklets from the table, in bulk, when they
-    are read; `applied()` gives the applied rows as columns.
+    (frame, row count) per frame stepped. `log()` gives the table as a `LOG`
+    array and `all_tracklets()` builds the tracklets from it, in bulk, when
+    they are read; `applied()` gives the applied rows as columns.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -213,13 +200,15 @@ class TrackerState:
         frames, counts = np.array(self.spans, dtype=np.intp).reshape(-1, 2).T
         return frames.repeat(counts)
 
-    def log(self) -> list[LogRow]:
-        """One `LogRow` per decision, in log order."""
+    def log(self) -> np.ndarray:
+        """The decisions as a `LOG` array, one element each, in log order."""
         rows = self.n_rows
-        dets = list(map(self.dets.__getitem__, self.row_det[:rows].tolist()))
-        return list(map(LogRow, self._frames().tolist(), map(attrgetter("det_index"), dets),
-                        self.row_tid[:rows].tolist(), *self.row_verdict[:rows].T.tolist(),
-                        self.row_stage[:rows].tolist()))
+        log = np.empty(rows, LOG)
+        for name, column in zip(LOG.names, (
+                self._frames(), [self.dets[i].det_index for i in self.row_det[:rows].tolist()],
+                self.row_tid[:rows], *self.row_verdict[:rows].T, self.row_stage[:rows])):
+            log[name] = column
+        return log
 
     def applied(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The applied rows as columns (track id, frame, `dets` index,
@@ -238,8 +227,7 @@ class TrackerState:
         dets = list(map(self.dets.__getitem__, det.tolist()))
         records = list(map(TrackRecord, frames.tolist(),
                            map(attrgetter("det_index"), dets), map(attrgetter("box"), dets),
-                           map(attrgetter("embedding"), dets), delta.tolist(),
-                           map(attrgetter("confidence"), dets)))
+                           map(attrgetter("embedding"), dets), delta.tolist()))
         return [Tracklet(i, *records[start:stop])
                 for i, start, stop in zip(range(1, len(stops) + 1), [0, *stops], stops)]
 
@@ -308,6 +296,11 @@ _NO_PAIRS = np.zeros(0, SCORED)
 # the five verdict fields of a `SCORED` array, as one (pairs × 5) float view
 _VERDICTS = np.dtype({"names": ["v"], "formats": [(float, 5)],
                       "offsets": [SCORED.fields["c1"][1]], "itemsize": SCORED.itemsize})
+# The decision log, one decision per element, in a log line's field order;
+# stage 0 = birth, 1 = direct match, 2 = rectified, 3 = dissolved (logged,
+# not applied). A birth's verdict fields are 0.
+LOG = np.dtype([("frame", np.intp), ("det_index", np.intp), ("track_id", np.intp)]
+               + [(f, float) for f in AssociationVerdict._fields] + [("stage", np.intp)])
 
 
 def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:

@@ -62,7 +62,7 @@ def test_traced_scene_pass_counts_rectification():
         assert values[name] > 0, name
     assert 0 < values["tracker.rectify_matched_ratio"] <= 1
     # the hooks count pairs, so each count is the number of its stage's log rows
-    stages = [row.stage for row in state.log()]
+    stages = [row["stage"] for row in state.log()]
     assert values["tracker.rectify_matched"] == stages.count(tracker.STAGE_RECTIFIED)
     assert values["tracker.verify_pairs"] == (stages.count(tracker.STAGE_ASSOC)
                                               + stages.count(tracker.STAGE_DISSOLVED))

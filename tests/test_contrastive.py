@@ -377,7 +377,7 @@ class TestEpochColumns:
         assert len(set(drawn)) > 1
 
     def test_training_builds_no_decision_objects(self, monkeypatch):
-        """Training reads the decision table only: no log row, record or
+        """Training reads the decision table only: no log, record or
         tracklet is made, and the result is the same."""
         frames, _ = generate(ScenarioConfig(num_frames=60, seed=7))
         cfg = TrainConfig(epochs=2)
@@ -388,9 +388,10 @@ class TestEpochColumns:
 
         with monkeypatch.context() as mp:
             for module in (tracker, contrastive):
-                for name in ("LogRow", "TrackRecord", "Tracklet"):
+                for name in ("TrackRecord", "Tracklet"):
                     if hasattr(module, name):
                         mp.setattr(module, name, forbidden)
+            mp.setattr(tracker.TrackerState, "log", forbidden)
             embedder, losses = train_embedder(frames, cfg)
         assert embedder.weights.tobytes() == want_embedder.weights.tobytes()
         assert losses == want_losses
@@ -503,7 +504,7 @@ class TestDrawPlan:
         leaves it."""
         cfg = TrainConfig(anchor_sampling=mode)
         state = self.state()
-        columns = EpochColumns.from_state(state, len(state.spans))
+        columns = EpochColumns.from_state(state)
         present = columns.present(self.FRAME)
         eligible = state.all_tracklets()[:2]   # the tracks with a record at and before FRAME
         for seed in range(50):

@@ -24,8 +24,7 @@ from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
 from uatrack.geometry import BoundingBox
 from uatrack.metrics import id_switches, pseudo_accuracy
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
-from uatrack.tracker import (Detection, LogRow, TrackerConfig, TrackRecord, Tracklet,
-                             track_sequence)
+from uatrack.tracker import LOG, Detection, TrackerConfig, track_sequence
 
 
 def small_bundle(tmp_path, cfg=None):
@@ -143,9 +142,9 @@ class TestGroundTruthAndLog:
         back = formats.read_log(tmp_path / "log.txt")
         assert len(back) == len(log)
         for a, b in zip(log, back):
-            assert (a.frame, a.det_index, a.track_id, a.stage) == \
-                   (b.frame, b.det_index, b.track_id, b.stage)
-            assert b.delta == pytest.approx(a.delta, abs=1e-6)
+            assert (a["frame"], a["det_index"], a["track_id"], a["stage"]) == \
+                   (b["frame"], b["det_index"], b["track_id"], b["stage"])
+            assert b["delta"] == pytest.approx(a["delta"], abs=1e-6)
 
     def test_log_unknown_stage_rejected(self, tmp_path):
         p = tmp_path / "log.txt"
@@ -195,21 +194,24 @@ def _reference_ground_truth_lines(gt):
     return [f"{g.frame},{g.det_index},{g.true_id}" for g in gt]
 
 
-def _reference_result_lines(tracklets):
+def _reference_result_lines(tracklets, frames):
+    """One line per tracklet record: its box and its detection's confidence."""
+    confidence = {(d.frame, d.det_index): d.confidence for dets in frames for d in dets}
     rows = []
     for trk in tracklets:
         for rec in trk.records:
             x1, y1, _, _ = rec.box.to_xyxy()
-            rows.append((rec.frame, trk.id, x1, y1, rec.box.w, rec.box.h, rec.confidence))
+            rows.append((rec.frame, trk.id, x1, y1, rec.box.w, rec.box.h,
+                         confidence[rec.frame, rec.det_index]))
     rows.sort(key=lambda r: (r[0], r[1]))
     return [",".join([str(f), str(tid), _fmt6(x), _fmt6(y), _fmt6(w), _fmt6(h), _fmt6(c),
                       "-1", "-1", "-1"]) for f, tid, x, y, w, h, c in rows]
 
 
 def _reference_log_lines(log):
-    return [",".join([str(r.frame), str(r.det_index), str(r.track_id),
-                      _fmt6(r.c1), _fmt6(r.c2), _fmt6(r.sigma), _fmt6(r.gamma),
-                      _fmt6(r.delta), str(r.stage)]) for r in log]
+    return [",".join([str(r["frame"]), str(r["det_index"]), str(r["track_id"]),
+                      _fmt6(r["c1"]), _fmt6(r["c2"]), _fmt6(r["sigma"]), _fmt6(r["gamma"]),
+                      _fmt6(r["delta"]), str(r["stage"])]) for r in log]
 
 
 def _written(write):
@@ -241,6 +243,8 @@ BOXES = st.builds(BoundingBox, FINITE, FINITE, SIZES, SIZES)
 VECTORS = st.lists(EDGE_FLOATS, max_size=4).map(lambda v: np.array(v, dtype=float))
 DETECTIONS = st.builds(Detection, INTS, INTS, BOXES, EDGE_FLOATS, VECTORS, VECTORS)
 FRAMES = st.lists(st.lists(DETECTIONS, max_size=3), max_size=4)   # empty frames included
+CONFIDENCES = st.floats(0.6, 1.0) | EDGE_FLOATS   # a birth needs 0.6
+ANGLES = st.floats(0.0, 2 * math.pi)   # of a unit 2-D embedding
 
 
 class TestWritersEqualReference:
@@ -260,16 +264,22 @@ class TestWritersEqualReference:
         assert _written(lambda p: formats.write_ground_truth(gt, p)) == _text(
             _reference_ground_truth_lines(gt))
 
-    @given(tracklets=st.lists(st.builds(
-        lambda tid, records: Tracklet(tid, *records), INTS,
-        st.lists(st.builds(TrackRecord, INTS, INTS, BOXES, st.none(), st.just(0.0),
-                           EDGE_FLOATS), min_size=1, max_size=3)), max_size=4))
-    def test_results(self, tracklets):
-        assert _written(lambda p: formats.write_results(tracklets, p)) == _text(
-            _reference_result_lines(tracklets))
+    @given(scene=st.lists(st.lists(st.tuples(BOXES, CONFIDENCES, ANGLES), max_size=4),
+                          max_size=6),
+           utl=st.booleans())
+    def test_results(self, scene, utl):
+        """The results of a tracked state, every applied row with its
+        detection's box and confidence, sorted by (frame, id)."""
+        frames = [[Detection(f, i, box, conf, np.array([math.cos(a), math.sin(a)]))
+                   for i, (box, conf, a) in enumerate(dets)]
+                  for f, dets in enumerate(scene, start=1)]
+        with np.errstate(all="ignore"):   # the gate's IoU of the largest boxes overflows
+            state = track_sequence(frames, TrackerConfig(utl_enabled=utl))
+        assert _written(lambda p: formats.write_results(state, p)) == _text(
+            _reference_result_lines(state.all_tracklets(), frames))
 
-    @given(log=st.lists(st.builds(LogRow, INTS, INTS, INTS, *[EDGE_FLOATS] * 5, INTS),
-                        max_size=6))
+    @given(log=st.lists(st.tuples(INTS, INTS, INTS, *[EDGE_FLOATS] * 5, INTS),
+                        max_size=6).map(lambda rows: np.array(rows, LOG)))
     def test_log(self, log):
         assert _written(lambda p: formats.write_log(log, p)) == _text(_reference_log_lines(log))
 
@@ -634,9 +644,8 @@ class TestCli:
     def test_negative_max_age_exit_2(self, tmp_path, capsys):
         frames, _ = small_bundle(tmp_path)
         state = track_sequence(frames, TrackerConfig())
-        tracklets, log = state.all_tracklets(), state.log()
-        formats.write_results(tracklets, tmp_path / "results.txt")
-        formats.write_log(log, tmp_path / "log.txt")
+        formats.write_results(state, tmp_path / "results.txt")
+        formats.write_log(state.log(), tmp_path / "log.txt")
         code, err = run_main(capsys, "eval", "--results", tmp_path / "results.txt",
                              "--gt", tmp_path / "gt.txt", "--log", tmp_path / "log.txt",
                              "--report", tmp_path / "r.txt", "--max-age", "-5")
@@ -646,9 +655,8 @@ class TestCli:
     def test_eval_prints_whole_report(self, tmp_path, capsys):
         frames, _ = small_bundle(tmp_path)
         state = track_sequence(frames, TrackerConfig())
-        tracklets, log = state.all_tracklets(), state.log()
-        formats.write_results(tracklets, tmp_path / "results.txt")
-        formats.write_log(log, tmp_path / "log.txt")
+        formats.write_results(state, tmp_path / "results.txt")
+        formats.write_log(state.log(), tmp_path / "log.txt")
         code = cli.main([str(a) for a in (
             "eval", "--results", tmp_path / "results.txt", "--gt", tmp_path / "gt.txt",
             "--log", tmp_path / "log.txt", "--report", tmp_path / "report.txt")])
@@ -662,9 +670,9 @@ class TestCli:
         # at 100 frames the default scene's UTL-on and UTL-off tracks differ
         frames, gt = generate(ScenarioConfig(num_frames=100))
         on_log = track_sequence(frames, TrackerConfig()).log()
-        off_tracks = track_sequence(frames, TrackerConfig(utl_enabled=False)).all_tracklets()
+        off_state = track_sequence(frames, TrackerConfig(utl_enabled=False))
         formats.write_detections(frames, tmp_path / "det.txt")
-        formats.write_results(off_tracks, tmp_path / "utl-off")
+        formats.write_results(off_state, tmp_path / "utl-off")
         formats.write_log(on_log, tmp_path / "log.txt")
         formats.write_ground_truth(gt, tmp_path / "gt.txt")
         path = tmp_path / ("utl-off" if results == "utl-off" else "det.txt")
@@ -698,6 +706,85 @@ class TestCli:
                              "--seed", "1")
         assert code == 0, err
         assert len(built) == 1
+
+    def test_track_builds_no_tracklets(self, tmp_path, capsys, monkeypatch):
+        """`track` writes results.txt from the decision table: with and
+        without --log it builds no tracklet, and the bytes are those of the
+        per-tracklet writer it replaced."""
+        small_bundle(tmp_path)
+        frames = cli._load_bundle(tmp_path / "det.txt", tmp_path / "emb.csv")
+        want = _text(_reference_result_lines(track_sequence(frames).all_tracklets(), frames))
+
+        def forbidden(state):
+            raise AssertionError("track built the tracklets")
+
+        monkeypatch.setattr(tracker.TrackerState, "all_tracklets", forbidden)
+        for run, flags in (("with", ["--log", tmp_path / "log.txt"]), ("without", [])):
+            code, err = run_main(capsys, "track", "--dets", tmp_path / "det.txt",
+                                 "--embs", tmp_path / "emb.csv",
+                                 "--out", tmp_path / f"{run}.txt", *flags)
+            assert code == 0, err
+            assert (tmp_path / f"{run}.txt").read_bytes() == want, run
+
+    # A two-frame run: tracks 1 and 2 born on detections of objects 1 and 2,
+    # then frame 2's detections, both of object 1.
+    TWO_FRAME_GT = "1,0,1\n1,1,2\n2,0,1\n2,1,1\n"
+    BIRTHS = "1,0,1,0,0,0,0,0,0\n1,1,2,0,0,0,0,0,0\n"
+
+    def _two_frame_files(self, tmp_path, log, tracks):
+        """gt.txt, the given log.txt, and a results.txt with one row per
+        (frame, track id) of `tracks`."""
+        paths = [tmp_path / name for name in ("gt.txt", "log.txt", "results.txt")]
+        for path, text in zip(paths, (self.TWO_FRAME_GT, log, "".join(
+                f"{frame},{tid},0,0,1,1,0.9,-1,-1,-1\n" for frame, tid in tracks))):
+            path.write_text(text)
+        return paths
+
+    @staticmethod
+    def _run(capsys, *argv):
+        """`cli.main` in-process; returns (exit code, stdout, stderr)."""
+        code = cli.main([str(a) for a in argv])
+        return (code, *capsys.readouterr())
+
+    def test_log_with_two_applied_rows_of_a_track_in_a_frame(self, tmp_path, capsys):
+        """`eval` groups the applied rows into tracklets and rejects the
+        second row of track 1 in frame 2; `stats` reads rows, not tracklets,
+        and counts both."""
+        gt, log, results = self._two_frame_files(
+            tmp_path, self.BIRTHS + "2,0,1,0.9,0.1,0.2,1.3,-1.1,1\n" * 2,
+            [(1, 1), (1, 2), (2, 1), (2, 1)])
+        assert self._run(capsys, "eval", "--results", results, "--gt", gt, "--log", log,
+                         "--report", tmp_path / "r.txt") == (
+            2, "", "uatrack eval: track 1: frame 2 after 2\n")
+        assert not (tmp_path / "r.txt").exists()
+        assert self._run(capsys, "stats", "--log", log, "--gt", gt) == (0, (
+            "wrong_total: 0\nwrong_flagged_uncertain: 0\nwrong_uncertain_rate: 0.000000\n"
+            "correct_total: 2\ncorrect_flagged_certain: 2\ncorrect_certain_rate: 1.000000\n"),
+            "")
+
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    @pytest.mark.parametrize("tid", ["99999999999999999999999", "-99999999999999999999999"])
+    def test_log_track_id_past_intp_exit_2(self, tmp_path, capsys, command, tid):
+        """A log's integer fields are `np.intp`s: a track id that does not
+        fit is a data error naming its line, not a traceback."""
+        gt, log, results = self._two_frame_files(
+            tmp_path, f"1,0,1,0,0,0,0,0,0\n1,1,{tid},0,0,0,0,0,0\n",
+            [(1, 1), (1, int(tid))])
+        argv = (["--results", results, "--report", tmp_path / "r.txt"]
+                if command == "eval" else [])
+        assert self._run(capsys, command, "--log", log, "--gt", gt, *argv) == (
+            2, "", f"uatrack {command}: line 2: track_id {tid} does not fit np.intp\n")
+
+    def test_stats_counts_a_nan_delta_in_its_total_only(self, tmp_path, capsys):
+        """A nan delta is neither > 0 nor <= 0: its row counts as correct or
+        wrong and is flagged neither certain nor uncertain."""
+        gt, log, _ = self._two_frame_files(
+            tmp_path, self.BIRTHS + "2,0,1,0.9,0.1,0.2,1.3,nan,1\n"
+                                    "2,1,2,0.8,0.7,0.2,1.3,nan,1\n", [])
+        assert self._run(capsys, "stats", "--log", log, "--gt", gt) == (0, (
+            "wrong_total: 1\nwrong_flagged_uncertain: 0\nwrong_uncertain_rate: 0.000000\n"
+            "correct_total: 1\ncorrect_flagged_certain: 0\ncorrect_certain_rate: 0.000000\n"),
+            "")
 
     def test_frame_past_bound_exit_2(self, tmp_path, capsys):
         (tmp_path / "det.txt").write_text(
@@ -758,9 +845,8 @@ def fuzz_bundle(tmp_path_factory):
     frames, _ = small_bundle(root, cfg)
     formats.write_scenario_config(cfg, root / "config.txt")
     state = track_sequence(frames, TrackerConfig())
-    tracklets, log = state.all_tracklets(), state.log()
-    formats.write_results(tracklets, root / "results.txt")
-    formats.write_log(log, root / "log.txt")
+    formats.write_results(state, root / "results.txt")
+    formats.write_log(state.log(), root / "log.txt")
     return {p.name: p.read_bytes() for p in root.iterdir()}
 
 

@@ -10,8 +10,8 @@ from uatrack.metrics import (SeparationReport, gt_index, id_switches,
                              pseudo_accuracy, similarity_delta,
                              uncertainty_separation)
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
-from uatrack.tracker import (STAGE_ASSOC, STAGE_BIRTH, Detection, LogRow,
-                             Tracklet, TrackRecord)
+from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, Detection, Tracklet,
+                             TrackRecord)
 
 
 BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
@@ -67,12 +67,8 @@ class TestPseudoAccuracy:
 
 class TestUncertaintySeparation:
     def _log(self, rows):
-        out = []
-        for frame, det_index, tid, delta, stage in rows:
-            out.append(LogRow(frame=frame, det_index=det_index, track_id=tid,
-                              c1=0.5, c2=0.4, sigma=0.0, gamma=0.0,
-                              delta=delta, stage=stage))
-        return out
+        return np.array([(frame, det_index, tid, 0.5, 0.4, 0.0, 0.0, delta, stage)
+                         for frame, det_index, tid, delta, stage in rows], LOG)
 
     def test_all_correct_certain(self):
         gt = gt_records({(1, 0): 1, (2, 0): 1})

@@ -62,7 +62,7 @@ def live(state):
 
 def rows_at(state, frame):
     """The log rows of one frame, as `step` wrote them."""
-    return [row for row in state.log() if row.frame == frame]
+    return [row for row in state.log() if row["frame"] == frame]
 
 
 def state_of(tracks, cfg=TrackerConfig()):
@@ -73,7 +73,7 @@ def state_of(tracks, cfg=TrackerConfig()):
 
     def added(records):
         first = len(state.dets)
-        state.dets += [Detection(r.frame, r.det_index, r.box, r.confidence, r.embedding)
+        state.dets += [Detection(r.frame, r.det_index, r.box, 1.0, r.embedding)
                        for r in records]
         return np.arange(first, len(state.dets))
 
@@ -445,12 +445,12 @@ class TestRectify:
 
 def matched(rows):
     """(det_index, track id) of the applied matches among a frame's rows."""
-    return [(row.det_index, row.track_id) for row in rows
-            if row.stage in (STAGE_ASSOC, STAGE_RECTIFIED)]
+    return [(row["det_index"], row["track_id"]) for row in rows
+            if row["stage"] in (STAGE_ASSOC, STAGE_RECTIFIED)]
 
 
 def born(rows):
-    return [row.track_id for row in rows if row.stage == STAGE_BIRTH]
+    return [row["track_id"] for row in rows if row["stage"] == STAGE_BIRTH]
 
 
 class TestStep:
@@ -459,7 +459,7 @@ class TestStep:
         step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
         rows = rows_at(state, 1)
         assert born(rows) == [1, 2]
-        assert [row.stage for row in rows] == [STAGE_BIRTH, STAGE_BIRTH]
+        assert [row["stage"] for row in rows] == [STAGE_BIRTH, STAGE_BIRTH]
 
     def test_low_confidence_no_birth(self):
         state = TrackerState(TrackerConfig())
@@ -507,21 +507,21 @@ class TestStep:
         step(state, 2, [d1, d2])
         rows = rows_at(state, 2)
         assert matched(rows) == [(0, 1), (1, 2)]
-        assert {row.stage for row in rows} == {STAGE_DISSOLVED, STAGE_RECTIFIED}
+        assert {row["stage"] for row in rows} == {STAGE_DISSOLVED, STAGE_RECTIFIED}
 
     def test_rectified_delta_recomputed_from_original_row(self):
         state, d1, d2 = self._confusable_setup()
         sim = emb_matrix([d1, d2]) @ last_embeddings(live(state)).T
         step(state, 2, [d1, d2])
         rows = rows_at(state, 2)
-        rect = [row for row in rows if row.stage == STAGE_RECTIFIED]
+        rect = [row for row in rows if row["stage"] == STAGE_RECTIFIED]
         assert len(rect) == 2
         for row in rect:
-            r = row.det_index
-            c = row.track_id - 1  # ids 1,2 created in column order
+            r = row["det_index"]
+            c = row["track_id"] - 1  # ids 1,2 created in column order
             expect = association_uncertainty(float(sim[r, c]),
                                              float(second_best(sim, [r], [c])[0]))
-            assert row.delta == pytest.approx(expect.delta)
+            assert row["delta"] == pytest.approx(expect.delta)
 
     @pytest.mark.parametrize("utl", [True, False])
     def test_logged_scores_equal_one_pair_formula(self, monkeypatch, utl):
@@ -545,13 +545,13 @@ class TestStep:
             calls.clear()
             step(state, frame, dets)
             for row in rows_at(state, frame):
-                stages.add(row.stage)
-                if row.stage == STAGE_BIRTH:
+                stages.add(row["stage"])
+                if row["stage"] == STAGE_BIRTH:
                     continue
-                r, c = row.det_index, col_of[row.track_id]
+                r, c = row["det_index"], col_of[row["track_id"]]
                 expect = association_uncertainty(
                     float(sim[r, c]), float(second_best(sim, [r], [c])[0]), state.cfg.margins)
-                assert (row.c1, row.c2, row.sigma, row.gamma, row.delta) == expect
+                assert tuple(row[list(AssociationVerdict._fields)].item()) == expect
             assert len(calls) <= (2 if utl else 1)
         assert stages == ({STAGE_BIRTH, STAGE_ASSOC, STAGE_RECTIFIED, STAGE_DISSOLVED}
                           if utl else {STAGE_BIRTH, STAGE_ASSOC})
@@ -574,11 +574,11 @@ class TestStep:
         state, d1, d2 = self._confusable_setup()
         step(state, 2, [d1, d2])
         rows = rows_at(state, 2)
-        dissolved = [row for row in rows if row.stage == STAGE_DISSOLVED]
+        dissolved = [row for row in rows if row["stage"] == STAGE_DISSOLVED]
         # the dissolved cross pairs are logged first, with positive delta
         assert rows[:2] == dissolved
-        assert [(r.det_index, r.track_id) for r in dissolved] == [(0, 2), (1, 1)]
-        assert all(row.delta > 0 for row in dissolved)
+        assert [(r["det_index"], r["track_id"]) for r in dissolved] == [(0, 2), (1, 1)]
+        assert all(row["delta"] > 0 for row in dissolved)
         # ... but never applied: each tracklet holds only its rectified record
         assert [(r.frame, r.det_index) for t in state.all_tracklets() for r in t.records] == \
             [(1, 0), (2, 0), (1, 1), (2, 1)]
@@ -631,13 +631,13 @@ class TestTrackSequence:
         frames = self._frames(6)
         state = track_sequence(frames, TrackerConfig(utl_enabled=False))
         base, log = state.all_tracklets(), state.log()
-        assert all(row.stage in (STAGE_BIRTH, STAGE_ASSOC) for row in log)
+        assert all(row["stage"] in (STAGE_BIRTH, STAGE_ASSOC) for row in log)
         assert len(base) == 2
 
     def test_deterministic_rerun(self):
         a_log = track_sequence(self._frames(6)).log()
         b_log = track_sequence(self._frames(6)).log()
-        assert a_log == b_log
+        assert np.array_equal(a_log, b_log)
 
     def test_delta_history_matches_record_count(self):
         """Each record carries its applied log row's delta, 0 at birth."""
@@ -645,15 +645,15 @@ class TestTrackSequence:
         tracklets, log = state.all_tracklets(), state.log()
         for t in tracklets:
             assert [r.delta for r in t.records] == [
-                row.delta for row in log
-                if row.track_id == t.id and row.stage != STAGE_DISSOLVED]
+                row["delta"] for row in log
+                if row["track_id"] == t.id and row["stage"] != STAGE_DISSOLVED]
             assert t.records[0].delta == 0.0
 
     def test_log_rebuild_matches_tracklets(self):
         frames, _ = generate(ScenarioConfig(num_objects=12, num_frames=60, seed=7))
         state = track_sequence(frames)
         tracklets, log = state.all_tracklets(), state.log()
-        assert any(row.stage == STAGE_DISSOLVED for row in log)
+        assert any(row["stage"] == STAGE_DISSOLVED for row in log)
 
         def compose(ts):
             return [(t.id, [(r.frame, r.det_index, r.delta) for r in t.records])
@@ -669,7 +669,7 @@ class TestTrackSequence:
         frames, _ = generate(cfg)
         state = track_sequence(frames)
         tracklets, log = state.all_tracklets(), state.log()
-        assert sum(row.stage == STAGE_RECTIFIED for row in log) > 100
+        assert sum(row["stage"] == STAGE_RECTIFIED for row in log) > 100
         rows = sorted((t.id, [(r.frame, r.det_index) for r in t.records]) for t in tracklets)
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "ca5487b7a4cb47afb4022dbcab77228a4a22aea413fd48f244ac68936f43ac6f"
@@ -696,20 +696,20 @@ class TestTrackSequence:
 
         def compose(tracklets):
             return [(t.id,
-                     [(r.frame, r.det_index, r.delta.hex(), id(r.box), id(r.embedding),
-                       id(r.confidence)) for r in t.records]) for t in tracklets]
+                     [(r.frame, r.det_index, r.delta.hex(), id(r.box), id(r.embedding))
+                      for r in t.records]) for t in tracklets]
 
         state = TrackerState(cfg)
         for frame, dets in enumerate(frames, start=1):
             step(state, frame, dets)
             if frame in (1, 2, 17, 40):
                 stopped = track_sequence(frames[:frame], cfg)
-                assert state.log() == stopped.log()
+                assert np.array_equal(state.log(), stopped.log())
                 assert compose(state.all_tracklets()) == compose(stopped.all_tracklets())
 
     def test_step_builds_no_decision_objects(self, monkeypatch):
-        """`step` returns nothing and makes no log row, record or tracklet;
-        the builders make them from the table when they are read."""
+        """`step` returns nothing and makes no record or tracklet; `log()`
+        and `all_tracklets()` build them from the table when they are read."""
         frames, _ = generate(ScenarioConfig(num_frames=30, seed=7))
         expected = track_sequence(frames)
 
@@ -718,12 +718,12 @@ class TestTrackSequence:
 
         state = TrackerState(TrackerConfig())
         with monkeypatch.context() as mp:
-            for name in ("LogRow", "TrackRecord", "Tracklet"):
+            for name in ("TrackRecord", "Tracklet"):
                 mp.setattr(tracker, name, forbidden)
             for frame, dets in enumerate(frames, start=1):
                 assert step(state, frame, dets) is None
         assert not hasattr(state, "tracklets")
-        assert state.log() == expected.log()
+        assert np.array_equal(state.log(), expected.log())
         assert ([(t.id, t.records) for t in state.all_tracklets()]
                 == [(t.id, t.records) for t in expected.all_tracklets()])
 
