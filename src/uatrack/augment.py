@@ -1,11 +1,13 @@
 """Tracklet-guided augmentation geometry.
 
-Selects an anchor tracklet (low tracklet uncertainty preferred) and a
-historical target frame along it (high association uncertainty preferred),
-then builds the affine transform aligning the current anchor box onto the
-historical one, with bounded corner jitter standing in for perspective
-distortion. Augmentation is geometry-only: boxes are transformed,
-embeddings and identities are carried over unchanged.
+Training and `uatrack augment` draw an anchor track and a target frame
+with `contrastive.EpochColumns.draw`, which uses this module's `softmax`
+and `sample`. From that draw `build_plan` makes the affine transform
+aligning the anchor's current box onto its historical one, with bounded
+corner jitter standing in for perspective distortion. `source_anchor_weights`
+and `target_anchor_weights` are the draw's weights over `Tracklet`s, the
+reference that criterion 1 and `tests/test_augment.py` read. Boxes are
+transformed; embeddings and identities carry over unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def _softmax_weights(keys, scores) -> SamplingWeights:
 def source_anchor_weights(present: list[Tracklet], frame: int) -> SamplingWeights:
     """Selection weights over `present`, tracklets that the caller found
     present at `frame`, favoring low tracklet uncertainty: w_i =
-    exp(-Omega_i) / sum exp(-Omega), Omega_i over the tracklet's deltas."""
+    exp(-Omega_i) / sum exp(-Omega), Omega_i over the tracklet's deltas.
+    `frame` is not read; it stays for criterion 1's call."""
     return _softmax_weights([t.id for t in present],
                             [-tracklet_uncertainty([r.delta for r in t.records])
                              for t in present])

@@ -43,10 +43,10 @@ def _build_parser() -> _Parser:
     trk.add_argument("--embs", required=True)
     trk.add_argument("--out", required=True)
     trk.add_argument("--utl", choices=["on", "off"], default="on")
-    trk.add_argument("--m1", type=float, default=0.5)
-    trk.add_argument("--m2", type=float, default=0.05)
-    trk.add_argument("--beta", type=float, default=0.1)
-    trk.add_argument("--K", type=int, default=5)
+    trk.add_argument("--m1", type=float, default=UncertaintyMargins.m1)
+    trk.add_argument("--m2", type=float, default=UncertaintyMargins.m2)
+    trk.add_argument("--beta", type=float, default=TrackerConfig.beta)
+    trk.add_argument("--K", type=int, default=TrackerConfig.K)
     trk.add_argument("--log")
 
     ev = sub.add_parser("eval", help="evaluate a run against ground truth")
@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--sampling", choices=["uncertainty", "random"],
-                    default="uncertainty")
+                    default=TrainConfig.anchor_sampling)
 
     st = sub.add_parser("stats", help="print the uncertainty separation report")
     st.add_argument("--log", required=True)

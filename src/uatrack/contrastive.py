@@ -248,7 +248,6 @@ def train_embedder(frames, cfg: TrainConfig):
     `EpochColumns`. Returns (embedder, per-epoch mean losses).
     """
     frames = list(frames)
-    raw_dim = None
     for dets in frames:
         for pos, d in enumerate(dets):
             if d.raw is None:
@@ -258,21 +257,20 @@ def train_embedder(frames, cfg: TrainConfig):
                 raise InsufficientData(
                     f"detection ({d.frame},{d.det_index}) is at position {pos} "
                     "of its frame")
-            raw_dim = d.raw.shape[0]
-    if raw_dim is None:
+    # one row per detection, frame by frame, which is also each detection's
+    # index among those the tracker steps
+    raw = np.array([d.raw for dets in frames for d in dets])   # np.stack is slower
+    if not len(raw):
         raise InsufficientData("no detections to train on")
     if len(frames) < 2:
         raise InsufficientData("only 1 frame to train on, need >= 2")
 
     rng = np.random.default_rng(cfg.seed)
-    embedder = LinearEmbedder.init_random(raw_dim, cfg.embed_dim, rng)
+    embedder = LinearEmbedder.init_random(raw.shape[1], cfg.embed_dim, rng)
     total_steps = cfg.epochs * cfg.steps_per_epoch
     step_count = 0
     epoch_losses: list[float] = []
-    # one row per detection, frame by frame, which is also each detection's
-    # index among those the tracker steps; the detections are copied once and
-    # each epoch rebinds the copies' embeddings
-    raw = np.array([d.raw for dets in frames for d in dets])   # np.stack is slower
+    # the detections are copied once and each epoch rebinds the copies' embeddings
     embedded = [[Detection(d.frame, d.det_index, d.box, d.confidence, d.embedding)
                  for d in dets] for dets in frames]
 

@@ -178,17 +178,17 @@ def read_ground_truth(path):
 
 # One `%` template per written line: `%.6f` and `%.9g` give the bytes of
 # `format(x, ".6f")` and `format(v, ".9g")`, and `%d` those of `str(i)`.
-_MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1"   # frame, id, left, top, w, h, conf
+def _mot_line(frame: int, track_id: int, det: Detection) -> str:
+    """frame, id, left, top, w, h, conf: the detection's box, center
+    converted back to corners, and its confidence."""
+    box = det.box
+    x1, y1, _, _ = box.to_xyxy()
+    return "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1" % (
+        frame, track_id, x1, y1, box.w, box.h, det.confidence)
 
 
 def write_detections(frames, path) -> None:
-    lines = []
-    for dets in frames:
-        for d in dets:
-            box = d.box
-            x1, y1, _, _ = box.to_xyxy()
-            lines.append(_MOT_LINE % (d.frame, -1, x1, y1, box.w, box.h, d.confidence))
-    atomic_write(path, lines)
+    atomic_write(path, [_mot_line(d.frame, -1, d) for dets in frames for d in dets])
 
 
 def write_vectors(frames, path, attr: str) -> None:
@@ -208,16 +208,12 @@ def write_ground_truth(gt, path) -> None:
 
 
 def write_results(state: TrackerState, path) -> None:
-    """MOT-style output, one line per applied row of `state`, sorted by (frame, id): its
-    detection's box, center converted back to corners, and confidence."""
+    """MOT-style output, one line per applied row of `state`, sorted by
+    (frame, id)."""
     tid, frames, det, _ = state.applied()
     order = np.lexsort((tid, frames))
-    lines = []
-    for frame, track_id, i in zip(*(column[order].tolist() for column in (frames, tid, det))):
-        d = state.dets[i]
-        x1, y1, _, _ = d.box.to_xyxy()
-        lines.append(_MOT_LINE % (frame, track_id, x1, y1, d.box.w, d.box.h, d.confidence))
-    atomic_write(path, lines)
+    atomic_write(path, [_mot_line(frame, track_id, state.dets[i]) for frame, track_id, i
+                        in zip(*(column[order].tolist() for column in (frames, tid, det)))])
 
 
 def read_results(path) -> list[tuple[int, int]]:

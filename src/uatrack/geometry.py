@@ -33,13 +33,8 @@ class BoundingBox:
 
     def corners(self) -> np.ndarray:
         """4x2 array of corner coordinates (tl, tr, br, bl)."""
-        hw, hh = self.w / 2.0, self.h / 2.0
-        return np.array([
-            [self.cx - hw, self.cy - hh],
-            [self.cx + hw, self.cy - hh],
-            [self.cx + hw, self.cy + hh],
-            [self.cx - hw, self.cy + hh],
-        ])
+        x1, y1, x2, y2 = self.to_xyxy()
+        return np.array([[x1, y1], [x2, y1], [x2, y2], [x1, y2]])
 
     def to_xyxy(self) -> tuple[float, float, float, float]:
         hw, hh = self.w / 2.0, self.h / 2.0

@@ -119,7 +119,8 @@ class TrackerState:
     table, one row each, in log order: per row the detection's index into
     `dets`, the track id, the five verdict fields (0 for a birth) and the
     stage, in column buffers that double when full; `spans` holds
-    (frame, row count) per frame stepped. `log()` gives the table as a `LOG`
+    (frame, row count) per frame stepped, in order, so its last frame is
+    the one the next step must pass. `log()` gives the table as a `LOG`
     array and `all_tracklets()` builds the tracklets from it, in bulk, when
     they are read; `applied()` gives the applied rows as columns.
 
@@ -129,8 +130,8 @@ class TrackerState:
     of its last record; the next embedding goes to slot `lengths % K`. The
     depth grows with the longest track, doubling up to K, so a large K
     costs no more than the frames seen. `newest` (n × D) repeats the ring's
-    newest slot, each track's last embedding, so that the frame's similarity
-    reads it without a gather from the ring. `lost` counts the frames since
+    newest slot, each track's last embedding; the frame's similarity reads
+    it as it is, without a gather from the ring. `lost` counts the frames since
     each track's last match. The columns take one scatter per frame for the
     applied matches and are compacted together only on frames with a birth
     or a retirement. A window is summed from the ring, oldest to newest,
@@ -142,7 +143,6 @@ class TrackerState:
         self.dets: list[Detection] = []
         self.spans: list[tuple[int, int]] = []
         self.made = 0                     # tracks made; the next id is made + 1
-        self.last_frame: int | None = None
         self.ids = np.zeros(0, dtype=np.intp)
         self.ring = np.zeros((0, 1, 0))
         self.newest = np.zeros((0, 0))
@@ -230,10 +230,6 @@ class TrackerState:
                            map(attrgetter("embedding"), dets), delta.tolist()))
         return [Tracklet(i, *records[start:stop])
                 for i, start, stop in zip(range(1, len(stops) + 1), [0, *stops], stops)]
-
-    def last_embeddings(self) -> np.ndarray:
-        """Each track's last embedding, one row per track."""
-        return self.newest
 
     def record(self, cols, embs: np.ndarray, last) -> None:
         """Append row i of `embs` to the appearance of track cols[i], which
@@ -380,14 +376,14 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
 def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     """Advance the tracker by one frame and write its decisions to the
     state's table: the dissolved pairs, then the applied matches in
-    detection order, then the births."""
+    detection order, then the births. Every check comes before the first
+    write, so a step that raises leaves the state as it was."""
     cfg = state.cfg
-    if state.last_frame is not None and frame <= state.last_frame:
-        raise OutOfOrderFrame(f"frame {frame} after {state.last_frame}")
-    state.last_frame = frame
+    if state.spans and frame <= state.spans[-1][0]:
+        raise OutOfOrderFrame(f"frame {frame} after {state.spans[-1][0]}")
 
     det_mat = _embeddings(dets, state.ring.shape[2])
-    sim = build_similarity(det_mat, state.last_embeddings())
+    sim = build_similarity(det_mat, state.newest)
     matching = hungarian_max(sim)
     if cfg.utl_enabled:
         certain, dissolved, pool_rows, pool_cols = verify(matching, sim, cfg)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -850,12 +851,23 @@ def fuzz_bundle(tmp_path_factory):
     return {p.name: p.read_bytes() for p in root.iterdir()}
 
 
+# signed integers of 20 to 41 digits, past every fixed-width integer type
+HUGE_INTS = st.integers(-10**40, -10**19) | st.integers(10**19, 10**40)
+
+
 @st.composite
 def damaged(draw, valid: bytes):
-    """Arbitrary bytes, or the valid file with a span replaced by arbitrary
-    bytes or by characters its formats are made of."""
-    if draw(st.integers(0, 3)) == 0:
+    """Arbitrary bytes; the valid file with one integer field replaced by a
+    signed integer of 20 or more digits; or the valid file with a span
+    replaced by arbitrary bytes or by characters its formats are made of."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
         return draw(st.binary(max_size=64))
+    if kind == 1:
+        fields = [m.span() for m in re.finditer(rb"[^,=\s]+", valid)
+                  if m[0].removeprefix(b"-").isdigit()]
+        start, stop = draw(st.sampled_from(fields))
+        return valid[:start] + b"%d" % draw(HUGE_INTS) + valid[stop:]
     at = draw(st.integers(0, len(valid)))
     cut = draw(st.integers(0, 8))
     span = draw(st.binary(min_size=1, max_size=8)

@@ -115,7 +115,7 @@ class TestTrackerState:
         t = track(1, 1, unit(1, 0))
         t.append(TrackRecord(frame=2, det_index=0, box=t.records[-1].box,
                              embedding=unit(0, 1), delta=0.0))
-        assert np.array_equal(state_of([t]).last_embeddings(), [unit(0, 1)])
+        assert np.array_equal(state_of([t]).newest, [unit(0, 1)])
 
     def test_window_covers_last_K_records(self):
         t = track(1, 1, unit(1, 0))
@@ -196,7 +196,7 @@ class TestTrackerState:
                     recent = [r.embedding for r in t.records[-K:]]
                     assert np.array_equal(means[c], sum(recent) / len(recent))
                     assert np.array_equal(state.window_means([c])[0], means[c])
-                    assert np.array_equal(state.last_embeddings()[c], t.records[-1].embedding)
+                    assert np.array_equal(state.newest[c], t.records[-1].embedding)
 
     @pytest.mark.parametrize("K", [1, 2, 5])
     def test_stored_last_row_equals_newest_ring_slot(self, K, monkeypatch):
@@ -216,8 +216,8 @@ class TestTrackerState:
             if not len(state.ids):
                 continue
             newest = state.ring[np.arange(len(state.ids)), (state.lengths - 1) % K]
-            assert np.array_equal(state.last_embeddings(), newest)
-            assert np.array_equal(state.last_embeddings(), last_embeddings(live(state)))
+            assert np.array_equal(state.newest, newest)
+            assert np.array_equal(state.newest, last_embeddings(live(state)))
         assert retired > 0
 
 
@@ -569,6 +569,28 @@ class TestStep:
         step(state, 1, [det(1, 0, unit(1, 0))])
         with pytest.raises(DimensionMismatch):
             step(state, 2, [det(2, 0, unit(1, 0, 0))])
+
+    def test_failed_step_leaves_the_state_unchanged(self):
+        """A step that raises writes nothing, so the same frame then steps
+        as if the failed call had never been made."""
+        def reads(state):
+            return (state.log(), *state.applied(), state.ids.copy(), state.newest.copy())
+
+        frame_1 = [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))]
+        frame_2 = [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))]
+        state, clean = TrackerState(TrackerConfig()), TrackerState(TrackerConfig())
+        step(state, 1, frame_1)
+        before, spans, n_dets = reads(state), list(state.spans), len(state.dets)
+        with pytest.raises(DimensionMismatch):
+            step(state, 2, [det(2, 0, unit(1, 0, 0))])
+        assert all(map(np.array_equal, reads(state), before))
+        assert state.spans == spans and len(state.dets) == n_dets
+        step(state, 2, frame_2)
+        for frame, dets in ((1, frame_1), (2, frame_2)):
+            step(clean, frame, dets)
+        assert matched(rows_at(state, 2)) == [(0, 1), (1, 2)]
+        assert all(map(np.array_equal, reads(state), reads(clean)))
+        assert state.spans == clean.spans
 
     def test_dissolved_pairs_are_logged(self):
         state, d1, d2 = self._confusable_setup()
