@@ -197,10 +197,11 @@ def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
     """The columns' draw among the tracks of `state` present at `frame`,
     then the plan mapping the anchor's box at `frame` onto its box at the
     target, with `jitter` (None: 2% of the anchor box diagonal). Raises
-    InvalidConfig for a bad jitter and NoCandidates when no track is
-    present, a frame `state` did not step included."""
-    if jitter is not None and not (math.isfinite(2 * jitter) and jitter >= 0):
-        raise InvalidConfig(f"jitter must be >= 0 with 2*jitter finite, got {jitter}")
+    NoCandidates when no track is present, a frame `state` did not step
+    included, and InvalidConfig for a bad jitter: a given one before any
+    draw, the default one (from a huge box) after the draw."""
+    if jitter is not None:
+        _check_jitter(jitter, "jitter")
     columns = EpochColumns.from_state(state)
     present = columns.present(frame) if 1 <= frame <= len(state.spans) else []
     if not len(present):
@@ -208,8 +209,17 @@ def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
     anchor, target = columns.draw(present, frame, rng, cfg)
     trk = state.all_tracklets()[anchor]
     if jitter is None:
-        jitter = default_jitter(trk.box_at(frame))
+        jitter = _check_jitter(default_jitter(trk.box_at(frame)),
+                               f"the default jitter of track {trk.id} at frame {frame}")
     return build_plan(trk, frame, target, jitter, rng)
+
+
+def _check_jitter(jitter: float, name: str) -> float:
+    """`jitter` if it is >= 0 with 2*jitter finite, the span of
+    `build_plan`'s uniform draw; InvalidConfig naming it otherwise."""
+    if not (math.isfinite(2 * jitter) and jitter >= 0):
+        raise InvalidConfig(f"{name} must be >= 0 with 2*jitter finite, got {jitter}")
+    return jitter
 
 
 def info_nce_batch(queries: np.ndarray, raws: np.ndarray, keys: np.ndarray,

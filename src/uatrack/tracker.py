@@ -116,9 +116,10 @@ class TrackerState:
     """Every decision of the frames stepped, and the live tracks as columns.
 
     `dets` is every detection stepped, in order. The decisions are one
-    table, one row each, in log order: per row the detection's index into
-    `dets`, the track id, the five verdict fields (0 for a birth) and the
-    stage, in column buffers that double when full; `spans` holds
+    table, a `ROW` array whose first `n_rows` elements are in use, one
+    decision each, in log order: the detection's index into `dets`, the
+    track id, the five verdict fields (0 for a birth) and the stage. It
+    doubles when full, and `add_pairs` is its only writer. `spans` holds
     (frame, row count) per frame stepped, in order, so its last frame is
     the one the next step must pass. `log()` gives the table as a `LOG`
     array and `all_tracklets()` builds the tracklets from it, in bulk, when
@@ -150,50 +151,31 @@ class TrackerState:
         self.last = np.zeros(0, dtype=np.intp)
         self.lost = np.zeros(0, dtype=np.intp)
         self.n_rows = 0                   # rows of the table in use
-        self.row_det = np.zeros(0, dtype=np.intp)
-        self.row_tid = np.zeros(0, dtype=np.intp)
-        self.row_verdict = np.zeros((0, len(AssociationVerdict._fields)))
-        self.row_stage = np.zeros(0, dtype=np.intp)
+        self.table = np.empty(0, ROW)
 
-    def _take(self, count: int) -> tuple[int, int]:
-        """Reserve the next `count` rows of the table, growing its buffers,
-        and return their (start, stop). A row past `n_rows` was never
-        written, so a reserved row's verdict is 0."""
-        start, stop = self.n_rows, self.n_rows + count
-        if stop > len(self.row_stage):
-            size = max(2 * len(self.row_stage), stop, 64)
-            for name in ("row_det", "row_tid", "row_verdict", "row_stage"):
-                old = getattr(self, name)
-                new = np.zeros((size, *old.shape[1:]), old.dtype)
-                new[:start] = old[:start]
-                setattr(self, name, new)
-        self.n_rows = stop
-        return start, stop
-
-    def add_pairs(self, pairs: np.ndarray, stage: int, base: int) -> None:
+    def add_pairs(self, pairs: np.ndarray, stage: int, base: int,
+                  sort_from: int | None = None) -> None:
         """Add one stage's `SCORED` pairs as rows: a pair's detection is
-        `dets[base + row]` and its track is on row `col` of the columns."""
+        `dets[base + row]` and its track is on row `col` of the columns.
+        With `sort_from`, the rows from that one on are then put in
+        detection order, stably."""
         if not len(pairs):
             return
-        start, stop = self._take(len(pairs))
-        np.add(pairs["row"], base, out=self.row_det[start:stop])
-        self.row_tid[start:stop] = self.ids[pairs["col"]]
-        self.row_verdict[start:stop] = pairs.view(_VERDICTS)["v"]
-        self.row_stage[start:stop] = stage
-
-    def add_births(self, first: np.ndarray, ids: np.ndarray) -> None:
-        """Add a birth row, verdict 0, for each new track ids[i], whose
-        first record is `dets[first[i]]`."""
-        start, stop = self._take(len(ids))
-        self.row_det[start:stop] = first
-        self.row_tid[start:stop] = ids
-        self.row_stage[start:stop] = STAGE_BIRTH
-
-    def sort_rows(self, start: int) -> None:
-        """Put the rows from `start` on in detection order, stably."""
-        order = self.row_det[start:self.n_rows].argsort(kind="stable")
-        for column in (self.row_det, self.row_tid, self.row_verdict, self.row_stage):
-            column[start:self.n_rows] = column[start:self.n_rows][order]
+        start, stop = self.n_rows, self.n_rows + len(pairs)
+        if stop > len(self.table):
+            table = np.empty(max(2 * len(self.table), stop, 64), ROW)
+            table[:start] = self.table[:start]
+            self.table = table
+        self.n_rows = stop
+        rows = self.table[start:stop]
+        np.add(pairs["row"], base, out=rows["det"])
+        rows["track_id"] = self.ids[pairs["col"]]
+        for name in AssociationVerdict._fields:
+            rows[name] = pairs[name]
+        rows["stage"] = stage
+        if sort_from is not None:
+            rows = self.table[sort_from:stop]
+            rows[:] = rows.take(rows["det"].argsort(kind="stable"))
 
     def _frames(self) -> np.ndarray:
         """The frame of each row of the table."""
@@ -202,22 +184,23 @@ class TrackerState:
 
     def log(self) -> np.ndarray:
         """The decisions as a `LOG` array, one element each, in log order."""
-        rows = self.n_rows
-        log = np.empty(rows, LOG)
-        for name, column in zip(LOG.names, (
-                self._frames(), [self.dets[i].det_index for i in self.row_det[:rows].tolist()],
-                self.row_tid[:rows], *self.row_verdict[:rows].T, self.row_stage[:rows])):
-            log[name] = column
+        table = self.table[:self.n_rows]
+        log = np.empty(len(table), LOG)
+        log["frame"] = self._frames()
+        log["det_index"] = [self.dets[i].det_index for i in table["det"].tolist()]
+        for name in ("track_id", *AssociationVerdict._fields, "stage"):
+            log[name] = table[name]
         return log
 
     def applied(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The applied rows as columns (track id, frame, `dets` index,
         delta), grouped by track id, ascending, and in frame order within a
         track. The ids are 1..made and each track has its birth row."""
-        tid = self.row_tid[:self.n_rows]
-        rows = (self.row_stage[:self.n_rows] != STAGE_DISSOLVED).nonzero()[0]
+        table = self.table[:self.n_rows]
+        tid = table["track_id"]
+        rows = (table["stage"] != STAGE_DISSOLVED).nonzero()[0]
         rows = rows[tid[rows].argsort(kind="stable")]
-        return tid[rows], self._frames()[rows], self.row_det[rows], self.row_verdict[rows, -1]
+        return tid[rows], self._frames()[rows], table["det"][rows], table["delta"][rows]
 
     def all_tracklets(self) -> list[Tracklet]:
         """Every track made, retired ones too, in id order: track i is at
@@ -284,19 +267,21 @@ class TrackerState:
         return total / np.minimum(lengths, self.cfg.K)[:, None]
 
 
+# The five `AssociationVerdict` fields, in that order, in each dtype below.
+_VERDICT_FIELDS = [(name, float) for name in AssociationVerdict._fields]
 # A stage's (detection row, track column) pairs, one element each, with the
 # pair's verdict fields in log-row order.
-SCORED = np.dtype([("row", np.intp), ("col", np.intp)]
-                  + [(f, float) for f in AssociationVerdict._fields])
+SCORED = np.dtype([("row", np.intp), ("col", np.intp)] + _VERDICT_FIELDS)
 _NO_PAIRS = np.zeros(0, SCORED)
-# the five verdict fields of a `SCORED` array, as one (pairs × 5) float view
-_VERDICTS = np.dtype({"names": ["v"], "formats": [(float, 5)],
-                      "offsets": [SCORED.fields["c1"][1]], "itemsize": SCORED.itemsize})
+# A row of `TrackerState`'s table: the detection's index into `dets`, the
+# track id, the pair's verdict fields and the stage.
+ROW = np.dtype([("det", np.intp), ("track_id", np.intp)] + _VERDICT_FIELDS
+               + [("stage", np.intp)])
 # The decision log, one decision per element, in a log line's field order;
 # stage 0 = birth, 1 = direct match, 2 = rectified, 3 = dissolved (logged,
 # not applied). A birth's verdict fields are 0.
 LOG = np.dtype([("frame", np.intp), ("det_index", np.intp), ("track_id", np.intp)]
-               + [(f, float) for f in AssociationVerdict._fields] + [("stage", np.intp)])
+               + _VERDICT_FIELDS + [("stage", np.intp)])
 
 
 def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:
@@ -400,10 +385,9 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     state.add_pairs(certain, STAGE_ASSOC, base)
     rows, cols = certain["row"], certain["col"]
     if len(rectified):
-        state.add_pairs(rectified, STAGE_RECTIFIED, base)
         # no row is both certain and rectified: one sort puts them in
         # detection order
-        state.sort_rows(applied)
+        state.add_pairs(rectified, STAGE_RECTIFIED, base, sort_from=applied)
         rows = np.concatenate([rows, rectified["row"]])
         cols = np.concatenate([cols, rectified["col"]])
 
@@ -418,10 +402,13 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     state.made += len(born_rows)
     keep = state.lost <= MAX_LOST
     if born_rows or np.count_nonzero(keep) < len(keep):
-        born_last = np.array(born_rows, dtype=np.intp) + base
-        born_ids = np.arange(first_id, state.made + 1)
-        state.add_births(born_last, born_ids)
-        state.compact(keep, born_ids, det_mat.take(born_rows, axis=0), born_last)
+        state.compact(keep, np.arange(first_id, state.made + 1),
+                      det_mat.take(born_rows, axis=0), np.array(born_rows, dtype=np.intp) + base)
+        # each birth is a pair of verdict 0 with its new track, on the last columns
+        born = np.zeros(len(born_rows), SCORED)
+        born["row"] = born_rows
+        born["col"] = np.arange(len(state.ids) - len(born_rows), len(state.ids))
+        state.add_pairs(born, STAGE_BIRTH, base)
     state.spans.append((frame, state.n_rows - first_row))
 
 

@@ -343,6 +343,24 @@ class TestAtomicWrite:
         assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
+    def test_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        """A temp name that is already taken is drawn again, and the file
+        holding it is neither written nor removed."""
+        draws = iter([b"\x01" * 8, b"\x01" * 8, b"\x02" * 8])
+
+        def urandom(n):
+            assert n == 8
+            return next(draws)
+
+        taken = tmp_path / f".tmp-{'01' * 8}"
+        taken.write_text("keep\n")
+        monkeypatch.setattr(os, "urandom", urandom)
+        formats.atomic_write(tmp_path / "out.txt", ["x"])
+        assert next(draws, None) is None
+        assert (tmp_path / "out.txt").read_text() == "x\n"
+        assert taken.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.txt"]
+
 
 class TestScenarioConfigFile:
     def test_roundtrip(self, tmp_path):
@@ -809,6 +827,20 @@ class TestCli:
         code, err = run_main(capsys, *argv, "--bundle", tmp_path, *extra)
         assert code == 2
         assert message in err
+
+    def test_augment_default_jitter_of_huge_box_exit_2(self, tmp_path, capsys):
+        """2% of a huge, finite box's diagonal is inf. The default jitter is
+        checked like a given one, so `augment` exits 2 with one message, not
+        a traceback from the plan's uniform draw."""
+        frames = (1, 2, 3)
+        (tmp_path / "det.txt").write_text("".join(
+            f"{f},-1,-8e307,-8e307,1.6e308,1.6e308,1.0,-1,-1,-1\n" for f in frames))
+        (tmp_path / "emb.csv").write_text("".join(f"{f},0,1,0\n" for f in frames))
+        code, err = run_main(capsys, "augment", "--bundle", tmp_path, "--frame", "2",
+                             "--seed", "0")
+        assert code == 2
+        assert err.startswith("uatrack augment: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_huge_embedding_value_exit_2(self, tmp_path, capsys):
         small_bundle(tmp_path)
