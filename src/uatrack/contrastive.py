@@ -207,7 +207,7 @@ def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
     if not len(present):
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
     anchor, target = columns.draw(present, frame, rng, cfg)
-    trk = state.all_tracklets()[anchor]
+    trk = state.tracklet(anchor + 1)
     if jitter is None:
         jitter = _check_jitter(default_jitter(trk.box_at(frame)),
                                f"the default jitter of track {trk.id} at frame {frame}")

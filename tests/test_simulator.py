@@ -2,6 +2,11 @@
 
 import ctypes
 import hashlib
+import os
+import subprocess
+import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +325,18 @@ def _box_fields(det):
     return (det.box.cx, det.box.cy, det.box.w, det.box.h, det.confidence)
 
 
+def _assert_same_bits(scene, ref_scene):
+    (frames, gt), (ref_frames, ref_gt) = scene, ref_scene
+    assert gt == ref_gt
+    assert [len(dets) for dets in frames] == [len(dets) for dets in ref_frames]
+    for dets, ref_dets in zip(frames, ref_frames):
+        for det, ref in zip(dets, ref_dets):
+            assert (det.frame, det.det_index) == (ref.frame, ref.det_index)
+            assert _box_fields(det) == _box_fields(ref)
+            assert det.embedding.tobytes() == ref.embedding.tobytes()
+            assert det.raw.tobytes() == ref.raw.tobytes()
+
+
 class TestWholeFrameGeneration:
     """`generate` builds each frame from whole matrices; every output bit
     must equal the per-object loop's."""
@@ -343,16 +360,7 @@ class TestWholeFrameGeneration:
                              raw_dim=embed_dim + extra_raw, num_frames=num_frames,
                              dropout=dropout, occlusion_rate=occlusion_rate,
                              confusable_fraction=confusable_fraction, seed=seed)
-        frames, gt = generate(cfg)
-        ref_frames, ref_gt = _reference_generate(cfg)
-        assert gt == ref_gt
-        assert [len(dets) for dets in frames] == [len(dets) for dets in ref_frames]
-        for dets, ref_dets in zip(frames, ref_frames):
-            for det, ref in zip(dets, ref_dets):
-                assert (det.frame, det.det_index) == (ref.frame, ref.det_index)
-                assert _box_fields(det) == _box_fields(ref)
-                assert det.embedding.tobytes() == ref.embedding.tobytes()
-                assert det.raw.tobytes() == ref.raw.tobytes()
+        _assert_same_bits(generate(cfg), _reference_generate(cfg))
 
     def test_output_bits_pinned(self):
         """One sha256 over the exact bits of a 60-object scene: every
@@ -383,3 +391,70 @@ class TestWholeFrameGeneration:
                 emb = dets[0].embedding.base
                 assert all(det.embedding.base is emb for det in dets)
                 assert emb.shape == (len(dets), SMALL.embed_dim)
+
+
+class TestWorkerThread:
+    """Frames that draw at least `WORKER_NORMALS` normals are built on one
+    worker thread while the caller draws the next; the bits, the first
+    error and the thread count must be those of the inline path."""
+
+    # 100 * (2 + 128 + 256) + 1 = 38,601 normals a frame; n <= d keeps the
+    # latents on the QR branch
+    CFG = ScenarioConfig(num_objects=100, embed_dim=128, raw_dim=256, num_frames=4)
+    OVERFLOW = "num_objects = 100\nembed_dim = 128\nraw_dim = 256\nnum_frames = 5\nspeed = 1e308\n"
+
+    @staticmethod
+    def iou_threads(monkeypatch):
+        """The threads `generate`'s `iou` calls run on, from now on."""
+        threads = set()
+
+        def recorded(a, b):
+            threads.add(threading.get_ident())
+            return iou(a, b)
+        monkeypatch.setattr(simulator, "iou", recorded)
+        return threads
+
+    def test_default_scene_stays_on_the_caller(self, monkeypatch):
+        # 12 * (2 + 16 + 32) + 1 = 601 normals a frame
+        threads = self.iou_threads(monkeypatch)
+        generate(ScenarioConfig(num_frames=3))
+        assert threads == {threading.get_ident()}
+
+    def test_equals_per_object_reference(self, monkeypatch):
+        threads = self.iou_threads(monkeypatch)
+        scene = generate(self.CFG)
+        assert threads and threading.get_ident() not in threads
+        _assert_same_bits(scene, _reference_generate(self.CFG))
+
+    def test_equals_inline_path(self, monkeypatch):
+        scene = generate(self.CFG)
+        threads = self.iou_threads(monkeypatch)
+        monkeypatch.setattr(simulator, "WORKER_NORMALS", 2**62)
+        inline = generate(self.CFG)
+        assert threads == {threading.get_ident()}
+        _assert_same_bits(scene, inline)
+
+    def test_first_error_wins_in_process(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(self.OVERFLOW)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
+        assert threading.active_count() == before
+        assert code == cli.DATA_ERROR
+        assert capsys.readouterr().err == "uatrack simulate: overflow encountered in subtract\n"
+
+    def test_first_error_wins_from_the_command(self, tmp_path):
+        """`uatrack simulate` gives the inline path's one stderr line, from
+        the caller's `np.errstate`, and no RuntimeWarning."""
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(self.OVERFLOW)
+        env = dict(os.environ)
+        pkg_root = str(Path(simulator.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "uatrack.cli", "simulate", "--config",
+                               str(cfgp), "--out", str(tmp_path / "sim")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == cli.DATA_ERROR
+        assert proc.stderr == "uatrack simulate: overflow encountered in subtract\n"
