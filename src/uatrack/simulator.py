@@ -21,7 +21,6 @@ worker (2-vCPU x86-64 guest); the bits are the same either way.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -43,7 +42,12 @@ MAX_FRAME = 100_000     # about an hour at 30 fps; bounds every frame sequence
 MAX_OBJECTS = 1000      # bounds the per-frame (n, n) overlap matrix
 MAX_DIM = 4096          # bounds embed_dim and raw_dim, hence the basis and noise draws
 MAX_SCENE_VALUES = 2**27   # 1 GiB of float64: bounds the vectors `generate` keeps
-WORKER_NORMALS = 2**15     # frames that draw this many normals are built on a worker thread
+# Frames that draw this many normals are built on a worker thread. Its ~30 us
+# handover a frame pays off only on large frames: against inline, `generate`
+# measured +35% on the default scene (601 a frame), within noise at 3,901 and
+# 7,501 (150 objects), -18% at 14,701 and -27% to -38% from 21,901 up
+# (2-vCPU x86-64, median of 15 calls); see README "Scene generation".
+WORKER_NORMALS = 2**15
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,15 @@ def generate(cfg: ScenarioConfig):
         return frames, gt
     # numpy fills a large normal block without the GIL, so the caller draws
     # frame t + 1 while the worker builds frame t; only the caller touches
-    # `rng`, and the worker runs under the caller's numpy error state.
+    # `rng`. The worker runs under the caller's numpy error state, passed
+    # across: numpy 1.x keeps it per thread and 2.x per context, and a new
+    # thread does not inherit it.
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def build_under_caller_errstate(frame: int, z: np.ndarray, uniform: np.ndarray) -> None:
+        with np.errstate(**errstate):
+            build(frame, z, uniform)
+
     # Imported here: it loads `logging`, ~3 ms that every CLI call would pay
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -217,6 +229,6 @@ def generate(cfg: ScenarioConfig):
             uniform = rng.random(2 * n)
             if built is not None:
                 built.result()   # the first frame's error wins
-            built = worker.submit(contextvars.copy_context().run, build, frame, z, uniform)
+            built = worker.submit(build_under_caller_errstate, frame, z, uniform)
         built.result()
     return frames, gt
