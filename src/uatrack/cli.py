@@ -9,19 +9,33 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import formats
-from .augment import augment_detections
-from .contrastive import TrainConfig, draw_plan, train_embedder
 from .errors import UatrackError
-from .metrics import id_switches, pseudo_accuracy, uncertainty_separation
-from .simulator import ScenarioConfig, generate
-from .tracker import TrackerConfig, track_sequence, tracklets_from_log
-from .uncertainty import UncertaintyMargins
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+# perfbench/tracing.py wraps these names here and in their defining modules. Each
+# resolves to that module's current function; setting it back to that drops the override.
+_TRACED = dict(generate="simulator", train_embedder="contrastive", id_switches="metrics",
+               pseudo_accuracy="metrics", uncertainty_separation="metrics")
+
+
+def __getattr__(name):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__package__}.{_TRACED[name]}"), name)
+
+
+class _Module(type(sys)):   # types.ModuleType
+    def __setattr__(self, name, value):
+        if name in _TRACED and value is __getattr__(name):
+            vars(self).pop(name, None)
+        else:
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Module
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,10 +57,10 @@ def _build_parser() -> _Parser:
     trk.add_argument("--embs", required=True)
     trk.add_argument("--out", required=True)
     trk.add_argument("--utl", choices=["on", "off"], default="on")
-    trk.add_argument("--m1", type=float, default=UncertaintyMargins.m1)
-    trk.add_argument("--m2", type=float, default=UncertaintyMargins.m2)
-    trk.add_argument("--beta", type=float, default=TrackerConfig.beta)
-    trk.add_argument("--K", type=int, default=TrackerConfig.K)
+    trk.add_argument("--m1", type=float, default=argparse.SUPPRESS)
+    trk.add_argument("--m2", type=float, default=argparse.SUPPRESS)
+    trk.add_argument("--beta", type=float, default=argparse.SUPPRESS)
+    trk.add_argument("--K", type=int, default=argparse.SUPPRESS)
     trk.add_argument("--log")
 
     ev = sub.add_parser("eval", help="evaluate a run against ground truth")
@@ -69,7 +83,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--sampling", choices=["uncertainty", "random"],
-                    default=TrainConfig.anchor_sampling)
+                    dest="anchor_sampling", default=argparse.SUPPRESS)
 
     st = sub.add_parser("stats", help="print the uncertainty separation report")
     st.add_argument("--log", required=True)
@@ -78,14 +92,21 @@ def _build_parser() -> _Parser:
 
 
 def _load_bundle(dets_path, embs_path):
+    from . import formats
     frames = formats.read_detections(dets_path)
     frames, _warned = formats.read_embeddings(embs_path, frames)
     return frames
 
 
+def _given(args, *names) -> dict:
+    """The flags among `names` that were given; the config dataclasses hold the defaults."""
+    return {n: getattr(args, n) for n in names if hasattr(args, n)}
+
+
 def cmd_simulate(args) -> int:
-    cfg = formats.parse_scenario_config(args.config) if args.config else ScenarioConfig()
-    frames, gt = generate(cfg)
+    from . import formats, simulator
+    cfg = formats.parse_scenario_config(args.config) if args.config else simulator.ScenarioConfig()
+    frames, gt = simulator.generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     formats.write_detections(frames, os.path.join(args.out, "det.txt"))
     formats.write_vectors(frames, os.path.join(args.out, "emb.csv"), "embedding")
@@ -96,10 +117,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
+    from . import formats, tracker, uncertainty
     frames = _load_bundle(args.dets, args.embs)
-    cfg = TrackerConfig(margins=UncertaintyMargins(m1=args.m1, m2=args.m2),
-                        beta=args.beta, K=args.K, utl_enabled=args.utl == "on")
-    state = track_sequence(frames, cfg)
+    cfg = tracker.TrackerConfig(margins=uncertainty.UncertaintyMargins(**_given(args, "m1", "m2")),
+                                utl_enabled=args.utl == "on", **_given(args, "beta", "K"))
+    state = tracker.track_sequence(frames, cfg)
     formats.write_results(state, args.out)
     if args.log:
         formats.write_log(state.log(), args.log)
@@ -107,16 +129,17 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import formats, metrics, tracker
     results = sorted(formats.read_results(args.results))
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
-    tracklets = tracklets_from_log(log)
+    tracklets = tracker.tracklets_from_log(log)
     if results != sorted((r.frame, t.id) for t in tracklets for r in t.records):
         raise UatrackError(f"{args.results}: (frame, track_id) rows differ from the "
                            "log's applied decisions")
-    curve = pseudo_accuracy(tracklets, gt, max_age=args.max_age)
-    sep = uncertainty_separation(log, gt)
-    ids = id_switches(tracklets, gt)
+    curve = metrics.pseudo_accuracy(tracklets, gt, max_age=args.max_age)
+    sep = metrics.uncertainty_separation(log, gt)
+    ids = metrics.id_switches(tracklets, gt)
     lines = [f"id_switches: {ids}"] + sep.lines()
     lines += [f"pseudo_accuracy {s}: {acc:.6f}" for s, acc in curve.points]
     formats.atomic_write(args.report, lines)
@@ -126,30 +149,34 @@ def cmd_eval(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    cfg = TrainConfig(seed=args.seed)
+    import numpy as np
+    from . import augment, contrastive, tracker
+    cfg = contrastive.TrainConfig(seed=args.seed)
     frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     # clamped: a negative stop would track from the end
-    state = track_sequence(frames[:max(args.frame, 0)])
-    plan = draw_plan(state, args.frame, np.random.default_rng(cfg.seed), cfg, args.jitter)
+    state = tracker.track_sequence(frames[:max(args.frame, 0)])
+    plan = contrastive.draw_plan(state, args.frame, np.random.default_rng(cfg.seed), cfg,
+                                 args.jitter)
     t = plan.transform
     print(f"source_track_id: {plan.source_track_id}")
     print(f"target_frame: {plan.target_frame}")
     print("transform: " + " ".join(f"{v:.6f}" for v in
                                    (t.m11, t.m12, t.m13, t.m21, t.m22, t.m23)))
-    for d in augment_detections(frames[args.frame - 1], plan):
+    for d in augment.augment_detections(frames[args.frame - 1], plan):
         print(f"box {d.det_index}: {d.box.cx:.6f} {d.box.cy:.6f} "
               f"{d.box.w:.6f} {d.box.h:.6f}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
-                      anchor_sampling=args.sampling)
+    from . import contrastive, formats
+    cfg = contrastive.TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
+                                  **_given(args, "anchor_sampling"))
     # training embeds from raw features, so emb.csv is not read
     frames = formats.read_detections(os.path.join(args.bundle, "det.txt"))
     frames = formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
-    embedder, losses = train_embedder(frames, cfg)
+    embedder, losses = contrastive.train_embedder(frames, cfg)
     formats.write_weights(embedder, args.out)
     for i, loss in enumerate(losses, start=1):
         print(f"epoch {i}: mean_loss {loss:.6f}")
@@ -157,29 +184,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import formats, metrics
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
-    for line in uncertainty_separation(log, gt).lines():
+    for line in metrics.uncertainty_separation(log, gt).lines():
         print(line)
     return 0
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "track": cmd_track,
-    "eval": cmd_eval,
-    "augment": cmd_augment,
-    "train": cmd_train,
-    "stats": cmd_stats,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    import numpy as np   # only now, so --help and usage errors start without it
     try:
         # a float overflow or invalid operation means out-of-range inputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _COMMANDS[args.command](args)
+            return globals()[f"cmd_{args.command}"](args)
     except (UatrackError, OSError, FloatingPointError) as exc:
         print(f"uatrack {args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -283,3 +283,29 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
             "--out", str(tmp_path / "results.txt")]
     assert run_python(f"import uatrack.cli\nassert uatrack.cli.main({argv!r}) == 0\n"
                       f"{loaded}") == "False True"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), ([], 1), (["bogus"], 1), (["track", "--K", "x"], 1),
+], ids=["help", "bare", "bogus", "bad-int"])
+def test_cli_start_without_a_command_loads_no_numpy(argv, code):
+    """`--help` and every usage error finish with only `uatrack`, its
+    `cli` and `errors` loaded: numpy comes in after argparse accepts a
+    command."""
+    started = run_python(
+        "import contextlib, io\nimport uatrack.cli\nerr = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        f"        uatrack.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'usage:' in err.getvalue(), 'Traceback' in err.getvalue(), "
+        "'numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('uatrack')))")
+    assert started == (f"{code} {code == 1} False False "
+                       "['uatrack', 'uatrack.cli', 'uatrack.errors']")
+
+
+def test_package_import_loads_no_submodule():
+    assert run_python("import uatrack\nprint(sorted(m for m in sys.modules if "
+                      "m.startswith('uatrack.')), 'numpy' in sys.modules, "
+                      "'scipy' in sys.modules)") == "[] False False"

@@ -8,6 +8,8 @@ it fails Tier-1 and not only the benchmark."""
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,13 +34,66 @@ PKG = SimpleNamespace(assignment=assignment, augment=augment, cli=cli,
                       simulator=simulator, tracker=tracker)
 
 
-def test_every_traced_call_site_resolves():
+def missing_sites():
+    """The `owner.attribute` names the tracer wraps that do not resolve."""
     sites = load_perfbench("tracing").call_sites(PKG)
-    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-               for _name, owners, _count in sites for owner, attr in owners
-               if not hasattr(owner, attr)]
     assert sites
-    assert missing == []
+    return [f"{getattr(owner, '__name__', owner)}.{attr}"
+            for _name, owners, _count in sites for owner, attr in owners
+            if not hasattr(owner, attr)]
+
+
+def test_every_traced_call_site_resolves():
+    """Checked in a fresh interpreter, so a name that resolves only after an
+    earlier test has run a command fails here too."""
+    path = [str(Path(cli.__file__).resolve().parent.parent), str(Path(__file__).resolve().parent)]
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path[:0] = {path!r}\n"
+                           "import test_bench_sites\nprint(test_bench_sites.missing_sites())"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# Traced functions that `perfbench/tracing.py` also wraps on `cli`, which the
+# commands below call.
+CLI_SITES = ("simulator.generate", "metrics.id_switches", "metrics.pseudo_accuracy",
+             "metrics.uncertainty_separation")
+
+
+def test_traced_cli_commands_count_each_call_once(tmp_path):
+    """`simulate`, `track`, `eval` and `stats` through `cli.main` in this
+    process, each under its own tracer: each call to a traced function
+    counts once, and `uninstall` leaves every wrapped attribute, and `cli`'s
+    namespace, as `install` found them."""
+    tracing = load_perfbench("tracing")
+    owners = [(owner, attr) for _name, sites, _count in tracing.call_sites(PKG)
+              for owner, attr in sites]
+    found = [getattr(owner, attr) for owner, attr in owners]
+    namespace = dict(vars(cli))
+    (tmp_path / "scenario.txt").write_text("seed = 3\nnum_objects = 4\nnum_frames = 20\n")
+    bundle, results, log = tmp_path / "bundle", tmp_path / "results.txt", tmp_path / "log.txt"
+    commands = [
+        (["simulate", "--config", tmp_path / "scenario.txt", "--out", bundle],
+         {"simulator.generate": 1}),
+        (["track", "--dets", bundle / "det.txt", "--embs", bundle / "emb.csv",
+          "--out", results, "--log", log], {}),
+        (["eval", "--results", results, "--gt", bundle / "gt.txt", "--log", log,
+          "--report", tmp_path / "report.txt"],
+         {"metrics.id_switches": 1, "metrics.pseudo_accuracy": 1,
+          "metrics.uncertainty_separation": 1}),
+        (["stats", "--log", log, "--gt", bundle / "gt.txt"],
+         {"metrics.uncertainty_separation": 1}),
+    ]
+    for argv, calls in commands:
+        tracer = tracing.Tracer()
+        tracer.install(PKG)
+        try:
+            assert cli.main([str(a) for a in argv]) == 0, argv[0]
+        finally:
+            tracer.uninstall()
+        assert {n: tracer.calls[n] for n in CLI_SITES} == {n: calls.get(n, 0) for n in CLI_SITES}
+        assert [getattr(owner, attr) for owner, attr in owners] == found, argv[0]
+        assert vars(cli) == namespace, argv[0]
 
 
 def test_traced_scene_pass_counts_rectification():

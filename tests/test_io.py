@@ -18,8 +18,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uatrack
-from uatrack import cli, formats, tracker
-from uatrack.contrastive import LinearEmbedder
+from uatrack import cli, contrastive, formats, tracker
+from uatrack.contrastive import LinearEmbedder, TrainConfig
 from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
                             IoFailure, MissingEmbedding, ParseError)
 from uatrack.geometry import BoundingBox
@@ -744,6 +744,37 @@ class TestCli:
                                  "--out", tmp_path / f"{run}.txt", *flags)
             assert code == 0, err
             assert (tmp_path / f"{run}.txt").read_bytes() == want, run
+
+    def test_flags_left_out_take_the_config_defaults(self, tmp_path, capsys, monkeypatch):
+        """The config dataclasses hold the defaults of `--m1/--m2/--beta/--K`
+        and `--sampling`: a command passes only the flags given, and giving
+        each at its default value writes the same bytes."""
+        small_bundle(tmp_path)
+        configs = []
+
+        def recorded(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda frames, cfg: configs.append(cfg)
+                                or original(frames, cfg))
+
+        recorded(tracker, "track_sequence")
+        recorded(contrastive, "train_embedder")
+        track = ["track", "--dets", tmp_path / "det.txt", "--embs", tmp_path / "emb.csv"]
+        cfg = TrackerConfig()
+        defaults = ["--utl", "on", "--m1", cfg.margins.m1, "--m2", cfg.margins.m2,
+                    "--beta", cfg.beta, "--K", cfg.K]
+        for run, flags in (("left-out", []), ("defaults", defaults)):
+            code, err = run_main(capsys, *track, "--out", tmp_path / f"{run}.txt", *flags)
+            assert code == 0, err
+        assert configs == [cfg, cfg]
+        assert (tmp_path / "left-out.txt").read_bytes() == (tmp_path / "defaults.txt").read_bytes()
+
+        train = ["train", "--bundle", tmp_path, "--epochs", "1", "--lr", "1e-3", "--seed", "0",
+                 "--out", tmp_path / "weights.txt"]
+        for flags in ([], ["--sampling", "random"]):
+            code, err = run_main(capsys, *train, *flags)
+            assert code == 0, err
+        assert [c.anchor_sampling for c in configs[2:]] == [TrainConfig.anchor_sampling, "random"]
 
     # A two-frame run: tracks 1 and 2 born on detections of objects 1 and 2,
     # then frame 2's detections, both of object 1.

@@ -79,7 +79,7 @@ class TestConfigValidation:
             self, tmp_path, capsys, monkeypatch, line, name):
         def unreachable(cfg):
             raise AssertionError("generate reached")
-        monkeypatch.setattr(cli, "generate", unreachable)
+        monkeypatch.setattr(simulator, "generate", unreachable)
         cfgp = tmp_path / "cfg.txt"
         cfgp.write_text(f"{line}\nnum_frames = 2\n")
         code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
@@ -108,7 +108,7 @@ class TestConfigValidation:
             self, tmp_path, capsys, monkeypatch, lines):
         def unreachable(cfg):
             raise AssertionError("generate reached")
-        monkeypatch.setattr(cli, "generate", unreachable)
+        monkeypatch.setattr(simulator, "generate", unreachable)
         cfgp = tmp_path / "cfg.txt"
         cfgp.write_text(lines)
         code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
