@@ -251,6 +251,10 @@ def train_embedder(frames, cfg: TrainConfig):
     runs SGD on InfoNCE batches built from sampled frame pairs: the query is
     an object at frame t, the positive its pseudo-tracklet's embedding at a
     historical frame, the negatives the other tracklets in that frame.
+    The queries, positives and negatives are the embeddings computed at the
+    epoch's start, not re-embedded as the weights move step by step, so a
+    step is not the exact gradient at the current weights; re-embedding
+    every step was measured and gave no gain (ROADMAP *Ruled out*).
     Anchor selection follows the hierarchical uncertainty weights (or is
     uniform when anchor_sampling="random"). Learning rate is cosine-annealed
     to zero. Pseudo-tracklets come from the default TrackerConfig; each

@@ -4,6 +4,16 @@ Detections use MOTChallenge-style lines
     frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z
 with 1-based frames; the corner convention is converted to center+size at
 this boundary. Embeddings/raw features are CSV rows `frame,det_index,v1..`.
+
+Every file is UTF-8, split into lines on `\n`. The numeric tables
+(detections, vectors, ground truth, results, the decision log) are read in
+bulk: `np.loadtxt` parses an ASCII file into one structured array, and the
+checks run on whole columns. Any file that parse or a check declines is
+read again by the table's per-line reader (`_parse_lines` and a `row`
+function). That reader is the reference: it names the line of any error,
+and the bulk read returns exactly what it returns. Weights and scenario
+configs are read only line by line.
+
 All writes go through a write-temp-then-rename helper so outputs are atomic
 and byte-reproducible; the temp file is created beside the target with mode
 0o666, so the kernel applies the umask and the process umask is never
@@ -14,16 +24,17 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import fields as dc_fields
+from itertools import repeat
 
 import numpy as np
 
-from .contrastive import LinearEmbedder
 from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
                      IoFailure, MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
-from .simulator import MAX_FRAME, GroundTruthRecord, ScenarioConfig
-from .tracker import LOG, STAGE_BIRTH, STAGE_DISSOLVED, Detection, TrackerState
+from .tracker import (LOG, MAX_FRAME, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
+                      TrackerState)
 
 NORM_WARN_TOL = 1e-6
 
@@ -81,10 +92,77 @@ def _parse_lines(path, row, sep=",") -> list:
     return out
 
 
+# numpy's parser strips these around a field as white space, `int` and `float` do not
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _ascii_lines(path) -> list[str] | None:
+    """The lines of `path`, split on `\n` only as `_parse_lines` splits
+    them; None for a file that is not ASCII or holds a byte of
+    `_SEPARATORS`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or any(sep in data for sep in _SEPARATORS):
+        return None
+    return data.decode("ascii").split("\n")
+
+
+def _table(lines, dtype, usecols=None) -> np.ndarray | None:
+    """`lines` as one structured array of `dtype`, a row per non-empty line,
+    parsed in one pass by numpy's C reader (`np.loadtxt`). Where that parse
+    and `_parse_lines` could differ it fails, and this returns None: on a
+    whitespace-only line, a `\r` inside a line, a column too many or too
+    few, an integer field that is not a plain int64, or a file without rows.
+    Any warning counts as a failure: loadtxt warns on a file without rows,
+    and numpy < 2 parses `1.0` as the integer 1 with a DeprecationWarning.
+    Its ints and floats are those `int` and `float` give for ASCII fields."""
+    if lines is None:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=usecols,
+                              ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
+# det.txt's frame and its box and confidence, fields 0 and 2-6; the rest go unread
+_DET_TABLE = np.dtype([("frame", np.int64), ("ltwhc", np.float64, (5,))])
+
+
 def read_detections(path):
     """Parse a MOT detections file into per-frame Detection lists (without
     embeddings): frame t at index t-1, for frames 1..max_frame, empty frames
     included; frames above MAX_FRAME are rejected."""
+    table = _table(_ascii_lines(path), _DET_TABLE, usecols=(0, 2, 3, 4, 5, 6))
+    frames = None if table is None else _detections(table)
+    return _read_detections_lines(path) if frames is None else frames
+
+
+def _detections(table):
+    """`read_detections`' frames from a parsed table, or None when a row
+    fails a check; `_read_detections_lines` then names it."""
+    frame, values = table["frame"], table["ltwhc"]
+    if not np.isfinite(values).all():
+        return None
+    left, top, w, h, conf = values.T
+    with np.errstate(over="ignore"):   # a centre past the float range fails the check below
+        cx, cy = left + w / 2.0, top + h / 2.0
+    if not ((1 <= frame) & (frame <= MAX_FRAME) & (w > 0) & (h > 0)
+            & np.isfinite(cx) & np.isfinite(cy)).all():
+        return None
+    order = np.argsort(frame, kind="stable")
+    counts = np.bincount(frame, minlength=frame.max() + 1)[1:]
+    ends = np.cumsum(counts)
+    det_index = np.arange(len(frame)) - np.repeat(ends - counts, counts)
+    cx, cy, w, h, conf = (column[order].tolist() for column in (cx, cy, w, h, conf))
+    dets = list(map(Detection, frame[order].tolist(), det_index.tolist(),
+                    map(BoundingBox, cx, cy, w, h), conf, repeat(None)))
+    return [dets[end - n:end] for end, n in zip(ends.tolist(), counts.tolist())]
+
+
+def _read_detections_lines(path):
     per_frame: dict[int, list[Detection]] = {}
 
     def row(parts):
@@ -109,6 +187,22 @@ def read_detections(path):
 
 
 def _read_vectors(path, what: str):
+    """(frame, det_index) -> vector for each row of `path`, in file order."""
+    lines = _ascii_lines(path)
+    first = next((line for line in lines if line.strip()), "") if lines else ""
+    dim = first.count(",") - 1   # the first row's; loadtxt holds every row to it
+    if dim > 0:
+        table = _table(lines, [("frame", np.int64), ("det_index", np.int64),
+                               ("vec", np.float64, (dim,))])
+        if table is not None and np.isfinite(table["vec"]).all():
+            rows = dict(zip(zip(table["frame"].tolist(), table["det_index"].tolist()),
+                            table["vec"]))
+            if len(rows) == len(table):   # else a key repeats
+                return rows
+    return _read_vectors_lines(path, what)
+
+
+def _read_vectors_lines(path, what: str):
     rows: dict[tuple[int, int], np.ndarray] = {}
 
     def row(parts):
@@ -150,7 +244,7 @@ def read_embeddings(path, frames):
     1e-6 are normalized and counted."""
     warned = 0
     for d, vec in _matched_rows(path, frames, "embedding"):
-        norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(vec.dot(vec))   # the bits of np.linalg.norm(vec)
         if norm == 0.0:
             raise ParseError(f"zero embedding for (frame={d.frame}, det={d.det_index})")
         if abs(norm - 1.0) > NORM_WARN_TOL:
@@ -167,7 +261,20 @@ def read_raw_features(path, frames):
     return frames
 
 
+_GT_TABLE = np.dtype([("frame", np.int64), ("det_index", np.int64), ("true_id", np.int64)])
+
+
 def read_ground_truth(path):
+    from .simulator import GroundTruthRecord   # here, so `track` runs without the simulator
+    table = _table(_ascii_lines(path), _GT_TABLE)
+    if table is None:
+        return _read_ground_truth_lines(path)
+    return list(map(GroundTruthRecord, *(table[name].tolist() for name in _GT_TABLE.names)))
+
+
+def _read_ground_truth_lines(path):
+    from .simulator import GroundTruthRecord
+
     def row(parts):
         if len(parts) != 3:
             raise ParseError("expected frame,det_index,true_id")
@@ -216,8 +323,20 @@ def write_results(state: TrackerState, path) -> None:
                         in zip(*(column[order].tolist() for column in (frames, tid, det)))])
 
 
+# a results line: frame and track id, then eight values that go unread
+_RESULTS_TABLE = np.dtype([("frame", np.int64), ("track_id", np.int64),
+                           ("rest", np.float64, (8,))])
+
+
 def read_results(path) -> list[tuple[int, int]]:
     """The (frame, track_id) pair of each row of a results file."""
+    table = _table(_ascii_lines(path), _RESULTS_TABLE)
+    if table is None:
+        return _read_results_lines(path)
+    return list(zip(table["frame"].tolist(), table["track_id"].tolist()))
+
+
+def _read_results_lines(path):
     def row(parts):
         if len(parts) != 10:
             raise ParseError(f"expected 10 fields, got {len(parts)}")
@@ -236,6 +355,14 @@ _INTP_LO, _INTP_HI = np.iinfo(np.intp).min, np.iinfo(np.intp).max
 
 def read_log(path) -> np.ndarray:
     """A log file as a `LOG` array; an integer outside `np.intp` is a ParseError."""
+    table = _table(_ascii_lines(path), LOG)   # an int past np.intp fails the parse
+    if table is not None and ((STAGE_BIRTH <= table["stage"])
+                              & (table["stage"] <= STAGE_DISSOLVED)).all():
+        return table
+    return _read_log_lines(path)
+
+
+def _read_log_lines(path):
     def row(parts):
         if len(parts) != 9:
             raise ParseError(f"expected 9 fields, got {len(parts)}")
@@ -260,9 +387,10 @@ def write_weights(embedder, path) -> None:
     atomic_write(path, lines)
 
 
-def read_weights(path) -> LinearEmbedder:
-    """Text weights written by `write_weights`; the first non-blank line is
-    the `F D` header."""
+def read_weights(path):
+    """A `LinearEmbedder` from text weights written by `write_weights`; the
+    first non-blank line is the `F D` header."""
+    from .contrastive import LinearEmbedder   # here, so no other reader loads the trainer
     shape, rows = [], []
 
     def row(parts):
@@ -286,11 +414,12 @@ def read_weights(path) -> LinearEmbedder:
 
 # --- flat key = value config files ---------------------------------------
 
-_SCENARIO_FIELDS = {f.name: f.type for f in dc_fields(ScenarioConfig)}  # name -> "int", ...
+def parse_scenario_config(path):
+    """A `ScenarioConfig` from flat `key = value` lines, `#` comments;
+    unknown keys are errors."""
+    from .simulator import ScenarioConfig
+    types = {f.name: f.type for f in dc_fields(ScenarioConfig)}   # name -> "int", ...
 
-
-def parse_scenario_config(path) -> ScenarioConfig:
-    """Flat `key = value` lines, `#` comments; unknown keys are errors."""
     def row(parts):
         line = parts[0].strip()  # parts[1:] is the comment
         if not line:
@@ -299,9 +428,9 @@ def parse_scenario_config(path) -> ScenarioConfig:
             raise ParseError("expected `key = value`")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _SCENARIO_FIELDS:
+        if key not in types:
             raise InvalidConfig(f"unknown key `{key}`")
-        if _SCENARIO_FIELDS[key] == "int":
+        if types[key] == "int":
             return key, int(raw)
         if key == "arena":
             parts = raw.split()
@@ -313,9 +442,9 @@ def parse_scenario_config(path) -> ScenarioConfig:
     return ScenarioConfig(**dict(kv for kv in _parse_lines(path, row, sep="#") if kv))
 
 
-def write_scenario_config(cfg: ScenarioConfig, path) -> None:
+def write_scenario_config(cfg, path) -> None:
     lines = []
-    for f in dc_fields(ScenarioConfig):
+    for f in dc_fields(cfg):
         v = getattr(cfg, f.name)
         if f.name == "arena":   # 17 digits read back as the same doubles
             lines.append(f"arena = {v[0]:.17g} {v[1]:.17g}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import BoundingBox, iou
-from .tracker import Detection
+from .tracker import MAX_FRAME, Detection
 
 OCCLUSION_IOU = 0.3     # overlap above this counts as occluded
 POSITION_JITTER = 0.5   # px of per-frame motion noise
@@ -38,7 +38,6 @@ CONFUSABLE_PERTURB = 0.4   # latent perturbation within a confusable pair
 NOISE_SCALE = 2.0       # global multiplier on appearance noise
 BOX_MIN = 24.0          # smallest box side
 BOX_MAX = 48.0          # largest box side
-MAX_FRAME = 100_000     # about an hour at 30 fps; bounds every frame sequence
 MAX_OBJECTS = 1000      # bounds the per-frame (n, n) overlap matrix
 MAX_DIM = 4096          # bounds embed_dim and raw_dim, hence the basis and noise draws
 MAX_SCENE_VALUES = 2**27   # 1 GiB of float64: bounds the vectors `generate` keeps

@@ -28,6 +28,7 @@ STAGE_DISSOLVED = 3   # an uncertain pair: logged, never applied
 
 DET_CONF_MIN = 0.6    # new-track confidence gate
 MAX_LOST = 30         # frames a lost track stays matchable
+MAX_FRAME = 100_000   # about an hour at 30 fps; bounds every frame sequence
 
 
 @dataclass

@@ -305,6 +305,43 @@ def test_cli_start_without_a_command_loads_no_numpy(argv, code):
                        "['uatrack', 'uatrack.cli', 'uatrack.errors']")
 
 
+@pytest.fixture(scope="module")
+def workflow_files(tmp_path_factory):
+    """A small simulated bundle with its tracked results and log."""
+    d = tmp_path_factory.mktemp("workflow")
+    (d / "scenario.txt").write_text("seed = 3\nnum_objects = 4\nnum_frames = 20\n")
+    b = d / "b"
+    assert cli.main(["simulate", "--config", str(d / "scenario.txt"), "--out", str(b)]) == 0
+    assert cli.main(["track", "--dets", str(b / "det.txt"), "--embs", str(b / "emb.csv"),
+                     "--out", str(d / "results.txt"), "--log", str(d / "log.txt")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command, trainer", [
+    ("simulate", False), ("track", False), ("eval", False), ("stats", False),
+    ("augment", True), ("train", True)])
+def test_commands_load_the_trainer_only_to_train_or_augment(workflow_files, command, trainer):
+    """`simulate`, `track`, `eval` and `stats` run without `contrastive`
+    and `augment` in `sys.modules`; `augment` and `train` load both."""
+    d, b = str(workflow_files), str(workflow_files / "b")
+    argv = {
+        "simulate": ["--config", f"{d}/scenario.txt", "--out", f"{d}/again"],
+        "track": ["--dets", f"{b}/det.txt", "--embs", f"{b}/emb.csv", "--out", f"{d}/r.txt"],
+        "eval": ["--results", f"{d}/results.txt", "--gt", f"{b}/gt.txt", "--log", f"{d}/log.txt",
+                 "--report", f"{d}/report.txt"],
+        "stats": ["--log", f"{d}/log.txt", "--gt", f"{b}/gt.txt"],
+        "augment": ["--bundle", b, "--frame", "10", "--seed", "1"],
+        "train": ["--bundle", b, "--epochs", "1", "--lr", "1e-3", "--seed", "0",
+                  "--out", f"{d}/w.txt"],
+    }[command]
+    assert run_python(
+        "import contextlib, io\nimport uatrack.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert uatrack.cli.main({[command, *argv]!r}) == 0\n"
+        "print('uatrack.contrastive' in sys.modules, 'uatrack.augment' in sys.modules)"
+    ) == f"{trainer} {trainer}"
+
+
 def test_package_import_loads_no_submodule():
     assert run_python("import uatrack\nprint(sorted(m for m in sys.modules if "
                       "m.startswith('uatrack.')), 'numpy' in sys.modules, "

@@ -1,6 +1,7 @@
 """Tests for file formats and the command-line interface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -10,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,20 @@ def small_bundle(tmp_path, cfg=None):
     return frames, gt
 
 
+# det.txt fields 2-6 that fail a check: (fields, error, message)
+BAD_BOXES = {
+    "negative-h": ("0,0,5,-2,0.9", DegenerateBox, "non-positive size w=5.0 h=-2.0"),
+    "nan-left": ("nan,0,5,5,0.9", DegenerateBox, "non-finite box"),
+    "inf-w": ("0,0,inf,5,0.9", DegenerateBox, "non-finite box"),
+    "nan-conf": ("0,0,5,5,nan", ParseError, "non-finite value"),
+    "overflowing-centre": ("1e308,0,1.7e308,5,0.9", DegenerateBox,
+                           r"box centre overflows: bb_left=1e\+308 bb_top=0.0 w=1.7e\+308 "
+                           r"h=5.0$"),
+}
+# the `np.errstate` under which `cli.main` runs a command
+CLI_ERRSTATE = dict(over="raise", invalid="raise", divide="raise")
+
+
 class TestDetectionsRoundtrip:
     def test_boxes_and_confidence_survive(self, tmp_path):
         frames, _ = small_bundle(tmp_path)
@@ -64,20 +80,18 @@ class TestDetectionsRoundtrip:
         with pytest.raises(DegenerateBox, match="line 3: non-positive size w=0.0"):
             formats.read_detections(p)
 
-    @pytest.mark.parametrize("fields, error, message", [
-        ("0,0,5,-2,0.9", DegenerateBox, "non-positive size w=5.0 h=-2.0"),
-        ("nan,0,5,5,0.9", DegenerateBox, "non-finite box"),
-        ("0,0,inf,5,0.9", DegenerateBox, "non-finite box"),
-        ("0,0,5,5,nan", ParseError, "non-finite value"),
-        ("1e308,0,1.7e308,5,0.9", DegenerateBox,
-         r"box centre overflows: bb_left=1e\+308 bb_top=0.0 w=1.7e\+308 h=5.0$"),
-    ], ids=["negative-h", "nan-left", "inf-w", "nan-conf", "overflowing-centre"])
-    def test_bad_box_values_rejected(self, tmp_path, fields, error, message):
+    # each case as it is, then again under the CLI's `np.errstate`
+    @pytest.mark.parametrize("fields, error, message, errstate", [
+        pytest.param(*case, errstate, id=name + suffix)
+        for suffix, errstate in (("", {}), ("-cli-errstate", CLI_ERRSTATE))
+        for name, case in BAD_BOXES.items()])
+    def test_bad_box_values_rejected(self, tmp_path, fields, error, message, errstate):
         """BoundingBox checks the box, read_detections the confidence; each
-        error carries the line number."""
+        error carries the line number. Under the CLI's `np.errstate` too, an
+        overflowing centre is this error and not a FloatingPointError."""
         p = tmp_path / "det.txt"
         p.write_text(f"1,-1,0,0,5,5,0.9,-1,-1,-1\n\n1,-1,{fields},-1,-1,-1\n")
-        with pytest.raises(error, match=f"line 3: {message}"):
+        with np.errstate(**errstate), pytest.raises(error, match=f"line 3: {message}"):
             formats.read_detections(p)
 
     def test_malformed_line_reports_lineno(self, tmp_path):
@@ -309,6 +323,217 @@ class TestParseLines:
                                                 GroundTruthRecord(2, 1, 3)]
 
 
+# Field texts for the bulk readers' oracle. Each column of a file is a pair:
+# the text a writer writes, and an edge text. An edge text is a value at or
+# past the column's bounds, or a form that `int`/`float` also take or refuse:
+# a sign, padding (\x0b and \x0c they strip, \x1c-\x1f they do not), `_`
+# between digits, non-ASCII digits, a `.0` on an integer, 20 digits, nan/inf,
+# 1e400.
+ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+INT_FORMS = st.sampled_from([str, "+{}".format, " {}\t".format, "\x0b{}\x0c".format,
+                             "{}\x1c".format, "{}.0".format, "{}_0".format,
+                             lambda v: str(v).translate(ARABIC_DIGITS)])
+FLOAT_FORMS = st.sampled_from([repr, "{:.9g}".format, " {!r}\t".format, "\x0c{!r}\x0b".format,
+                               "\x1f{!r}".format, "+{!r}".format,
+                               lambda v: repr(v).replace("0", "0_0", 1),
+                               lambda v: repr(v).translate(ARABIC_DIGITS)])
+FLOAT_WORDS = st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e400", "Infinity", "1.5e",
+                               "", "x", "1 2"])
+
+
+def half_and_half(first, second):
+    """`first` or `second`, each drawn half the time (`|` would weigh each
+    branch of `second` as much as `first`)."""
+    return st.booleans().flatmap(lambda pick: first if pick else second)
+
+
+def ints(written, bounds):
+    """An integer column: `written` as `%d` writes it; its edge texts are
+    the values of `bounds`, a written value in another form, or 20 digits."""
+    return (written.map("%d".__mod__),
+            half_and_half(st.sampled_from(bounds).map(str),
+                          st.builds(lambda form, v: form(v), INT_FORMS, written)
+                          | st.integers(10**19, 10**20).map(str)
+                          | st.integers(-10**20, -10**19).map(str)))
+
+
+def floats(written, bounds, template="%.6f"):
+    """A float column: `written` as `template` writes it; its edge texts are
+    the values of `bounds`, a written value in another form, or a word."""
+    return (written.map(template.__mod__),
+            half_and_half(st.sampled_from(bounds).map(repr),
+                          st.builds(lambda form, v: form(v), FLOAT_FORMS, written) | FLOAT_WORDS))
+
+
+KEYS = ints(st.integers(1, 4), [-1, 0])   # few values, so keys repeat
+ANY = (st.just("-1"), st.sampled_from(["7", "x", ""]))   # a column no reader parses
+COORD = floats(st.floats(-50, 50), [1e308, -1e308, -0.0])
+SIZE = floats(st.floats(0.5, 20), [0.0, -1.0, 5e-324, 1.7e308])
+SCORE = floats(st.floats(0, 1), [-0.0, 1e-300, 1e300])
+# one entry per reader: the reader, its per-line reference, and a strategy
+# for a file's columns
+BULK_READERS = {
+    "detections": (formats.read_detections, formats._read_detections_lines, st.just(
+        [ints(st.integers(1, 4), [0, formats.MAX_FRAME + 1]),
+         ANY, COORD, COORD, SIZE, SIZE, SCORE, ANY, ANY, ANY])),
+    "vectors": (lambda p: formats._read_vectors(p, "embedding"),
+                lambda p: formats._read_vectors_lines(p, "embedding"),
+                st.integers(1, 3).map(lambda dim: [KEYS, KEYS] + [floats(
+                    st.floats(-1, 1), [0.0, 1e300, 5e-324], "%.9g")] * dim)),
+    "ground_truth": (formats.read_ground_truth, formats._read_ground_truth_lines,
+                     st.just([KEYS] * 3)),
+    "log": (formats.read_log, formats._read_log_lines,
+            st.just([KEYS] * 3 + [SCORE] * 5 + [ints(st.integers(0, 3), [-1, 4])])),
+    "results": (formats.read_results, formats._read_results_lines,
+                st.just([KEYS] * 2 + [COORD] * 2 + [SIZE] * 2 + [SCORE] + [ANY] * 3)),
+}
+LINE_ENDS = st.sampled_from(["\n"] * 12 + ["\r\n"] * 3 + ["\r"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", "\r"])
+
+
+@st.composite
+def table_file(draw, columns):
+    """The text of a file of rows of `columns`: rows as a writer writes
+    them, and among them at most two with one or every field an edge text,
+    a field too many or up to three too few (det.txt's 7 fields among them),
+    or a blank line; with mixed line ends."""
+    columns = draw(columns)
+    lines = [[draw(written) for written, _ in columns] for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        row = [draw(written) for written, _ in columns]
+        kind = draw(st.sampled_from(["edge"] * 5 + ["edges", "ragged", "ragged", "blank"]))
+        if kind == "edge":
+            at = draw(st.sampled_from(range(len(row))))
+            row[at] = draw(columns[at][1])
+        elif kind == "edges":
+            row = [draw(edge) for _, edge in columns]
+        elif kind == "ragged":
+            row = (row + ["0"])[:draw(st.sampled_from(range(max(1, len(row) - 3), len(row) + 2)))]
+        lines.insert(draw(st.integers(0, len(lines))),
+                     [draw(BLANK_LINES)] if kind == "blank" else row)
+    return "".join(",".join(row) + draw(LINE_ENDS) for row in lines)
+
+
+def _plain(x):
+    """`x` as nested tuples that are equal only where the values have the
+    same types and bits: arrays by dtype, shape and bytes, floats by their
+    bytes, dataclasses field by field."""
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.descr, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return (type(x), x.hex() if math.isfinite(x) else repr(x), math.copysign(1.0, x))
+    if dataclasses.is_dataclass(x):
+        return (type(x), *(_plain(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, dict):
+        return (dict, *((_plain(k), _plain(v)) for k, v in x.items()))
+    if isinstance(x, (list, tuple)):
+        return (type(x), *map(_plain, x))
+    return (type(x), x)
+
+
+def _outcome(read, path):
+    """What `read(path)` returns, as `_plain` gives it, or the type and the
+    message of what it raises."""
+    try:
+        return _plain(read(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkReaders:
+    """The readers of det.txt, emb.csv/raw.csv, gt.txt, the log and
+    results.txt parse a file in one pass and fall back to the per-line
+    reader on any file the bulk parse or a check declines."""
+
+    @pytest.mark.parametrize("reader", sorted(BULK_READERS))
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_equals_per_line_reader(self, reader, data):
+        """The reader returns what its per-line reference returns, types
+        and bits included, or raises the same error with the same message."""
+        read, by_line, columns = BULK_READERS[reader]
+        text = data.draw(table_file(columns))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.txt"
+            path.write_bytes(text.encode())
+            want = _outcome(by_line, path)
+            event(f"per-line reader {'raises' if len(want) == 2 else 'returns'}")
+            assert _outcome(read, path) == want
+
+    GOOD_ROWS = {"detections": "1,-1,0,0,5,5,0.9,-1,-1,-1\n2,-1,0,0,5,5,0.9\n",
+                 "vectors": "1,0,0.6,0.8\n1,1,1,0\n", "ground_truth": "1,0,4\n1,1,3\n",
+                 "log": "1,0,1,0,0,0,0,0,0\n1,1,2,0,0,0,0,0,0\n",
+                 "results": "1,1,0,0,5,5,0.9,-1,-1,-1\n1,2,0,0,5,5,0.9,-1,-1,-1\n"}
+    # rows that one check of a bulk read or its parse declines
+    BAD_ROWS = {
+        "detections": ["0,-1,0,0,5,5,0.9", f"{formats.MAX_FRAME + 1},-1,0,0,5,5,0.9",
+                       "1,-1,0,0,0,5,0.9", "1,-1,0,0,5,-1,0.9", "1,-1,0,0,5,5,nan",
+                       "1,-1,inf,0,5,5,0.9", "1,-1,1e308,0,1.7e308,5,0.9",
+                       "1,-1,0,1e308,5,1.7e308,0.9", "1.0,-1,0,0,5,5,0.9", "1,-1,0,0,5,5",
+                       "1\x1c,-1,0,0,5,5,0.9"],
+        "vectors": ["1,0,1,0", "2,0,nan,1", "2,0,1e400,1", "2,0,1", "2,0,1,0,0", "2,0.0,1,0",
+                    "2,0,\x1f1,0"],
+        "ground_truth": ["2,0,99999999999999999999", "2,0,1,1"],
+        "log": ["2,0,1,0,0,0,0,0,-1", "2,0,1,0,0,0,0,0,4", "2,0,99999999999999999999,0,0,0,0,0,1",
+                "2,0,1,0,0,0,0,1"],
+        "results": ["2,1,0,0,5,5,0.9,-1,-1", "2,1,0,0,5,5,0.9,-1,-1,x"],
+    }
+
+    @pytest.mark.parametrize("reader, row",
+                             [(reader, row) for reader, rows in BAD_ROWS.items() for row in rows])
+    def test_declined_row_equals_per_line_reader(self, tmp_path, reader, row):
+        """Each check holds the bulk read to the per-line reader: after two
+        good rows, a row that fails it gives the per-line reader's outcome."""
+        read, by_line, _ = BULK_READERS[reader]
+        path = tmp_path / "in.txt"
+        path.write_text(self.GOOD_ROWS[reader] + row + "\n")
+        assert _outcome(read, path) == _outcome(by_line, path)
+
+    @pytest.mark.parametrize("warning", [UserWarning, DeprecationWarning])
+    def test_a_parse_that_warns_is_declined(self, tmp_path, monkeypatch, warning):
+        """loadtxt warns on a file without rows, and numpy < 2 parses `1.0`
+        as the integer 1 with a DeprecationWarning: a parse that warns sends
+        the file to the per-line reader."""
+        path = tmp_path / "gt.txt"
+        path.write_text("1.0,0,4\n")
+
+        def warns(*args, **kwargs):
+            warnings.warn("parsed with a warning", warning)
+            return np.ones(1, formats._GT_TABLE)
+
+        monkeypatch.setattr(np, "loadtxt", warns)
+        with pytest.raises(ParseError, match="line 1: invalid literal for int"):
+            formats.read_ground_truth(path)
+
+    def test_written_files_take_the_bulk_path(self, tmp_path, monkeypatch):
+        """Files as the writers write them, CRLF line ends and blank lines
+        included, parse without the per-line reader."""
+        frames, _ = small_bundle(tmp_path)
+        state = track_sequence(formats.read_embeddings(tmp_path / "emb.csv", frames)[0])
+        formats.write_results(state, tmp_path / "results.txt")
+        formats.write_log(state.log(), tmp_path / "log.txt")
+        files = {"detections": "det.txt", "vectors": "emb.csv", "ground_truth": "gt.txt",
+                 "results": "results.txt", "log": "log.txt"}
+        want = {}
+        for reader, name in files.items():
+            path = tmp_path / name
+            path.write_bytes(b"\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+            want[reader] = _plain(BULK_READERS[reader][1](path))
+
+        def per_line(*args, **kwargs):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(formats, "_parse_lines", per_line)
+        for reader, name in files.items():
+            assert _plain(BULK_READERS[reader][0](tmp_path / name)) == want[reader], reader
+
+    @given(vec=st.lists(EDGE_FLOATS.filter(math.isfinite), min_size=1, max_size=40))
+    def test_norm_has_the_bits_of_linalg_norm(self, vec):
+        v = np.array(vec)
+        with np.errstate(all="ignore"):
+            assert _plain(math.sqrt(v.dot(v))) == _plain(float(np.linalg.norm(v)))
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_mode_follows_umask(self, tmp_path, umask):
@@ -420,6 +645,23 @@ def assert_usage_error(proc):
 
 
 class TestCli:
+    @pytest.mark.parametrize("text", ["", "\n\r\n\n", " \t\n\n"],
+                             ids=["empty", "blank-lines", "whitespace-lines"])
+    def test_empty_inputs_exit_0_silently(self, tmp_path, text):
+        """Files without rows read as empty, as line by line: `track`,
+        `stats` and `eval` exit 0, and nothing (no warning of the bulk
+        parse either) reaches stderr."""
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        for argv in (["track", "--dets", f, "--embs", f, "--out", tmp_path / "results.txt",
+                      "--log", tmp_path / "log.txt"],
+                     ["stats", "--log", f, "--gt", f],
+                     ["eval", "--results", f, "--gt", f, "--log", f,
+                      "--report", tmp_path / "report.txt"]):
+            proc = run_cli(*map(str, argv))
+            assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+        assert (tmp_path / "results.txt").read_bytes() == (tmp_path / "log.txt").read_bytes() == b""
+
     def test_usage_error_exits_1(self):
         proc = run_cli("track")  # missing required arguments
         assert_usage_error(proc)
