@@ -133,13 +133,13 @@ def cmd_eval(args) -> int:
     results = sorted(formats.read_results(args.results))
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
-    tracklets = tracker.tracklets_from_log(log)
-    if results != sorted((r.frame, t.id) for t in tracklets for r in t.records):
+    tid, frames, det_index = tracker.applied_from_log(log)
+    if results != sorted(zip(frames.tolist(), tid.tolist())):
         raise UatrackError(f"{args.results}: (frame, track_id) rows differ from the "
                            "log's applied decisions")
-    curve = metrics.pseudo_accuracy(tracklets, gt, max_age=args.max_age)
+    curve = metrics.accuracy_curve(tid, frames, det_index, gt, max_age=args.max_age)
     sep = metrics.uncertainty_separation(log, gt)
-    ids = metrics.id_switches(tracklets, gt)
+    ids = metrics.switch_count(tid, frames, det_index, gt)
     lines = [f"id_switches: {ids}"] + sep.lines()
     lines += [f"pseudo_accuracy {s}: {acc:.6f}" for s, acc in curve.points]
     formats.atomic_write(args.report, lines)

@@ -267,18 +267,24 @@ _GT_TABLE = np.dtype([("frame", np.int64), ("det_index", np.int64), ("true_id", 
 def read_ground_truth(path):
     from .simulator import GroundTruthRecord   # here, so `track` runs without the simulator
     table = _table(_ascii_lines(path), _GT_TABLE)
-    if table is None:
-        return _read_ground_truth_lines(path)
-    return list(map(GroundTruthRecord, *(table[name].tolist() for name in _GT_TABLE.names)))
+    if table is not None:
+        columns = [table[name].tolist() for name in _GT_TABLE.names]
+        if len(set(zip(*columns[:2]))) == len(table):   # else a key repeats
+            return list(map(GroundTruthRecord, *columns))
+    return _read_ground_truth_lines(path)
 
 
 def _read_ground_truth_lines(path):
     from .simulator import GroundTruthRecord
+    seen = {}
 
     def row(parts):
         if len(parts) != 3:
             raise ParseError("expected frame,det_index,true_id")
-        return GroundTruthRecord(int(parts[0]), int(parts[1]), int(parts[2]))
+        record = GroundTruthRecord(int(parts[0]), int(parts[1]), int(parts[2]))
+        if seen.setdefault(key := (record.frame, record.det_index), record) is not record:
+            raise ParseError(f"duplicate ground truth for {key}")
+        return record
 
     return _parse_lines(path, row)
 

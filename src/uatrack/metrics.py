@@ -2,12 +2,13 @@
 
 Correctness of an association is anchored to the tracklet's birth identity:
 a record is correct iff its detection's true id equals the true id of the
-detection that founded the tracklet.
+detection that founded the tracklet. The identity metrics run on int
+columns, one row per record (track id, frame, det_index), and look up the
+ground truth of a whole column in one pass; the `Tracklet` forms are adapters.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
@@ -19,14 +20,18 @@ from .uncertainty import second_best
 
 
 def gt_index(gt) -> dict[tuple[int, int], int]:
-    return {(g.frame, g.det_index): g.true_id for g in gt}
+    """(frame, det_index) -> a code of the true id: codes count up from 0,
+    one per true id, so a column of them is an int array whatever the ids."""
+    codes: dict[int, int] = {}
+    return {(g.frame, g.det_index): codes.setdefault(g.true_id, len(codes)) for g in gt}
 
 
-def _resolve(lookup, frame: int, det_index: int) -> int:
+def _true_ids(lookup, frames, det_index) -> np.ndarray:
+    """The `gt_index` codes of rows (frames[i], det_index[i]); the first missing one raises."""
     try:
-        return lookup[(frame, det_index)]
-    except KeyError:
-        raise MissingGroundTruth(f"no ground truth for (frame={frame}, det={det_index})")
+        return np.array([lookup[k] for k in zip(frames.tolist(), det_index.tolist())], np.intp)
+    except KeyError as exc:
+        raise MissingGroundTruth("no ground truth for (frame={}, det={})".format(*exc.args[0]))
 
 
 @dataclass
@@ -66,74 +71,71 @@ class SeparationReport:
         ]
 
 
-def pseudo_accuracy(tracklets: list[Tracklet], gt, max_age: int) -> AccuracyCurve:
-    """Birth-anchored identity accuracy as a function of tracklet age.
-
-    accuracy(s) aggregates, over every tracklet of age >= s, whether its
-    record at age s still carries the birth identity (age 0 = birth)."""
+def accuracy_curve(tid, frames, det_index, gt, max_age: int) -> AccuracyCurve:
+    """Birth-anchored identity accuracy by tracklet age (0 = birth), with a
+    tracklet's rows together in age order: accuracy(s) aggregates, over every
+    tracklet of age >= s, whether its record at age s still carries the birth
+    identity. Only records of age <= max_age are looked up."""
     if max_age < 0:
         raise InvalidConfig(f"max_age must be >= 0, got {max_age}")
-    lookup = gt_index(gt)
-    correct, total = Counter(), Counter()
-    for trk in tracklets:
-        birth = trk.records[0]
-        birth_id = _resolve(lookup, birth.frame, birth.det_index)
-        for age, rec in enumerate(trk.records[:max_age + 1]):
-            total[age] += 1
-            if _resolve(lookup, rec.frame, rec.det_index) == birth_id:
-                correct[age] += 1
-    points = [(s, correct[s] / total[s]) for s in sorted(total) if s > 0]
-    return AccuracyCurve(points=points)
+    first = np.diff(tid, prepend=tid[:1] - 1) != 0   # where a tracklet starts
+    tracklet = first.cumsum() - 1
+    age = np.arange(len(tid)) - first.nonzero()[0][tracklet]
+    keep = age <= min(max_age, len(tid))   # a Python int past intp stays out of numpy
+    ids = _true_ids(gt_index(gt), frames[keep], det_index[keep])
+    age, correct = age[keep], ids == ids[age[keep] == 0][tracklet[keep]]
+    total = np.bincount(age)
+    hits = np.bincount(age[correct], minlength=len(total))
+    return AccuracyCurve(points=[(s, h / t) for s, (h, t) in
+                                 enumerate(zip(hits.tolist(), total.tolist())) if s])
+
+
+def pseudo_accuracy(tracklets: list[Tracklet], gt, max_age: int) -> AccuracyCurve:
+    """`accuracy_curve` over the tracklets' records."""
+    return accuracy_curve(*_columns(tracklets, range(len(tracklets))), gt, max_age)
 
 
 def uncertainty_separation(log: np.ndarray, gt) -> SeparationReport:
     """Fig-3a-style split of a `LOG` array: how many wrong associations
-    carry delta > 0 and how many correct ones carry delta <= 0. Birth rows
-    define each track's reference identity; every other row counts,
-    dissolved ones included."""
+    carry delta > 0 and how many correct ones carry delta <= 0. Each track's
+    first birth row sets its identity and is looked up first, in log order;
+    every other row counts, dissolved too, looked up before its track's birth."""
     lookup = gt_index(gt)
-    rows = list(zip(*(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta",
-                                                "stage"))))
-    birth_id: dict[int, int] = {}
-    for frame, det_index, tid, _, stage in rows:
-        if stage == STAGE_BIRTH and tid not in birth_id:
-            birth_id[tid] = _resolve(lookup, frame, det_index)
-    wrong_total = wrong_flagged = correct_total = correct_flagged = 0
-    for frame, det_index, tid, delta, stage in rows:
-        if stage == STAGE_BIRTH:
-            continue
-        true_id = _resolve(lookup, frame, det_index)
-        if tid not in birth_id:
-            raise MissingGroundTruth(f"no birth row for track {tid}")
-        if true_id == birth_id[tid]:
-            correct_total += 1
-            if delta <= 0:
-                correct_flagged += 1
-        else:
-            wrong_total += 1
-            if delta > 0:
-                wrong_flagged += 1
-    return SeparationReport(wrong_total=wrong_total,
-                            wrong_flagged_uncertain=wrong_flagged,
-                            correct_total=correct_total,
-                            correct_flagged_certain=correct_flagged)
+    born, rows = log[log["stage"] == STAGE_BIRTH], log[log["stage"] != STAGE_BIRTH]
+    born = born[np.sort(np.unique(born["track_id"], return_index=True)[1])]
+    born_tid, born_id = born["track_id"], _true_ids(lookup, born["frame"], born["det_index"])
+    tid = rows["track_id"]
+    known = np.isin(tid, born_tid)
+    stop = len(rows) if known.all() else int(known.argmin()) + 1
+    true_id = _true_ids(lookup, rows["frame"][:stop], rows["det_index"][:stop])
+    if stop and not known[stop - 1]:
+        raise MissingGroundTruth(f"no birth row for track {tid[stop - 1]}")
+    by_tid = born_tid.argsort()
+    correct = true_id == born_id[by_tid[born_tid.searchsorted(tid, sorter=by_tid)]]
+    delta = rows["delta"]   # a nan delta is flagged neither way
+    return SeparationReport(*(int(np.count_nonzero(c)) for c in
+                              (~correct, ~correct & (delta > 0), correct, correct & (delta <= 0))))
+
+
+def switch_count(tid, frames, det_index, gt) -> int:
+    """Transitions of the assigned track id along each GT trajectory."""
+    ids = _true_ids(gt_index(gt), frames, det_index)
+    order = np.lexsort((tid, frames, ids))
+    tid, ids = tid[order], ids[order]
+    return int(np.count_nonzero((ids[1:] == ids[:-1]) & (tid[1:] != tid[:-1])))
 
 
 def id_switches(tracklets: list[Tracklet], gt) -> int:
-    """Transitions of the assigned tracklet id along each GT trajectory."""
-    lookup = gt_index(gt)
-    per_traj: dict[int, list[tuple[int, int]]] = {}
-    for trk in tracklets:
-        for rec in trk.records:
-            true_id = _resolve(lookup, rec.frame, rec.det_index)
-            per_traj.setdefault(true_id, []).append((rec.frame, trk.id))
-    switches = 0
-    for obs in per_traj.values():
-        obs.sort()
-        for (_, a), (_, b) in zip(obs, obs[1:]):
-            if a != b:
-                switches += 1
-    return switches
+    """`switch_count` over the tracklets' records."""
+    return switch_count(*_columns(tracklets, [t.id for t in tracklets]), gt)
+
+
+def _columns(tracklets: list[Tracklet], ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records as int columns: `ids[i]` on tracklets[i]'s, their frames, their det_index."""
+    records = [r for t in tracklets for r in t.records]
+    return (np.repeat(np.asarray(ids, np.intp), [len(t.records) for t in tracklets]),
+            np.array([r.frame for r in records], np.intp),
+            np.array([r.det_index for r in records], np.intp))
 
 
 @dataclass
@@ -152,6 +154,9 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     otherwise the detections' stored embeddings are used."""
     lookup = gt_index(gt)
 
+    def ids(dets) -> list:
+        return _true_ids(lookup, *np.array([(d.frame, d.det_index) for d in dets]).T).tolist()
+
     @cache
     def embs(t):
         """Embeddings of frames[t], computed once for both pairs it is in."""
@@ -163,9 +168,8 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     for t, (cur, nxt) in enumerate(zip(frames, frames[1:])):
         if not cur or len(nxt) < 2:
             continue
-        col_of = {_resolve(lookup, d.frame, d.det_index): j for j, d in enumerate(nxt)}
-        pairs = [(i, col_of[tid]) for i, d in enumerate(cur)
-                 if (tid := _resolve(lookup, d.frame, d.det_index)) in col_of]
+        col_of = {tid: j for j, tid in enumerate(ids(nxt))}
+        pairs = [(i, col_of[tid]) for i, tid in enumerate(ids(cur)) if tid in col_of]
         if not pairs:
             continue
         rows, cols = np.array(pairs).T

@@ -45,18 +45,15 @@ class Detection:
 class TrackRecord:
     frame: int
     det_index: int
-    box: BoundingBox | None
-    embedding: np.ndarray | None
+    box: BoundingBox
+    embedding: np.ndarray
     delta: float
 
 
 class Tracklet:
     """Identity-labeled sequence of per-frame records with a delta history;
-    the state that changes every frame lives in `TrackerState`.
-
-    The metrics read a record's `frame`, `det_index` and `delta` only: the
-    tracker's records add the box and embedding, and `tracklets_from_log`'s,
-    read from a log, have neither.
+    the state that changes every frame lives in `TrackerState`, and the
+    metrics read columns (`metrics.pseudo_accuracy` builds them from these).
 
     `Tracklet(tid, *records)` takes one or more records, already in frame
     order."""
@@ -77,9 +74,6 @@ class Tracklet:
             return self.records[i].box
         return None
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -95,22 +89,18 @@ class TrackerConfig:
             raise InvalidConfig(f"K must be in [1, {np.iinfo(np.intp).max}], got {self.K}")
 
 
-def tracklets_from_log(log: np.ndarray) -> list[Tracklet]:
-    """Group a `LOG` array's applied rows by track id, in frame order, each
-    row one record of its tracklet. Dissolved rows were never applied, so
-    they are skipped. The log has no boxes or embeddings, so these records
-    have none. Two rows of one track in one frame raise OutOfOrderFrame."""
+def applied_from_log(log: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A `LOG` array's applied rows (not the dissolved ones) as columns: track
+    id, frame and det_index, sorted by track id, then frame. Two rows of one
+    track in one frame raise OutOfOrderFrame, the earliest frame's first."""
     log = log[log["stage"] != STAGE_DISSOLVED]
-    log = log[np.lexsort((log["track_id"], log["frame"]))]
-    by_id: dict[int, Tracklet] = {}
-    for frame, det_index, tid, delta in zip(
-            *(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta"))):
-        record = TrackRecord(frame, det_index, None, None, delta)
-        if tid in by_id:
-            by_id[tid].append(record)
-        else:
-            by_id[tid] = Tracklet(tid, record)
-    return [by_id[k] for k in sorted(by_id)]
+    log = log[np.lexsort((log["frame"], log["track_id"]))]
+    tid, frame = log["track_id"], log["frame"]
+    twice = ((tid[1:] == tid[:-1]) & (frame[1:] == frame[:-1])).nonzero()[0]
+    if len(twice):
+        i = twice[np.lexsort((tid[twice], frame[twice]))[0]]
+        raise OutOfOrderFrame(f"track {tid[i]}: frame {frame[i]} after {frame[i]}")
+    return tid, frame, log["det_index"]
 
 
 class TrackerState:

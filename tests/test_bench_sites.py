@@ -79,8 +79,7 @@ def test_traced_cli_commands_count_each_call_once(tmp_path):
           "--out", results, "--log", log], {}),
         (["eval", "--results", results, "--gt", bundle / "gt.txt", "--log", log,
           "--report", tmp_path / "report.txt"],
-         {"metrics.id_switches": 1, "metrics.pseudo_accuracy": 1,
-          "metrics.uncertainty_separation": 1}),
+         {"metrics.uncertainty_separation": 1}),
         (["stats", "--log", log, "--gt", bundle / "gt.txt"],
          {"metrics.uncertainty_separation": 1}),
     ]

@@ -25,7 +25,7 @@ from uatrack.contrastive import LinearEmbedder, TrainConfig
 from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
                             IoFailure, MissingEmbedding, ParseError)
 from uatrack.geometry import BoundingBox
-from uatrack.metrics import id_switches, pseudo_accuracy
+from uatrack.metrics import id_switches, pseudo_accuracy, uncertainty_separation
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import LOG, Detection, TrackerConfig, track_sequence
 
@@ -473,7 +473,7 @@ class TestBulkReaders:
                        "1\x1c,-1,0,0,5,5,0.9"],
         "vectors": ["1,0,1,0", "2,0,nan,1", "2,0,1e400,1", "2,0,1", "2,0,1,0,0", "2,0.0,1,0",
                     "2,0,\x1f1,0"],
-        "ground_truth": ["2,0,99999999999999999999", "2,0,1,1"],
+        "ground_truth": ["2,0,99999999999999999999", "2,0,1,1", "1,0,5"],
         "log": ["2,0,1,0,0,0,0,0,-1", "2,0,1,0,0,0,0,0,4", "2,0,99999999999999999999,0,0,0,0,0,1",
                 "2,0,1,0,0,0,0,1"],
         "results": ["2,1,0,0,5,5,0.9,-1,-1", "2,1,0,0,5,5,0.9,-1,-1,x"],
@@ -987,6 +987,31 @@ class TestCli:
             assert code == 0, err
             assert (tmp_path / f"{run}.txt").read_bytes() == want, run
 
+    def test_eval_builds_no_tracklets(self, tmp_path, capsys, monkeypatch):
+        """`eval` reads the log's applied rows as columns: it constructs no
+        `Tracklet` or `TrackRecord`, and its report is the one the metrics
+        give on the tracker's own tracklets."""
+        frames, gt = small_bundle(tmp_path)
+        state = track_sequence(frames)
+        formats.write_results(state, tmp_path / "results.txt")
+        formats.write_log(state.log(), tmp_path / "log.txt")
+        tracklets = state.all_tracklets()
+        want = _text([f"id_switches: {id_switches(tracklets, gt)}",
+                      *uncertainty_separation(state.log(), gt).lines(),
+                      *(f"pseudo_accuracy {s}: {acc:.6f}"
+                        for s, acc in pseudo_accuracy(tracklets, gt, max_age=100).points)])
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"eval built a {type(self).__name__}")
+
+        for cls in (tracker.Tracklet, tracker.TrackRecord):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        code, err = run_main(capsys, "eval", "--results", tmp_path / "results.txt",
+                             "--gt", tmp_path / "gt.txt", "--log", tmp_path / "log.txt",
+                             "--report", tmp_path / "report.txt")
+        assert code == 0, err
+        assert (tmp_path / "report.txt").read_bytes() == want
+
     def test_flags_left_out_take_the_config_defaults(self, tmp_path, capsys, monkeypatch):
         """The config dataclasses hold the defaults of `--m1/--m2/--beta/--K`
         and `--sampling`: a command passes only the flags given, and giving
@@ -1053,6 +1078,22 @@ class TestCli:
             "wrong_total: 0\nwrong_flagged_uncertain: 0\nwrong_uncertain_rate: 0.000000\n"
             "correct_total: 2\ncorrect_flagged_certain: 2\ncorrect_certain_rate: 1.000000\n"),
             "")
+
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    def test_repeated_ground_truth_key_exit_2(self, tmp_path, capsys, command):
+        """A gt.txt that gives one (frame, det_index) two rows is a data
+        error that names the second row's line; it is not read as the last
+        row's id."""
+        gt, log, results = self._two_frame_files(
+            tmp_path, self.BIRTHS + "2,0,1,0.9,0.1,0.2,1.3,-1.1,1\n"
+                                    "2,1,2,0.9,0.1,0.2,1.3,-1.1,1\n",
+            [(1, 1), (1, 2), (2, 1), (2, 2)])
+        gt.write_text("1,0,1\n1,1,2\n2,0,1\n2,1,2\n2,0,2\n")
+        argv = (["--results", results, "--report", tmp_path / "r.txt"]
+                if command == "eval" else [])
+        assert self._run(capsys, command, "--log", log, "--gt", gt, *argv) == (
+            2, "", f"uatrack {command}: line 5: duplicate ground truth for (2, 0)\n")
+        assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("command", ["eval", "stats"])
     @pytest.mark.parametrize("tid", ["99999999999999999999999", "-99999999999999999999999"])

@@ -1,17 +1,24 @@
 """Tests for evaluation metrics over tracklets, logs, and ground truth."""
 
+import dataclasses
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from uatrack.contrastive import LinearEmbedder
-from uatrack.errors import MissingGroundTruth
+from uatrack.errors import InvalidConfig, MissingGroundTruth, UatrackError
 from uatrack.geometry import BoundingBox
-from uatrack.metrics import (SeparationReport, gt_index, id_switches,
-                             pseudo_accuracy, similarity_delta,
+from uatrack.metrics import (AccuracyCurve, SeparationReport, accuracy_curve, gt_index,
+                             id_switches, pseudo_accuracy, similarity_delta, switch_count,
                              uncertainty_separation)
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
-from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, Detection, Tracklet,
-                             TrackRecord)
+from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
+                             TrackerConfig, Tracklet, TrackRecord, applied_from_log,
+                             track_sequence)
 
 
 BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
@@ -219,3 +226,226 @@ class TestSimilarityDelta:
         embedder.embed = counting_embed
         similarity_delta(frames, gt, embedder)
         assert len(seen) == len(set(seen)) == sum(1 for dets in frames if dets)
+
+
+# --- per-record references -----------------------------------------------
+# The metrics as they were written before they moved onto columns: one
+# Python step per record, ground truth looked up one key at a time by its
+# true id itself. The column forms and their adapters must give the same
+# values, or raise the same error with the same message.
+
+def _resolve(lookup, frame, det_index):
+    try:
+        return lookup[(frame, det_index)]
+    except KeyError:
+        raise MissingGroundTruth(f"no ground truth for (frame={frame}, det={det_index})")
+
+
+def reference_pseudo_accuracy(tracklets, gt, max_age):
+    if max_age < 0:
+        raise InvalidConfig(f"max_age must be >= 0, got {max_age}")
+    lookup = {(g.frame, g.det_index): g.true_id for g in gt}
+    correct, total = Counter(), Counter()
+    for trk in tracklets:
+        birth = trk.records[0]
+        birth_id = _resolve(lookup, birth.frame, birth.det_index)
+        for age, rec in enumerate(trk.records[:max_age + 1]):
+            total[age] += 1
+            if _resolve(lookup, rec.frame, rec.det_index) == birth_id:
+                correct[age] += 1
+    return AccuracyCurve(points=[(s, correct[s] / total[s]) for s in sorted(total) if s > 0])
+
+
+def reference_uncertainty_separation(log, gt):
+    lookup = {(g.frame, g.det_index): g.true_id for g in gt}
+    rows = list(zip(*(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta",
+                                                "stage"))))
+    birth_id = {}
+    for frame, det_index, tid, _, stage in rows:
+        if stage == STAGE_BIRTH and tid not in birth_id:
+            birth_id[tid] = _resolve(lookup, frame, det_index)
+    wrong_total = wrong_flagged = correct_total = correct_flagged = 0
+    for frame, det_index, tid, delta, stage in rows:
+        if stage == STAGE_BIRTH:
+            continue
+        true_id = _resolve(lookup, frame, det_index)
+        if tid not in birth_id:
+            raise MissingGroundTruth(f"no birth row for track {tid}")
+        if true_id == birth_id[tid]:
+            correct_total += 1
+            correct_flagged += delta <= 0
+        else:
+            wrong_total += 1
+            wrong_flagged += delta > 0
+    return SeparationReport(wrong_total, wrong_flagged, correct_total, correct_flagged)
+
+
+def reference_id_switches(tracklets, gt):
+    lookup = {(g.frame, g.det_index): g.true_id for g in gt}
+    per_traj = {}
+    for trk in tracklets:
+        for rec in trk.records:
+            true_id = _resolve(lookup, rec.frame, rec.det_index)
+            per_traj.setdefault(true_id, []).append((rec.frame, trk.id))
+    switches = 0
+    for obs in per_traj.values():
+        obs.sort()
+        switches += sum(a != b for (_, a), (_, b) in zip(obs, obs[1:]))
+    return switches
+
+
+def reference_log_tracklets(log):
+    """A log's applied rows grouped into tracklets record by record, in
+    frame order, then id order; `Tracklet.append` rejects a second row of a
+    track in one frame."""
+    log = log[log["stage"] != STAGE_DISSOLVED]
+    log = log[np.lexsort((log["track_id"], log["frame"]))]
+    by_id = {}
+    for frame, det_index, tid, delta in zip(
+            *(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta"))):
+        record = TrackRecord(frame, det_index, BOX, EMB, delta)
+        if tid in by_id:
+            by_id[tid].append(record)
+        else:
+            by_id[tid] = Tracklet(tid, record)
+    return [by_id[k] for k in sorted(by_id)]
+
+
+def _plain(value):
+    """A metric's value with the type of every number in it."""
+    if isinstance(value, AccuracyCurve):
+        return [(type(s), s, type(a), a.hex()) for s, a in value.points]
+    if isinstance(value, SeparationReport):
+        return [(type(v), v) for v in dataclasses.astuple(value)]
+    return type(value), value
+
+
+def _outcome(compute):
+    """What `compute()` returns, each value as `_plain` gives it, or the
+    type and message of the package error it raises."""
+    try:
+        return [_plain(v) for v in compute()]
+    except UatrackError as exc:
+        return type(exc), str(exc)
+
+
+FRAMES, DETS, TRACKS = 5, 3, 4
+KEYS = st.tuples(st.integers(1, FRAMES), st.integers(0, DETS - 1))
+# true ids past int64 at both ends, and the edges of int64 and uint64
+TRUE_IDS = st.sampled_from([1, 2, 3, 4, 2**63 - 1, 2**63, 2**64, 2**70, -2**63 - 1, -2**70])
+DELTAS = st.sampled_from([0.0, -0.0, 0.3, -0.3, 5e-324, math.nan, math.inf])
+MAX_AGES = st.one_of(st.integers(0, 6), st.sampled_from([10**30, 2**63, -1]))
+
+
+@st.composite
+def ground_truths(draw):
+    """A record for every key but up to two, then up to two records that
+    repeat a key (the last one counts)."""
+    keys = [(f, d) for f in range(1, FRAMES + 1) for d in range(DETS)]
+    missing = draw(st.sets(st.sampled_from(keys), max_size=2))
+    gt = [GroundTruthRecord(f, d, draw(TRUE_IDS)) for f, d in keys if (f, d) not in missing]
+    extra = draw(st.lists(st.tuples(KEYS, TRUE_IDS), max_size=2))
+    return draw(st.permutations(gt)) + [GroundTruthRecord(*key, i) for key, i in extra]
+
+
+@st.composite
+def logs(draw):
+    """A `LOG` array: tracks with frames in order, each opened by a birth
+    row or not, then up to three rows of any stage anywhere (second births,
+    dissolved rows, rows of a track without a birth, two rows in a frame)."""
+    rows = []
+    for tid in range(1, draw(st.integers(0, TRACKS)) + 1):
+        frames = sorted(draw(st.sets(st.integers(1, FRAMES), min_size=1)))
+        stages = [draw(st.sampled_from([STAGE_BIRTH] * 4 + [STAGE_ASSOC]))] + [
+            draw(st.sampled_from([1, 1, 2, 3])) for _ in frames[1:]]
+        rows += [(f, draw(st.integers(0, DETS - 1)), tid, draw(DELTAS), stage)
+                 for f, stage in zip(frames, stages)]
+    rows.sort(key=lambda row: row[0])
+    for _ in range(draw(st.integers(0, 3))):
+        row = (*draw(KEYS), draw(st.integers(1, TRACKS + 1)), draw(DELTAS),
+               draw(st.integers(STAGE_BIRTH, STAGE_DISSOLVED)))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return np.array([(f, d, tid, 0.5, 0.25, 0.0, 0.0, delta, stage)
+                     for f, d, tid, delta, stage in rows], LOG)
+
+
+@st.composite
+def tracklet_lists(draw):
+    """Tracklets with ids that may repeat and records in any frame order."""
+    return [Tracklet(tid, *(TrackRecord(f, d, BOX, EMB, 0.0) for f, d in keys))
+            for tid, keys in draw(st.lists(st.tuples(st.integers(1, TRACKS),
+                                                     st.lists(KEYS, min_size=1, max_size=6)),
+                                           max_size=5))]
+
+
+class TestColumnsEqualThePerRecordReference:
+    @settings(max_examples=600)
+    @given(log=logs(), gt=ground_truths(), max_age=MAX_AGES)
+    def test_eval_and_stats(self, log, gt, max_age):
+        """`eval`'s path, the log's applied columns into `accuracy_curve`,
+        `uncertainty_separation` and `switch_count`, against the tracklets
+        grouped record by record and the references; then `stats`."""
+        def columns():
+            applied = applied_from_log(log)
+            return (accuracy_curve(*applied, gt, max_age), uncertainty_separation(log, gt),
+                    switch_count(*applied, gt))
+
+        def reference():
+            tracklets = reference_log_tracklets(log)
+            return (reference_pseudo_accuracy(tracklets, gt, max_age),
+                    reference_uncertainty_separation(log, gt),
+                    reference_id_switches(tracklets, gt))
+
+        want = _outcome(reference)
+        event(f"eval: {want[0].__name__ if isinstance(want, tuple) else 'report'}")
+        assert _outcome(columns) == want
+        assert (_outcome(lambda: [uncertainty_separation(log, gt)])
+                == _outcome(lambda: [reference_uncertainty_separation(log, gt)]))
+
+    @settings(max_examples=400)
+    @given(tracklets=tracklet_lists(), gt=ground_truths(), max_age=MAX_AGES)
+    def test_tracklet_adapters(self, tracklets, gt, max_age):
+        event("max_age " + ("past intp" if max_age > 2**62 else "< 0" if max_age < 0 else "small"))
+        assert (_outcome(lambda: [pseudo_accuracy(tracklets, gt, max_age)])
+                == _outcome(lambda: [reference_pseudo_accuracy(tracklets, gt, max_age)]))
+        assert (_outcome(lambda: [id_switches(tracklets, gt)])
+                == _outcome(lambda: [reference_id_switches(tracklets, gt)]))
+
+    @pytest.mark.parametrize("utl", [True, False])
+    def test_default_scene(self, utl):
+        """On a tracked default scene, where every lookup resolves."""
+        frames, gt = generate(ScenarioConfig(seed=7))
+        state = track_sequence(frames, TrackerConfig(utl_enabled=utl))
+        tracklets, log = state.all_tracklets(), state.log()
+        assert (_plain(pseudo_accuracy(tracklets, gt, 100))
+                == _plain(reference_pseudo_accuracy(tracklets, gt, 100)))
+        assert id_switches(tracklets, gt) == reference_id_switches(tracklets, gt) > 0
+        assert (_plain(uncertainty_separation(log, gt))
+                == _plain(reference_uncertainty_separation(log, gt)))
+
+    def test_birth_resolved_before_rows_and_row_before_its_birth(self):
+        """Each track's first birth row is looked up before any other row;
+        a row is looked up before its track's birth row is sought."""
+        gt = gt_records({(1, 0): 1, (2, 0): 1})
+        log = np.array([(2, 1, 7, 0, 0, 0, 0, 0.1, STAGE_ASSOC),
+                        (1, 0, 1, 0, 0, 0, 0, 0.0, STAGE_BIRTH),
+                        (3, 0, 1, 0, 0, 0, 0, 0.0, STAGE_BIRTH)], LOG)
+        with pytest.raises(MissingGroundTruth, match=r"^no ground truth for \(frame=2, det=1\)$"):
+            uncertainty_separation(log, gt)
+        log[0]["det_index"] = 0
+        with pytest.raises(MissingGroundTruth, match="^no birth row for track 7$"):
+            uncertainty_separation(log, gt)
+        log[1]["det_index"] = 2
+        with pytest.raises(MissingGroundTruth, match=r"^no ground truth for \(frame=1, det=2\)$"):
+            uncertainty_separation(log, gt)
+        # track 9's first birth comes before track 1's in the log, so it is looked up first
+        log = np.concatenate([np.array([(1, 5, 9, 0, 0, 0, 0, 0.0, STAGE_BIRTH)], LOG), log])
+        with pytest.raises(MissingGroundTruth, match=r"^no ground truth for \(frame=1, det=5\)$"):
+            uncertainty_separation(log, gt)
+
+    def test_only_ages_up_to_max_age_are_looked_up(self):
+        gt = gt_records({(1, 0): 1, (2, 0): 1})
+        track = make_track(1, [(1, 0), (2, 0), (3, 0)])
+        assert pseudo_accuracy([track], gt, max_age=1).points == [(1, 1.0)]
+        with pytest.raises(MissingGroundTruth, match=r"frame=3, det=0"):
+            pseudo_accuracy([track], gt, max_age=2)

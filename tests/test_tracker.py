@@ -15,10 +15,10 @@ from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from uatrack.geometry import BoundingBox, iou
 from uatrack.simulator import ScenarioConfig, generate
-from uatrack.tracker import (SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
+from uatrack.tracker import (LOG, SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
-                             TrackerState, TrackRecord, build_similarity, rectify,
-                             step, track_sequence, tracklets_from_log, verify)
+                             TrackerState, TrackRecord, applied_from_log, build_similarity,
+                             rectify, step, track_sequence, verify)
 from uatrack.uncertainty import AssociationVerdict, association_uncertainty, second_best
 
 
@@ -80,8 +80,8 @@ def state_of(tracks, cfg=TrackerConfig()):
     firsts = [t.records[0] for t in tracks]
     state.compact(np.zeros(0, dtype=bool), np.array([t.id for t in tracks]),
                   np.array([r.embedding for r in firsts]), added(firsts))
-    for i in range(1, max(len(t) for t in tracks)):
-        cols = [c for c, t in enumerate(tracks) if len(t) > i]
+    for i in range(1, max(len(t.records) for t in tracks)):
+        cols = [c for c, t in enumerate(tracks) if len(t.records) > i]
         records = [tracks[c].records[i] for c in cols]
         state.record(cols, np.array([r.embedding for r in records]), added(records))
     return state
@@ -150,7 +150,7 @@ class TestTrackerState:
         state = TrackerState(TrackerConfig(K=10**6))
         for frame, dets in enumerate(frames, start=1):
             step(state, frame, dets)
-            longest = max(len(t) for t in state.all_tracklets())
+            longest = max(len(t.records) for t in state.all_tracklets())
             assert state.ring.shape[1] < 2 * longest
         assert state.ring.nbytes < 2 * 12 * len(state.ids) * state.ring.shape[2] * 8
 
@@ -640,7 +640,7 @@ class TestTrackSequence:
 
     def test_single_frame(self):
         tracklets = track_sequence(self._frames(1)).all_tracklets()
-        assert [len(t) for t in tracklets] == [1, 1]
+        assert [len(t.records) for t in tracklets] == [1, 1]
 
     def test_identity_conservation(self):
         tracklets = track_sequence(self._frames(8)).all_tracklets()
@@ -671,17 +671,35 @@ class TestTrackSequence:
                 if row["track_id"] == t.id and row["stage"] != STAGE_DISSOLVED]
             assert t.records[0].delta == 0.0
 
-    def test_log_rebuild_matches_tracklets(self):
+    def test_log_applied_columns_equal_the_table(self):
+        """`eval` reads the log's applied rows as the columns the table gives:
+        the same track ids and frames, in the same order, and each row's
+        detection index; the dissolved rows are left out."""
         frames, _ = generate(ScenarioConfig(num_objects=12, num_frames=60, seed=7))
         state = track_sequence(frames)
-        tracklets, log = state.all_tracklets(), state.log()
+        log = state.log()
         assert any(row["stage"] == STAGE_DISSOLVED for row in log)
+        tid, frame, det, _ = state.applied()
+        got = applied_from_log(log)
+        assert [c.dtype for c in got] == [np.dtype(np.intp)] * 3
+        assert [c.tolist() for c in got] == [
+            tid.tolist(), frame.tolist(), [state.dets[i].det_index for i in det.tolist()]]
 
-        def compose(ts):
-            return [(t.id, [(r.frame, r.det_index, r.delta) for r in t.records])
-                    for t in ts]
-
-        assert compose(tracklets_from_log(log)) == compose(tracklets)
+    def test_log_applied_columns_reject_two_rows_of_a_track_in_a_frame(self):
+        """The earliest frame with two applied rows of one track is named,
+        with its lowest such track id, as `Tracklet.append` names it."""
+        # (frame, det_index, track id, stage); frame 1's second row of track 3 is dissolved
+        rows = [(1, 0, 3, 0), (1, 1, 2, 0), (1, 2, 3, 3), (2, 0, 3, 1), (2, 1, 3, 2),
+                (2, 2, 2, 1), (2, 3, 2, 2), (3, 0, 3, 1), (3, 1, 3, 1), (4, 0, 2, 1), (4, 1, 2, 1)]
+        log = np.array([(f, d, t, 0, 0, 0, 0, 0, stage) for f, d, t, stage in rows], LOG)
+        with pytest.raises(OutOfOrderFrame, match="^track 2: frame 2 after 2$"):
+            applied_from_log(log)
+        log = log[log["frame"] != 2]
+        with pytest.raises(OutOfOrderFrame, match="^track 3: frame 3 after 3$"):
+            applied_from_log(log)
+        log = log[log["frame"] != 3]
+        with pytest.raises(OutOfOrderFrame, match="^track 2: frame 4 after 4$"):
+            applied_from_log(log)
 
     def test_crowded_scene_composition_digest(self):
         """A 60-object scene builds large rectification pools (hundreds of
