@@ -1,13 +1,14 @@
 """Tracklet-guided augmentation geometry.
 
-Training and `uatrack augment` draw an anchor track and a target frame
-with `contrastive.EpochColumns.draw`, which uses this module's `softmax`
-and `sample`. From that draw `build_plan` makes the affine transform
-aligning the anchor's current box onto its historical one, with bounded
-corner jitter standing in for perspective distortion. `source_anchor_weights`
-and `target_anchor_weights` are the draw's weights over `Tracklet`s, the
-reference that criterion 1 and `tests/test_augment.py` read. Boxes are
-transformed; embeddings and identities carry over unchanged.
+Training and `uatrack augment` draw an anchor track and a target frame with
+`contrastive.EpochColumns.draw`, which uses this module's `softmax` and
+`sample`. From the anchor's boxes at the two frames `plan_between` makes the
+affine transform aligning its current box onto its historical one, with bounded
+corner jitter standing in for perspective distortion; `build_plan` takes those
+boxes from a `Tracklet`, for criterion 4. `source_anchor_weights` and
+`target_anchor_weights` are the draw's weights over `Tracklet`s, the reference
+that criterion 1 and `tests/test_augment.py` read. Boxes are transformed;
+embeddings and identities carry over unchanged.
 """
 
 from __future__ import annotations
@@ -86,23 +87,25 @@ def sample(weights: SamplingWeights, rng: np.random.Generator):
 
 def build_plan(trk: Tracklet, frame: int, target: int, jitter: float,
                rng: np.random.Generator) -> AugmentationPlan:
-    """Affine mapping the anchor's current box onto its historical box.
+    """`plan_between` the tracklet's boxes at `frame` and at `target`."""
+    src_box, dst_box = trk.box_at(frame), trk.box_at(target)
+    if src_box is None or dst_box is None:
+        raise DegenerateBox(f"track {trk.id} lacks a box at frame {frame} or {target}")
+    return plan_between(trk.id, target, src_box, dst_box, jitter, rng)
+
+
+def plan_between(track_id: int, target: int, src_box: BoundingBox, dst_box: BoundingBox,
+                 jitter: float, rng: np.random.Generator) -> AugmentationPlan:
+    """Affine mapping the anchor's current box onto its box at frame `target`.
 
     Each target corner is perturbed by independent uniform noise in
     [-jitter, +jitter] per axis before the least-squares solve; jitter=0
     reduces to the exact box-to-box transform."""
-    src_box = trk.box_at(frame)
-    dst_box = trk.box_at(target)
-    if src_box is None or dst_box is None:
-        raise DegenerateBox(
-            f"track {trk.id} lacks a box at frame {frame} or {target}")
-    src = src_box.corners()
     dst = dst_box.corners()
     if jitter > 0:
         dst = dst + rng.uniform(-jitter, jitter, size=dst.shape)
-    transform = solve_affine(src, dst)
-    return AugmentationPlan(source_track_id=trk.id, target_frame=target,
-                            transform=transform)
+    return AugmentationPlan(source_track_id=track_id, target_frame=target,
+                            transform=solve_affine(src_box.corners(), dst))
 
 
 def default_jitter(box: BoundingBox) -> float:

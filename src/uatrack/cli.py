@@ -8,34 +8,34 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 from .errors import UatrackError
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-# perfbench/tracing.py wraps these names here and in their defining modules. Each
-# resolves to that module's current function; setting it back to that drops the override.
-_TRACED = dict(generate="simulator", train_embedder="contrastive", id_switches="metrics",
-               pseudo_accuracy="metrics", uncertainty_separation="metrics")
+
+# perfbench/tracing.py wraps these five names here as well as in their modules.
+# No command calls them; each imports its module when called and forwards the call.
+def generate(*args, **kwargs):
+    return import_module(".simulator", __package__).generate(*args, **kwargs)
 
 
-def __getattr__(name):
-    if name not in _TRACED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    return getattr(import_module(f"{__package__}.{_TRACED[name]}"), name)
+def train_embedder(*args, **kwargs):
+    return import_module(".contrastive", __package__).train_embedder(*args, **kwargs)
 
 
-class _Module(type(sys)):   # types.ModuleType
-    def __setattr__(self, name, value):
-        if name in _TRACED and value is __getattr__(name):
-            vars(self).pop(name, None)
-        else:
-            super().__setattr__(name, value)
+def id_switches(*args, **kwargs):
+    return import_module(".metrics", __package__).id_switches(*args, **kwargs)
 
 
-sys.modules[__name__].__class__ = _Module
+def pseudo_accuracy(*args, **kwargs):
+    return import_module(".metrics", __package__).pseudo_accuracy(*args, **kwargs)
+
+
+def uncertainty_separation(*args, **kwargs):
+    return import_module(".metrics", __package__).uncertainty_separation(*args, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):

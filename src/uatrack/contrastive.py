@@ -18,10 +18,10 @@ from itertools import chain
 
 import numpy as np
 
-from .augment import (AugmentationPlan, SamplingWeights, build_plan,
-                      default_jitter, sample, softmax)
+from .augment import (AugmentationPlan, SamplingWeights, default_jitter, plan_between,
+                      sample, softmax)
 # unused here; perfbench's traced run wraps them at these names
-from .augment import source_anchor_weights, target_anchor_weights  # noqa: F401
+from .augment import build_plan, source_anchor_weights, target_anchor_weights  # noqa: F401
 from .errors import InsufficientData, InvalidConfig, NoCandidates
 from .tracker import Detection, TrackerState, track_sequence
 from .uncertainty import tracklet_uncertainty
@@ -175,6 +175,12 @@ class EpochColumns:
                                        softmax(self.deltas[start:stop]).tolist(),
                                        frame, rng, uniform)
 
+    def row(self, track: int, frame: int) -> int:
+        """The index among every detection stepped of the detection of
+        `track` at `frame`, where it has an entry."""
+        start = self.at[frame - 1]
+        return int(self.rows[start + self.tracks[start:self.at[frame]].searchsorted(track)])
+
     def batch(self, frame: int, target: int):
         """The InfoNCE batch of a draw: the keys are the detections of every
         track at `target`, the queries those at `frame` of the tracks at
@@ -207,11 +213,11 @@ def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
     if not len(present):
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
     anchor, target = columns.draw(present, frame, rng, cfg)
-    trk = state.tracklet(anchor + 1)
+    src_box, dst_box = (state.dets[columns.row(anchor, f)].box for f in (frame, target))
     if jitter is None:
-        jitter = _check_jitter(default_jitter(trk.box_at(frame)),
-                               f"the default jitter of track {trk.id} at frame {frame}")
-    return build_plan(trk, frame, target, jitter, rng)
+        jitter = _check_jitter(default_jitter(src_box),
+                               f"the default jitter of track {anchor + 1} at frame {frame}")
+    return plan_between(anchor + 1, target, src_box, dst_box, jitter, rng)
 
 
 def _check_jitter(jitter: float, name: str) -> float:

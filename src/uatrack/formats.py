@@ -6,13 +6,13 @@ with 1-based frames; the corner convention is converted to center+size at
 this boundary. Embeddings/raw features are CSV rows `frame,det_index,v1..`.
 
 Every file is UTF-8, split into lines on `\n`. The numeric tables
-(detections, vectors, ground truth, results, the decision log) are read in
-bulk: `np.loadtxt` parses an ASCII file into one structured array, and the
+(detections, vectors, ground truth, the decision log) are read in bulk:
+`np.loadtxt` parses an ASCII file into one structured array, and the
 checks run on whole columns. Any file that parse or a check declines is
 read again by the table's per-line reader (`_parse_lines` and a `row`
 function). That reader is the reference: it names the line of any error,
-and the bulk read returns exactly what it returns. Weights and scenario
-configs are read only line by line.
+and the bulk read returns exactly what it returns. Results, weights and
+scenario configs are read only line by line.
 
 All writes go through a write-temp-then-rename helper so outputs are atomic
 and byte-reproducible; the temp file is created beside the target with mode
@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DuplicateEmbedding, InvalidConfig,
+from .errors import (DegenerateBox, DimensionMismatch, DuplicateEmbedding, InvalidConfig,
                      IoFailure, MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
 from .tracker import (LOG, MAX_FRAME, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
@@ -144,21 +144,21 @@ def _detections(table):
     """`read_detections`' frames from a parsed table, or None when a row
     fails a check; `_read_detections_lines` then names it."""
     frame, values = table["frame"], table["ltwhc"]
-    if not np.isfinite(values).all():
+    if not (np.isfinite(values).all() and ((1 <= frame) & (frame <= MAX_FRAME)).all()):
         return None
     left, top, w, h, conf = values.T
-    with np.errstate(over="ignore"):   # a centre past the float range fails the check below
+    with np.errstate(over="ignore"):   # a centre past the float range: BoundingBox declines it
         cx, cy = left + w / 2.0, top + h / 2.0
-    if not ((1 <= frame) & (frame <= MAX_FRAME) & (w > 0) & (h > 0)
-            & np.isfinite(cx) & np.isfinite(cy)).all():
-        return None
     order = np.argsort(frame, kind="stable")
     counts = np.bincount(frame, minlength=frame.max() + 1)[1:]
     ends = np.cumsum(counts)
     det_index = np.arange(len(frame)) - np.repeat(ends - counts, counts)
     cx, cy, w, h, conf = (column[order].tolist() for column in (cx, cy, w, h, conf))
-    dets = list(map(Detection, frame[order].tolist(), det_index.tolist(),
-                    map(BoundingBox, cx, cy, w, h), conf, repeat(None)))
+    try:   # `BoundingBox` owns a box's rules, and the per-line reader names the line
+        dets = list(map(Detection, frame[order].tolist(), det_index.tolist(),
+                        map(BoundingBox, cx, cy, w, h), conf, repeat(None)))
+    except DegenerateBox:
+        return None
     return [dets[end - n:end] for end, n in zip(ends.tolist(), counts.tolist())]
 
 
@@ -329,20 +329,8 @@ def write_results(state: TrackerState, path) -> None:
                         in zip(*(column[order].tolist() for column in (frames, tid, det)))])
 
 
-# a results line: frame and track id, then eight values that go unread
-_RESULTS_TABLE = np.dtype([("frame", np.int64), ("track_id", np.int64),
-                           ("rest", np.float64, (8,))])
-
-
 def read_results(path) -> list[tuple[int, int]]:
     """The (frame, track_id) pair of each row of a results file."""
-    table = _table(_ascii_lines(path), _RESULTS_TABLE)
-    if table is None:
-        return _read_results_lines(path)
-    return list(zip(table["frame"].tolist(), table["track_id"].tolist()))
-
-
-def _read_results_lines(path):
     def row(parts):
         if len(parts) != 10:
             raise ParseError(f"expected 10 fields, got {len(parts)}")

@@ -114,8 +114,7 @@ class TrackerState:
     (frame, row count) per frame stepped, in order, so its last frame is
     the one the next step must pass. `log()` gives the table as a `LOG`
     array and `all_tracklets()` builds the tracklets from it, in bulk, when
-    they are read (`tracklet(id)` builds one); `applied()` gives the
-    applied rows as columns.
+    they are read; `applied()` gives the applied rows as columns.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -199,23 +198,12 @@ class TrackerState:
         index i - 1. Its records are its applied rows, in frame order."""
         tid, frames, det, delta = self.applied()
         stops = np.bincount(tid)[1:].cumsum().tolist()
-        records = self._records(frames, det, delta)
+        dets = list(map(self.dets.__getitem__, det.tolist()))
+        records = list(map(TrackRecord, frames.tolist(),
+                           map(attrgetter("det_index"), dets), map(attrgetter("box"), dets),
+                           map(attrgetter("embedding"), dets), delta.tolist()))
         return [Tracklet(i, *records[start:stop])
                 for i, start, stop in zip(range(1, len(stops) + 1), [0, *stops], stops)]
-
-    def tracklet(self, track_id: int) -> Tracklet:
-        """`all_tracklets()[track_id - 1]` alone, for a track made."""
-        tid, frames, det, delta = self.applied()
-        start, stop = tid.searchsorted([track_id, track_id + 1])
-        return Tracklet(track_id, *self._records(frames[start:stop], det[start:stop],
-                                                 delta[start:stop]))
-
-    def _records(self, frames, det, delta) -> list[TrackRecord]:
-        """The `TrackRecord`s of applied rows given as `applied()` columns."""
-        dets = list(map(self.dets.__getitem__, det.tolist()))
-        return list(map(TrackRecord, frames.tolist(),
-                        map(attrgetter("det_index"), dets), map(attrgetter("box"), dets),
-                        map(attrgetter("embedding"), dets), delta.tolist()))
 
     def record(self, cols, embs: np.ndarray, last) -> None:
         """Append row i of `embs` to the appearance of track cols[i], which

@@ -94,6 +94,22 @@ class TestDetectionsRoundtrip:
         with np.errstate(**errstate), pytest.raises(error, match=f"line 3: {message}"):
             formats.read_detections(p)
 
+    def test_a_rule_added_to_bounding_box_names_the_line(self, tmp_path, monkeypatch):
+        """`BoundingBox` alone holds a box's rules: a rule added there
+        declines a row of the bulk read too, and the error names its line."""
+        checks = BoundingBox.__post_init__
+
+        def narrower(box):
+            checks(box)
+            if box.w > 100:
+                raise DegenerateBox(f"box wider than 100: w={box.w}")
+
+        monkeypatch.setattr(BoundingBox, "__post_init__", narrower)
+        p = tmp_path / "det.txt"
+        p.write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n1,-1,0,0,150,5,0.9,-1,-1,-1\n")
+        with pytest.raises(DegenerateBox, match=r"^line 2: box wider than 100: w=150\.0$"):
+            formats.read_detections(p)
+
     def test_malformed_line_reports_lineno(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\nnot,a,line\n")
@@ -384,8 +400,6 @@ BULK_READERS = {
                      st.just([KEYS] * 3)),
     "log": (formats.read_log, formats._read_log_lines,
             st.just([KEYS] * 3 + [SCORE] * 5 + [ints(st.integers(0, 3), [-1, 4])])),
-    "results": (formats.read_results, formats._read_results_lines,
-                st.just([KEYS] * 2 + [COORD] * 2 + [SIZE] * 2 + [SCORE] + [ANY] * 3)),
 }
 LINE_ENDS = st.sampled_from(["\n"] * 12 + ["\r\n"] * 3 + ["\r"])
 BLANK_LINES = st.sampled_from(["", " ", "\t", "\r"])
@@ -441,9 +455,9 @@ def _outcome(read, path):
 
 
 class TestBulkReaders:
-    """The readers of det.txt, emb.csv/raw.csv, gt.txt, the log and
-    results.txt parse a file in one pass and fall back to the per-line
-    reader on any file the bulk parse or a check declines."""
+    """The readers of det.txt, emb.csv/raw.csv, gt.txt and the log parse a
+    file in one pass and fall back to the per-line reader on any file the
+    bulk parse or a check declines."""
 
     @pytest.mark.parametrize("reader", sorted(BULK_READERS))
     @settings(max_examples=400)
@@ -462,8 +476,7 @@ class TestBulkReaders:
 
     GOOD_ROWS = {"detections": "1,-1,0,0,5,5,0.9,-1,-1,-1\n2,-1,0,0,5,5,0.9\n",
                  "vectors": "1,0,0.6,0.8\n1,1,1,0\n", "ground_truth": "1,0,4\n1,1,3\n",
-                 "log": "1,0,1,0,0,0,0,0,0\n1,1,2,0,0,0,0,0,0\n",
-                 "results": "1,1,0,0,5,5,0.9,-1,-1,-1\n1,2,0,0,5,5,0.9,-1,-1,-1\n"}
+                 "log": "1,0,1,0,0,0,0,0,0\n1,1,2,0,0,0,0,0,0\n"}
     # rows that one check of a bulk read or its parse declines
     BAD_ROWS = {
         "detections": ["0,-1,0,0,5,5,0.9", f"{formats.MAX_FRAME + 1},-1,0,0,5,5,0.9",
@@ -476,7 +489,6 @@ class TestBulkReaders:
         "ground_truth": ["2,0,99999999999999999999", "2,0,1,1", "1,0,5"],
         "log": ["2,0,1,0,0,0,0,0,-1", "2,0,1,0,0,0,0,0,4", "2,0,99999999999999999999,0,0,0,0,0,1",
                 "2,0,1,0,0,0,0,1"],
-        "results": ["2,1,0,0,5,5,0.9,-1,-1", "2,1,0,0,5,5,0.9,-1,-1,x"],
     }
 
     @pytest.mark.parametrize("reader, row",
@@ -510,10 +522,9 @@ class TestBulkReaders:
         included, parse without the per-line reader."""
         frames, _ = small_bundle(tmp_path)
         state = track_sequence(formats.read_embeddings(tmp_path / "emb.csv", frames)[0])
-        formats.write_results(state, tmp_path / "results.txt")
         formats.write_log(state.log(), tmp_path / "log.txt")
         files = {"detections": "det.txt", "vectors": "emb.csv", "ground_truth": "gt.txt",
-                 "results": "results.txt", "log": "log.txt"}
+                 "log": "log.txt"}
         want = {}
         for reader, name in files.items():
             path = tmp_path / name
@@ -526,6 +537,19 @@ class TestBulkReaders:
         monkeypatch.setattr(formats, "_parse_lines", per_line)
         for reader, name in files.items():
             assert _plain(BULK_READERS[reader][0](tmp_path / name)) == want[reader], reader
+
+    # results.txt is read line by line only; its rows that the bulk read
+    # once declined, after the two good rows, and what its one reader gives
+    @pytest.mark.parametrize("row, outcome", [
+        pytest.param("2,1,0,0,5,5,0.9,-1,-1",
+                     (ParseError, "line 3: expected 10 fields, got 9"), id="9-fields"),
+        pytest.param("2,1,0,0,5,5,0.9,-1,-1,x", _plain([(1, 1), (1, 2), (2, 1)]),
+                     id="unread-field"),
+    ])
+    def test_results_rows(self, tmp_path, row, outcome):
+        path = tmp_path / "results.txt"
+        path.write_text("1,1,0,0,5,5,0.9,-1,-1,-1\n1,2,0,0,5,5,0.9,-1,-1,-1\n" + row + "\n")
+        assert _outcome(formats.read_results, path) == outcome
 
     @given(vec=st.lists(EDGE_FLOATS.filter(math.isfinite), min_size=1, max_size=40))
     def test_norm_has_the_bits_of_linalg_norm(self, vec):
@@ -1012,6 +1036,36 @@ class TestCli:
         assert code == 0, err
         assert (tmp_path / "report.txt").read_bytes() == want
 
+    def test_augment_builds_no_tracklets(self, tmp_path, capsys, monkeypatch):
+        """`augment` reads the anchor's boxes from the epoch's columns: it
+        constructs no `Tracklet` or `TrackRecord`, takes the applied rows
+        once, and prints the same plans."""
+        small_bundle(tmp_path)
+        calls = []
+
+        def applied(state, columns=tracker.TrackerState.applied):
+            calls.append(state)
+            return columns(state)
+
+        monkeypatch.setattr(tracker.TrackerState, "applied", applied)
+
+        def plans():
+            for seed in range(3):
+                assert cli.main(["augment", "--bundle", str(tmp_path), "--frame", "15",
+                                 "--seed", str(seed)]) == 0
+            return capsys.readouterr()
+
+        want = plans()
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"augment built a {type(self).__name__}")
+
+        for cls in (tracker.Tracklet, tracker.TrackRecord):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        assert plans() == want
+        assert want.out.count("source_track_id") == 3 and want.err == ""
+        assert len(calls) == 6
+
     def test_flags_left_out_take_the_config_defaults(self, tmp_path, capsys, monkeypatch):
         """The config dataclasses hold the defaults of `--m1/--m2/--beta/--K`
         and `--sampling`: a command passes only the flags given, and giving
@@ -1153,8 +1207,8 @@ class TestCli:
         code, err = run_main(capsys, "augment", "--bundle", tmp_path, "--frame", "2",
                              "--seed", "0")
         assert code == 2
-        assert err.startswith("uatrack augment: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err == ("uatrack augment: the default jitter of track 1 at frame 2 must be "
+                       ">= 0 with 2*jitter finite, got inf\n")
 
     def test_huge_embedding_value_exit_2(self, tmp_path, capsys):
         small_bundle(tmp_path)

@@ -255,8 +255,12 @@ class TestGenerate:
 
 def _reference_generate(cfg: ScenarioConfig):
     """The per-object frame loop `generate` replaced, kept as its oracle:
-    one `BoundingBox`, normalised embedding and raw projection per object
-    and frame, from the same RNG stream."""
+    one `BoundingBox`, embedding and raw projection per object and frame,
+    from the same RNG stream. A frame's kept embeddings are stacked and
+    each is normalised as a row of that matrix, by the ddot of the row
+    view, as `generate` takes it: under OpenBLAS's Katmai (Prescott)
+    kernel, ddot on a row view of a matrix can round differently from ddot
+    on a fresh vector, which `np.linalg.norm` of a lone vector takes."""
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -304,13 +308,15 @@ def _reference_generate(cfg: ScenarioConfig):
         forced_occ = rng.random(n) < cfg.occlusion_rate
         dropped = rng.random(n) < cfg.dropout
 
-        dets = []
-        for i in range(n):
-            if dropped[i]:
-                continue
+        kept = [i for i in range(n) if not dropped[i]]
+        embs = np.zeros((len(kept), d))
+        for row, i in zip(embs, kept):
             occluded = max_iou[i] > simulator.OCCLUSION_IOU or forced_occ[i]
             sigma = cfg.appearance_noise * (cfg.occlusion_noise_boost if occluded else 1.0)
-            emb = unit(latents[i] + sigma * simulator.NOISE_SCALE * emb_noise[i] / np.sqrt(d))
+            row[:] = latents[i] + sigma * simulator.NOISE_SCALE * emb_noise[i] / np.sqrt(d)
+        dets = []
+        for i, emb in zip(kept, embs):
+            emb = emb / np.sqrt(emb.dot(emb))
             raw = basis @ latents[i] + simulator.RAW_NOISE * raw_noise[i]
             conf = 1.0 - min(0.9, float(max_iou[i]))
             det_index = len(dets)

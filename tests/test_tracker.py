@@ -767,17 +767,6 @@ class TestTrackSequence:
         assert ([(t.id, t.records) for t in state.all_tracklets()]
                 == [(t.id, t.records) for t in expected.all_tracklets()])
 
-    def test_one_tracklet_equals_its_place_among_all(self):
-        """`tracklet(id)` builds `all_tracklets()[id - 1]` alone, the
-        records of retired tracks included."""
-        frames, _ = generate(ScenarioConfig(seed=7))
-        state = track_sequence(frames)
-        tracklets = state.all_tracklets()
-        assert len(tracklets) > len(state.ids)
-        for trk in tracklets:
-            one = state.tracklet(trk.id)
-            assert (one.id, one.records) == (trk.id, trk.records)
-
     @pytest.mark.parametrize("kind, seed", [("crowd", s) for s in (7, 8, 9)]
                              + [("default", s) for s in range(7, 13)])
     def test_log_bytes_pinned(self, kind, seed, tmp_path):

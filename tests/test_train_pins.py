@@ -1,4 +1,5 @@
-"""The 20-epoch training of the default scene, pinned bit for bit per host.
+"""The 20-epoch training of the default scene, pinned bit for bit per host,
+and the `augment` sweep, pinned as one digest on every host.
 
 `TestWorkflowBytes` pins a 2-epoch `train` stdout, losses to six digits.
 This pins the weights and every epoch's loss exactly, for default seeds 7
@@ -8,11 +9,14 @@ differently from the others, so a digest is pinned per host key: the
 OpenBLAS kernel, and whether numpy dispatches to its AVX-512 kernels.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 
 from test_simulator import openblas_core
+from uatrack import cli
 from uatrack.contrastive import TrainConfig, train_embedder
 from uatrack.simulator import ScenarioConfig, generate
 
@@ -79,3 +83,26 @@ def test_training_bits_pinned():
     assert key in TRAINING_DIGESTS, f"no training digest pinned for {key!r}; it gives {digest}"
     assert TRAINING_DIGESTS[key] == digest, (
         f"{key!r} gives training digest {digest}; pinned: {TRAINING_DIGESTS[key]}")
+
+
+# sha256 of `augment_digest()`. Its text prints six digits, and it gave this
+# digest under every kernel and dispatch that TRAINING_DIGESTS names.
+AUGMENT_DIGEST = "d59821798009bdba134c6abe7444bf8f421107a82a1762ce73946f466dc09e73"
+
+
+def augment_digest(directory) -> str:
+    """sha256 over `augment`'s stdout on the default seed-7 bundle, written
+    to `directory`, at frames 85, 103 and 126 with --seed 0-39."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["simulate", "--out", str(directory)]) == 0
+        for frame in (85, 103, 126):
+            for seed in range(40):
+                assert cli.main(["augment", "--bundle", str(directory), "--frame", str(frame),
+                                 "--seed", str(seed)]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_augment_sweep_pinned(tmp_path):
+    digest = augment_digest(tmp_path)
+    assert digest == AUGMENT_DIGEST, f"the augment sweep gives {digest}"
