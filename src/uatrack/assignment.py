@@ -15,7 +15,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -25,21 +24,10 @@ from .errors import TooLarge
 NEG_INF = float("-inf")
 
 
-@dataclass
-class Matching:
-    """The matched (row, col) pairs: one (pairs × 2) intp array, ascending
-    by row, of shape (0, 2) when nothing is matched."""
-    pairs: np.ndarray
-
-
-def _empty() -> Matching:
-    return Matching(np.zeros((0, 2), dtype=np.intp))
-
-
-def _finish(rows, cols, matrix, floor) -> Matching:
+def _finish(rows, cols, matrix, floor) -> np.ndarray:
     """The pairs (rows[i], cols[i]), rows ascending, whose similarity is
     above `floor`."""
-    return Matching(np.array([rows, cols]).T[matrix[rows, cols] > floor])
+    return np.array([rows, cols]).T[matrix[rows, cols] > floor]
 
 
 @functools.cache
@@ -69,25 +57,21 @@ def _linear_sum_assignment():
     return module.linear_sum_assignment
 
 
-def hungarian_max(matrix, floor: float = NEG_INF) -> Matching:
+def hungarian_max(matrix, floor: float = NEG_INF) -> np.ndarray:
     """Max-similarity assignment of min(rows, cols) pairs, then drop any
-    pair with similarity <= floor. Empty matrices yield no pairs rather
-    than an error."""
+    pair with similarity <= floor; the (pairs × 2) intp array of (row, col),
+    ascending by row. The solver raises ValueError on a matrix that is not
+    2-D and gives (0, 2) for an empty one."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
-    n_rows, n_cols = m.shape
-    if n_rows == 0 or n_cols == 0:
-        return _empty()
     rows, cols = _linear_sum_assignment()(m, maximize=True)
     if floor == NEG_INF:
         # the solver never assigns a -inf cell (where every complete
         # assignment needs one, it raises), so this floor drops nothing
-        return Matching(np.array([rows, cols]).T)
+        return np.array([rows, cols]).T
     return _finish(rows, cols, m, floor)
 
 
-def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
+def brute_force_max(matrix, floor: float = NEG_INF) -> np.ndarray:
     """Exhaustive oracle over all injections of the smaller side.
 
     Candidates are enumerated in lexicographic pair order and a strictly
@@ -96,7 +80,7 @@ def brute_force_max(matrix, floor: float = NEG_INF) -> Matching:
     m = np.asarray(matrix, dtype=float)
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
-        return _empty()
+        return np.zeros((0, 2), dtype=np.intp)
     if min(n_rows, n_cols) > 8:
         raise TooLarge(f"brute force limited to min dimension 8, got {min(n_rows, n_cols)}")
 

@@ -184,8 +184,8 @@ class EpochColumns:
     def batch(self, frame: int, target: int):
         """The InfoNCE batch of a draw: the keys are the detections of every
         track at `target`, the queries those at `frame` of the tracks at
-        both. Returns (query rows, the key index of each query's positive,
-        key rows), or None when there are fewer than 2 keys or no query."""
+        both, the drawn anchor among them. Returns (query rows, the key index
+        of each query's positive, key rows), or None for fewer than 2 keys."""
         there = slice(self.at[target - 1], self.at[target])
         here = slice(self.at[frame - 1], self.at[frame])
         keys, tracks = self.tracks[there], self.tracks[here]
@@ -193,8 +193,6 @@ class EpochColumns:
             return None
         positives = keys.searchsorted(tracks)
         hit = keys[np.minimum(positives, len(keys) - 1)] == tracks
-        if not hit.any():
-            return None
         return self.rows[here][hit], positives[hit], self.rows[there]
 
 

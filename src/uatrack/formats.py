@@ -34,7 +34,7 @@ from .errors import (DegenerateBox, DimensionMismatch, DuplicateEmbedding, Inval
                      IoFailure, MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
 from .tracker import (LOG, MAX_FRAME, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
-                      TrackerState)
+                      GroundTruthRecord, TrackerState)
 
 NORM_WARN_TOL = 1e-6
 
@@ -265,7 +265,6 @@ _GT_TABLE = np.dtype([("frame", np.int64), ("det_index", np.int64), ("true_id", 
 
 
 def read_ground_truth(path):
-    from .simulator import GroundTruthRecord   # here, so `track` runs without the simulator
     table = _table(_ascii_lines(path), _GT_TABLE)
     if table is not None:
         columns = [table[name].tolist() for name in _GT_TABLE.names]
@@ -275,7 +274,6 @@ def read_ground_truth(path):
 
 
 def _read_ground_truth_lines(path):
-    from .simulator import GroundTruthRecord
     seen = {}
 
     def row(parts):
@@ -392,6 +390,8 @@ def read_weights(path):
             if len(parts) != 2:
                 raise ParseError("weights header must be `F D`")
             shape.extend(int(p) for p in parts)
+            if min(shape) < 1:
+                raise ParseError(f"weights header needs F, D >= 1, got {shape[0]} {shape[1]}")
             return
         vals = [float(v) for v in parts]
         if len(vals) != shape[1]:
@@ -410,9 +410,10 @@ def read_weights(path):
 
 def parse_scenario_config(path):
     """A `ScenarioConfig` from flat `key = value` lines, `#` comments;
-    unknown keys are errors."""
+    unknown and repeated keys are errors."""
     from .simulator import ScenarioConfig
     types = {f.name: f.type for f in dc_fields(ScenarioConfig)}   # name -> "int", ...
+    seen = set()
 
     def row(parts):
         line = parts[0].strip()  # parts[1:] is the comment
@@ -424,6 +425,9 @@ def parse_scenario_config(path):
         key, raw = key.strip(), raw.strip()
         if key not in types:
             raise InvalidConfig(f"unknown key `{key}`")
+        if key in seen:
+            raise InvalidConfig(f"duplicate key `{key}`")
+        seen.add(key)
         if types[key] == "int":
             return key, int(raw)
         if key == "arena":

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import BoundingBox, iou
-from .tracker import MAX_FRAME, Detection
+from .tracker import MAX_FRAME, Detection, GroundTruthRecord
 
 OCCLUSION_IOU = 0.3     # overlap above this counts as occluded
 POSITION_JITTER = 0.5   # px of per-frame motion noise
@@ -98,13 +98,6 @@ class ScenarioConfig:
                 f"num_objects * (embed_dim + raw_dim) * num_frames must be <= "
                 f"{MAX_SCENE_VALUES}, got {self.num_objects} * ({self.embed_dim} + "
                 f"{self.raw_dim}) * {self.num_frames} = {values}")
-
-
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    frame: int
-    det_index: int
-    true_id: int
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

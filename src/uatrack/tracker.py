@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .assignment import Matching, hungarian_max
+from .assignment import hungarian_max
 from .errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from .geometry import BoundingBox, iou
 from .uncertainty import (AssociationVerdict, UncertaintyMargins,
@@ -39,6 +39,13 @@ class Detection:
     confidence: float
     embedding: np.ndarray
     raw: np.ndarray | None = None  # appearance feature for embedder training
+
+
+@dataclass(frozen=True)
+class GroundTruthRecord:
+    frame: int
+    det_index: int
+    true_id: int
 
 
 @dataclass
@@ -312,14 +319,15 @@ def _scored(sim: np.ndarray, pairs: np.ndarray, cfg: TrackerConfig) -> np.ndarra
     return scored
 
 
-def verify(matching: Matching, sim: np.ndarray, cfg: TrackerConfig):
-    """Split matched pairs into certain and dissolved pairs, each stage as
-    a `SCORED` array, and return the pool: every row and every col, ascending,
-    that no certain pair holds (the unmatched ones and the dissolved ones).
+def verify(pairs: np.ndarray, sim: np.ndarray, cfg: TrackerConfig):
+    """Split the matched (pairs × 2) array into certain and dissolved pairs,
+    each stage as a `SCORED` array, and return the pool: every row and every
+    col, ascending, that no certain pair holds (the unmatched ones and the
+    dissolved ones).
 
     Dissolved pairs are returned with their verdicts as well so that every
     association decision can be logged, even the ones that do not survive."""
-    scored = _scored(sim, matching.pairs, cfg)
+    scored = _scored(sim, pairs, cfg)
     uncertain = scored["delta"] > 0.0
     certain, dissolved = scored, _NO_PAIRS
     if np.count_nonzero(uncertain):   # most frames dissolve nothing and skip the split
@@ -345,7 +353,7 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
                [state.dets[i].box for i in state.last[pool_cols].tolist()])
     hist = state.window_means(pool_cols)
     cprime = np.where(gate > state.cfg.beta, det_mat.take(pool_rows, axis=0) @ hist.T, 0.0)
-    i, j = hungarian_max(cprime, floor=0.0).pairs.T
+    i, j = hungarian_max(cprime, floor=0.0).T
     return np.array([pool_rows[i], pool_cols[j]]).T
 
 
@@ -360,14 +368,14 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
 
     det_mat = _embeddings(dets, state.ring.shape[2])
     sim = build_similarity(det_mat, state.newest)
-    matching = hungarian_max(sim)
+    pairs = hungarian_max(sim)
     if cfg.utl_enabled:
-        certain, dissolved, pool_rows, pool_cols = verify(matching, sim, cfg)
+        certain, dissolved, pool_rows, pool_cols = verify(pairs, sim, cfg)
         # delta is recomputed from the original similarity row so the
         # tracklet's delta history stays on one scale
         rectified = _scored(sim, rectify(pool_rows, pool_cols, dets, det_mat, state), cfg)
     else:
-        certain = _scored(sim, matching.pairs, cfg)
+        certain = _scored(sim, pairs, cfg)
         dissolved = rectified = _NO_PAIRS
     base, first_row = len(state.dets), state.n_rows
     state.dets += dets

@@ -106,7 +106,7 @@ def test_criterion_2_sign_theorem():
 def test_criterion_3_assignment_optimality():
     rng = np.random.default_rng(17)
     def total(matrix, matching):
-        return sum(matrix[r, c] for r, c in matching.pairs)
+        return sum(matrix[r, c] for r, c in matching)
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(1, 7))

@@ -10,7 +10,7 @@ import pytest
 
 import uatrack
 from uatrack import cli
-from uatrack.assignment import NEG_INF, Matching, brute_force_max, hungarian_max
+from uatrack.assignment import NEG_INF, brute_force_max, hungarian_max
 from uatrack.errors import TooLarge
 
 PKG_ROOT = str(Path(uatrack.__file__).resolve().parent.parent)
@@ -29,7 +29,7 @@ def run_python(code: str) -> str:
 
 
 def pair_sum(matrix, matching) -> float:
-    return float(matrix[tuple(matching.pairs.T)].sum())
+    return float(matrix[tuple(matching.T)].sum())
 
 
 SOLVERS = (hungarian_max, brute_force_max)
@@ -59,7 +59,7 @@ while True:
         matrix, floor = pickle.load(sys.stdin.buffer)
     except EOFError:
         break
-    pickle.dump(hungarian_max(matrix, floor).pairs, sys.stdout.buffer)
+    pickle.dump(hungarian_max(matrix, floor), sys.stdout.buffer)
     sys.stdout.flush()
 """
 
@@ -71,10 +71,10 @@ def fallback_max():
                           stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
         assert pickle.load(proc.stdout) is True, "the fallback did not import scipy.optimize"
 
-        def solve(matrix, floor: float = NEG_INF) -> Matching:
+        def solve(matrix, floor: float = NEG_INF) -> np.ndarray:
             pickle.dump((np.asarray(matrix, dtype=float), floor), proc.stdin)
             proc.stdin.flush()
-            return Matching(pickle.load(proc.stdout))
+            return pickle.load(proc.stdout)
 
         yield solve
         proc.stdin.close()
@@ -89,35 +89,40 @@ class TestHungarian:
     def test_identity_matrix(self):
         m = np.eye(3)
         got = hungarian_max(m)
-        assert got.pairs.tolist() == [[0, 0], [1, 1], [2, 2]]
+        assert got.tolist() == [[0, 0], [1, 1], [2, 2]]
         assert pair_sum(m, got) == pytest.approx(3.0)
 
     def test_anti_diagonal(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         got = hungarian_max(m)
-        assert got.pairs.tolist() == [[0, 1], [1, 0]]
+        assert got.tolist() == [[0, 1], [1, 0]]
 
     def test_rectangular_more_rows(self):
         m = np.array([[0.9, 0.1], [0.8, 0.7], [0.2, 0.3]])
         got = hungarian_max(m)
-        assert got.pairs.tolist() == [[0, 0], [1, 1]]   # row 2 unmatched
+        assert got.tolist() == [[0, 0], [1, 1]]   # row 2 unmatched
 
     def test_empty_inputs(self, solvers):
         for solve in solvers:
             for shape in ((0, 3), (2, 0), (0, 0)):
                 got = solve(np.zeros(shape))
-                assert got.pairs.shape == (0, 2)
-                assert got.pairs.dtype == np.intp
+                assert got.shape == (0, 2)
+                assert got.dtype == np.intp
+
+    def test_one_dimensional_matrix_raises(self):
+        for solve in SOLVERS:
+            with pytest.raises(ValueError):
+                solve(np.zeros(3))
 
     def test_floor_drops_low_pairs(self, solvers):
         m = np.array([[0.9, 0.0], [0.0, -0.5]])
         for solve in solvers:
-            assert solve(m, floor=0.0).pairs.tolist() == [[0, 0]]
+            assert solve(m, floor=0.0).tolist() == [[0, 0]]
 
     def test_floor_zero_treats_zero_as_forbidden(self, solvers):
         m = np.zeros((2, 2))
         for solve in solvers:
-            assert solve(m, floor=0.0).pairs.shape == (0, 2)
+            assert solve(m, floor=0.0).shape == (0, 2)
 
 
 class TestBruteForce:
@@ -125,8 +130,8 @@ class TestBruteForce:
         m = np.array([[0.5, 0.9], [0.9, 0.6]])
         got = brute_force_max(m)
         # 0.9 + 0.9 beats 0.5 + 0.6
-        assert got.pairs.tolist() == [[0, 1], [1, 0]]
-        assert got.pairs.dtype == np.intp
+        assert got.tolist() == [[0, 1], [1, 0]]
+        assert got.dtype == np.intp
 
     def test_too_large_raises(self):
         with pytest.raises(TooLarge):
@@ -136,13 +141,13 @@ class TestBruteForce:
         # both diagonals score 1.0; lexicographically smaller pair list wins
         m = np.array([[0.5, 0.5], [0.5, 0.5]])
         got = brute_force_max(m)
-        assert got.pairs.tolist() == [[0, 0], [1, 1]]
+        assert got.tolist() == [[0, 0], [1, 1]]
 
     def test_forbidden_first_candidate(self):
         """The first candidate enumerated may total -inf; a finite one
         later still wins."""
         m = np.array([[NEG_INF, 1.0], [2.0, NEG_INF]])
-        assert brute_force_max(m).pairs.tolist() == [[0, 1], [1, 0]]
+        assert brute_force_max(m).tolist() == [[0, 1], [1, 0]]
 
 
 class TestDualRouteAgreement:
@@ -166,14 +171,14 @@ class TestDualRouteAgreement:
             h = hungarian_max(m)
             b = brute_force_max(m)
             assert pair_sum(m, h) == pytest.approx(pair_sum(m, b), abs=1e-12)
-            assert len(h.pairs) == min(r, c) == len(b.pairs)
+            assert len(h) == min(r, c) == len(b)
 
     def test_with_floor_random(self):
         rng = np.random.default_rng(303)
         for _ in range(200):
             m = rng.uniform(-1, 1, size=(4, 4))
             h = hungarian_max(m, floor=0.0)
-            for r, c in h.pairs:
+            for r, c in h:
                 assert m[r, c] > 0.0
 
     def test_forbidden_cells_at_default_floor(self):
@@ -191,8 +196,8 @@ class TestDualRouteAgreement:
             allowed[rng.permutation(r)[:k], rng.permutation(c)[:k]] = True
             m[~allowed & (rng.random((r, c)) < 0.6)] = -np.inf
             h, b = hungarian_max(m), brute_force_max(m)
-            assert h.pairs.tolist() == b.pairs.tolist()
-            assert len(h.pairs) == k and np.isfinite(m[tuple(h.pairs.T)]).all()
+            assert h.tolist() == b.tolist()
+            assert len(h) == k and np.isfinite(m[tuple(h.T)]).all()
             forbidden += int(np.isinf(m).sum())
         assert forbidden > 1000
 
@@ -213,8 +218,8 @@ class TestMatchingInvariants:
             c = int(rng.integers(1, 6))
             m = rng.uniform(0, 1, size=(r, c))
             got = hungarian_max(m)
-            assert got.pairs.shape == (min(r, c), 2)
-            rows, cols = got.pairs.T
+            assert got.shape == (min(r, c), 2)
+            rows, cols = got.T
             assert len(set(rows.tolist())) == len(rows)
             assert len(set(cols.tolist())) == len(cols)
             assert rows.min() >= 0 and rows.max() < r and cols.min() >= 0 and cols.max() < c
@@ -225,8 +230,8 @@ class TestMatchingInvariants:
             m = rng.uniform(0, 1, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
             for solve in solvers:
                 got = solve(m)
-                assert got.pairs.dtype == np.intp
-                assert np.all(np.diff(got.pairs[:, 0]) > 0)
+                assert got.dtype == np.intp
+                assert np.all(np.diff(got[:, 0]) > 0)
 
 
 class TestSolverLoader:
@@ -263,8 +268,8 @@ class TestSolverLoader:
             ]
         for m in matrices:
             for floor in (NEG_INF, 0.0):
-                want = hungarian_max(m, floor).pairs
-                got = fallback_max(m, floor).pairs
+                want = hungarian_max(m, floor)
+                got = fallback_max(m, floor)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, floor)
 
 
@@ -322,7 +327,8 @@ def workflow_files(tmp_path_factory):
     ("augment", True), ("train", True)])
 def test_commands_load_the_trainer_only_to_train_or_augment(workflow_files, command, trainer):
     """`simulate`, `track`, `eval` and `stats` run without `contrastive`
-    and `augment` in `sys.modules`; `augment` and `train` load both."""
+    and `augment` in `sys.modules`; `augment` and `train` load both. Only
+    `simulate` loads `simulator`."""
     d, b = str(workflow_files), str(workflow_files / "b")
     argv = {
         "simulate": ["--config", f"{d}/scenario.txt", "--out", f"{d}/again"],
@@ -338,8 +344,9 @@ def test_commands_load_the_trainer_only_to_train_or_augment(workflow_files, comm
         "import contextlib, io\nimport uatrack.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert uatrack.cli.main({[command, *argv]!r}) == 0\n"
-        "print('uatrack.contrastive' in sys.modules, 'uatrack.augment' in sys.modules)"
-    ) == f"{trainer} {trainer}"
+        "print('uatrack.contrastive' in sys.modules, 'uatrack.augment' in sys.modules, "
+        "'uatrack.simulator' in sys.modules)"
+    ) == f"{trainer} {trainer} {command == 'simulate'}"
 
 
 def test_package_import_loads_no_submodule():

@@ -198,6 +198,24 @@ class TestGroundTruthAndLog:
         with pytest.raises(ParseError, match=line):
             formats.read_weights(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2 3\n", "line 1: weights header must be `F D`"),
+        ("1 2\n1.0\n", "line 2: expected 2 values"),
+        ("", "line 1: weights header must be `F D`"),
+        ("2 2\n1 2\n", "expected 2 weight rows, got 1"),
+        ("0 3\n", "line 1: weights header needs F, D >= 1, got 0 3"),
+        ("-1 3\n", "line 1: weights header needs F, D >= 1, got -1 3"),
+        ("3 0\n", "line 1: weights header needs F, D >= 1, got 3 0"),
+    ], ids=["header-3-fields", "short-row", "empty", "row-count", "zero-rows",
+            "negative-rows", "zero-cols"])
+    def test_weights_bad_structure_rejected(self, tmp_path, text, message):
+        """Every accepted header gives an F x D matrix: a header with F or D
+        below 1 is rejected on its own line."""
+        p = tmp_path / "w.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            formats.read_weights(p)
+
 
 # The per-field writers the `%` templates replaced, kept as their oracle:
 # `format(x, ".6f")` per box value or score, `format(v, ".9g")` per vector
@@ -1209,6 +1227,43 @@ class TestCli:
         assert code == 2
         assert err == ("uatrack augment: the default jitter of track 1 at frame 2 must be "
                        ">= 0 with 2*jitter finite, got inf\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nseed = 2\n", "line 2: duplicate key `seed`"),
+        ("arena = 560\n", "line 1: arena needs two values"),
+    ], ids=["duplicate-key", "arena-one-value"])
+    def test_bad_scenario_config_exit_2(self, tmp_path, capsys, text, message):
+        """A repeated key is a data error naming its second line, as in
+        every other keyed input; it does not take its last value."""
+        (tmp_path / "cfg.txt").write_text(text)
+        assert run_main(capsys, "simulate", "--config", tmp_path / "cfg.txt",
+                        "--out", tmp_path / "sim") == (2, f"uatrack simulate: {message}\n")
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("row", ["0,0", "5e-324,0"], ids=["zero", "subnormal"])
+    def test_zero_embedding_exit_2(self, tmp_path, capsys, row):
+        (tmp_path / "det.txt").write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n")
+        (tmp_path / "emb.csv").write_text(f"1,0,{row}\n")
+        assert run_main(capsys, "track", "--dets", tmp_path / "det.txt",
+                        "--embs", tmp_path / "emb.csv", "--out", tmp_path / "o.txt") == (
+            2, "uatrack track: zero embedding for (frame=1, det=0)\n")
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("scene, message", [
+        (None, "no detections to train on"),
+        (ScenarioConfig(num_objects=1, num_frames=20, seed=3),
+         "sequence yielded 1 tracklet(s), need >= 2"),
+    ], ids=["no-detections", "one-object"])
+    def test_train_without_two_tracklets_exit_2(self, tmp_path, capsys, scene, message):
+        if scene is None:
+            (tmp_path / "det.txt").write_text("")
+            (tmp_path / "raw.csv").write_text("")
+        else:
+            small_bundle(tmp_path, scene)
+        assert run_main(capsys, "train", "--bundle", tmp_path, "--epochs", "1", "--lr", "1e-3",
+                        "--seed", "0", "--out", tmp_path / "w.txt") == (
+            2, f"uatrack train: {message}\n")
+        assert not (tmp_path / "w.txt").exists()
 
     def test_huge_embedding_value_exit_2(self, tmp_path, capsys):
         small_bundle(tmp_path)

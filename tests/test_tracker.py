@@ -277,7 +277,7 @@ class TestVerify:
         # matched pairs land above the adaptive threshold
         sim = np.array([[0.52, 0.50], [0.49, 0.46]])
         matching = hungarian_max(sim)
-        assert matching.pairs.tolist() == [[0, 1], [1, 0]]
+        assert matching.tolist() == [[0, 1], [1, 0]]
         certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
         assert len(certain) == 0
         assert list(zip(dissolved["row"].tolist(), dissolved["col"].tolist())) == [(0, 1), (1, 0)]
@@ -307,10 +307,10 @@ class TestVerify:
                 assert certain.dtype == dissolved.dtype == SCORED
                 assert sorted(certain[["row", "col"]].tolist()
                               + dissolved[["row", "col"]].tolist()) == sorted(
-                    map(tuple, matching.pairs.tolist()))
+                    map(tuple, matching.tolist()))
                 assert (certain["delta"] <= 0).all() and (dissolved["delta"] > 0).all()
-                for n, pool, field, matched in ((sim.shape[0], rows, "row", matching.pairs[:, 0]),
-                                                (sim.shape[1], cols, "col", matching.pairs[:, 1])):
+                for n, pool, field, matched in ((sim.shape[0], rows, "row", matching[:, 0]),
+                                                (sim.shape[1], cols, "col", matching[:, 1])):
                     held, gone = certain[field], dissolved[field]
                     assert pool.dtype == np.intp
                     assert pool.tolist() == sorted(set(range(n)) - set(held.tolist()))
@@ -334,15 +334,15 @@ class TestVerify:
             matching = brute_force_max(sim)
             certain, dissolved, rows, cols = verify(matching, sim, cfg)
             assert dissolved.dtype == SCORED and len(dissolved) == 0
-            assert certain[["row", "col"]].tolist() == list(map(tuple, matching.pairs.tolist()))
+            assert certain[["row", "col"]].tolist() == list(map(tuple, matching.tolist()))
             for pair in certain:
                 r, c = int(pair["row"]), int(pair["col"])
                 expect = association_uncertainty(
                     float(sim[r, c]), float(second_best(sim, [r], [c])[0]), cfg.margins)
                 assert tuple(pair[list(AssociationVerdict._fields)].tolist()) == expect
                 assert expect.delta <= 0.0
-            assert rows.tolist() == sorted(set(range(n_rows)) - set(matching.pairs[:, 0].tolist()))
-            assert cols.tolist() == sorted(set(range(n_cols)) - set(matching.pairs[:, 1].tolist()))
+            assert rows.tolist() == sorted(set(range(n_rows)) - set(matching[:, 0].tolist()))
+            assert cols.tolist() == sorted(set(range(n_cols)) - set(matching[:, 1].tolist()))
 
 
 class TestRectify:
@@ -438,7 +438,7 @@ class TestRectify:
             assert np.array_equal(cprime == 0.0, expect == 0.0)
             assert cprime == pytest.approx(expect, rel=0.0, abs=1e-12)
             matched = hungarian_max(expect, floor=0.0)
-            assert pairs.tolist() == [[pool_rows[i], pool_cols[j]] for i, j in matched.pairs]
+            assert pairs.tolist() == [[pool_rows[i], pool_cols[j]] for i, j in matched]
             gated += int((expect != 0.0).sum())
         assert gated > 100   # the gate passes often enough to test the mean
 
