@@ -133,7 +133,8 @@ def cmd_eval(args) -> int:
     results = sorted(formats.read_results(args.results))
     gt = formats.read_ground_truth(args.gt)
     log = formats.read_log(args.log)
-    tid, frames, det_index = tracker.applied_from_log(log)
+    rows = tracker.applied(log)
+    tid, frames, det_index = rows["track_id"], rows["frame"], rows["det_index"]
     if results != sorted(zip(frames.tolist(), tid.tolist())):
         raise UatrackError(f"{args.results}: (frame, track_id) rows differ from the "
                            "log's applied decisions")

@@ -23,7 +23,7 @@ from .augment import (AugmentationPlan, SamplingWeights, default_jitter, plan_be
 # unused here; perfbench's traced run wraps them at these names
 from .augment import build_plan, source_anchor_weights, target_anchor_weights  # noqa: F401
 from .errors import InsufficientData, InvalidConfig, NoCandidates
-from .tracker import Detection, TrackerState, track_sequence
+from .tracker import Detection, TrackerState, applied, track_sequence
 from .uncertainty import tracklet_uncertainty
 
 DEFAULT_TEMPERATURE = 0.07
@@ -139,16 +139,17 @@ class EpochColumns:
 
     @classmethod
     def from_state(cls, state: TrackerState) -> "EpochColumns":
-        """The columns of the applied rows of `state`, over the frames it stepped."""
-        tid, frames, rows, deltas = state.applied()
+        """The columns of the applied rows of `state`, up to the last frame it stepped."""
+        rows = applied(state.table[:state.n_rows])
+        tid, frames, deltas = rows["track_id"], rows["frame"], rows["delta"]
         bounds = np.bincount(tid).cumsum().tolist()   # ids start at 1: bounds[0] is 0
         history = deltas.tolist()
         omega = np.array([tracklet_uncertainty(history[start:stop])
                           for start, stop in zip(bounds, bounds[1:])])
         by_frame = frames.argsort(kind="stable")   # frame, then track id
-        at = frames[by_frame].searchsorted(np.arange(len(state.spans) + 1), side="right")
+        at = frames[by_frame].searchsorted(np.arange(state.frame + 1), side="right")
         return cls(frames.tolist(), deltas, bounds, omega, frames[bounds[:-1]],
-                   at.tolist(), tid[by_frame] - 1, rows[by_frame])
+                   at.tolist(), tid[by_frame] - 1, rows["det"][by_frame])
 
     def present(self, frame: int) -> np.ndarray:
         """The tracks with an entry at `frame` and one before it, in id order."""
@@ -207,7 +208,7 @@ def draw_plan(state: TrackerState, frame: int, rng: np.random.Generator,
     if jitter is not None:
         _check_jitter(jitter, "jitter")
     columns = EpochColumns.from_state(state)
-    present = columns.present(frame) if 1 <= frame <= len(state.spans) else []
+    present = columns.present(frame) if 1 <= frame <= state.frame else []
     if not len(present):
         raise NoCandidates(f"no tracklet has records at and before frame {frame}")
     anchor, target = columns.draw(present, frame, rng, cfg)

@@ -34,7 +34,7 @@ from .errors import (DegenerateBox, DimensionMismatch, DuplicateEmbedding, Inval
                      IoFailure, MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
 from .tracker import (LOG, MAX_FRAME, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
-                      GroundTruthRecord, TrackerState)
+                      GroundTruthRecord, TrackerState, applied)
 
 NORM_WARN_TOL = 1e-6
 
@@ -321,10 +321,10 @@ def write_ground_truth(gt, path) -> None:
 def write_results(state: TrackerState, path) -> None:
     """MOT-style output, one line per applied row of `state`, sorted by
     (frame, id)."""
-    tid, frames, det, _ = state.applied()
-    order = np.lexsort((tid, frames))
+    rows = applied(state.table[:state.n_rows])
+    rows = rows.take(np.lexsort((rows["track_id"], rows["frame"])))
     atomic_write(path, [_mot_line(frame, track_id, state.dets[i]) for frame, track_id, i
-                        in zip(*(column[order].tolist() for column in (frames, tid, det)))])
+                        in zip(*(rows[name].tolist() for name in ("frame", "track_id", "det")))])
 
 
 def read_results(path) -> list[tuple[int, int]]:
@@ -394,6 +394,8 @@ def read_weights(path):
                 raise ParseError(f"weights header needs F, D >= 1, got {shape[0]} {shape[1]}")
             return
         vals = [float(v) for v in parts]
+        if not all(map(math.isfinite, vals)):
+            raise ParseError("non-finite value")
         if len(vals) != shape[1]:
             raise ParseError(f"expected {shape[1]} values")
         rows.append(vals)

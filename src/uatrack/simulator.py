@@ -22,7 +22,7 @@ worker (2-vCPU x86-64 guest); the bits are the same either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np

@@ -19,7 +19,8 @@ from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
 from uatrack.errors import InsufficientData, InvalidConfig, NoCandidates
 from uatrack.geometry import BoundingBox
 from uatrack.simulator import ScenarioConfig, generate
-from uatrack.tracker import Detection, Tracklet, TrackRecord, track_sequence
+from uatrack.tracker import (Detection, TrackerConfig, TrackerState, Tracklet, TrackRecord,
+                             step, track_sequence)
 
 
 def unit(v):
@@ -476,9 +477,24 @@ class TestDrawPlan:
         with pytest.raises(NoCandidates, match=f"before frame {frame}$"):
             draw_plan(self.state(), frame, np.random.default_rng(0), TrainConfig())
 
+    def test_frames_past_the_count_stepped(self):
+        """A state stepped at every other frame has candidates up to its last
+        frame, not only up to the number of frames it stepped."""
+        state = TrackerState(TrackerConfig())
+        for frame in (1, 3, 5, 7, 9):
+            step(state, frame, [Detection(frame, k, BoundingBox(100.0 * k, 50.0, 4.0, 3.0),
+                                          0.9, np.eye(2)[k]) for k in range(2)])
+        columns = EpochColumns.from_state(state)
+        for frame in (3, 5, 7, 9):
+            assert columns.present(frame).tolist() == [0, 1]
+        for frame in (2, 4, 6, 8):
+            assert columns.present(frame).tolist() == []
+        plan = draw_plan(state, 9, np.random.default_rng(0), TrainConfig())
+        assert plan.source_track_id in (1, 2) and plan.target_frame in (1, 3, 5, 7)
+
     def test_empty_table_has_no_candidates(self):
         state = presence_state([])
-        assert state.made == 0 and len(state.spans) == self.FRAME
+        assert state.made == 0 and state.frame == self.FRAME
         with pytest.raises(NoCandidates, match=f"before frame {self.FRAME}$"):
             draw_plan(state, self.FRAME, np.random.default_rng(0), TrainConfig())
 

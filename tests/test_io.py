@@ -206,11 +206,14 @@ class TestGroundTruthAndLog:
         ("0 3\n", "line 1: weights header needs F, D >= 1, got 0 3"),
         ("-1 3\n", "line 1: weights header needs F, D >= 1, got -1 3"),
         ("3 0\n", "line 1: weights header needs F, D >= 1, got 3 0"),
+        *((f"2 2\n0.5 1.0\n1.0 {value}\n", "line 3: non-finite value")
+          for value in ("nan", "inf", "-inf")),
     ], ids=["header-3-fields", "short-row", "empty", "row-count", "zero-rows",
-            "negative-rows", "zero-cols"])
+            "negative-rows", "zero-cols", "nan", "inf", "-inf"])
     def test_weights_bad_structure_rejected(self, tmp_path, text, message):
-        """Every accepted header gives an F x D matrix: a header with F or D
-        below 1 is rejected on its own line."""
+        """Every accepted file gives an F x D matrix of finite weights: a
+        header with F or D below 1 is rejected on its own line, and so is a
+        non-finite weight, as the vector readers reject one."""
         p = tmp_path / "w.txt"
         p.write_text(text)
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
@@ -1061,11 +1064,11 @@ class TestCli:
         small_bundle(tmp_path)
         calls = []
 
-        def applied(state, columns=tracker.TrackerState.applied):
-            calls.append(state)
-            return columns(state)
+        def applied(rows, columns=contrastive.applied):
+            calls.append(rows)
+            return columns(rows)
 
-        monkeypatch.setattr(tracker.TrackerState, "applied", applied)
+        monkeypatch.setattr(contrastive, "applied", applied)
 
         def plans():
             for seed in range(3):

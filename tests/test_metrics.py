@@ -17,8 +17,7 @@ from uatrack.metrics import (AccuracyCurve, SeparationReport, accuracy_curve, gt
                              uncertainty_separation)
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
-                             TrackerConfig, Tracklet, TrackRecord, applied_from_log,
-                             track_sequence)
+                             TrackerConfig, Tracklet, TrackRecord, applied, track_sequence)
 
 
 BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
@@ -386,9 +385,10 @@ class TestColumnsEqualThePerRecordReference:
         `uncertainty_separation` and `switch_count`, against the tracklets
         grouped record by record and the references; then `stats`."""
         def columns():
-            applied = applied_from_log(log)
-            return (accuracy_curve(*applied, gt, max_age), uncertainty_separation(log, gt),
-                    switch_count(*applied, gt))
+            rows = applied(log)
+            cols = rows["track_id"], rows["frame"], rows["det_index"]
+            return (accuracy_curve(*cols, gt, max_age), uncertainty_separation(log, gt),
+                    switch_count(*cols, gt))
 
         def reference():
             tracklets = reference_log_tracklets(log)

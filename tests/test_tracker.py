@@ -17,8 +17,8 @@ from uatrack.geometry import BoundingBox, iou
 from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import (LOG, SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
-                             TrackerState, TrackRecord, applied_from_log, build_similarity,
-                             rectify, step, track_sequence, verify)
+                             TrackerState, TrackRecord, applied, build_similarity, rectify,
+                             step, track_sequence, verify)
 from uatrack.uncertainty import AssociationVerdict, association_uncertainty, second_best
 
 
@@ -481,6 +481,25 @@ class TestStep:
         with pytest.raises(OutOfOrderFrame):
             step(state, 2, [det(2, 0, unit(1, 0))])
 
+    @pytest.mark.parametrize("frame", [0, -3])
+    def test_first_frame_below_1_rejected(self, frame):
+        """Frames are 1-based, as every reader of them holds: a first step
+        at frame 0 or below raises and writes nothing."""
+        state = TrackerState(TrackerConfig())
+        with pytest.raises(OutOfOrderFrame, match=f"^frame {frame} after 0$"):
+            step(state, frame, [det(frame, 0, unit(1, 0))])
+        assert state.frame == state.n_rows == len(state.dets) == 0
+
+    def test_table_rows_carry_their_frame(self):
+        """Each row holds the frame it was stepped at, and `frame` is the
+        last frame stepped, gaps included."""
+        state = TrackerState(TrackerConfig())
+        for frame in (1, 4, 9):
+            step(state, frame, [det(frame, 0, unit(1, 0)), det(frame, 1, unit(0, 1))])
+        assert state.frame == 9
+        assert state.table["frame"][:state.n_rows].tolist() == [1, 1, 4, 4, 9, 9]
+        assert state.log()["frame"].tolist() == [1, 1, 4, 4, 9, 9]
+
     @staticmethod
     def _confusable_setup():
         """Two tracks and two detections whose similarity matrix is
@@ -574,23 +593,24 @@ class TestStep:
         """A step that raises writes nothing, so the same frame then steps
         as if the failed call had never been made."""
         def reads(state):
-            return (state.log(), *state.applied(), state.ids.copy(), state.newest.copy())
+            return (state.log(), applied(state.table[:state.n_rows]), state.ids.copy(),
+                    state.newest.copy())
 
         frame_1 = [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))]
         frame_2 = [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))]
         state, clean = TrackerState(TrackerConfig()), TrackerState(TrackerConfig())
         step(state, 1, frame_1)
-        before, spans, n_dets = reads(state), list(state.spans), len(state.dets)
+        before, n_dets = reads(state), len(state.dets)
         with pytest.raises(DimensionMismatch):
             step(state, 2, [det(2, 0, unit(1, 0, 0))])
         assert all(map(np.array_equal, reads(state), before))
-        assert state.spans == spans and len(state.dets) == n_dets
+        assert state.frame == 1 and len(state.dets) == n_dets
         step(state, 2, frame_2)
         for frame, dets in ((1, frame_1), (2, frame_2)):
             step(clean, frame, dets)
         assert matched(rows_at(state, 2)) == [(0, 1), (1, 2)]
         assert all(map(np.array_equal, reads(state), reads(clean)))
-        assert state.spans == clean.spans
+        assert state.frame == clean.frame == 2
 
     def test_dissolved_pairs_are_logged(self):
         state, d1, d2 = self._confusable_setup()
@@ -672,18 +692,23 @@ class TestTrackSequence:
             assert t.records[0].delta == 0.0
 
     def test_log_applied_columns_equal_the_table(self):
-        """`eval` reads the log's applied rows as the columns the table gives:
-        the same track ids and frames, in the same order, and each row's
-        detection index; the dissolved rows are left out."""
-        frames, _ = generate(ScenarioConfig(num_objects=12, num_frames=60, seed=7))
-        state = track_sequence(frames)
-        log = state.log()
-        assert any(row["stage"] == STAGE_DISSOLVED for row in log)
-        tid, frame, det, _ = state.applied()
-        got = applied_from_log(log)
-        assert [c.dtype for c in got] == [np.dtype(np.intp)] * 3
-        assert [c.tolist() for c in got] == [
-            tid.tolist(), frame.tolist(), [state.dets[i].det_index for i in det.tolist()]]
+        """`eval` reads the log's applied rows as `applied` gives them on the
+        table: the same track ids and frames, in the same order, and each
+        row's detection index; the dissolved rows are left out. Default
+        seeds 7-12 with UTL on and off, and crowd seed 7."""
+        cases = [(dict(seed=seed), utl) for seed in range(7, 13) for utl in (True, False)]
+        for scene, utl in [*cases, (dict(CROWD, seed=7), True)]:
+            frames, _ = generate(ScenarioConfig(**scene))
+            state = track_sequence(frames, TrackerConfig(utl_enabled=utl))
+            log = state.log()
+            assert (STAGE_DISSOLVED in log["stage"]) == utl
+            table, got = applied(state.table[:state.n_rows]), applied(log)
+            assert [got[name].dtype for name in ("track_id", "frame", "det_index")] == \
+                [np.dtype(np.intp)] * 3
+            assert np.array_equal(got["track_id"], table["track_id"])
+            assert np.array_equal(got["frame"], table["frame"])
+            assert got["det_index"].tolist() == [state.dets[i].det_index
+                                                 for i in table["det"].tolist()]
 
     def test_log_applied_columns_reject_two_rows_of_a_track_in_a_frame(self):
         """The earliest frame with two applied rows of one track is named,
@@ -693,13 +718,13 @@ class TestTrackSequence:
                 (2, 2, 2, 1), (2, 3, 2, 2), (3, 0, 3, 1), (3, 1, 3, 1), (4, 0, 2, 1), (4, 1, 2, 1)]
         log = np.array([(f, d, t, 0, 0, 0, 0, 0, stage) for f, d, t, stage in rows], LOG)
         with pytest.raises(OutOfOrderFrame, match="^track 2: frame 2 after 2$"):
-            applied_from_log(log)
+            applied(log)
         log = log[log["frame"] != 2]
         with pytest.raises(OutOfOrderFrame, match="^track 3: frame 3 after 3$"):
-            applied_from_log(log)
+            applied(log)
         log = log[log["frame"] != 3]
         with pytest.raises(OutOfOrderFrame, match="^track 2: frame 4 after 4$"):
-            applied_from_log(log)
+            applied(log)
 
     def test_crowded_scene_composition_digest(self):
         """A 60-object scene builds large rectification pools (hundreds of
