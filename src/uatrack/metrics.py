@@ -101,8 +101,9 @@ def uncertainty_separation(log: np.ndarray, gt) -> SeparationReport:
     first birth row sets its identity and is looked up first, in log order;
     every other row counts, dissolved too, looked up before its track's birth."""
     lookup = gt_index(gt)
-    born, rows = log[log["stage"] == STAGE_BIRTH], log[log["stage"] != STAGE_BIRTH]
-    born = born[np.sort(np.unique(born["track_id"], return_index=True)[1])]
+    is_born = log["stage"] == STAGE_BIRTH   # `take`, as in `tracker.applied`, gathers faster
+    born, rows = log.take(is_born.nonzero()[0]), log.take((~is_born).nonzero()[0])
+    born = born.take(np.sort(np.unique(born["track_id"], return_index=True)[1]))
     born_tid, born_id = born["track_id"], _true_ids(lookup, born["frame"], born["det_index"])
     tid = rows["track_id"]
     known = np.isin(tid, born_tid)

@@ -25,6 +25,9 @@ STAGE_BIRTH = 0
 STAGE_ASSOC = 1
 STAGE_RECTIFIED = 2
 STAGE_DISSOLVED = 3   # an uncertain pair: logged, never applied
+# A frame's log order, indexed by stage: the dissolved pairs, then the
+# matches (direct and rectified), then the births, each group by detection
+LOG_GROUP = np.array([2, 1, 1, 0])
 
 DET_CONF_MIN = 0.6    # new-track confidence gate
 MAX_LOST = 30         # frames a lost track stays matchable
@@ -117,12 +120,13 @@ class TrackerState:
 
     `dets` is every detection stepped, in order. The decisions are one
     table, a `ROW` array whose first `n_rows` elements are in use, one
-    decision each, in log order: the detection's index into `dets`, the
-    frame, the track id, the five verdict fields (0 for a birth) and the
-    stage. It doubles when full; `add_pairs` writes its rows and `step`
-    their frame. `frame` is the last frame stepped, 0 before any. `log()`
-    gives the table as a `LOG` array, `applied` its applied rows, and
-    `all_tracklets()` the tracklets, built in bulk when they are read.
+    decision each, appended a stage at a time: the detection's index into
+    `dets`, the frame, the track id, the five verdict fields (0 for a
+    birth) and the stage. It doubles when full; `add_pairs` appends its
+    rows and `step` their frame. `frame` is the last frame stepped, 0
+    before any. `log()` gives the table in log order as a `LOG` array,
+    `applied` its applied rows, and `all_tracklets()` the tracklets, built
+    in bulk when they are read.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -152,12 +156,10 @@ class TrackerState:
         self.n_rows = 0                   # rows of the table in use
         self.table = np.empty(0, ROW)
 
-    def add_pairs(self, pairs: np.ndarray, stage: int, base: int,
-                  sort_from: int | None = None) -> None:
-        """Add one stage's `SCORED` pairs as rows: a pair's detection is
-        `dets[base + row]` and its track is on row `col` of the columns.
-        With `sort_from`, the rows from that one on are then put in
-        detection order, stably."""
+    def add_pairs(self, pairs: np.ndarray, stage: int, base: int) -> None:
+        """Append one stage's `SCORED` pairs as rows, in their order: a
+        pair's detection is `dets[base + row]` and its track is on row
+        `col` of the columns."""
         if not len(pairs):
             return
         start, stop = self.n_rows, self.n_rows + len(pairs)
@@ -172,13 +174,11 @@ class TrackerState:
         for name in AssociationVerdict._fields:
             rows[name] = pairs[name]
         rows["stage"] = stage
-        if sort_from is not None:
-            rows = self.table[sort_from:stop]
-            rows[:] = rows.take(rows["det"].argsort(kind="stable"))
 
     def log(self) -> np.ndarray:
-        """The decisions as a `LOG` array, one element each, in log order."""
+        """The decisions as a `LOG` array, one element each, by frame in `LOG_GROUP` order."""
         table = self.table[:self.n_rows]
+        table = table.take(np.lexsort((table["det"], LOG_GROUP[table["stage"]], table["frame"])))
         log = np.empty(len(table), LOG)
         log["det_index"] = np.fromiter(map(attrgetter("det_index"), self.dets), np.intp,
                                        len(self.dets))[table["det"]]
@@ -344,9 +344,8 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
 
 
 def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
-    """Advance the tracker by one frame and write its decisions to the
-    state's table: the dissolved pairs, then the applied matches in
-    detection order, then the births. Every check comes before the first
+    """Advance the tracker by one frame, appending its decisions to the
+    state's table a stage at a time. Every check comes before the first
     write, so a step that raises leaves the state as it was."""
     cfg = state.cfg
     if frame <= state.frame:
@@ -366,13 +365,10 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     base, first_row = len(state.dets), state.n_rows
     state.dets += dets
     state.add_pairs(dissolved, STAGE_DISSOLVED, base)
-    applied = state.n_rows
     state.add_pairs(certain, STAGE_ASSOC, base)
     rows, cols = certain["row"], certain["col"]
     if len(rectified):
-        # no row is both certain and rectified: one sort puts them in
-        # detection order
-        state.add_pairs(rectified, STAGE_RECTIFIED, base, sort_from=applied)
+        state.add_pairs(rectified, STAGE_RECTIFIED, base)
         rows = np.concatenate([rows, rectified["row"]])
         cols = np.concatenate([cols, rectified["col"]])
 

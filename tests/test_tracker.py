@@ -694,14 +694,29 @@ class TestTrackSequence:
     def test_log_applied_columns_equal_the_table(self):
         """`eval` reads the log's applied rows as `applied` gives them on the
         table: the same track ids and frames, in the same order, and each
-        row's detection index; the dissolved rows are left out. Default
-        seeds 7-12 with UTL on and off, and crowd seed 7."""
+        row's detection index; the dissolved rows are left out. Within a
+        frame the log gives the dissolved rows, then the direct and
+        rectified ones, then the births, each group by detection index,
+        though `step` appends the rectified rows after the direct ones.
+        Default seeds 7-12 with UTL on and off, and crowd seed 7."""
+        group = {STAGE_DISSOLVED: 0, STAGE_ASSOC: 1, STAGE_RECTIFIED: 1, STAGE_BIRTH: 2}
         cases = [(dict(seed=seed), utl) for seed in range(7, 13) for utl in (True, False)]
         for scene, utl in [*cases, (dict(CROWD, seed=7), True)]:
             frames, _ = generate(ScenarioConfig(**scene))
             state = track_sequence(frames, TrackerConfig(utl_enabled=utl))
             log = state.log()
             assert (STAGE_DISSOLVED in log["stage"]) == utl
+            keys = list(zip(log["frame"].tolist(), map(group.get, log["stage"].tolist()),
+                            log["det_index"].tolist()))
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            # frames where a rectified row comes before a direct row of a later detection
+            direct, rectified = {}, {}
+            for frame, det, stage in log[["frame", "det_index", "stage"]].tolist():
+                if stage == STAGE_ASSOC:
+                    direct[frame] = max(direct.get(frame, det), det)
+                elif stage == STAGE_RECTIFIED:
+                    rectified[frame] = min(rectified.get(frame, det), det)
+            assert any(det < direct.get(frame, -1) for frame, det in rectified.items()) == utl
             table, got = applied(state.table[:state.n_rows]), applied(log)
             assert [got[name].dtype for name in ("track_id", "frame", "det_index")] == \
                 [np.dtype(np.intp)] * 3
