@@ -1,7 +1,9 @@
 """Bounding-box arithmetic, IoU, and 2D affine transform fitting.
 
 Boxes use the center+size convention (cx, cy, w, h) everywhere inside the
-package; the corner convention only appears at file-format boundaries.
+package; the corner convention only appears at file-format boundaries. A
+box is the immutable tuple (cx, cy, w, h), so `iou` reads a box list's
+edges straight from the tuples.
 """
 
 from __future__ import annotations
@@ -9,19 +11,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateBox, DegenerateCorrespondence
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class _CentreSize(NamedTuple):
     cx: float
     cy: float
     w: float
     h: float
+
+
+class BoundingBox(_CentreSize):
+    """An immutable (cx, cy, w, h) tuple. The constructor, `_make`,
+    `_replace`, `copy` and unpickling (pickle protocol 2 and up) all run
+    `__post_init__`, the one owner of a box's rules."""
+
+    __slots__ = ()
+
+    def __new__(cls, cx: float, cy: float, w: float, h: float):
+        self = tuple.__new__(cls, (cx, cy, w, h))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundingBox":
+        return cls(*iterable)
 
     def __post_init__(self):
         isfinite = math.isfinite
@@ -80,13 +98,10 @@ class AffineTransform:
         return pts @ lin.T + np.array([self.m13, self.m23])
 
 
-_CENTRE_SIZE = attrgetter("cx", "cy", "w", "h")
-
-
 def _edges(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The low edges (x1, y1) and high edges (x2, y2) of the boxes as two
     (2 × n) arrays, computed as `to_xyxy` does, and their areas."""
-    m = np.fromiter(chain.from_iterable(map(_CENTRE_SIZE, boxes)), float).reshape(-1, 4).T
+    m = np.fromiter(chain.from_iterable(boxes), float).reshape(-1, 4).T
     half = m[2:] / 2.0
     # rows in C order: the pairwise passes read each row contiguously
     return np.subtract(m[:2], half, order="C"), np.add(m[:2], half, order="C"), m[2] * m[3]
@@ -146,6 +161,6 @@ def solve_affine(src, dst) -> AffineTransform:
 def apply_affine(t: AffineTransform, b: BoundingBox) -> BoundingBox:
     """Transform the 4 corners and return their axis-aligned hull."""
     pts = t.apply_points(b.corners())
-    x1, y1 = pts.min(axis=0)
-    x2, y2 = pts.max(axis=0)
+    x1, y1 = pts.min(axis=0).tolist()   # Python floats, as every other box holds
+    x2, y2 = pts.max(axis=0).tolist()
     return BoundingBox.from_xyxy(x1, y1, x2, y2)

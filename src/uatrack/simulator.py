@@ -14,9 +14,11 @@ same bytes). Only the calling thread touches the generator. A frame that
 draws at least WORKER_NORMALS normals (a 150-object crowd frame draws
 72,301) is built on one worker thread while the caller draws the next
 frame, one frame in flight; smaller frames (the default scene draws 601)
-are built on the calling thread, and such a scene starts no thread. On
-crowd seed 7 `generate` took 96-109 ms inline and 59-73 ms with the
-worker (2-vCPU x86-64 guest); the bits are the same either way.
+are built on the calling thread, and such a scene starts no thread; the
+bits are the same either way. On crowd seeds 7-9 `generate` took a median
+216 ms inline and 223 ms with the worker, and the default scene 32 ms, on
+a 2-vCPU x86-64 guest whose second vCPU did not overlap the draws with the
+build (`OPENBLAS_NUM_THREADS=1`; README "Scene generation").
 """
 
 from __future__ import annotations
@@ -181,12 +183,20 @@ def generate(cfg: ScenarioConfig):
         occluded = (max_iou[keep] > OCCLUSION_IOU) | forced_occ[keep]
         sigma = cfg.appearance_noise * np.where(occluded, cfg.occlusion_noise_boost, 1.0)
         # appearance_noise is the RMS magnitude of the whole noise vector
-        # relative to the unit latent, not a per-dimension std
-        emb = latents[keep] + sigma[:, None] * NOISE_SCALE * emb_noise[keep] / np.sqrt(d)
-        # each row's norm is the ddot `np.linalg.norm` takes of a vector;
+        # relative to the unit latent, not a per-dimension std. The gathered
+        # noise is scaled and summed in place: `*` and `+` commute bit for
+        # bit, so this is `latents + sigma * NOISE_SCALE * noise / sqrt(d)`
+        emb = emb_noise[keep]
+        emb *= sigma[:, None] * NOISE_SCALE
+        emb /= np.sqrt(d)
+        emb += latents[keep]
+        # each row's norm is the ddot `np.linalg.norm` takes of a vector:
+        # matmul sends every stacked (1 x d) @ (d x 1) product to that ddot;
         # `norm(axis=1)` and `einsum` round differently on some rows
-        emb /= np.sqrt([v.dot(v) for v in emb])[:, None]
-        raw = clean_raw[keep] + RAW_NOISE * raw_noise[keep]
+        emb /= np.sqrt(np.matmul(emb[:, None, :], emb[:, :, None]))[:, 0]
+        raw = raw_noise[keep]
+        raw *= RAW_NOISE
+        raw += clean_raw[keep]
         conf = (1.0 - np.minimum(0.9, max_iou[keep])).tolist()
 
         # one object per kept detection, built positionally from the columns;

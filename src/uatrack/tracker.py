@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class Detection:
     raw: np.ndarray | None = None  # appearance feature for embedder training
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(NamedTuple):
     frame: int
     det_index: int
     true_id: int

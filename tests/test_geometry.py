@@ -1,5 +1,7 @@
 """Tests for bounding boxes, IoU, and affine fitting."""
 
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +49,53 @@ class TestBoundingBox:
         with pytest.raises(DegenerateBox) as info:
             BoundingBox(0.0, 0.0, float("-inf"), 0.0)
         assert str(info.value) == "non-finite box BoundingBox(cx=0.0, cy=0.0, w=-inf, h=0.0)"
+
+
+class TestBoxRecord:
+    """A box is an immutable (cx, cy, w, h) tuple whose rules run however
+    it is made."""
+
+    BOX = BoundingBox(10.0, 20.0, 4.0, 6.0)
+
+    @pytest.mark.parametrize("name", ["cx", "cy", "w", "h", "other"])
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.BOX, name, 1.0)
+
+    def test_equal_and_hashed_by_fields(self):
+        same = BoundingBox(10.0, 20.0, 4.0, 6.0)
+        assert same == self.BOX and hash(same) == hash(self.BOX)
+        assert BoundingBox(10.0, 20.0, 4.0, 7.0) != self.BOX
+        assert len({self.BOX, same}) == 1
+
+    def test_repr_is_the_field_listing(self):
+        assert repr(self.BOX) == "BoundingBox(cx=10.0, cy=20.0, w=4.0, h=6.0)"
+
+    def test_unpacks_as_centre_and_size(self):
+        cx, cy, w, h = self.BOX
+        assert (cx, cy, w, h) == (10.0, 20.0, 4.0, 6.0)
+
+    @pytest.mark.parametrize("roundtrip", [lambda b: pickle.loads(pickle.dumps(b)),
+                                           copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_are_boxes(self, roundtrip):
+        again = roundtrip(self.BOX)
+        assert type(again) is BoundingBox and again == self.BOX
+
+    def test_make_and_replace_make_boxes(self):
+        assert BoundingBox._make([10.0, 20.0, 4.0, 6.0]) == self.BOX
+        assert type(self.BOX._replace(w=5.0)) is BoundingBox
+        assert self.BOX._replace(w=5.0).w == 5.0
+
+    @pytest.mark.parametrize("make", [
+        lambda b: b._replace(w=0.0),
+        lambda b: b._replace(cx=float("nan")),
+        lambda b: BoundingBox._make([0.0, 0.0, -1.0, 1.0]),
+        lambda b: BoundingBox(cx=0.0, cy=float("inf"), w=1.0, h=1.0),
+    ], ids=["replace-size", "replace-nan", "make", "keywords"])
+    def test_every_way_to_make_a_box_runs_the_rules(self, make):
+        with pytest.raises(DegenerateBox):
+            make(self.BOX)
 
 
 def scalar_iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -206,3 +255,11 @@ class TestBoxToAffine:
         b = BoundingBox(1.0, 1.0, 3.0, 3.0)
         out = apply_affine(t, b)
         assert (out.cx, out.cy, out.w, out.h) == pytest.approx((6.0, -1.0, 3.0, 3.0))
+
+    def test_fields_are_python_floats(self):
+        """The hull's fields are `float`s, as every other box holds, so a
+        box prints its values and not `np.float64(...)`."""
+        t = AffineTransform(0.5, -1.0, 3.0, 1.0, 2.0, -4.0)
+        out = apply_affine(t, BoundingBox(1.0, 2.0, 3.0, 4.0))
+        assert [type(v) for v in (out.cx, out.cy, out.w, out.h)] == [float] * 4
+        assert "np." not in repr(out)

@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uatrack import cli, formats, simulator
@@ -341,6 +342,46 @@ def _assert_same_bits(scene, ref_scene):
             assert _box_fields(det) == _box_fields(ref)
             assert det.embedding.tobytes() == ref.embedding.tobytes()
             assert det.raw.tobytes() == ref.raw.tobytes()
+
+
+class TestGroundTruthRecord:
+    """A ground-truth record is an immutable (frame, det_index, true_id)
+    tuple."""
+
+    RECORD = GroundTruthRecord(3, 1, 7)
+
+    @pytest.mark.parametrize("name", ["frame", "det_index", "true_id", "other"])
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.RECORD, name, 0)
+
+    def test_equal_and_hashed_by_fields(self):
+        same = GroundTruthRecord(frame=3, det_index=1, true_id=7)
+        assert same == self.RECORD and hash(same) == hash(self.RECORD)
+        assert GroundTruthRecord(3, 1, 8) != self.RECORD
+
+    def test_repr_is_the_field_listing(self):
+        assert repr(self.RECORD) == "GroundTruthRecord(frame=3, det_index=1, true_id=7)"
+
+    def test_pickle_roundtrip(self):
+        again = pickle.loads(pickle.dumps(self.RECORD))
+        assert type(again) is GroundTruthRecord and again == self.RECORD
+
+
+class TestRowNorms:
+    """`generate` takes each embedding row's squared norm from one stacked
+    `np.matmul` of (1 x d) by (d x 1); every product must be the ddot that
+    `v.dot(v)` takes of the row, bit for bit. CI runs this under three
+    other OpenBLAS kernels too."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 150])
+    @pytest.mark.parametrize("d", [2, 16, 160, 4096])
+    @settings(max_examples=10)
+    @given(scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32))
+    def test_stacked_matmul_is_the_rows_ddot(self, rows, d, scale, seed):
+        e = scale * np.random.default_rng(seed).standard_normal((rows, d))
+        stacked = np.matmul(e[:, None, :], e[:, :, None]).reshape(rows)
+        assert stacked.tobytes() == np.array([v.dot(v) for v in e], float).tobytes()
 
 
 class TestWholeFrameGeneration:
