@@ -91,10 +91,13 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_bundle(dets_path, embs_path):
+def _load_bundle(command, dets_path, embs_path):
     from . import formats
     frames = formats.read_detections(dets_path)
-    frames, _warned = formats.read_embeddings(embs_path, frames)
+    frames, renormalized = formats.read_embeddings(embs_path, frames)
+    if renormalized:
+        print(f"uatrack {command}: renormalized {renormalized} of "
+              f"{sum(map(len, frames))} embeddings", file=sys.stderr)
     return frames
 
 
@@ -118,7 +121,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     from . import formats, tracker, uncertainty
-    frames = _load_bundle(args.dets, args.embs)
+    frames = _load_bundle(args.command, args.dets, args.embs)
     cfg = tracker.TrackerConfig(margins=uncertainty.UncertaintyMargins(**_given(args, "m1", "m2")),
                                 utl_enabled=args.utl == "on", **_given(args, "beta", "K"))
     state = tracker.track_sequence(frames, cfg)
@@ -153,7 +156,7 @@ def cmd_augment(args) -> int:
     import numpy as np
     from . import augment, contrastive, tracker
     cfg = contrastive.TrainConfig(seed=args.seed)
-    frames = _load_bundle(os.path.join(args.bundle, "det.txt"),
+    frames = _load_bundle(args.command, os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
     # clamped: a negative stop would track from the end
     state = tracker.track_sequence(frames[:max(args.frame, 0)])

@@ -10,15 +10,9 @@ linear embedder can recover separability.
 
 All randomness flows through one numpy PCG64 generator seeded from the
 config; the generator choice is part of the output contract (same seed,
-same bytes). Only the calling thread touches the generator. A frame that
-draws at least WORKER_NORMALS normals (a 150-object crowd frame draws
-72,301) is built on one worker thread while the caller draws the next
-frame, one frame in flight; smaller frames (the default scene draws 601)
-are built on the calling thread, and such a scene starts no thread; the
-bits are the same either way. On crowd seeds 7-9 `generate` took a median
-216 ms inline and 223 ms with the worker, and the default scene 32 ms, on
-a 2-vCPU x86-64 guest whose second vCPU did not overlap the draws with the
-build (`OPENBLAS_NUM_THREADS=1`; README "Scene generation").
+same bytes). Every frame is drawn and then built on the calling thread, in
+frame order, so the caller's `np.errstate` governs the build (README
+"Scene generation").
 """
 
 from __future__ import annotations
@@ -43,12 +37,6 @@ BOX_MAX = 48.0          # largest box side
 MAX_OBJECTS = 1000      # bounds the per-frame (n, n) overlap matrix
 MAX_DIM = 4096          # bounds embed_dim and raw_dim, hence the basis and noise draws
 MAX_SCENE_VALUES = 2**27   # 1 GiB of float64: bounds the vectors `generate` keeps
-# Frames that draw this many normals are built on a worker thread. Its ~30 us
-# handover a frame pays off only on large frames: against inline, `generate`
-# measured +35% on the default scene (601 a frame), within noise at 3,901 and
-# 7,501 (150 objects), -18% at 14,701 and -27% to -38% from 21,901 up
-# (2-vCPU x86-64, median of 15 calls); see README "Scene generation".
-WORKER_NORMALS = 2**15
 
 
 @dataclass(frozen=True)
@@ -156,10 +144,9 @@ def generate(cfg: ScenarioConfig):
     frames: list[list[Detection]] = []
     gt: list[GroundTruthRecord] = []
 
-    def build(frame: int, z: np.ndarray, uniform: np.ndarray) -> None:
-        """Everything of one frame but its draws. The motion update is here
-        too, so its float errors come in frame order on either path."""
-        nonlocal pos, vel, cam, cam_angle
+    for frame in range(1, cfg.num_frames + 1):
+        z = rng.standard_normal(normals)
+        uniform = rng.random(2 * n)
         pos = pos + vel + (0.0 + POSITION_JITTER * z[:turn].reshape(n, 2))
         # reflect box centers off the arena walls
         below, above = pos < half, pos > high
@@ -206,31 +193,4 @@ def generate(cfg: ScenarioConfig):
         frames.append(list(map(Detection, repeat(frame), indices,
                                map(boxes.__getitem__, ids), conf, emb, raw)))
         gt.extend(map(GroundTruthRecord, repeat(frame), indices, (keep + 1).tolist()))
-
-    if normals < WORKER_NORMALS:
-        for frame in range(1, cfg.num_frames + 1):
-            build(frame, rng.standard_normal(normals), rng.random(2 * n))
-        return frames, gt
-    # numpy fills a large normal block without the GIL, so the caller draws
-    # frame t + 1 while the worker builds frame t; only the caller touches
-    # `rng`. The worker runs under the caller's numpy error state, passed
-    # across: numpy 1.x keeps it per thread and 2.x per context, and a new
-    # thread does not inherit it.
-    errstate = dict(np.geterr(), call=np.geterrcall())
-
-    def build_under_caller_errstate(frame: int, z: np.ndarray, uniform: np.ndarray) -> None:
-        with np.errstate(**errstate):
-            build(frame, z, uniform)
-
-    # Imported here: it loads `logging`, ~3 ms that every CLI call would pay
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        built = None
-        for frame in range(1, cfg.num_frames + 1):
-            z = rng.standard_normal(normals)
-            uniform = rng.random(2 * n)
-            if built is not None:
-                built.result()   # the first frame's error wins
-            built = worker.submit(build_under_caller_errstate, frame, z, uniform)
-        built.result()
     return frames, gt

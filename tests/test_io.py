@@ -1018,7 +1018,7 @@ class TestCli:
         without --log it builds no tracklet, and the bytes are those of the
         per-tracklet writer it replaced."""
         small_bundle(tmp_path)
-        frames = cli._load_bundle(tmp_path / "det.txt", tmp_path / "emb.csv")
+        frames = cli._load_bundle("track", tmp_path / "det.txt", tmp_path / "emb.csv")
         want = _text(_reference_result_lines(track_sequence(frames).all_tracklets(), frames))
 
         def forbidden(state):
@@ -1251,6 +1251,16 @@ class TestCli:
                         "--embs", tmp_path / "emb.csv", "--out", tmp_path / "o.txt") == (
             2, "uatrack track: zero embedding for (frame=1, det=0)\n")
         assert not (tmp_path / "o.txt").exists()
+
+    def test_renormalized_embeddings_reported(self, tmp_path, capsys):
+        """Raw features are no unit vectors: `track` renormalizes every row,
+        says so on one stderr line and exits 0."""
+        frames, _ = small_bundle(tmp_path)
+        m = sum(map(len, frames))
+        assert run_main(capsys, "track", "--dets", tmp_path / "det.txt",
+                        "--embs", tmp_path / "raw.csv", "--out", tmp_path / "o.txt") == (
+            0, f"uatrack track: renormalized {m} of {m} embeddings\n")
+        assert (tmp_path / "o.txt").exists()
 
     @pytest.mark.parametrize("scene, message", [
         (None, "no detections to train on"),

@@ -440,46 +440,38 @@ class TestWholeFrameGeneration:
                 assert emb.shape == (len(dets), SMALL.embed_dim)
 
 
-class TestWorkerThread:
-    """Frames that draw at least `WORKER_NORMALS` normals are built on one
-    worker thread while the caller draws the next; the bits, the first
-    error and the thread count must be those of the inline path."""
+class TestCallingThread:
+    """`generate` builds every frame on the calling thread and starts no
+    thread, at every scene size; the bits are the per-object loop's."""
 
-    # 100 * (2 + 128 + 256) + 1 = 38,601 normals a frame; n <= d keeps the
+    # 12 * (2 + 16 + 32) + 1 = 601 normals a frame in the default scene,
+    # 100 * (2 + 128 + 256) + 1 = 38,601, and in a 150-object crowd frame
+    # 150 * (2 + 160 + 320) + 1 = 72,301; n <= d keeps the latter two's
     # latents on the QR branch
-    CFG = ScenarioConfig(num_objects=100, embed_dim=128, raw_dim=256, num_frames=4)
-    OVERFLOW = "num_objects = 100\nembed_dim = 128\nraw_dim = 256\nnum_frames = 5\nspeed = 1e308\n"
-
-    @staticmethod
-    def iou_threads(monkeypatch):
-        """The threads `generate`'s `iou` calls run on, from now on."""
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(num_frames=3),
+        ScenarioConfig(num_objects=100, embed_dim=128, raw_dim=256, num_frames=4),
+        ScenarioConfig(num_objects=150, embed_dim=160, raw_dim=320, num_frames=2),
+    ], ids=["default", "38601-normals", "crowd"])
+    def test_equals_per_object_reference(self, monkeypatch, cfg):
         threads = set()
 
         def recorded(a, b):
             threads.add(threading.get_ident())
             return iou(a, b)
         monkeypatch.setattr(simulator, "iou", recorded)
-        return threads
-
-    def test_default_scene_stays_on_the_caller(self, monkeypatch):
-        # 12 * (2 + 16 + 32) + 1 = 601 normals a frame
-        threads = self.iou_threads(monkeypatch)
-        generate(ScenarioConfig(num_frames=3))
+        before = threading.active_count()
+        scene = generate(cfg)
+        assert threading.active_count() == before
         assert threads == {threading.get_ident()}
+        _assert_same_bits(scene, _reference_generate(cfg))
 
-    def test_equals_per_object_reference(self, monkeypatch):
-        threads = self.iou_threads(monkeypatch)
-        scene = generate(self.CFG)
-        assert threads and threading.get_ident() not in threads
-        _assert_same_bits(scene, _reference_generate(self.CFG))
 
-    def test_equals_inline_path(self, monkeypatch):
-        scene = generate(self.CFG)
-        threads = self.iou_threads(monkeypatch)
-        monkeypatch.setattr(simulator, "WORKER_NORMALS", 2**62)
-        inline = generate(self.CFG)
-        assert threads == {threading.get_ident()}
-        _assert_same_bits(scene, inline)
+class TestCallerErrstateReachesBuild:
+    """The caller's `np.errstate` governs the whole build: the first frame
+    that overflows raises, as a data error, and no RuntimeWarning is left."""
+
+    OVERFLOW = "num_objects = 100\nembed_dim = 128\nraw_dim = 256\nnum_frames = 5\nspeed = 1e308\n"
 
     def test_first_error_wins_in_process(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.txt"
@@ -493,8 +485,8 @@ class TestWorkerThread:
         assert capsys.readouterr().err == "uatrack simulate: overflow encountered in subtract\n"
 
     def test_first_error_wins_from_the_command(self, tmp_path):
-        """`uatrack simulate` gives the inline path's one stderr line, from
-        the caller's `np.errstate`, and no RuntimeWarning."""
+        """`uatrack simulate` gives one stderr line, from the caller's
+        `np.errstate`, and no RuntimeWarning."""
         cfgp = tmp_path / "cfg.txt"
         cfgp.write_text(self.OVERFLOW)
         env = dict(os.environ)
