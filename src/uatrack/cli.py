@@ -167,9 +167,8 @@ def cmd_augment(args) -> int:
     print(f"target_frame: {plan.target_frame}")
     print("transform: " + " ".join(f"{v:.6f}" for v in
                                    (t.m11, t.m12, t.m13, t.m21, t.m22, t.m23)))
-    for d in augment.augment_detections(frames[args.frame - 1], plan):
-        print(f"box {d.det_index}: {d.box.cx:.6f} {d.box.cy:.6f} "
-              f"{d.box.w:.6f} {d.box.h:.6f}")
+    for i, d in enumerate(augment.augment_detections(frames[args.frame - 1], plan)):
+        print(f"box {i}: {d.box.cx:.6f} {d.box.cy:.6f} {d.box.w:.6f} {d.box.h:.6f}")
     return 0
 
 

@@ -267,15 +267,10 @@ def train_embedder(frames, cfg: TrainConfig):
     `EpochColumns`. Returns (embedder, per-epoch mean losses).
     """
     frames = list(frames)
-    for dets in frames:
-        for pos, d in enumerate(dets):
+    for frame, dets in enumerate(frames, start=1):
+        for i, d in enumerate(dets):
             if d.raw is None:
-                raise InsufficientData(
-                    f"detection ({d.frame},{d.det_index}) has no raw feature")
-            if d.det_index != pos:
-                raise InsufficientData(
-                    f"detection ({d.frame},{d.det_index}) is at position {pos} "
-                    "of its frame")
+                raise InsufficientData(f"detection ({frame},{i}) has no raw feature")
     # one row per detection, frame by frame, which is also each detection's
     # index among those the tracker steps
     raw = np.array([d.raw for dets in frames for d in dets])   # np.stack is slower
@@ -290,8 +285,7 @@ def train_embedder(frames, cfg: TrainConfig):
     step_count = 0
     epoch_losses: list[float] = []
     # the detections are copied once and each epoch rebinds the copies' embeddings
-    embedded = [[Detection(d.frame, d.det_index, d.box, d.confidence, d.embedding)
-                 for d in dets] for dets in frames]
+    embedded = [[Detection(d.box, d.confidence, d.embedding) for d in dets] for dets in frames]
 
     for _epoch in range(cfg.epochs):
         # re-embed and regenerate pseudo-labels with the current weights

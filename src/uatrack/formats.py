@@ -152,11 +152,9 @@ def _detections(table):
     order = np.argsort(frame, kind="stable")
     counts = np.bincount(frame, minlength=frame.max() + 1)[1:]
     ends = np.cumsum(counts)
-    det_index = np.arange(len(frame)) - np.repeat(ends - counts, counts)
     cx, cy, w, h, conf = (column[order].tolist() for column in (cx, cy, w, h, conf))
     try:   # `BoundingBox` owns a box's rules, and the per-line reader names the line
-        dets = list(map(Detection, frame[order].tolist(), det_index.tolist(),
-                        map(BoundingBox, cx, cy, w, h), conf, repeat(None)))
+        dets = list(map(Detection, map(BoundingBox, cx, cy, w, h), conf, repeat(None)))
     except DegenerateBox:
         return None
     return [dets[end - n:end] for end, n in zip(ends.tolist(), counts.tolist())]
@@ -178,9 +176,8 @@ def _read_detections_lines(path):
         box = BoundingBox.from_ltwh(left, top, w, h)
         if not math.isfinite(conf):
             raise ParseError("non-finite value")
-        dets = per_frame.setdefault(frame, [])
-        dets.append(Detection(frame=frame, det_index=len(dets), box=box,
-                              confidence=conf, embedding=None))
+        per_frame.setdefault(frame, []).append(Detection(box=box, confidence=conf,
+                                                         embedding=None))
 
     _parse_lines(path, row)
     return [per_frame.get(f, []) for f in range(1, max(per_frame, default=0) + 1)]
@@ -224,16 +221,16 @@ def _read_vectors_lines(path, what: str):
 
 
 def _matched_rows(path, frames, what: str):
-    """Yield (detection, vector) for every detection in `frames`, the vector
-    read from `path`; raises MissingEmbedding when a detection has no row
-    or a row matches no detection."""
+    """Yield (frame, det_index, detection, vector) for every detection in
+    `frames`, the vector read from `path`; raises MissingEmbedding when a
+    detection has no row or a row matches no detection."""
     rows = _read_vectors(path, what)
-    for dets in frames:
-        for d in dets:
-            vec = rows.pop((d.frame, d.det_index), None)
+    for frame, dets in enumerate(frames, start=1):
+        for i, d in enumerate(dets):
+            vec = rows.pop((frame, i), None)
             if vec is None:
-                raise MissingEmbedding(f"no {what} for (frame={d.frame}, det={d.det_index})")
-            yield d, vec
+                raise MissingEmbedding(f"no {what} for (frame={frame}, det={i})")
+            yield frame, i, d, vec
     if rows:
         raise MissingEmbedding(f"{what} row {min(rows)} matches no detection")
 
@@ -243,10 +240,10 @@ def read_embeddings(path, frames):
     (frames, renormalized_count); rows whose norm deviates by more than
     1e-6 are normalized and counted."""
     warned = 0
-    for d, vec in _matched_rows(path, frames, "embedding"):
+    for frame, i, d, vec in _matched_rows(path, frames, "embedding"):
         norm = math.sqrt(vec.dot(vec))   # the bits of np.linalg.norm(vec)
         if norm == 0.0:
-            raise ParseError(f"zero embedding for (frame={d.frame}, det={d.det_index})")
+            raise ParseError(f"zero embedding for (frame={frame}, det={i})")
         if abs(norm - 1.0) > NORM_WARN_TOL:
             vec = vec / norm
             warned += 1
@@ -256,7 +253,7 @@ def read_embeddings(path, frames):
 
 def read_raw_features(path, frames):
     """Attach raw (unnormalized) feature vectors to parsed detections."""
-    for d, vec in _matched_rows(path, frames, "raw feature"):
+    for _, _, d, vec in _matched_rows(path, frames, "raw feature"):
         d.raw = vec
     return frames
 
@@ -299,18 +296,19 @@ def _mot_line(frame: int, track_id: int, det: Detection) -> str:
 
 
 def write_detections(frames, path) -> None:
-    atomic_write(path, [_mot_line(d.frame, -1, d) for dets in frames for d in dets])
+    atomic_write(path, [_mot_line(frame, -1, d)
+                        for frame, dets in enumerate(frames, start=1) for d in dets])
 
 
 def write_vectors(frames, path, attr: str) -> None:
     lines = []
     dim, template = None, ""
-    for dets in frames:
-        for d in dets:
+    for frame, dets in enumerate(frames, start=1):
+        for i, d in enumerate(dets):
             vec = getattr(d, attr).tolist()
             if len(vec) != dim:
                 dim, template = len(vec), "%d,%d" + ",%.9g" * len(vec)
-            lines.append(template % (d.frame, d.det_index, *vec))
+            lines.append(template % (frame, i, *vec))
     atomic_write(path, lines)
 
 

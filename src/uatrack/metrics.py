@@ -155,8 +155,10 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     otherwise the detections' stored embeddings are used."""
     lookup = gt_index(gt)
 
-    def ids(dets) -> list:
-        return _true_ids(lookup, *np.array([(d.frame, d.det_index) for d in dets]).T).tolist()
+    def ids(t) -> list:
+        """The codes of frames[t], detection i looked up at (t + 1, i)."""
+        n = len(frames[t])
+        return _true_ids(lookup, np.full(n, t + 1), np.arange(n)).tolist()
 
     @cache
     def embs(t):
@@ -169,8 +171,8 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     for t, (cur, nxt) in enumerate(zip(frames, frames[1:])):
         if not cur or len(nxt) < 2:
             continue
-        col_of = {tid: j for j, tid in enumerate(ids(nxt))}
-        pairs = [(i, col_of[tid]) for i, tid in enumerate(ids(cur)) if tid in col_of]
+        col_of = {tid: j for j, tid in enumerate(ids(t + 1))}
+        pairs = [(i, col_of[tid]) for i, tid in enumerate(ids(t)) if tid in col_of]
         if not pairs:
             continue
         rows, cols = np.array(pairs).T

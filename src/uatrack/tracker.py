@@ -37,8 +37,7 @@ MAX_FRAME = 100_000   # about an hour at 30 fps; bounds every frame sequence
 
 @dataclass
 class Detection:
-    frame: int
-    det_index: int
+    """One detection; its frame and index are its place in the sequence."""
     box: BoundingBox
     confidence: float
     embedding: np.ndarray
@@ -120,13 +119,14 @@ class TrackerState:
 
     `dets` is every detection stepped, in order. The decisions are one
     table, a `ROW` array whose first `n_rows` elements are in use, one
-    decision each, appended a stage at a time: the detection's index into
-    `dets`, the frame, the track id, the five verdict fields (0 for a
-    birth) and the stage. It doubles when full; `add_pairs` appends its
-    rows and `step` their frame. `frame` is the last frame stepped, 0
-    before any. `log()` gives the table in log order as a `LOG` array,
-    `applied` its applied rows, and `all_tracklets()` the tracklets, built
-    in bulk when they are read.
+    decision each, appended a stage at a time: the frame, the detection's
+    index in its frame, the track id, the five verdict fields (0 for a
+    birth), the stage and the detection's index into `dets`. It doubles
+    when full; `add_pairs` appends its rows and `step` their frame. `frame`
+    is the last frame stepped, 0 before any. `log()` gives the table's
+    `LOG` fields in log order, reading no `Detection`, `applied` its
+    applied rows, and `all_tracklets()` the tracklets, built in bulk when
+    they are read.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -169,6 +169,7 @@ class TrackerState:
             self.table = table
         self.n_rows = stop
         rows = self.table[start:stop]
+        rows["det_index"] = pairs["row"]
         np.add(pairs["row"], base, out=rows["det"])
         rows["track_id"] = self.ids[pairs["col"]]
         for name in AssociationVerdict._fields:
@@ -180,9 +181,7 @@ class TrackerState:
         table = self.table[:self.n_rows]
         table = table.take(np.lexsort((table["det"], LOG_GROUP[table["stage"]], table["frame"])))
         log = np.empty(len(table), LOG)
-        log["det_index"] = np.fromiter(map(attrgetter("det_index"), self.dets), np.intp,
-                                       len(self.dets))[table["det"]]
-        for name in ("frame", "track_id", *AssociationVerdict._fields, "stage"):
+        for name in LOG.names:
             log[name] = table[name]
         return log
 
@@ -192,9 +191,9 @@ class TrackerState:
         rows = applied(self.table[:self.n_rows])
         stops = np.bincount(rows["track_id"])[1:].cumsum().tolist()
         dets = list(map(self.dets.__getitem__, rows["det"].tolist()))
-        records = list(map(TrackRecord, rows["frame"].tolist(),
-                           map(attrgetter("det_index"), dets), map(attrgetter("box"), dets),
-                           map(attrgetter("embedding"), dets), rows["delta"].tolist()))
+        records = list(map(TrackRecord, rows["frame"].tolist(), rows["det_index"].tolist(),
+                           map(attrgetter("box"), dets), map(attrgetter("embedding"), dets),
+                           rows["delta"].tolist()))
         return [Tracklet(i, *records[start:stop])
                 for i, start, stop in zip(range(1, len(stops) + 1), [0, *stops], stops)]
 
@@ -257,15 +256,13 @@ _VERDICT_FIELDS = [(name, float) for name in AssociationVerdict._fields]
 # pair's verdict fields in log-row order.
 SCORED = np.dtype([("row", np.intp), ("col", np.intp)] + _VERDICT_FIELDS)
 _NO_PAIRS = np.zeros(0, SCORED)
-# A row of `TrackerState`'s table: the detection's index into `dets`, the
-# frame, the track id, the pair's verdict fields and the stage.
-ROW = np.dtype([("det", np.intp), ("frame", np.intp), ("track_id", np.intp)]
-               + _VERDICT_FIELDS + [("stage", np.intp)])
 # The decision log, one decision per element, in a log line's field order;
 # stage 0 = birth, 1 = direct match, 2 = rectified, 3 = dissolved (logged,
 # not applied). A birth's verdict fields are 0.
 LOG = np.dtype([("frame", np.intp), ("det_index", np.intp), ("track_id", np.intp)]
                + _VERDICT_FIELDS + [("stage", np.intp)])
+# A row of `TrackerState`'s table: a `LOG` row, then the detection's index into `dets`.
+ROW = np.dtype(LOG.descr + [("det", np.intp)])
 
 
 def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:

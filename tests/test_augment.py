@@ -87,6 +87,9 @@ class TestSample:
         w = SamplingWeights([(42, 1.0)])
         rng = np.random.default_rng(0)
         assert all(sample(w, rng) == 42 for _ in range(10))
+        # a draw at or above the summed probabilities takes the last key
+        w = SamplingWeights([(7, 0.0), (42, 0.0)])
+        assert all(sample(w, rng) == 42 for _ in range(10))
 
     def test_empirical_frequency(self):
         w = SamplingWeights([("a", 0.75), ("b", 0.25)])
@@ -142,12 +145,11 @@ class TestAugmentDetections:
                        box_fn=lambda f: BoundingBox(f * 10.0, 0.0, 2.0, 2.0))
         plan = build_plan(t, 2, 1, 0.0, np.random.default_rng(0))
         emb = np.array([0.6, 0.8])
-        dets = [Detection(frame=2, det_index=0, box=BoundingBox(20.0, 0.0, 2.0, 2.0),
-                          confidence=0.9, embedding=emb)]
+        dets = [Detection(box=BoundingBox(20.0, 0.0, 2.0, 2.0), confidence=0.9, embedding=emb)]
         out = augment_detections(dets, plan)
+        assert len(out) == 1
         assert out[0].box.cx == pytest.approx(10.0)
         assert out[0].embedding is emb
-        assert out[0].det_index == 0
 
     def test_default_jitter_is_fraction_of_diagonal(self):
         b = BoundingBox(0.0, 0.0, 3.0, 4.0)

@@ -177,10 +177,8 @@ def toy_sequence(n_frames=30, n_objects=3, raw_dim=8, seed=0):
         for i in range(n_objects):
             raw = latents[i] + 0.05 * rng.normal(size=raw_dim)
             emb = unit(np.concatenate([latents[i][:4], [0.0]])[:4])
-            dets.append(Detection(
-                frame=f, det_index=i,
-                box=BoundingBox(50.0 * i + f, 10.0 + i, 5.0, 5.0),
-                confidence=1.0, embedding=unit(raw[:4]), raw=raw))
+            dets.append(Detection(box=BoundingBox(50.0 * i + f, 10.0 + i, 5.0, 5.0),
+                                  confidence=1.0, embedding=unit(raw[:4]), raw=raw))
         frames.append(dets)
     return frames
 
@@ -227,11 +225,33 @@ class TestTrainEmbedder:
         with pytest.raises(InsufficientData):
             train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
 
-    def test_det_index_out_of_position_rejected(self):
-        frames = toy_sequence(n_frames=5)
-        frames[2].reverse()
-        with pytest.raises(InsufficientData, match="position"):
-            train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
+    def test_skipped_steps_keep_losses_finite_and_runs_equal(self, monkeypatch):
+        """A step skips when its frame has fewer than 2 tracks with a past
+        or its target frame fewer than 2 keys. A sparse scene (3 objects,
+        half dropped) takes both skips; the losses stay finite, and since a
+        skipped step draws nothing after `t`, two runs give the same bytes."""
+        frames, _ = generate(ScenarioConfig(num_objects=3, num_frames=20, dropout=0.5, seed=0))
+        few, keyless = [], []
+        present, batch = EpochColumns.present, EpochColumns.batch
+
+        def spied_present(self, frame):
+            out = present(self, frame)
+            few.append(len(out) < 2)
+            return out
+
+        def spied_batch(self, frame, target):
+            out = batch(self, frame, target)
+            keyless.append(out is None)
+            return out
+
+        monkeypatch.setattr(EpochColumns, "present", spied_present)
+        monkeypatch.setattr(EpochColumns, "batch", spied_batch)
+        e1, l1 = train_embedder(frames, TrainConfig(epochs=2))
+        assert any(few) and any(keyless)
+        assert all(map(math.isfinite, l1))
+        e2, l2 = train_embedder(frames, TrainConfig(epochs=2))
+        assert e1.weights.tobytes() == e2.weights.tobytes()
+        assert l1 == l2
 
     def test_single_frame_rejected(self):
         # two tracklets but no frame t >= 2 to draw
@@ -407,9 +427,8 @@ def presence_state(patterns, n_frames=30):
     for k, present in enumerate(patterns):
         for f in present:
             frames[f - 1].append((k, f))
-    dets = [[Detection(f, i, BoundingBox(100.0 * k + f, 50.0, 4.0, 3.0), 0.9,
-                       np.eye(len(patterns))[k])
-             for i, (k, f) in enumerate(sorted(objects))]
+    dets = [[Detection(BoundingBox(100.0 * k + f, 50.0, 4.0, 3.0), 0.9, np.eye(len(patterns))[k])
+             for k, f in sorted(objects)]
             for objects in frames]
     return track_sequence(dets)
 
@@ -482,8 +501,8 @@ class TestDrawPlan:
         frame, not only up to the number of frames it stepped."""
         state = TrackerState(TrackerConfig())
         for frame in (1, 3, 5, 7, 9):
-            step(state, frame, [Detection(frame, k, BoundingBox(100.0 * k, 50.0, 4.0, 3.0),
-                                          0.9, np.eye(2)[k]) for k in range(2)])
+            step(state, frame, [Detection(BoundingBox(100.0 * k, 50.0, 4.0, 3.0), 0.9,
+                                          np.eye(2)[k]) for k in range(2)])
         columns = EpochColumns.from_state(state)
         for frame in (3, 5, 7, 9):
             assert columns.present(frame).tolist() == [0, 1]

@@ -214,10 +214,17 @@ class TestSolveAffine:
             assert np.allclose(got.as_matrix(), true.as_matrix(), atol=1e-8)
 
     def test_collinear_points_rejected(self):
+        """So are point arrays of different shapes and fewer than 3 points."""
         src = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         dst = src + 1.0
         with pytest.raises(DegenerateCorrespondence):
             solve_affine(src, dst)
+        with pytest.raises(DegenerateCorrespondence, match=r"^need matching Nx2 point arrays, "
+                                                           r"got \(4, 2\) and \(3, 2\)$"):
+            solve_affine(src, dst[:3])
+        with pytest.raises(DegenerateCorrespondence,
+                           match="^need at least 3 correspondences, got 2$"):
+            solve_affine(src[:2], dst[:2])
 
     def test_least_squares_on_overdetermined(self):
         # 6 noiseless points still recover the transform exactly

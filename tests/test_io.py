@@ -62,7 +62,6 @@ class TestDetectionsRoundtrip:
         for da, db in zip(frames, back):
             assert len(da) == len(db)
             for a, b in zip(da, db):
-                assert (b.frame, b.det_index) == (a.frame, a.det_index)
                 assert b.box.cx == pytest.approx(a.box.cx, abs=1e-5)
                 assert b.box.w == pytest.approx(a.box.w, abs=1e-5)
                 assert b.confidence == pytest.approx(a.confidence, abs=1e-5)
@@ -72,7 +71,7 @@ class TestDetectionsRoundtrip:
         p.write_text("1,-1,0,0,5,5,0.9,-1,-1,-1\n3,-1,0,0,5,5,0.9,-1,-1,-1\n")
         back = formats.read_detections(p)
         assert [len(d) for d in back] == [1, 0, 1]
-        assert [d.frame for dets in back for d in dets] == [1, 3]
+        assert [f for f, dets in enumerate(back, start=1) for _ in dets] == [1, 3]
 
     def test_nonpositive_size_rejected(self, tmp_path):
         p = tmp_path / "det.txt"
@@ -229,17 +228,17 @@ def _fmt6(x):
 
 def _reference_detection_lines(frames):
     lines = []
-    for dets in frames:
+    for f, dets in enumerate(frames, start=1):
         for d in dets:
             x1, y1, _, _ = d.box.to_xyxy()
-            lines.append(",".join([str(d.frame), "-1", _fmt6(x1), _fmt6(y1), _fmt6(d.box.w),
+            lines.append(",".join([str(f), "-1", _fmt6(x1), _fmt6(y1), _fmt6(d.box.w),
                                    _fmt6(d.box.h), _fmt6(d.confidence), "-1", "-1", "-1"]))
     return lines
 
 
 def _reference_vector_lines(frames, attr):
-    return [",".join([str(d.frame), str(d.det_index)] + [f"{v:.9g}" for v in getattr(d, attr)])
-            for dets in frames for d in dets]
+    return [",".join([str(f), str(i)] + [f"{v:.9g}" for v in getattr(d, attr)])
+            for f, dets in enumerate(frames, start=1) for i, d in enumerate(dets)]
 
 
 def _reference_ground_truth_lines(gt):
@@ -248,7 +247,8 @@ def _reference_ground_truth_lines(gt):
 
 def _reference_result_lines(tracklets, frames):
     """One line per tracklet record: its box and its detection's confidence."""
-    confidence = {(d.frame, d.det_index): d.confidence for dets in frames for d in dets}
+    confidence = {(f, i): d.confidence
+                  for f, dets in enumerate(frames, start=1) for i, d in enumerate(dets)}
     rows = []
     for trk in tracklets:
         for rec in trk.records:
@@ -293,7 +293,7 @@ SIZES = FINITE.map(abs).filter(lambda v: v > 0)
 INTS = st.integers(-10, 10**7)
 BOXES = st.builds(BoundingBox, FINITE, FINITE, SIZES, SIZES)
 VECTORS = st.lists(EDGE_FLOATS, max_size=4).map(lambda v: np.array(v, dtype=float))
-DETECTIONS = st.builds(Detection, INTS, INTS, BOXES, EDGE_FLOATS, VECTORS, VECTORS)
+DETECTIONS = st.builds(Detection, BOXES, EDGE_FLOATS, VECTORS, VECTORS)
 FRAMES = st.lists(st.lists(DETECTIONS, max_size=3), max_size=4)   # empty frames included
 CONFIDENCES = st.floats(0.6, 1.0) | EDGE_FLOATS   # a birth needs 0.6
 ANGLES = st.floats(0.0, 2 * math.pi)   # of a unit 2-D embedding
@@ -322,9 +322,8 @@ class TestWritersEqualReference:
     def test_results(self, scene, utl):
         """The results of a tracked state, every applied row with its
         detection's box and confidence, sorted by (frame, id)."""
-        frames = [[Detection(f, i, box, conf, np.array([math.cos(a), math.sin(a)]))
-                   for i, (box, conf, a) in enumerate(dets)]
-                  for f, dets in enumerate(scene, start=1)]
+        frames = [[Detection(box, conf, np.array([math.cos(a), math.sin(a)]))
+                   for box, conf, a in dets] for dets in scene]
         with np.errstate(all="ignore"):   # the gate's IoU of the largest boxes overflows
             state = track_sequence(frames, TrackerConfig(utl_enabled=utl))
         assert _written(lambda p: formats.write_results(state, p)) == _text(
@@ -1234,7 +1233,8 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ("seed = 1\nseed = 2\n", "line 2: duplicate key `seed`"),
         ("arena = 560\n", "line 1: arena needs two values"),
-    ], ids=["duplicate-key", "arena-one-value"])
+        ("seed = 1\nseed 2\n", "line 2: expected `key = value`"),
+    ], ids=["duplicate-key", "arena-one-value", "no-equals-sign"])
     def test_bad_scenario_config_exit_2(self, tmp_path, capsys, text, message):
         """A repeated key is a data error naming its second line, as in
         every other keyed input; it does not take its last value."""

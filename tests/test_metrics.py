@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import InvalidConfig, MissingGroundTruth, UatrackError
 from uatrack.geometry import BoundingBox
-from uatrack.metrics import (AccuracyCurve, SeparationReport, accuracy_curve, gt_index,
-                             id_switches, pseudo_accuracy, similarity_delta, switch_count,
-                             uncertainty_separation)
+from uatrack.metrics import (AccuracyCurve, SeparationReport, SimilarityDeltaSummary,
+                             accuracy_curve, gt_index, id_switches, pseudo_accuracy,
+                             similarity_delta, switch_count, uncertainty_separation)
 from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
 from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
                              TrackerConfig, Tracklet, TrackRecord, applied, track_sequence)
@@ -65,6 +65,8 @@ class TestPseudoAccuracy:
         gt = gt_records({(1, 0): 1, (2, 0): 1})
         curve = pseudo_accuracy([make_track(1, [(1, 0), (2, 0)])], gt, max_age=10)
         assert [s for s, _ in curve.points] == [1]
+        with pytest.raises(KeyError):
+            curve.at(2)
 
     def test_missing_gt_raises(self):
         with pytest.raises(MissingGroundTruth):
@@ -144,11 +146,11 @@ class TestSimilarityDelta:
     def _frames(self, e_same, e_other):
         """Two objects over 3 frames with constant embeddings."""
         frames = []
-        for f in range(1, 4):
+        for _ in range(3):
             frames.append([
-                Detection(frame=f, det_index=0, box=BOX, confidence=1.0,
+                Detection(box=BOX, confidence=1.0,
                           embedding=e_same, raw=np.concatenate([e_same, [0.0]])),
-                Detection(frame=f, det_index=1, box=BOX, confidence=1.0,
+                Detection(box=BOX, confidence=1.0,
                           embedding=e_other, raw=np.concatenate([e_other, [0.0]])),
             ])
         return frames
@@ -186,19 +188,46 @@ class TestSimilarityDelta:
             return embedder.embed(det.raw) if embedder is not None else det.embedding
 
         deltas = []
-        for cur, nxt in zip(frames, frames[1:]):
+        for f, (cur, nxt) in enumerate(zip(frames, frames[1:]), start=1):
             if not cur or len(nxt) < 2:
                 continue
-            nxt_embs = {lookup[(d.frame, d.det_index)]: emb(d) for d in nxt}
-            for d in cur:
-                tid = lookup[(d.frame, d.det_index)]
+            nxt_embs = {lookup[(f + 1, i)]: emb(d) for i, d in enumerate(nxt)}
+            for i, d in enumerate(cur):
+                tid = lookup[(f, i)]
                 if tid not in nxt_embs:
                     continue
                 q = emb(d)
                 c_neg = max(float(q @ e) for t2, e in nxt_embs.items() if t2 != tid)
                 deltas.append(float(q @ nxt_embs[tid]) - c_neg)
+        if not deltas:
+            return 0, 0.0, 0.0
         arr = np.asarray(deltas)
         return len(deltas), float(arr.mean()), float((arr > 0).mean())
+
+    def test_skipped_frame_pairs_match_per_pair_reference(self):
+        """An empty frame, a 1-detection next frame and a pair of frames with
+        no true id in common add no delta; with every pair skipped the
+        summary is all zero."""
+        def sequence(*ids):
+            """Frame t holds a detection of true id c at index i for each
+            (i, c) of ids[t - 1]; the embedding follows c."""
+            frames = [[Detection(box=BOX, confidence=1.0,
+                                 embedding=(e := (np.arange(3) == c % 3) + 0.5) / np.linalg.norm(e))
+                       for c in codes] for codes in ids]
+            return frames, gt_records({(f, i): c for f, codes in enumerate(ids, start=1)
+                                       for i, c in enumerate(codes)})
+
+        frames, gt = sequence((1, 2), (), (1,), (1, 2), (3, 4), (3,))
+        count, mean, fraction_positive = self._per_pair_reference(frames, gt)
+        out = similarity_delta(frames, gt)
+        assert out.count == count == 1   # frames 3 -> 4 only
+        assert out.fraction_positive == fraction_positive
+        assert out.mean == pytest.approx(mean, rel=0, abs=1e-12)
+        for ids in [((1, 2), (), (1,)), ((1, 2), (3, 4)), ((3, 4), (3,))]:
+            frames, gt = sequence(*ids)
+            assert similarity_delta(frames, gt) == \
+                SimilarityDeltaSummary(*self._per_pair_reference(frames, gt)) == \
+                SimilarityDeltaSummary(0, 0.0, 0.0)
 
     @pytest.mark.parametrize("embedded", [False, True], ids=["stored", "embedder"])
     def test_whole_scene_matches_per_pair_reference(self, embedded):

@@ -101,12 +101,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match=r" = 411200000000$"):
             ScenarioConfig(num_objects=1000, raw_dim=4096, num_frames=100_000)
 
-    @pytest.mark.parametrize("lines", [
-        "num_objects = 512\nembed_dim = 1024\nraw_dim = 1024\nnum_frames = 129\n",
-        "num_objects = 1000\nraw_dim = 4096\nnum_frames = 100000\n",
-    ], ids=["one-frame-past-bound", "fields-at-bounds"])
+    def test_scene_detections_bounded(self):
+        """Each detection keeps Python objects besides its vectors, so the
+        detection count is bounded too: 1,000 objects over 8,000 frames at
+        dims 2/2 keep 3.2e7 values, within MAX_SCENE_VALUES, but about 5.6 GB
+        of objects. Only configs are built here, never a scene."""
+        assert simulator.MAX_SCENE_DETECTIONS == 2**21
+        ScenarioConfig(num_frames=simulator.MAX_FRAME)   # 1.2M, the largest scene built
+        ScenarioConfig(num_objects=512, num_frames=4096, embed_dim=2, raw_dim=2)   # 2**21
+        with pytest.raises(InvalidConfig, match=r"^num_objects \* num_frames must be <= "
+                                                r"2097152, got 512 \* 4097 = 2097664$"):
+            ScenarioConfig(num_objects=512, num_frames=4097, embed_dim=2, raw_dim=2)
+        with pytest.raises(InvalidConfig, match=r" = 8000000$"):
+            ScenarioConfig(num_objects=1000, num_frames=8000, embed_dim=2, raw_dim=2)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("num_objects = 512\nembed_dim = 1024\nraw_dim = 1024\nnum_frames = 129\n",
+         "num_objects * (embed_dim + raw_dim) * num_frames must be <= "),
+        ("num_objects = 1000\nraw_dim = 4096\nnum_frames = 100000\n",
+         "num_objects * (embed_dim + raw_dim) * num_frames must be <= "),
+        ("num_objects = 1000\nembed_dim = 2\nraw_dim = 2\nnum_frames = 8000\n",
+         "num_objects * num_frames must be <= 2097152, got 1000 * 8000 = 8000000"),
+    ], ids=["one-frame-past-bound", "fields-at-bounds", "too-many-detections"])
     def test_cli_rejects_scene_too_large_before_generating(
-            self, tmp_path, capsys, monkeypatch, lines):
+            self, tmp_path, capsys, monkeypatch, lines, message):
         def unreachable(cfg):
             raise AssertionError("generate reached")
         monkeypatch.setattr(simulator, "generate", unreachable)
@@ -115,8 +133,7 @@ class TestConfigValidation:
         code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
         err = capsys.readouterr().err
         assert code == cli.DATA_ERROR
-        assert ("uatrack simulate: num_objects * (embed_dim + raw_dim) * num_frames "
-                "must be <= ") in err
+        assert f"uatrack simulate: {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "sim").exists()
 
@@ -158,13 +175,14 @@ class TestGenerate:
     def test_shapes_and_indices(self):
         frames, gt = generate(SMALL)
         assert len(frames) == 40
-        for f, dets in enumerate(frames, start=1):
-            for j, d in enumerate(dets):
-                assert d.frame == f
-                assert d.det_index == j
+        for dets in frames:
+            for d in dets:
                 assert d.embedding.shape == (SMALL.embed_dim,)
                 assert d.raw.shape == (SMALL.raw_dim,)
                 assert 0.0 <= d.confidence <= 1.0
+        # ground truth names each detection by its place: frame f, index j
+        assert [(g.frame, g.det_index) for g in gt] == \
+            [(f, j) for f, dets in enumerate(frames, start=1) for j in range(len(dets))]
 
     def test_embeddings_unit_norm(self):
         frames, _ = generate(SMALL)
@@ -176,9 +194,9 @@ class TestGenerate:
         frames, gt = generate(SMALL)
         keys = {(g.frame, g.det_index) for g in gt}
         assert len(keys) == len(gt)
-        for dets in frames:
-            for d in dets:
-                assert (d.frame, d.det_index) in keys
+        for f, dets in enumerate(frames, start=1):
+            for j in range(len(dets)):
+                assert (f, j) in keys
         assert {g.true_id for g in gt} <= set(range(1, SMALL.num_objects + 1))
 
     def test_deterministic(self):
@@ -247,7 +265,8 @@ class TestGenerate:
         frames, gt = generate(cfg)
         lut = {(g.frame, g.det_index): g.true_id for g in gt}
         X = np.array([d.raw for dets in frames for d in dets])
-        y = np.array([lut[(d.frame, d.det_index)] for dets in frames for d in dets])
+        y = np.array([lut[(f, j)] for f, dets in enumerate(frames, start=1)
+                      for j in range(len(dets))])
         onehot = np.eye(cfg.num_objects)[y - 1]
         W, *_ = np.linalg.lstsq(X, onehot, rcond=None)
         pred = (X @ W).argmax(axis=1) + 1
@@ -320,10 +339,8 @@ def _reference_generate(cfg: ScenarioConfig):
             emb = emb / np.sqrt(emb.dot(emb))
             raw = basis @ latents[i] + simulator.RAW_NOISE * raw_noise[i]
             conf = 1.0 - min(0.9, float(max_iou[i]))
-            det_index = len(dets)
-            dets.append(Detection(frame=frame, det_index=det_index, box=boxes[i],
-                                  confidence=conf, embedding=emb, raw=raw))
-            gt.append(GroundTruthRecord(frame=frame, det_index=det_index, true_id=i + 1))
+            gt.append(GroundTruthRecord(frame=frame, det_index=len(dets), true_id=i + 1))
+            dets.append(Detection(box=boxes[i], confidence=conf, embedding=emb, raw=raw))
         frames.append(dets)
     return frames, gt
 
@@ -338,7 +355,6 @@ def _assert_same_bits(scene, ref_scene):
     assert [len(dets) for dets in frames] == [len(dets) for dets in ref_frames]
     for dets, ref_dets in zip(frames, ref_frames):
         for det, ref in zip(dets, ref_dets):
-            assert (det.frame, det.det_index) == (ref.frame, ref.det_index)
             assert _box_fields(det) == _box_fields(ref)
             assert det.embedding.tobytes() == ref.embedding.tobytes()
             assert det.raw.tobytes() == ref.raw.tobytes()

@@ -34,9 +34,9 @@ def unit(*xs):
     return v / np.linalg.norm(v)
 
 
-def det(frame, idx, emb, cx=0.0, cy=0.0, w=2.0, h=2.0, conf=1.0):
-    return Detection(frame=frame, det_index=idx, box=BoundingBox(cx, cy, w, h),
-                     confidence=conf, embedding=np.asarray(emb, dtype=float))
+def det(emb, cx=0.0, cy=0.0, w=2.0, h=2.0, conf=1.0):
+    return Detection(box=BoundingBox(cx, cy, w, h), confidence=conf,
+                     embedding=np.asarray(emb, dtype=float))
 
 
 def track(tid, frame, emb, cx=0.0, cy=0.0, w=2.0, h=2.0, delta=0.0):
@@ -73,8 +73,7 @@ def state_of(tracks, cfg=TrackerConfig()):
 
     def added(records):
         first = len(state.dets)
-        state.dets += [Detection(r.frame, r.det_index, r.box, 1.0, r.embedding)
-                       for r in records]
+        state.dets += [Detection(r.box, 1.0, r.embedding) for r in records]
         return np.arange(first, len(state.dets))
 
     firsts = [t.records[0] for t in tracks]
@@ -236,25 +235,25 @@ class TestConfigValidation:
 class TestBuildSimilarity:
     def test_identical_unit_vectors(self):
         tr = track(1, 1, unit(1, 0))
-        d = det(2, 0, unit(1, 0))
+        d = det(unit(1, 0))
         assert build_similarity(emb_matrix([d]), last_embeddings([tr]))[0, 0] == \
             pytest.approx(1.0)
 
     def test_orthonormal(self):
         trs = [track(1, 1, unit(1, 0)), track(2, 1, unit(0, 1))]
-        ds = [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))]
+        ds = [det(unit(1, 0)), det(unit(0, 1))]
         m = build_similarity(emb_matrix(ds), last_embeddings(trs))
         assert np.allclose(m, np.eye(2))
 
     def test_known_cosine(self):
         tr = track(1, 1, unit(1, 0))
-        d = det(2, 0, unit(1, 1))
+        d = det(unit(1, 1))
         m = build_similarity(emb_matrix([d]), last_embeddings([tr]))
         assert m[0, 0] == pytest.approx(0.7071068, abs=1e-6)
 
     def test_dimension_mismatch(self):
         tr = track(1, 1, unit(1, 0, 0))
-        d = det(2, 0, unit(1, 0))
+        d = det(unit(1, 0))
         with pytest.raises(DimensionMismatch):
             build_similarity(emb_matrix([d]), last_embeddings([tr]))
 
@@ -358,7 +357,7 @@ class TestRectify:
     def test_identical_history_overlapping_boxes(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 1.0], box)
-        d = det(3, 0, unit(1, 0), cx=1.0, cy=1.0)  # IoU = 1/7 > beta
+        d = det(unit(1, 0), cx=1.0, cy=1.0)  # IoU = 1/7 > beta
         pairs = rectify(np.array([0]), np.array([0]), [d], emb_matrix([d]),
                         state_of([t], TrackerConfig(K=2)))
         assert pairs.tolist() == [[0, 0]]
@@ -366,7 +365,7 @@ class TestRectify:
     def test_disjoint_boxes_forbidden(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 1.0], box)
-        d = det(3, 0, unit(1, 0), cx=50.0, cy=50.0)
+        d = det(unit(1, 0), cx=50.0, cy=50.0)
         pairs = rectify(np.array([0]), np.array([0]), [d], emb_matrix([d]),
                         state_of([t], TrackerConfig(K=2)))
         assert pairs.shape == (0, 2)
@@ -374,7 +373,7 @@ class TestRectify:
     def test_short_history_mean(self):
         box = BoundingBox(0.0, 0.0, 2.0, 2.0)
         t = self._history_track([1.0, 0.8, 0.6], box)
-        d = det(4, 0, unit(1, 0), cx=0.5, cy=0.5)
+        d = det(unit(1, 0), cx=0.5, cy=0.5)
         cfg = TrackerConfig(K=5)
         cprime = np.mean([d.embedding @ r.embedding for r in t.records[-cfg.K:]])
         assert cprime == pytest.approx(0.8, abs=1e-9)
@@ -427,8 +426,8 @@ class TestRectify:
                 for f in range(2, int(rng.integers(2, 8))):   # 1..6 records, K=3
                     trk.append(record(f, dim + 1))
                 tracks.append(trk)
-            dets = [Detection(9, i, box(), 1.0, unit(*rng.normal(size=dim + 1)))
-                    for i in range(n_dets)]
+            dets = [Detection(box(), 1.0, unit(*rng.normal(size=dim + 1)))
+                    for _ in range(n_dets)]
             pool_rows, pool_cols = subset(n_dets), subset(n_tracks)
 
             seen.clear()
@@ -456,30 +455,30 @@ def born(rows):
 class TestStep:
     def test_births_in_det_order(self):
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
+        step(state, 1, [det(unit(1, 0)), det(unit(0, 1))])
         rows = rows_at(state, 1)
         assert born(rows) == [1, 2]
         assert [row["stage"] for row in rows] == [STAGE_BIRTH, STAGE_BIRTH]
 
     def test_low_confidence_no_birth(self):
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, unit(1, 0), conf=0.5)])
+        step(state, 1, [det(unit(1, 0), conf=0.5)])
         assert born(rows_at(state, 1)) == []
         assert state.ids.tolist() == [] and state.all_tracklets() == []
 
     def test_orthonormal_continuation(self):
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))])
-        step(state, 2, [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))])
+        step(state, 1, [det(unit(1, 0)), det(unit(0, 1))])
+        step(state, 2, [det(unit(1, 0)), det(unit(0, 1))])
         rows = rows_at(state, 2)
         assert matched(rows) == [(0, 1), (1, 2)]
         assert born(rows) == []
 
     def test_out_of_order_frame(self):
         state = TrackerState(TrackerConfig())
-        step(state, 2, [det(2, 0, unit(1, 0))])
+        step(state, 2, [det(unit(1, 0))])
         with pytest.raises(OutOfOrderFrame):
-            step(state, 2, [det(2, 0, unit(1, 0))])
+            step(state, 2, [det(unit(1, 0))])
 
     @pytest.mark.parametrize("frame", [0, -3])
     def test_first_frame_below_1_rejected(self, frame):
@@ -487,7 +486,7 @@ class TestStep:
         at frame 0 or below raises and writes nothing."""
         state = TrackerState(TrackerConfig())
         with pytest.raises(OutOfOrderFrame, match=f"^frame {frame} after 0$"):
-            step(state, frame, [det(frame, 0, unit(1, 0))])
+            step(state, frame, [det(unit(1, 0))])
         assert state.frame == state.n_rows == len(state.dets) == 0
 
     def test_table_rows_carry_their_frame(self):
@@ -495,7 +494,7 @@ class TestStep:
         last frame stepped, gaps included."""
         state = TrackerState(TrackerConfig())
         for frame in (1, 4, 9):
-            step(state, frame, [det(frame, 0, unit(1, 0)), det(frame, 1, unit(0, 1))])
+            step(state, frame, [det(unit(1, 0)), det(unit(0, 1))])
         assert state.frame == 9
         assert state.table["frame"][:state.n_rows].tolist() == [1, 1, 4, 4, 9, 9]
         assert state.log()["frame"].tolist() == [1, 1, 4, 4, 9, 9]
@@ -514,9 +513,9 @@ class TestStep:
             return np.array([x, y, math.sqrt(1.0 - x * x - y * y)])
 
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, t1, cx=0.0), det(1, 1, t2, cx=100.0)])
-        d1 = det(2, 0, mix(0.52, 0.50), cx=0.5)
-        d2 = det(2, 1, mix(0.49, 0.46), cx=100.5)
+        step(state, 1, [det(t1, cx=0.0), det(t2, cx=100.0)])
+        d1 = det(mix(0.52, 0.50), cx=0.5)
+        d2 = det(mix(0.49, 0.46), cx=100.5)
         return state, d1, d2
 
     def test_rectification_restores_identity_pairing(self):
@@ -578,16 +577,16 @@ class TestStep:
     def test_mixed_dims_in_one_frame_raise(self):
         state = TrackerState(TrackerConfig())
         with pytest.raises(DimensionMismatch):
-            step(state, 1, [det(1, 0, unit(1, 0)), det(1, 1, unit(1, 0, 0))])
-        step(state, 2, [det(2, 0, unit(1, 0))])
+            step(state, 1, [det(unit(1, 0)), det(unit(1, 0, 0))])
+        step(state, 2, [det(unit(1, 0))])
         with pytest.raises(DimensionMismatch):
-            step(state, 3, [det(3, 0, unit(1, 0)), det(3, 1, unit(1, 0, 0))])
+            step(state, 3, [det(unit(1, 0)), det(unit(1, 0, 0))])
 
     def test_dim_change_against_live_tracks_raises(self):
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, unit(1, 0))])
+        step(state, 1, [det(unit(1, 0))])
         with pytest.raises(DimensionMismatch):
-            step(state, 2, [det(2, 0, unit(1, 0, 0))])
+            step(state, 2, [det(unit(1, 0, 0))])
 
     def test_failed_step_leaves_the_state_unchanged(self):
         """A step that raises writes nothing, so the same frame then steps
@@ -596,13 +595,13 @@ class TestStep:
             return (state.log(), applied(state.table[:state.n_rows]), state.ids.copy(),
                     state.newest.copy())
 
-        frame_1 = [det(1, 0, unit(1, 0)), det(1, 1, unit(0, 1))]
-        frame_2 = [det(2, 0, unit(1, 0)), det(2, 1, unit(0, 1))]
+        frame_1 = [det(unit(1, 0)), det(unit(0, 1))]
+        frame_2 = [det(unit(1, 0)), det(unit(0, 1))]
         state, clean = TrackerState(TrackerConfig()), TrackerState(TrackerConfig())
         step(state, 1, frame_1)
         before, n_dets = reads(state), len(state.dets)
         with pytest.raises(DimensionMismatch):
-            step(state, 2, [det(2, 0, unit(1, 0, 0))])
+            step(state, 2, [det(unit(1, 0, 0))])
         assert all(map(np.array_equal, reads(state), before))
         assert state.frame == 1 and len(state.dets) == n_dets
         step(state, 2, frame_2)
@@ -630,7 +629,7 @@ class TestStep:
         next one."""
         monkeypatch.setattr(tracker, "MAX_LOST", 2)
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, unit(1, 0))])
+        step(state, 1, [det(unit(1, 0))])
         for f in range(2, 2 + tracker.MAX_LOST):
             step(state, f, [])
         assert state.ids.tolist() == [1]
@@ -644,10 +643,10 @@ class TestStep:
     def test_lost_track_rematches_before_removal(self, monkeypatch):
         monkeypatch.setattr(tracker, "MAX_LOST", 5)
         state = TrackerState(TrackerConfig())
-        step(state, 1, [det(1, 0, unit(1, 0))])
+        step(state, 1, [det(unit(1, 0))])
         step(state, 2, [])
         assert state.lost.tolist() == [1]
-        step(state, 3, [det(3, 0, unit(1, 0))])
+        step(state, 3, [det(unit(1, 0))])
         assert matched(rows_at(state, 3)) == [(0, 1)]
         assert state.lost.tolist() == [0]
 
@@ -655,7 +654,7 @@ class TestStep:
 class TestTrackSequence:
     def _frames(self, n=5):
         e1, e2 = unit(1, 0), unit(0, 1)
-        return [[det(f, 0, e1, cx=f * 1.0), det(f, 1, e2, cx=100.0 + f)]
+        return [[det(e1, cx=f * 1.0), det(e2, cx=100.0 + f)]
                 for f in range(1, n + 1)]
 
     def test_single_frame(self):
@@ -722,8 +721,8 @@ class TestTrackSequence:
                 [np.dtype(np.intp)] * 3
             assert np.array_equal(got["track_id"], table["track_id"])
             assert np.array_equal(got["frame"], table["frame"])
-            assert got["det_index"].tolist() == [state.dets[i].det_index
-                                                 for i in table["det"].tolist()]
+            positions = np.concatenate([np.arange(len(dets)) for dets in frames])
+            assert np.array_equal(got["det_index"], positions[table["det"]])
 
     def test_log_applied_columns_reject_two_rows_of_a_track_in_a_frame(self):
         """The earliest frame with two applied rows of one track is named,
