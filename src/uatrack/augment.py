@@ -7,20 +7,20 @@ affine transform aligning its current box onto its historical one, with bounded
 corner jitter standing in for perspective distortion; `build_plan` takes those
 boxes from a `Tracklet`, for criterion 4. `source_anchor_weights` and
 `target_anchor_weights` are the draw's weights over `Tracklet`s, the reference
-that criterion 1 and `tests/test_augment.py` read. Boxes are transformed;
-embeddings and identities carry over unchanged.
+that criterion 1 and `tests/test_augment.py` read. `uatrack augment` prints
+the frame's boxes moved by the plan through `geometry.apply_affine`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBox, NoHistory
-from .geometry import AffineTransform, BoundingBox, apply_affine, solve_affine
-from .tracker import Detection, Tracklet
+from .geometry import AffineTransform, BoundingBox, solve_affine
+from .tracker import Tracklet
 from .uncertainty import tracklet_uncertainty
 
 # default corner perturbation, as a fraction of the anchor box diagonal
@@ -110,9 +110,3 @@ def plan_between(track_id: int, target: int, src_box: BoundingBox, dst_box: Boun
 
 def default_jitter(box: BoundingBox) -> float:
     return DEFAULT_JITTER_FRACTION * math.hypot(box.w, box.h)
-
-
-def augment_detections(dets: list[Detection], plan: AugmentationPlan) -> list[Detection]:
-    """Apply the plan's transform to every detection box; embeddings and
-    identities carry over (the copy of object i is a positive key for i)."""
-    return [replace(d, box=apply_affine(plan.transform, d.box)) for d in dets]

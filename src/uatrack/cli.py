@@ -154,7 +154,7 @@ def cmd_eval(args) -> int:
 
 def cmd_augment(args) -> int:
     import numpy as np
-    from . import augment, contrastive, tracker
+    from . import contrastive, geometry, tracker
     cfg = contrastive.TrainConfig(seed=args.seed)
     frames = _load_bundle(args.command, os.path.join(args.bundle, "det.txt"),
                           os.path.join(args.bundle, "emb.csv"))
@@ -167,8 +167,9 @@ def cmd_augment(args) -> int:
     print(f"target_frame: {plan.target_frame}")
     print("transform: " + " ".join(f"{v:.6f}" for v in
                                    (t.m11, t.m12, t.m13, t.m21, t.m22, t.m23)))
-    for i, d in enumerate(augment.augment_detections(frames[args.frame - 1], plan)):
-        print(f"box {i}: {d.box.cx:.6f} {d.box.cy:.6f} {d.box.w:.6f} {d.box.h:.6f}")
+    for i, d in enumerate(frames[args.frame - 1]):
+        box = geometry.apply_affine(t, d.box)
+        print(f"box {i}: {box.cx:.6f} {box.cy:.6f} {box.w:.6f} {box.h:.6f}")
     return 0
 
 
@@ -180,7 +181,7 @@ def cmd_train(args) -> int:
     frames = formats.read_detections(os.path.join(args.bundle, "det.txt"))
     frames = formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
     embedder, losses = contrastive.train_embedder(frames, cfg)
-    formats.write_weights(embedder, args.out)
+    formats.write_weights(embedder.weights, args.out)
     for i, loss in enumerate(losses, start=1):
         print(f"epoch {i}: mean_loss {loss:.6f}")
     return 0

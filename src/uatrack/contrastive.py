@@ -100,16 +100,17 @@ class TrainConfig:
                                 f"got {self.anchor_sampling!r}")
 
 
-def _draw_in_window(past: list[int], probs: list[float], frame: int,
-                    rng: np.random.Generator, uniform: bool) -> int:
+def _draw_in_window(past: list[int], probs: list[float] | None, frame: int,
+                    rng: np.random.Generator) -> int:
     """The target frame of an anchor whose historical frames before `frame`
     are `past`, ascending, with softmax weights `probs`. It is drawn from
     the frames within MAX_LAG of `frame`, or from the whole history when
-    none is: uniformly, or by each weight over the window's sum."""
+    none is: uniformly when `probs` is None, else by each weight over the
+    window's sum."""
     start = bisect_left(past, frame - MAX_LAG)
     if start == len(past):
         start = 0
-    if uniform:
+    if probs is None:
         return past[start + int(rng.integers(len(past) - start))]
     window = probs[start:]
     # summed left to right: from Python 3.12 the builtin sum compensates rounding
@@ -172,9 +173,8 @@ class EpochColumns:
             anchor = sample(SamplingWeights(list(zip(present.tolist(), weights))), rng)
         start = self.bounds[anchor]
         stop = bisect_left(self.frames, frame, start, self.bounds[anchor + 1])
-        return anchor, _draw_in_window(self.frames[start:stop],
-                                       softmax(self.deltas[start:stop]).tolist(),
-                                       frame, rng, uniform)
+        probs = None if uniform else softmax(self.deltas[start:stop]).tolist()
+        return anchor, _draw_in_window(self.frames[start:stop], probs, frame, rng)
 
     def row(self, track: int, frame: int) -> int:
         """The index among every detection stepped of the detection of
@@ -284,8 +284,8 @@ def train_embedder(frames, cfg: TrainConfig):
     total_steps = cfg.epochs * cfg.steps_per_epoch
     step_count = 0
     epoch_losses: list[float] = []
-    # the detections are copied once and each epoch rebinds the copies' embeddings
-    embedded = [[Detection(d.box, d.confidence, d.embedding) for d in dets] for dets in frames]
+    # the detections are copied once and each epoch binds the copies' embeddings
+    embedded = [[Detection(d.box, d.confidence) for d in dets] for dets in frames]
 
     for _epoch in range(cfg.epochs):
         # re-embed and regenerate pseudo-labels with the current weights

@@ -26,7 +26,6 @@ import math
 import os
 import warnings
 from dataclasses import fields as dc_fields
-from itertools import repeat
 
 import numpy as np
 
@@ -154,7 +153,7 @@ def _detections(table):
     ends = np.cumsum(counts)
     cx, cy, w, h, conf = (column[order].tolist() for column in (cx, cy, w, h, conf))
     try:   # `BoundingBox` owns a box's rules, and the per-line reader names the line
-        dets = list(map(Detection, map(BoundingBox, cx, cy, w, h), conf, repeat(None)))
+        dets = list(map(Detection, map(BoundingBox, cx, cy, w, h), conf))
     except DegenerateBox:
         return None
     return [dets[end - n:end] for end, n in zip(ends.tolist(), counts.tolist())]
@@ -176,8 +175,7 @@ def _read_detections_lines(path):
         box = BoundingBox.from_ltwh(left, top, w, h)
         if not math.isfinite(conf):
             raise ParseError("non-finite value")
-        per_frame.setdefault(frame, []).append(Detection(box=box, confidence=conf,
-                                                         embedding=None))
+        per_frame.setdefault(frame, []).append(Detection(box, conf))
 
     _parse_lines(path, row)
     return [per_frame.get(f, []) for f in range(1, max(per_frame, default=0) + 1)]
@@ -369,18 +367,16 @@ def _read_log_lines(path):
     return np.array(_parse_lines(path, row), LOG)
 
 
-def write_weights(embedder, path) -> None:
-    """Text weights: header `F D`, then F rows of D full-precision values."""
-    w = embedder.weights
-    lines = [f"{w.shape[0]} {w.shape[1]}"]
-    lines += [" ".join(repr(float(v)) for v in row) for row in w]
+def write_weights(weights: np.ndarray, path) -> None:
+    """The (F × D) `weights` as text: header `F D`, then F rows of D full-precision values."""
+    lines = [f"{weights.shape[0]} {weights.shape[1]}"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in weights]
     atomic_write(path, lines)
 
 
-def read_weights(path):
-    """A `LinearEmbedder` from text weights written by `write_weights`; the
+def read_weights(path) -> np.ndarray:
+    """The (F × D) matrix of text weights written by `write_weights`; the
     first non-blank line is the `F D` header."""
-    from .contrastive import LinearEmbedder   # here, so no other reader loads the trainer
     shape, rows = [], []
 
     def row(parts):
@@ -403,7 +399,7 @@ def read_weights(path):
         raise ParseError("line 1: weights header must be `F D`")
     if len(rows) != shape[0]:
         raise ParseError(f"expected {shape[0]} weight rows, got {len(rows)}")
-    return LinearEmbedder(np.array(rows))
+    return np.array(rows)
 
 
 # --- flat key = value config files ---------------------------------------

@@ -155,8 +155,9 @@ def similarity_delta(frames, gt, embedder=None) -> SimilarityDeltaSummary:
     otherwise the detections' stored embeddings are used."""
     lookup = gt_index(gt)
 
+    @cache
     def ids(t) -> list:
-        """The codes of frames[t], detection i looked up at (t + 1, i)."""
+        """The codes of frames[t], detection i at (t + 1, i), looked up once."""
         n = len(frames[t])
         return _true_ids(lookup, np.full(n, t + 1), np.arange(n)).tolist()
 

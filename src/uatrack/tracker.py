@@ -37,10 +37,11 @@ MAX_FRAME = 100_000   # about an hour at 30 fps; bounds every frame sequence
 
 @dataclass
 class Detection:
-    """One detection; its frame and index are its place in the sequence."""
+    """One detection; its frame and index are its place in the sequence.
+    Its embedding stays None until `read_embeddings` or training attaches one."""
     box: BoundingBox
     confidence: float
-    embedding: np.ndarray
+    embedding: np.ndarray | None = None
     raw: np.ndarray | None = None  # appearance feature for embedder training
 
 
@@ -265,11 +266,10 @@ LOG = np.dtype([("frame", np.intp), ("det_index", np.intp), ("track_id", np.intp
 ROW = np.dtype(LOG.descr + [("det", np.intp)])
 
 
-def _embeddings(dets: list[Detection], dim: int) -> np.ndarray:
-    """The frame's (detections × D) embedding matrix; an empty frame's has
-    the tracks' `dim`."""
+def _embeddings(dets: list[Detection]) -> np.ndarray:
+    """The frame's (detections × D) embedding matrix; (0, 0), read by no stage, when empty."""
     if not dets:
-        return np.zeros((0, dim))
+        return np.zeros((0, 0))
     try:   # np.array stacks rows of equal length faster than np.stack
         return np.array([d.embedding for d in dets])
     except ValueError:
@@ -348,7 +348,7 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     if frame <= state.frame:
         raise OutOfOrderFrame(f"frame {frame} after {state.frame}")
 
-    det_mat = _embeddings(dets, state.ring.shape[2])
+    det_mat = _embeddings(dets)
     sim = build_similarity(det_mat, state.newest)
     pairs = hungarian_max(sim)
     if cfg.utl_enabled:

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from uatrack.augment import (SamplingWeights, build_plan,
-                             default_jitter, augment_detections, sample,
+from uatrack.augment import (SamplingWeights, build_plan, default_jitter, sample,
                              source_anchor_weights, target_anchor_weights)
 from uatrack.errors import DegenerateBox, NoHistory
 from uatrack.geometry import BoundingBox, apply_affine
-from uatrack.tracker import Detection, Tracklet, TrackRecord
+from uatrack.tracker import Tracklet, TrackRecord
 
 
 def make_track(tid, frame_deltas, box_fn=None):
@@ -140,16 +139,14 @@ class TestBuildPlan:
 
 
 class TestAugmentDetections:
-    def test_boxes_transformed_embeddings_kept(self):
+    def test_boxes_transformed(self):
+        """The plan's transform moves a box at the anchor's current place
+        onto the anchor's historical one, as `uatrack augment` prints it."""
         t = make_track(1, [(1, 0.0), (2, 0.0)],
                        box_fn=lambda f: BoundingBox(f * 10.0, 0.0, 2.0, 2.0))
         plan = build_plan(t, 2, 1, 0.0, np.random.default_rng(0))
-        emb = np.array([0.6, 0.8])
-        dets = [Detection(box=BoundingBox(20.0, 0.0, 2.0, 2.0), confidence=0.9, embedding=emb)]
-        out = augment_detections(dets, plan)
-        assert len(out) == 1
-        assert out[0].box.cx == pytest.approx(10.0)
-        assert out[0].embedding is emb
+        box = apply_affine(plan.transform, BoundingBox(20.0, 0.0, 2.0, 2.0))
+        assert box.cx == pytest.approx(10.0)
 
     def test_default_jitter_is_fraction_of_diagonal(self):
         b = BoundingBox(0.0, 0.0, 3.0, 4.0)

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every module imports only modules below it in the package's layering."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uatrack"
+# The package's modules, lowest first: each may import only those before it.
+LAYERS = ["errors", "geometry", "uncertainty", "assignment", "tracker", "simulator", "formats",
+          "metrics", "augment", "contrastive", "cli"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +45,39 @@ def test_unused_import_found():
               "class A:\n"
               "    y: int = 0\n")
     assert unused_imports(source) == ["line 2: os", "line 5: field"]
+
+
+def upward_imports(source: str, module: str) -> list[str]:
+    """`line N: module -> other` for each relative import in `source` of
+    a module that is not before `module` in LAYERS: `from .x import ...`
+    and `from . import x`, at module level or inside a function. A module
+    named in a string, as `cli` passes to `import_module`, is out of its
+    reach."""
+    rank = LAYERS.index(module)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [f"line {node.lineno}: {module} -> {name}" for name in names
+                      if name not in LAYERS[:rank]]
+    return found
+
+
+def test_modules_are_layered():
+    assert sorted(LAYERS) == sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert [line for name in LAYERS
+            for line in upward_imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8"),
+                                       name)] == []
+
+
+def test_upward_import_found():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from .errors import ParseError\n"
+              "from .contrastive import LinearEmbedder\n"
+              "def f():\n"
+              "    from . import geometry, metrics\n"
+              "    from .formats import read_log\n")
+    assert upward_imports(source, "formats") == ["line 4: formats -> contrastive",
+                                                 "line 6: formats -> metrics",
+                                                 "line 7: formats -> formats"]

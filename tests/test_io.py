@@ -184,9 +184,8 @@ class TestGroundTruthAndLog:
 
     def test_weights_roundtrip_exact(self, tmp_path):
         e = LinearEmbedder.init_random(8, 4, np.random.default_rng(13))
-        formats.write_weights(e, tmp_path / "w.txt")
-        back = formats.read_weights(tmp_path / "w.txt")
-        assert np.array_equal(back.weights, e.weights)
+        formats.write_weights(e.weights, tmp_path / "w.txt")
+        assert np.array_equal(formats.read_weights(tmp_path / "w.txt"), e.weights)
 
     @pytest.mark.parametrize("text,line", [("a b\n", "line 1"),
                                            ("1 2\n1 x\n", "line 2")],

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from uatrack import metrics
 from uatrack.contrastive import LinearEmbedder
 from uatrack.errors import InvalidConfig, MissingGroundTruth, UatrackError
 from uatrack.geometry import BoundingBox
@@ -178,6 +179,18 @@ class TestSimilarityDelta:
         gt = gt_records({(f, 0): 1 for f in range(1, 4)} | {(1, 1): 2, (2, 1): 2})
         with pytest.raises(MissingGroundTruth, match=r"frame=3, det=1"):
             similarity_delta(frames, gt)
+
+    def test_each_frame_looked_up_once(self, monkeypatch):
+        """A frame's true ids serve both pairs it is in: one `_true_ids`
+        call per frame at most, against about two per frame uncached."""
+        frames, gt = generate(ScenarioConfig(seed=7))
+        expected = similarity_delta(frames, gt)
+        calls = []
+        true_ids = metrics._true_ids
+        monkeypatch.setattr(metrics, "_true_ids",
+                            lambda *args: calls.append(args) or true_ids(*args))
+        assert similarity_delta(frames, gt) == expected
+        assert len(frames) - 1 <= len(calls) <= len(frames)
 
     @staticmethod
     def _per_pair_reference(frames, gt, embedder=None):

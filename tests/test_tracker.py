@@ -86,6 +86,11 @@ def state_of(tracks, cfg=TrackerConfig()):
     return state
 
 
+def test_detection_has_no_embedding_until_one_is_attached():
+    d = Detection(BoundingBox(0.0, 0.0, 2.0, 2.0), 0.9)
+    assert d.embedding is None and d.raw is None
+
+
 class TestTracklet:
     def test_record_frames_strictly_increase(self):
         t = track(1, 1, unit(1, 0))
@@ -639,6 +644,19 @@ class TestStep:
         assert state.ids.tolist() == []
         assert [(t.id, t.records) for t in state.all_tracklets()] == [(trk.id, trk.records)]
         assert len(state.lost) == len(state.lengths) == len(state.ring) == 0
+
+    def test_embedding_dim_may_change_once_every_track_retired(self, monkeypatch):
+        """Empty frames' embedding matrices carry no dim: after the last
+        dim-3 track retires, dim-5 detections start dim-5 tracks."""
+        monkeypatch.setattr(tracker, "MAX_LOST", 1)
+        state = TrackerState(TrackerConfig())
+        step(state, 1, [det(unit(1, 0, 0))])
+        step(state, 2, [])
+        step(state, 3, [])
+        assert state.ids.tolist() == []
+        step(state, 4, [det(unit(1, 0, 0, 0, 0)), det(unit(0, 1, 0, 0, 0), cx=50.0)])
+        assert state.ids.tolist() == [2, 3]
+        assert state.newest.shape == (2, 5) and state.ring.shape[2] == 5
 
     def test_lost_track_rematches_before_removal(self, monkeypatch):
         monkeypatch.setattr(tracker, "MAX_LOST", 5)
