@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 def _load_bundle(command, dets_path, embs_path):
     from . import formats
     frames = formats.read_detections(dets_path)
-    frames, renormalized = formats.read_embeddings(embs_path, frames)
+    renormalized = formats.read_embeddings(embs_path, frames)
     if renormalized:
         print(f"uatrack {command}: renormalized {renormalized} of "
               f"{sum(map(len, frames))} embeddings", file=sys.stderr)
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
                                   **_given(args, "anchor_sampling"))
     # training embeds from raw features, so emb.csv is not read
     frames = formats.read_detections(os.path.join(args.bundle, "det.txt"))
-    frames = formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
+    formats.read_raw_features(os.path.join(args.bundle, "raw.csv"), frames)
     embedder, losses = contrastive.train_embedder(frames, cfg)
     formats.write_weights(embedder.weights, args.out)
     for i, loss in enumerate(losses, start=1):

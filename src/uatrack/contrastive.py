@@ -14,7 +14,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 
@@ -284,14 +283,15 @@ def train_embedder(frames, cfg: TrainConfig):
     total_steps = cfg.epochs * cfg.steps_per_epoch
     step_count = 0
     epoch_losses: list[float] = []
-    # the detections are copied once and each epoch binds the copies' embeddings
-    embedded = [[Detection(d.box, d.confidence) for d in dets] for dets in frames]
+    # the detections are copied once, each embedding a row view of `emb`,
+    # which every epoch overwrites; the tracker copies what it keeps
+    emb = np.empty((len(raw), cfg.embed_dim))
+    views = iter(emb)
+    embedded = [[Detection(d.box, d.confidence, next(views)) for d in dets] for dets in frames]
 
     for _epoch in range(cfg.epochs):
         # re-embed and regenerate pseudo-labels with the current weights
-        emb = embedder.embed(raw)
-        for d, e in zip(chain.from_iterable(embedded), emb):
-            d.embedding = e
+        emb[...] = embedder.embed(raw)
         state = track_sequence(embedded)
         if state.made < 2:
             raise InsufficientData(

@@ -57,9 +57,5 @@ class MissingEmbedding(UatrackError):
     """A detection has no embedding row."""
 
 
-class DuplicateEmbedding(UatrackError):
-    """More than one embedding row for the same (frame, det_index)."""
-
-
 class IoFailure(UatrackError):
     """Filesystem write failed."""

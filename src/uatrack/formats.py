@@ -29,11 +29,11 @@ from dataclasses import fields as dc_fields
 
 import numpy as np
 
-from .errors import (DegenerateBox, DimensionMismatch, DuplicateEmbedding, InvalidConfig,
-                     IoFailure, MissingEmbedding, ParseError, UatrackError)
+from .errors import (DegenerateBox, DimensionMismatch, InvalidConfig, IoFailure,
+                     MissingEmbedding, ParseError, UatrackError)
 from .geometry import BoundingBox
-from .tracker import (LOG, MAX_FRAME, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
-                      GroundTruthRecord, TrackerState, applied)
+from .tracker import (LOG, MAX_FRAME, STAGE_BIRTH, STAGE_DISSOLVED, Detection, TrackerState,
+                      applied)
 
 NORM_WARN_TOL = 1e-6
 
@@ -211,7 +211,7 @@ def _read_vectors_lines(path, what: str):
         if len(vec) != dim:
             raise DimensionMismatch(f"{what} dim {len(vec)} != {dim}")
         if key in rows:
-            raise DuplicateEmbedding(f"duplicate {what} for {key}")
+            raise ParseError(f"duplicate {what} for {key}")
         rows[key] = vec
 
     _parse_lines(path, row)
@@ -233,10 +233,10 @@ def _matched_rows(path, frames, what: str):
         raise MissingEmbedding(f"{what} row {min(rows)} matches no detection")
 
 
-def read_embeddings(path, frames):
-    """Attach l2-normalized embeddings to parsed detections. Returns
-    (frames, renormalized_count); rows whose norm deviates by more than
-    1e-6 are normalized and counted."""
+def read_embeddings(path, frames) -> int:
+    """Attach l2-normalized embeddings to the parsed detections of `frames`
+    in place. Returns the count of rows whose norm deviated by more than
+    1e-6; those are normalized."""
     warned = 0
     for frame, i, d, vec in _matched_rows(path, frames, "embedding"):
         norm = math.sqrt(vec.dot(vec))   # the bits of np.linalg.norm(vec)
@@ -246,40 +246,42 @@ def read_embeddings(path, frames):
             vec = vec / norm
             warned += 1
         d.embedding = vec
-    return frames, warned
+    return warned
 
 
-def read_raw_features(path, frames):
-    """Attach raw (unnormalized) feature vectors to parsed detections."""
+def read_raw_features(path, frames) -> None:
+    """Attach raw (unnormalized) feature vectors to the parsed detections of `frames` in place."""
     for _, _, d, vec in _matched_rows(path, frames, "raw feature"):
         d.raw = vec
-    return frames
 
 
 _GT_TABLE = np.dtype([("frame", np.int64), ("det_index", np.int64), ("true_id", np.int64)])
 
 
-def read_ground_truth(path):
+def read_ground_truth(path) -> dict[tuple[int, int], int]:
+    """(frame, det_index) -> true id for each row of `path`, in file order."""
     table = _table(_ascii_lines(path), _GT_TABLE)
     if table is not None:
-        columns = [table[name].tolist() for name in _GT_TABLE.names]
-        if len(set(zip(*columns[:2]))) == len(table):   # else a key repeats
-            return list(map(GroundTruthRecord, *columns))
+        gt = dict(zip(zip(table["frame"].tolist(), table["det_index"].tolist()),
+                      table["true_id"].tolist()))
+        if len(gt) == len(table):   # else a key repeats
+            return gt
     return _read_ground_truth_lines(path)
 
 
 def _read_ground_truth_lines(path):
-    seen = {}
+    gt: dict[tuple[int, int], int] = {}
 
     def row(parts):
         if len(parts) != 3:
             raise ParseError("expected frame,det_index,true_id")
-        record = GroundTruthRecord(int(parts[0]), int(parts[1]), int(parts[2]))
-        if seen.setdefault(key := (record.frame, record.det_index), record) is not record:
+        key, true_id = (int(parts[0]), int(parts[1])), int(parts[2])
+        if key in gt:
             raise ParseError(f"duplicate ground truth for {key}")
-        return record
+        gt[key] = true_id
 
-    return _parse_lines(path, row)
+    _parse_lines(path, row)
+    return gt
 
 
 # One `%` template per written line: `%.6f` and `%.9g` give the bytes of
@@ -311,7 +313,7 @@ def write_vectors(frames, path, attr: str) -> None:
 
 
 def write_ground_truth(gt, path) -> None:
-    atomic_write(path, ["%d,%d,%d" % (g.frame, g.det_index, g.true_id) for g in gt])
+    atomic_write(path, ["%d,%d,%d" % (*key, true_id) for key, true_id in gt.items()])
 
 
 def write_results(state: TrackerState, path) -> None:

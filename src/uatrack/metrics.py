@@ -23,7 +23,7 @@ def gt_index(gt) -> dict[tuple[int, int], int]:
     """(frame, det_index) -> a code of the true id: codes count up from 0,
     one per true id, so a column of them is an int array whatever the ids."""
     codes: dict[int, int] = {}
-    return {(g.frame, g.det_index): codes.setdefault(g.true_id, len(codes)) for g in gt}
+    return {key: codes.setdefault(true_id, len(codes)) for key, true_id in gt.items()}
 
 
 def _true_ids(lookup, frames, det_index) -> np.ndarray:

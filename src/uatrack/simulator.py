@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import BoundingBox, iou
-from .tracker import MAX_FRAME, Detection, GroundTruthRecord
+from .tracker import MAX_FRAME, Detection
 
 OCCLUSION_IOU = 0.3     # overlap above this counts as occluded
 POSITION_JITTER = 0.5   # px of per-frame motion noise
@@ -38,7 +38,7 @@ MAX_OBJECTS = 1000      # bounds the per-frame (n, n) overlap matrix
 MAX_DIM = 4096          # bounds embed_dim and raw_dim, hence the basis and noise draws
 MAX_SCENE_VALUES = 2**27   # 1 GiB of float64: bounds the vectors `generate` keeps
 # bounds the detections `generate` keeps: each costs about 0.7 KB of Python
-# objects besides its vectors (200,000 at dims 2/2 raise peak RSS by 137 MB)
+# objects besides its vectors (200,000 at dims 2/2 raise peak RSS by 142 MB)
 MAX_SCENE_DETECTIONS = 2**21
 
 
@@ -104,7 +104,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def generate(cfg: ScenarioConfig):
     """Returns (frames, gt): frames is a list of per-frame Detection lists
-    (frame indices 1..num_frames), gt one record per emitted detection.
+    (frame indices 1..num_frames), gt maps each emitted detection's
+    (frame, det_index) to its object's true id (1..num_objects), in frame order.
     A frame's embeddings and raw features are row views of one matrix each."""
     rng = np.random.default_rng(cfg.seed)
     n, d, f = cfg.num_objects, cfg.embed_dim, cfg.raw_dim
@@ -150,7 +151,7 @@ def generate(cfg: ScenarioConfig):
     emb_end = turn + 1 + n * d
     normals = emb_end + n * f
     frames: list[list[Detection]] = []
-    gt: list[GroundTruthRecord] = []
+    gt: dict[tuple[int, int], int] = {}
 
     for frame in range(1, cfg.num_frames + 1):
         z = rng.standard_normal(normals)
@@ -197,5 +198,5 @@ def generate(cfg: ScenarioConfig):
         # one object per kept detection, built positionally from the columns;
         # iterating a matrix gives its rows as views
         frames.append(list(map(Detection, map(boxes.__getitem__, keep.tolist()), conf, emb, raw)))
-        gt.extend(map(GroundTruthRecord, repeat(frame), range(len(keep)), (keep + 1).tolist()))
+        gt.update(zip(zip(repeat(frame), range(len(keep))), (keep + 1).tolist()))
     return frames, gt

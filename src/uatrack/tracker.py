@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class Detection:
     confidence: float
     embedding: np.ndarray | None = None
     raw: np.ndarray | None = None  # appearance feature for embedder training
-
-
-class GroundTruthRecord(NamedTuple):
-    frame: int
-    det_index: int
-    true_id: int
 
 
 @dataclass

@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 import uatrack
 from uatrack import cli, contrastive, formats, tracker
 from uatrack.contrastive import LinearEmbedder, TrainConfig
-from uatrack.errors import (DegenerateBox, DuplicateEmbedding, InvalidConfig,
-                            IoFailure, MissingEmbedding, ParseError)
+from uatrack.errors import DegenerateBox, InvalidConfig, IoFailure, MissingEmbedding, ParseError
 from uatrack.geometry import BoundingBox
 from uatrack.metrics import id_switches, pseudo_accuracy, uncertainty_separation
-from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
+from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import LOG, Detection, TrackerConfig, track_sequence
 
 
@@ -120,8 +119,7 @@ class TestEmbeddings:
     def test_roundtrip(self, tmp_path):
         written, _ = small_bundle(tmp_path)
         frames = formats.read_detections(tmp_path / "det.txt")
-        frames, warned = formats.read_embeddings(tmp_path / "emb.csv", frames)
-        assert warned == 0
+        assert formats.read_embeddings(tmp_path / "emb.csv", frames) == 0
         for da, db in zip(written, frames):
             for a, b in zip(da, db):
                 assert np.allclose(a.embedding, b.embedding, atol=1e-8)
@@ -132,8 +130,7 @@ class TestEmbeddings:
         e = tmp_path / "emb.csv"
         e.write_text("1,0,3.0,4.0\n")
         frames = formats.read_detections(p)
-        frames, warned = formats.read_embeddings(e, frames)
-        assert warned == 1
+        assert formats.read_embeddings(e, frames) == 1
         assert np.allclose(frames[0][0].embedding, [0.6, 0.8])
 
     def test_missing_embedding_raises(self, tmp_path):
@@ -155,15 +152,23 @@ class TestEmbeddings:
     def test_duplicate_embedding_raises(self, tmp_path):
         e = tmp_path / "emb.csv"
         e.write_text("1,0,1.0,0.0\n1,0,0.0,1.0\n")
-        with pytest.raises(DuplicateEmbedding, match="line 2: duplicate"):
+        with pytest.raises(ParseError, match="line 2: duplicate"):
             formats._read_vectors(e, "embedding")
 
 
 class TestGroundTruthAndLog:
     def test_gt_roundtrip(self, tmp_path):
-        gt = [GroundTruthRecord(1, 0, 4), GroundTruthRecord(2, 1, 3)]
+        gt = {(1, 0): 4, (2, 1): 3}
         formats.write_ground_truth(gt, tmp_path / "gt.txt")
-        assert formats.read_ground_truth(tmp_path / "gt.txt") == gt
+        assert list(formats.read_ground_truth(tmp_path / "gt.txt").items()) == list(gt.items())
+
+    def test_simulated_gt_rewrites_byte_for_byte(self, tmp_path, capsys):
+        """The mapping keeps the file's order, so writing what `simulate`'s
+        gt.txt reads as gives the file's bytes."""
+        assert run_main(capsys, "simulate", "--out", tmp_path) == (0, "")
+        path = tmp_path / "gt.txt"
+        gt = formats.read_ground_truth(path)
+        assert _written(lambda p: formats.write_ground_truth(gt, p)) == path.read_bytes()
 
     def test_log_roundtrip(self, tmp_path):
         frames, _ = small_bundle(tmp_path)
@@ -241,7 +246,7 @@ def _reference_vector_lines(frames, attr):
 
 
 def _reference_ground_truth_lines(gt):
-    return [f"{g.frame},{g.det_index},{g.true_id}" for g in gt]
+    return [f"{frame},{det_index},{true_id}" for (frame, det_index), true_id in gt.items()]
 
 
 def _reference_result_lines(tracklets, frames):
@@ -310,10 +315,16 @@ class TestWritersEqualReference:
             assert _written(lambda p: formats.write_vectors(frames, p, attr)) == _text(
                 _reference_vector_lines(frames, attr))
 
-    @given(gt=st.lists(st.builds(GroundTruthRecord, INTS, INTS, INTS), max_size=6))
+    @given(gt=st.dictionaries(st.tuples(INTS, INTS), INTS, max_size=6))
     def test_ground_truth(self, gt):
-        assert _written(lambda p: formats.write_ground_truth(gt, p)) == _text(
-            _reference_ground_truth_lines(gt))
+        """The writer's bytes, and what reading them back and writing again gives."""
+        written = _written(lambda p: formats.write_ground_truth(gt, p))
+        assert written == _text(_reference_ground_truth_lines(gt))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "gt.txt"
+            path.write_bytes(written)
+            read = formats.read_ground_truth(path)
+        assert _written(lambda p: formats.write_ground_truth(read, p)) == written
 
     @given(scene=st.lists(st.lists(st.tuples(BOXES, CONFIDENCES, ANGLES), max_size=4),
                           max_size=6),
@@ -332,6 +343,53 @@ class TestWritersEqualReference:
                         max_size=6).map(lambda rows: np.array(rows, LOG)))
     def test_log(self, log):
         assert _written(lambda p: formats.write_log(log, p)) == _text(_reference_log_lines(log))
+
+
+class TestRepeatedKey:
+    """A (frame, det_index) that repeats in emb.csv, raw.csv or gt.txt is a
+    ParseError that names the second line, from the bulk reader and the
+    per-line reader alike, and a data error of the command that reads it."""
+
+    # file -> (the key's name in the message, the reader, the per-line reader)
+    READERS = {
+        "emb.csv": ("embedding", lambda p: formats.read_embeddings(p, []),
+                    lambda p: formats._read_vectors_lines(p, "embedding")),
+        "raw.csv": ("raw feature", lambda p: formats.read_raw_features(p, []),
+                    lambda p: formats._read_vectors_lines(p, "raw feature")),
+        "gt.txt": ("ground truth", formats.read_ground_truth,
+                   formats._read_ground_truth_lines),
+    }
+    ROWS = {"emb.csv": "1,0,0.6,0.8\n1,1,1,0\n1,0,0,1\n",
+            "raw.csv": "1,0,0.6,0.8\n1,1,1,0\n1,0,0,1\n",
+            "gt.txt": "1,0,4\n1,1,3\n1,0,5\n"}
+
+    @pytest.mark.parametrize("per_line", [False, True], ids=["bulk", "per-line"])
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_reader_raises_parse_error(self, tmp_path, name, per_line):
+        what, *readers = self.READERS[name]
+        path = tmp_path / name
+        path.write_text(self.ROWS[name])
+        with pytest.raises(ParseError) as exc:
+            readers[per_line](path)
+        assert str(exc.value) == f"line 3: duplicate {what} for (1, 0)"
+
+    @pytest.mark.parametrize("command, name", [("track", "emb.csv"), ("train", "raw.csv"),
+                                               ("stats", "gt.txt")])
+    def test_command_exits_2(self, tmp_path, capsys, command, name):
+        frames, _ = small_bundle(tmp_path)
+        formats.write_log(track_sequence(frames).log(), tmp_path / "log.txt")
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in lines + lines[:1]))
+        argv = {"track": ["--dets", tmp_path / "det.txt", "--embs", path,
+                          "--out", tmp_path / "res.txt"],
+                "train": ["--bundle", tmp_path, "--epochs", 1, "--lr", 0.01, "--seed", 0,
+                          "--out", tmp_path / "w.txt"],
+                "stats": ["--log", tmp_path / "log.txt", "--gt", path]}[command]
+        code, err = run_main(capsys, command, *argv)
+        assert code == 2
+        assert err == (f"uatrack {command}: line {len(lines) + 1}: duplicate "
+                       f"{self.READERS[name][0]} for (1, 0)\n")
 
 
 class TestParseLines:
@@ -354,8 +412,7 @@ class TestParseLines:
     def test_crlf_and_blank_lines(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_bytes(b"1,0,4\r\n\r\n \t\n2,1,3\r\n")
-        assert formats.read_ground_truth(p) == [GroundTruthRecord(1, 0, 4),
-                                                GroundTruthRecord(2, 1, 3)]
+        assert list(formats.read_ground_truth(p).items()) == [((1, 0), 4), ((2, 1), 3)]
 
 
 # Field texts for the bulk readers' oracle. Each column of a file is a pair:
@@ -540,7 +597,8 @@ class TestBulkReaders:
         """Files as the writers write them, CRLF line ends and blank lines
         included, parse without the per-line reader."""
         frames, _ = small_bundle(tmp_path)
-        state = track_sequence(formats.read_embeddings(tmp_path / "emb.csv", frames)[0])
+        formats.read_embeddings(tmp_path / "emb.csv", frames)
+        state = track_sequence(frames)
         formats.write_log(state.log(), tmp_path / "log.txt")
         files = {"detections": "det.txt", "vectors": "emb.csv", "ground_truth": "gt.txt",
                  "log": "log.txt"}
@@ -764,8 +822,8 @@ class TestCli:
                        "--report", str(tmp_path / "report.txt"))
         assert proc.returncode == 0, proc.stderr
         # the same scene, tracked in memory from the bundle the CLI read
-        frames = formats.read_embeddings(sim / "emb.csv",
-                                         formats.read_detections(sim / "det.txt"))[0]
+        frames = formats.read_detections(sim / "det.txt")
+        formats.read_embeddings(sim / "emb.csv", frames)
         tracklets = track_sequence(frames, TrackerConfig()).all_tracklets()
         gt = formats.read_ground_truth(sim / "gt.txt")
         report = (tmp_path / "report.txt").read_text().splitlines()
@@ -828,8 +886,9 @@ class TestCli:
                 for d in dets:
                     d.confidence = tracker.DET_CONF_MIN / 2
             formats.write_detections(frames, tmp_path / "det.txt")
-            assert track_sequence(formats.read_embeddings(
-                tmp_path / "emb.csv", formats.read_detections(tmp_path / "det.txt"))[0]).made == 0
+            frames = formats.read_detections(tmp_path / "det.txt")
+            formats.read_embeddings(tmp_path / "emb.csv", frames)
+            assert track_sequence(frames).made == 0
         frame = {"past-last": 21, "zero": 0, "no-birth": 10}[case]
         proc = run_cli("augment", "--bundle", str(tmp_path), "--frame", str(frame),
                        "--seed", "0")

@@ -16,7 +16,7 @@ from uatrack.geometry import BoundingBox
 from uatrack.metrics import (AccuracyCurve, SeparationReport, SimilarityDeltaSummary,
                              accuracy_curve, gt_index, id_switches, pseudo_accuracy,
                              similarity_delta, switch_count, uncertainty_separation)
-from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
+from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED, Detection,
                              TrackerConfig, Tracklet, TrackRecord, applied, track_sequence)
 
@@ -36,16 +36,9 @@ def make_track(tid, assignments):
     return t
 
 
-def gt_records(mapping):
-    """mapping: {(frame, det_index): true_id}."""
-    return [GroundTruthRecord(frame=f, det_index=d, true_id=i)
-            for (f, d), i in mapping.items()]
-
-
 class TestPseudoAccuracy:
     def test_oracle_tracker_is_perfect(self):
-        gt = gt_records({(f, 0): 1 for f in range(1, 6)} |
-                        {(f, 1): 2 for f in range(1, 6)})
+        gt = {(f, 0): 1 for f in range(1, 6)} | {(f, 1): 2 for f in range(1, 6)}
         tracks = [make_track(1, [(f, 0) for f in range(1, 6)]),
                   make_track(2, [(f, 1) for f in range(1, 6)])]
         curve = pseudo_accuracy(tracks, gt, max_age=4)
@@ -54,8 +47,8 @@ class TestPseudoAccuracy:
 
     def test_swap_halves_accuracy(self):
         # two tracks; one stays clean, the other swaps identity at age 2
-        gt = gt_records({(1, 0): 1, (2, 0): 1, (3, 0): 2,
-                         (1, 1): 3, (2, 1): 3, (3, 1): 3})
+        gt = {(1, 0): 1, (2, 0): 1, (3, 0): 2,
+              (1, 1): 3, (2, 1): 3, (3, 1): 3}
         tracks = [make_track(1, [(1, 0), (2, 0), (3, 0)]),
                   make_track(2, [(1, 1), (2, 1), (3, 1)])]
         curve = pseudo_accuracy(tracks, gt, max_age=2)
@@ -63,7 +56,7 @@ class TestPseudoAccuracy:
         assert curve.at(2) == 0.5
 
     def test_short_tracks_leave_late_ages_empty(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 1})
+        gt = {(1, 0): 1, (2, 0): 1}
         curve = pseudo_accuracy([make_track(1, [(1, 0), (2, 0)])], gt, max_age=10)
         assert [s for s, _ in curve.points] == [1]
         with pytest.raises(KeyError):
@@ -71,7 +64,7 @@ class TestPseudoAccuracy:
 
     def test_missing_gt_raises(self):
         with pytest.raises(MissingGroundTruth):
-            pseudo_accuracy([make_track(1, [(1, 0), (2, 0)])], [], max_age=1)
+            pseudo_accuracy([make_track(1, [(1, 0), (2, 0)])], {}, max_age=1)
 
 
 class TestUncertaintySeparation:
@@ -80,7 +73,7 @@ class TestUncertaintySeparation:
                          for frame, det_index, tid, delta, stage in rows], LOG)
 
     def test_all_correct_certain(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 1})
+        gt = {(1, 0): 1, (2, 0): 1}
         log = self._log([(1, 0, 1, 0.0, STAGE_BIRTH),
                          (2, 0, 1, -2.0, STAGE_ASSOC)])
         rep = uncertainty_separation(log, gt)
@@ -88,7 +81,7 @@ class TestUncertaintySeparation:
         assert rep.wrong_total == 0
 
     def test_single_wrong_flagged(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 2})
+        gt = {(1, 0): 1, (2, 0): 2}
         log = self._log([(1, 0, 1, 0.0, STAGE_BIRTH),
                          (2, 0, 1, 0.7, STAGE_ASSOC)])
         rep = uncertainty_separation(log, gt)
@@ -96,7 +89,7 @@ class TestUncertaintySeparation:
         assert rep.wrong_uncertain_rate == 1.0
 
     def test_mixed_counts(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 1, (3, 0): 2, (4, 0): 2})
+        gt = {(1, 0): 1, (2, 0): 1, (3, 0): 2, (4, 0): 2}
         log = self._log([(1, 0, 1, 0.0, STAGE_BIRTH),
                          (2, 0, 1, -1.0, STAGE_ASSOC),   # correct certain
                          (3, 0, 1, 0.5, STAGE_ASSOC),    # wrong flagged
@@ -113,7 +106,7 @@ class TestUncertaintySeparation:
         assert rep.wrong_uncertain_rate == pytest.approx(2 / 3)
 
     def test_unknown_track_raises(self):
-        gt = gt_records({(2, 0): 1})
+        gt = {(2, 0): 1}
         log = self._log([(2, 0, 5, 0.1, STAGE_ASSOC)])
         with pytest.raises(MissingGroundTruth):
             uncertainty_separation(log, gt)
@@ -121,23 +114,23 @@ class TestUncertaintySeparation:
 
 class TestIdSwitches:
     def test_no_switches(self):
-        gt = gt_records({(f, 0): 1 for f in range(1, 5)})
+        gt = {(f, 0): 1 for f in range(1, 5)}
         assert id_switches([make_track(1, [(f, 0) for f in range(1, 5)])], gt) == 0
 
     def test_one_switch(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1})
+        gt = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1}
         tracks = [make_track(1, [(1, 0), (2, 0)]),
                   make_track(2, [(3, 0), (4, 0)])]
         assert id_switches(tracks, gt) == 1
 
     def test_invariant_to_renaming(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1})
+        gt = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1}
         a = [make_track(1, [(1, 0), (2, 0)]), make_track(2, [(3, 0), (4, 0)])]
         b = [make_track(9, [(1, 0), (2, 0)]), make_track(4, [(3, 0), (4, 0)])]
         assert id_switches(a, gt) == id_switches(b, gt)
 
     def test_oscillation_counts_each_transition(self):
-        gt = gt_records({(f, 0): 1 for f in range(1, 5)})
+        gt = {(f, 0): 1 for f in range(1, 5)}
         tracks = [make_track(1, [(1, 0), (3, 0)]),
                   make_track(2, [(2, 0), (4, 0)])]
         assert id_switches(tracks, gt) == 3
@@ -158,8 +151,7 @@ class TestSimilarityDelta:
 
     def test_separable_embeddings_positive_delta(self):
         frames = self._frames(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        gt = gt_records({(f, 0): 1 for f in range(1, 4)} |
-                        {(f, 1): 2 for f in range(1, 4)})
+        gt = {(f, 0): 1 for f in range(1, 4)} | {(f, 1): 2 for f in range(1, 4)}
         out = similarity_delta(frames, gt)
         assert out.count == 4  # 2 objects x 2 consecutive-frame pairs
         assert out.mean == pytest.approx(1.0)
@@ -168,15 +160,14 @@ class TestSimilarityDelta:
     def test_identical_embeddings_zero_delta(self):
         e = np.array([1.0, 0.0])
         frames = self._frames(e, e)
-        gt = gt_records({(f, 0): 1 for f in range(1, 4)} |
-                        {(f, 1): 2 for f in range(1, 4)})
+        gt = {(f, 0): 1 for f in range(1, 4)} | {(f, 1): 2 for f in range(1, 4)}
         out = similarity_delta(frames, gt)
         assert out.mean == pytest.approx(0.0)
         assert out.fraction_positive == 0.0
 
     def test_unresolved_detection_raises(self):
         frames = self._frames(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        gt = gt_records({(f, 0): 1 for f in range(1, 4)} | {(1, 1): 2, (2, 1): 2})
+        gt = {(f, 0): 1 for f in range(1, 4)} | {(1, 1): 2, (2, 1): 2}
         with pytest.raises(MissingGroundTruth, match=r"frame=3, det=1"):
             similarity_delta(frames, gt)
 
@@ -227,8 +218,8 @@ class TestSimilarityDelta:
             frames = [[Detection(box=BOX, confidence=1.0,
                                  embedding=(e := (np.arange(3) == c % 3) + 0.5) / np.linalg.norm(e))
                        for c in codes] for codes in ids]
-            return frames, gt_records({(f, i): c for f, codes in enumerate(ids, start=1)
-                                       for i, c in enumerate(codes)})
+            return frames, {(f, i): c for f, codes in enumerate(ids, start=1)
+                            for i, c in enumerate(codes)}
 
         frames, gt = sequence((1, 2), (), (1,), (1, 2), (3, 4), (3,))
         count, mean, fraction_positive = self._per_pair_reference(frames, gt)
@@ -285,31 +276,29 @@ def _resolve(lookup, frame, det_index):
 def reference_pseudo_accuracy(tracklets, gt, max_age):
     if max_age < 0:
         raise InvalidConfig(f"max_age must be >= 0, got {max_age}")
-    lookup = {(g.frame, g.det_index): g.true_id for g in gt}
     correct, total = Counter(), Counter()
     for trk in tracklets:
         birth = trk.records[0]
-        birth_id = _resolve(lookup, birth.frame, birth.det_index)
+        birth_id = _resolve(gt, birth.frame, birth.det_index)
         for age, rec in enumerate(trk.records[:max_age + 1]):
             total[age] += 1
-            if _resolve(lookup, rec.frame, rec.det_index) == birth_id:
+            if _resolve(gt, rec.frame, rec.det_index) == birth_id:
                 correct[age] += 1
     return AccuracyCurve(points=[(s, correct[s] / total[s]) for s in sorted(total) if s > 0])
 
 
 def reference_uncertainty_separation(log, gt):
-    lookup = {(g.frame, g.det_index): g.true_id for g in gt}
     rows = list(zip(*(log[f].tolist() for f in ("frame", "det_index", "track_id", "delta",
                                                 "stage"))))
     birth_id = {}
     for frame, det_index, tid, _, stage in rows:
         if stage == STAGE_BIRTH and tid not in birth_id:
-            birth_id[tid] = _resolve(lookup, frame, det_index)
+            birth_id[tid] = _resolve(gt, frame, det_index)
     wrong_total = wrong_flagged = correct_total = correct_flagged = 0
     for frame, det_index, tid, delta, stage in rows:
         if stage == STAGE_BIRTH:
             continue
-        true_id = _resolve(lookup, frame, det_index)
+        true_id = _resolve(gt, frame, det_index)
         if tid not in birth_id:
             raise MissingGroundTruth(f"no birth row for track {tid}")
         if true_id == birth_id[tid]:
@@ -322,11 +311,10 @@ def reference_uncertainty_separation(log, gt):
 
 
 def reference_id_switches(tracklets, gt):
-    lookup = {(g.frame, g.det_index): g.true_id for g in gt}
     per_traj = {}
     for trk in tracklets:
         for rec in trk.records:
-            true_id = _resolve(lookup, rec.frame, rec.det_index)
+            true_id = _resolve(gt, rec.frame, rec.det_index)
             per_traj.setdefault(true_id, []).append((rec.frame, trk.id))
     switches = 0
     for obs in per_traj.values():
@@ -380,13 +368,14 @@ MAX_AGES = st.one_of(st.integers(0, 6), st.sampled_from([10**30, 2**63, -1]))
 
 @st.composite
 def ground_truths(draw):
-    """A record for every key but up to two, then up to two records that
-    repeat a key (the last one counts)."""
+    """A true id for every key but up to two, inserted in a drawn order,
+    then up to two entries that set a key again (the last one counts) or
+    add a missing one."""
     keys = [(f, d) for f in range(1, FRAMES + 1) for d in range(DETS)]
     missing = draw(st.sets(st.sampled_from(keys), max_size=2))
-    gt = [GroundTruthRecord(f, d, draw(TRUE_IDS)) for f, d in keys if (f, d) not in missing]
+    gt = [(key, draw(TRUE_IDS)) for key in keys if key not in missing]
     extra = draw(st.lists(st.tuples(KEYS, TRUE_IDS), max_size=2))
-    return draw(st.permutations(gt)) + [GroundTruthRecord(*key, i) for key, i in extra]
+    return dict(draw(st.permutations(gt)) + extra)
 
 
 @st.composite
@@ -468,7 +457,7 @@ class TestColumnsEqualThePerRecordReference:
     def test_birth_resolved_before_rows_and_row_before_its_birth(self):
         """Each track's first birth row is looked up before any other row;
         a row is looked up before its track's birth row is sought."""
-        gt = gt_records({(1, 0): 1, (2, 0): 1})
+        gt = {(1, 0): 1, (2, 0): 1}
         log = np.array([(2, 1, 7, 0, 0, 0, 0, 0.1, STAGE_ASSOC),
                         (1, 0, 1, 0, 0, 0, 0, 0.0, STAGE_BIRTH),
                         (3, 0, 1, 0, 0, 0, 0, 0.0, STAGE_BIRTH)], LOG)
@@ -486,7 +475,7 @@ class TestColumnsEqualThePerRecordReference:
             uncertainty_separation(log, gt)
 
     def test_only_ages_up_to_max_age_are_looked_up(self):
-        gt = gt_records({(1, 0): 1, (2, 0): 1})
+        gt = {(1, 0): 1, (2, 0): 1}
         track = make_track(1, [(1, 0), (2, 0), (3, 0)])
         assert pseudo_accuracy([track], gt, max_age=1).points == [(1, 1.0)]
         with pytest.raises(MissingGroundTruth, match=r"frame=3, det=0"):

@@ -3,7 +3,6 @@
 import ctypes
 import hashlib
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from uatrack import cli, formats, simulator
 from uatrack.errors import InvalidConfig
 from uatrack.geometry import BoundingBox, iou
-from uatrack.simulator import GroundTruthRecord, ScenarioConfig, generate
+from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import Detection
 
 
@@ -181,7 +180,7 @@ class TestGenerate:
                 assert d.raw.shape == (SMALL.raw_dim,)
                 assert 0.0 <= d.confidence <= 1.0
         # ground truth names each detection by its place: frame f, index j
-        assert [(g.frame, g.det_index) for g in gt] == \
+        assert list(gt) == \
             [(f, j) for f, dets in enumerate(frames, start=1) for j in range(len(dets))]
 
     def test_embeddings_unit_norm(self):
@@ -192,12 +191,10 @@ class TestGenerate:
 
     def test_ground_truth_covers_detections(self):
         frames, gt = generate(SMALL)
-        keys = {(g.frame, g.det_index) for g in gt}
-        assert len(keys) == len(gt)
         for f, dets in enumerate(frames, start=1):
             for j in range(len(dets)):
-                assert (f, j) in keys
-        assert {g.true_id for g in gt} <= set(range(1, SMALL.num_objects + 1))
+                assert (f, j) in gt
+        assert set(gt.values()) <= set(range(1, SMALL.num_objects + 1))
 
     def test_deterministic(self):
         f1, g1 = generate(SMALL)
@@ -263,9 +260,8 @@ class TestGenerate:
         """A least-squares readout of the raw features recovers identity."""
         cfg = ScenarioConfig(num_objects=6, num_frames=50, seed=11)
         frames, gt = generate(cfg)
-        lut = {(g.frame, g.det_index): g.true_id for g in gt}
         X = np.array([d.raw for dets in frames for d in dets])
-        y = np.array([lut[(f, j)] for f, dets in enumerate(frames, start=1)
+        y = np.array([gt[(f, j)] for f, dets in enumerate(frames, start=1)
                       for j in range(len(dets))])
         onehot = np.eye(cfg.num_objects)[y - 1]
         W, *_ = np.linalg.lstsq(X, onehot, rcond=None)
@@ -309,7 +305,7 @@ def _reference_generate(cfg: ScenarioConfig):
     cam = np.zeros(2)
     cam_angle = rng.uniform(0.0, 2.0 * np.pi)
 
-    frames, gt = [], []
+    frames, gt = [], {}
     for frame in range(1, cfg.num_frames + 1):
         pos = pos + vel + rng.normal(0.0, simulator.POSITION_JITTER, size=(n, 2))
         below, above = pos < half, pos > high
@@ -339,7 +335,7 @@ def _reference_generate(cfg: ScenarioConfig):
             emb = emb / np.sqrt(emb.dot(emb))
             raw = basis @ latents[i] + simulator.RAW_NOISE * raw_noise[i]
             conf = 1.0 - min(0.9, float(max_iou[i]))
-            gt.append(GroundTruthRecord(frame=frame, det_index=len(dets), true_id=i + 1))
+            gt[frame, len(dets)] = i + 1
             dets.append(Detection(box=boxes[i], confidence=conf, embedding=emb, raw=raw))
         frames.append(dets)
     return frames, gt
@@ -351,37 +347,13 @@ def _box_fields(det):
 
 def _assert_same_bits(scene, ref_scene):
     (frames, gt), (ref_frames, ref_gt) = scene, ref_scene
-    assert gt == ref_gt
+    assert list(gt.items()) == list(ref_gt.items())
     assert [len(dets) for dets in frames] == [len(dets) for dets in ref_frames]
     for dets, ref_dets in zip(frames, ref_frames):
         for det, ref in zip(dets, ref_dets):
             assert _box_fields(det) == _box_fields(ref)
             assert det.embedding.tobytes() == ref.embedding.tobytes()
             assert det.raw.tobytes() == ref.raw.tobytes()
-
-
-class TestGroundTruthRecord:
-    """A ground-truth record is an immutable (frame, det_index, true_id)
-    tuple."""
-
-    RECORD = GroundTruthRecord(3, 1, 7)
-
-    @pytest.mark.parametrize("name", ["frame", "det_index", "true_id", "other"])
-    def test_immutable(self, name):
-        with pytest.raises(AttributeError):
-            setattr(self.RECORD, name, 0)
-
-    def test_equal_and_hashed_by_fields(self):
-        same = GroundTruthRecord(frame=3, det_index=1, true_id=7)
-        assert same == self.RECORD and hash(same) == hash(self.RECORD)
-        assert GroundTruthRecord(3, 1, 8) != self.RECORD
-
-    def test_repr_is_the_field_listing(self):
-        assert repr(self.RECORD) == "GroundTruthRecord(frame=3, det_index=1, true_id=7)"
-
-    def test_pickle_roundtrip(self):
-        again = pickle.loads(pickle.dumps(self.RECORD))
-        assert type(again) is GroundTruthRecord and again == self.RECORD
 
 
 class TestRowNorms:
@@ -441,8 +413,8 @@ class TestWholeFrameGeneration:
                 h.update(det.embedding.tobytes())
                 h.update(det.raw.tobytes())
                 h.update(" ".join(float.hex(v) for v in _box_fields(det)).encode())
-        for g in gt:
-            h.update(f"{g.frame} {g.det_index} {g.true_id}\n".encode())
+        for (frame, det_index), true_id in gt.items():
+            h.update(f"{frame} {det_index} {true_id}\n".encode())
         core, digest = openblas_core(), h.hexdigest()
         assert SCENE_DIGESTS.get(core) == digest, (
             f"OpenBLAS kernel {core!r} gives {digest}; pinned: {SCENE_DIGESTS.get(core)}")
