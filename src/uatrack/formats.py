@@ -68,7 +68,7 @@ def atomic_write(path, lines) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_lines(path, row, sep=",") -> list:

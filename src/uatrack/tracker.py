@@ -1,10 +1,10 @@
 """Per-frame association pipeline with uncertainty verification and
 rectification, plus tracklet lifecycle management.
 
-Per frame: cosine similarity matrix -> Hungarian assignment -> (when
-enabled) verification of every matched pair via the uncertainty metric ->
-rectification of the dissolved/unmatched pool with K-frame averaged
-similarity gated by IoU -> lifecycle (births, lost ages, retirement).
+Per frame: cosine similarity -> Hungarian assignment -> uncertainty score
+of every matched pair -> (when enabled) verification, a split by the score's
+sign, and rectification of the dissolved/unmatched pool with K-frame
+averaged similarity gated by IoU -> lifecycle (births, lost ages, retirement).
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ class TrackerState:
     birth), the stage and the detection's index into `dets`. It doubles
     when full; `add_pairs` appends its rows and `step` their frame. `frame`
     is the last frame stepped, 0 before any. `log()` gives the table's
-    `LOG` fields in log order, reading no `Detection`, `applied` its
-    applied rows, and `all_tracklets()` the tracklets, built in bulk when
-    they are read.
+    `LOG` fields in log order, one packed copy that reads no `Detection`,
+    `applied` its applied rows, and `all_tracklets()` the tracklets, built
+    in bulk when they are read.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -174,10 +174,7 @@ class TrackerState:
         """The decisions as a `LOG` array, one element each, by frame in `LOG_GROUP` order."""
         table = self.table[:self.n_rows]
         table = table.take(np.lexsort((table["det"], LOG_GROUP[table["stage"]], table["frame"])))
-        log = np.empty(len(table), LOG)
-        for name in LOG.names:
-            log[name] = table[name]
-        return log
+        return table[list(LOG.names)].astype(LOG)
 
     def all_tracklets(self) -> list[Tracklet]:
         """Every track made, retired ones too, in id order: track i is at
@@ -295,20 +292,19 @@ def _scored(sim: np.ndarray, pairs: np.ndarray, cfg: TrackerConfig) -> np.ndarra
     return scored
 
 
-def verify(pairs: np.ndarray, sim: np.ndarray, cfg: TrackerConfig):
-    """Split the matched (pairs × 2) array into certain and dissolved pairs,
-    each stage as a `SCORED` array, and return the pool: every row and every
-    col, ascending, that no certain pair holds (the unmatched ones and the
-    dissolved ones).
+def verify(scored: np.ndarray, shape: tuple[int, int]):
+    """Split the matched pairs, scored as a `SCORED` array, into certain and
+    dissolved ones by the sign of delta, and return the pool: every row and
+    every col of the (rows × cols) `shape`, ascending, that no certain pair
+    holds (the unmatched ones and the dissolved ones).
 
     Dissolved pairs are returned with their verdicts as well so that every
     association decision can be logged, even the ones that do not survive."""
-    scored = _scored(sim, pairs, cfg)
     uncertain = scored["delta"] > 0.0
     certain, dissolved = scored, _NO_PAIRS
     if np.count_nonzero(uncertain):   # most frames dissolve nothing and skip the split
         certain, dissolved = scored.compress(~uncertain), scored.compress(uncertain)
-    held_rows, held_cols = np.zeros(sim.shape[0], bool), np.zeros(sim.shape[1], bool)
+    held_rows, held_cols = np.zeros(shape[0], bool), np.zeros(shape[1], bool)
     held_rows[certain["row"]] = held_cols[certain["col"]] = True
     # .nonzero() itself: the Python wrappers of flatnonzero and of numpy's set
     # routines cost more than the rest of the pool on a 12-track frame
@@ -343,15 +339,13 @@ def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
 
     det_mat = _embeddings(dets)
     sim = build_similarity(det_mat, state.newest)
-    pairs = hungarian_max(sim)
+    certain = _scored(sim, hungarian_max(sim), cfg)
+    dissolved = rectified = _NO_PAIRS
     if cfg.utl_enabled:
-        certain, dissolved, pool_rows, pool_cols = verify(pairs, sim, cfg)
+        certain, dissolved, pool_rows, pool_cols = verify(certain, sim.shape)
         # delta is recomputed from the original similarity row so the
         # tracklet's delta history stays on one scale
         rectified = _scored(sim, rectify(pool_rows, pool_cols, dets, det_mat, state), cfg)
-    else:
-        certain = _scored(sim, pairs, cfg)
-        dissolved = rectified = _NO_PAIRS
     base, first_row = len(state.dets), state.n_rows
     state.dets += dets
     state.add_pairs(dissolved, STAGE_DISSOLVED, base)

@@ -796,6 +796,21 @@ class TestCli:
         assert "line 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("target", ["missing/o.txt", "taken"], ids=["missing-dir", "dir"])
+    def test_write_error_names_the_target(self, tmp_path, target):
+        """A write that fails, into a missing directory or onto an existing
+        one, exits 2 with the same stderr on every run, naming the target
+        and not the random temp file."""
+        small_bundle(tmp_path)
+        (tmp_path / "taken").mkdir()
+        argv = ["track", "--dets", str(tmp_path / "det.txt"), "--embs",
+                str(tmp_path / "emb.csv"), "--out", str(tmp_path / target)]
+        first, second = run_cli(*argv), run_cli(*argv)
+        assert first.returncode == second.returncode == 2, first.stderr
+        assert first.stderr == second.stderr
+        assert f"cannot write {tmp_path / target}: " in first.stderr
+        assert ".tmp-" not in first.stderr
+
     def test_K_beyond_intp_exits_2(self, tmp_path):
         """--K indexes intp ring slots: the largest intp runs, one more is a
         data error and not a traceback."""

@@ -17,8 +17,8 @@ from uatrack.geometry import BoundingBox, iou
 from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import (LOG, SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
-                             TrackerState, TrackRecord, applied, build_similarity, rectify,
-                             step, track_sequence, verify)
+                             TrackerState, TrackRecord, _scored, applied, build_similarity,
+                             rectify, step, track_sequence, verify)
 from uatrack.uncertainty import AssociationVerdict, association_uncertainty, second_best
 
 
@@ -270,7 +270,7 @@ class TestVerify:
     def test_perfect_match_is_certain(self):
         sim = np.array([[1.0]])
         matching = hungarian_max(sim)
-        certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
+        certain, dissolved, rows, cols = verify(_scored(sim, matching, TrackerConfig()), sim.shape)
         assert len(certain) == 1 and len(dissolved) == 0
         assert (certain["row"].tolist(), certain["col"].tolist()) == ([0], [0])
         assert certain["delta"][0] == pytest.approx(-3.6889, abs=1e-3)
@@ -282,7 +282,7 @@ class TestVerify:
         sim = np.array([[0.52, 0.50], [0.49, 0.46]])
         matching = hungarian_max(sim)
         assert matching.tolist() == [[0, 1], [1, 0]]
-        certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
+        certain, dissolved, rows, cols = verify(_scored(sim, matching, TrackerConfig()), sim.shape)
         assert len(certain) == 0
         assert list(zip(dissolved["row"].tolist(), dissolved["col"].tolist())) == [(0, 1), (1, 0)]
         assert (dissolved["delta"] > 0).all()
@@ -292,7 +292,7 @@ class TestVerify:
     def test_empty_matching_pools_everything(self):
         sim = np.zeros((2, 2))
         matching = hungarian_max(sim, floor=0.0)
-        certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
+        certain, dissolved, rows, cols = verify(_scored(sim, matching, TrackerConfig()), sim.shape)
         assert len(certain) == 0 and len(dissolved) == 0
         assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
 
@@ -307,7 +307,8 @@ class TestVerify:
             sim = rng.uniform(-1, 1, size=tuple(rng.integers(1, 7, size=2)))
             for floor in (-np.inf, 0.0):
                 matching = brute_force_max(sim, floor=floor)
-                certain, dissolved, rows, cols = verify(matching, sim, TrackerConfig())
+                certain, dissolved, rows, cols = verify(
+                    _scored(sim, matching, TrackerConfig()), sim.shape)
                 assert certain.dtype == dissolved.dtype == SCORED
                 assert sorted(certain[["row", "col"]].tolist()
                               + dissolved[["row", "col"]].tolist()) == sorted(
@@ -336,7 +337,7 @@ class TestVerify:
             k = min(n_rows, n_cols)
             sim[rng.permutation(n_rows)[:k], rng.permutation(n_cols)[:k]] = rng.uniform(0.9, 1.0, k)
             matching = brute_force_max(sim)
-            certain, dissolved, rows, cols = verify(matching, sim, cfg)
+            certain, dissolved, rows, cols = verify(_scored(sim, matching, cfg), sim.shape)
             assert dissolved.dtype == SCORED and len(dissolved) == 0
             assert certain[["row", "col"]].tolist() == list(map(tuple, matching.tolist()))
             for pair in certain:
@@ -549,8 +550,10 @@ class TestStep:
     @pytest.mark.parametrize("utl", [True, False])
     def test_logged_scores_equal_one_pair_formula(self, monkeypatch, utl):
         """Each scored row equals the one-pair call on its similarity entry
-        and runner-up, bit for bit; a frame makes at most two array calls,
-        one for the Hungarian pairs and one for the rectified pairs."""
+        and runner-up, bit for bit. The Hungarian pairs are scored once,
+        under either UTL setting, and the rectified pairs once more: a
+        frame makes one array call if it has a direct or dissolved row,
+        plus one if it has a rectified row."""
         calls = []
 
         def counted(*args):
@@ -567,7 +570,8 @@ class TestStep:
                 sim = emb_matrix(dets) @ last_embeddings(live(state)).T
             calls.clear()
             step(state, frame, dets)
-            for row in rows_at(state, frame):
+            rows = rows_at(state, frame)
+            for row in rows:
                 stages.add(row["stage"])
                 if row["stage"] == STAGE_BIRTH:
                     continue
@@ -575,7 +579,9 @@ class TestStep:
                 expect = association_uncertainty(
                     float(sim[r, c]), float(second_best(sim, [r], [c])[0]), state.cfg.margins)
                 assert tuple(row[list(AssociationVerdict._fields)].item()) == expect
-            assert len(calls) <= (2 if utl else 1)
+            frame_stages = {row["stage"] for row in rows}
+            assert len(calls) == (bool(frame_stages & {STAGE_ASSOC, STAGE_DISSOLVED})
+                                  + (STAGE_RECTIFIED in frame_stages))
         assert stages == ({STAGE_BIRTH, STAGE_ASSOC, STAGE_RECTIFIED, STAGE_DISSOLVED}
                           if utl else {STAGE_BIRTH, STAGE_ASSOC})
 
@@ -722,6 +728,7 @@ class TestTrackSequence:
             frames, _ = generate(ScenarioConfig(**scene))
             state = track_sequence(frames, TrackerConfig(utl_enabled=utl))
             log = state.log()
+            assert log.dtype == LOG
             assert (STAGE_DISSOLVED in log["stage"]) == utl
             keys = list(zip(log["frame"].tolist(), map(group.get, log["stage"].tolist()),
                             log["det_index"].tolist()))
