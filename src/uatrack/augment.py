@@ -2,10 +2,11 @@
 
 Training and `uatrack augment` draw an anchor track and a target frame with
 `contrastive.EpochColumns.draw`, which uses this module's `softmax` and
-`sample`. From the anchor's boxes at the two frames `plan_between` makes the
-affine transform aligning its current box onto its historical one, with bounded
-corner jitter standing in for perspective distortion; `build_plan` takes those
-boxes from a `Tracklet`, for criterion 4. `source_anchor_weights` and
+`sample`; each draw's weights are a `SamplingWeights`, its keys and their
+probabilities in one order. From the anchor's boxes at the two frames
+`plan_between` makes the affine transform aligning its current box onto its
+historical one, with bounded corner jitter standing in for perspective
+distortion; `build_plan` takes those boxes from a `Tracklet`, for criterion 4. `source_anchor_weights` and
 `target_anchor_weights` are the draw's weights over `Tracklet`s, the reference
 that criterion 1 and `tests/test_augment.py` read. `uatrack augment` prints
 the frame's boxes moved by the plan through `geometry.apply_affine`.
@@ -14,7 +15,9 @@ the frame's boxes moved by the plan through `geometry.apply_affine`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,10 +39,12 @@ class AugmentationPlan:
 
 @dataclass(frozen=True)
 class SamplingWeights:
-    candidates: list  # (identity or frame index, probability) pairs
+    """A draw's keys (identities or frame indices) and probabilities, in one order."""
+    keys: list
+    probs: list
 
     def probabilities(self):
-        return [p for _, p in self.candidates]
+        return self.probs
 
 
 def softmax(scores) -> np.ndarray:
@@ -51,18 +56,14 @@ def softmax(scores) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _softmax_weights(keys, scores) -> SamplingWeights:
-    return SamplingWeights(candidates=list(zip(keys, softmax(scores).tolist())))
-
-
 def source_anchor_weights(present: list[Tracklet], frame: int) -> SamplingWeights:
     """Selection weights over `present`, tracklets that the caller found
     present at `frame`, favoring low tracklet uncertainty: w_i =
     exp(-Omega_i) / sum exp(-Omega), Omega_i over the tracklet's deltas.
     `frame` is not read; it stays for criterion 1's call."""
-    return _softmax_weights([t.id for t in present],
-                            [-tracklet_uncertainty([r.delta for r in t.records])
-                             for t in present])
+    return SamplingWeights([t.id for t in present],
+                           softmax([-tracklet_uncertainty([r.delta for r in t.records])
+                                    for t in present]).tolist())
 
 
 def target_anchor_weights(trk: Tracklet, frame: int) -> SamplingWeights:
@@ -71,18 +72,16 @@ def target_anchor_weights(trk: Tracklet, frame: int) -> SamplingWeights:
     hist = [r for r in trk.records if r.frame < frame]
     if not hist:
         raise NoHistory(f"track {trk.id} has no record before frame {frame}")
-    return _softmax_weights([r.frame for r in hist], [r.delta for r in hist])
+    return SamplingWeights([r.frame for r in hist], softmax([r.delta for r in hist]).tolist())
 
 
 def sample(weights: SamplingWeights, rng: np.random.Generator):
-    """Categorical draw; deterministic given the generator state."""
-    u = rng.random()
-    acc = 0.0
-    for key, p in weights.candidates:
-        acc += p
-        if u < acc:
-            return key
-    return weights.candidates[-1][0]
+    """Categorical draw; deterministic given the generator state. The key
+    taken is the first whose running sum of probabilities, added left to
+    right, exceeds one uniform draw, or the last key when rounding leaves
+    every sum at or below it."""
+    keys = weights.keys
+    return keys[min(bisect_right(list(accumulate(weights.probs)), rng.random()), len(keys) - 1)]
 
 
 def build_plan(trk: Tracklet, frame: int, target: int, jitter: float,

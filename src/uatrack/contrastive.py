@@ -114,8 +114,7 @@ def _draw_in_window(past: list[int], probs: list[float] | None, frame: int,
     window = probs[start:]
     # summed left to right: from Python 3.12 the builtin sum compensates rounding
     total_p = reduce(operator.add, window)
-    return sample(SamplingWeights(list(zip(past[start:], [p / total_p for p in window]))),
-                  rng)
+    return sample(SamplingWeights(past[start:], [p / total_p for p in window]), rng)
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,8 @@ class EpochColumns:
         if uniform:
             anchor = int(present[rng.integers(len(present))])
         else:
-            weights = softmax(-self.omega[present]).tolist()
-            anchor = sample(SamplingWeights(list(zip(present.tolist(), weights))), rng)
+            anchor = sample(SamplingWeights(present.tolist(),
+                                            softmax(-self.omega[present]).tolist()), rng)
         start = self.bounds[anchor]
         stop = bisect_left(self.frames, frame, start, self.bounds[anchor + 1])
         probs = None if uniform else softmax(self.deltas[start:stop]).tolist()
@@ -263,7 +262,10 @@ def train_embedder(frames, cfg: TrainConfig):
     uniform when anchor_sampling="random"). Learning rate is cosine-annealed
     to zero. Pseudo-tracklets come from the default TrackerConfig; each
     epoch reads them from the tracker state's decision table as
-    `EpochColumns`. Returns (embedder, per-epoch mean losses).
+    `EpochColumns`. Returns (embedder, per-epoch mean losses); an epoch
+    that trained no step reports nan. A step is skipped when its frame has
+    fewer than 2 tracks with a past or its target fewer than 2 keys, and a
+    run that trained no step at all raises InsufficientData.
     """
     frames = list(frames)
     for frame, dets in enumerate(frames, start=1):
@@ -281,7 +283,7 @@ def train_embedder(frames, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     embedder = LinearEmbedder.init_random(raw.shape[1], cfg.embed_dim, rng)
     total_steps = cfg.epochs * cfg.steps_per_epoch
-    step_count = 0
+    step_count = trained = 0
     epoch_losses: list[float] = []
     # the detections are copied once, each embedding a row view of `emb`,
     # which every epoch overwrites; the tracker copies what it keeps
@@ -319,5 +321,9 @@ def train_embedder(frames, cfg: TrainConfig):
                 emb[rows], raw[rows], emb[keys], positives, embedder.weights)
             losses.extend(step_losses.tolist())
             embedder.weights -= lr * grad / len(rows)
+            trained += 1
         epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
+    if not trained:
+        raise InsufficientData(f"no step of {total_steps} trained: each drawn frame had "
+                               "< 2 tracks with a past, or its target frame < 2 tracks")
     return embedder, epoch_losses

@@ -44,6 +44,8 @@ MAX_SCENE_DETECTIONS = 2**21
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scene's settings. `arena` is (width, height) in px, each side at
+    least BOX_MAX, so that a box of the largest size fits."""
     num_objects: int = 12
     num_frames: int = 200
     arena: tuple[float, float] = (560.0, 420.0)
@@ -79,8 +81,9 @@ class ScenarioConfig:
         v = self.occlusion_noise_boost
         if not (math.isfinite(v) and v >= 1.0):
             raise InvalidConfig(f"occlusion_noise_boost must be finite and >= 1, got {v}")
-        if not all(math.isfinite(side) and side > 0 for side in self.arena):
-            raise InvalidConfig(f"arena must be finite and positive, got {self.arena}")
+        if not all(math.isfinite(side) and side >= BOX_MAX for side in self.arena):
+            raise InvalidConfig(f"arena sides must be finite and >= {BOX_MAX:g}, "
+                                f"got {self.arena}")
         for name in ("appearance_noise", "camera_drift", "speed"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -106,7 +109,9 @@ def generate(cfg: ScenarioConfig):
     """Returns (frames, gt): frames is a list of per-frame Detection lists
     (frame indices 1..num_frames), gt maps each emitted detection's
     (frame, det_index) to its object's true id (1..num_objects), in frame order.
-    A frame's embeddings and raw features are row views of one matrix each."""
+    A frame's embeddings and raw features are row views of one matrix each.
+    A box center reflects off the arena walls and is then clamped between
+    them, so before camera drift every center stays inside the arena."""
     rng = np.random.default_rng(cfg.seed)
     n, d, f = cfg.num_objects, cfg.embed_dim, cfg.raw_dim
     aw, ah = cfg.arena
@@ -157,9 +162,12 @@ def generate(cfg: ScenarioConfig):
         z = rng.standard_normal(normals)
         uniform = rng.random(2 * n)
         pos = pos + vel + (0.0 + POSITION_JITTER * z[:turn].reshape(n, 2))
-        # reflect box centers off the arena walls
+        # reflect box centers off the arena walls; one reflection cannot bring
+        # back a step longer than the corridor between a center's two limits,
+        # so the reflected center is clamped into them
         below, above = pos < half, pos > high
         pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
+        pos = np.minimum(np.maximum(pos, half), high)
         vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
         cam_angle += 0.0 + 0.3 * float(z[turn])
         cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])

@@ -1,6 +1,7 @@
 """Tests for anchor sampling weights and augmentation plans."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,16 +27,11 @@ def make_track(tid, frame_deltas, box_fn=None):
     return t
 
 
-def keys(weights):
-    """The identities or frames a draw chooses among, in candidate order."""
-    return [k for k, _ in weights.candidates]
-
-
 class TestSourceAnchorWeights:
     def test_single_tracklet(self):
         t = make_track(1, [(1, 0.0), (2, 0.0)])
         w = source_anchor_weights([t], 2)
-        assert keys(w) == [1]
+        assert w.keys == [1]
         assert w.probabilities() == pytest.approx([1.0])
 
     def test_equal_uncertainty_symmetric(self):
@@ -67,13 +63,13 @@ class TestTargetAnchorWeights:
     def test_softmax_of_deltas(self):
         t = make_track(1, [(1, 0.0), (2, math.log(3.0)), (3, 0.0)])
         w = target_anchor_weights(t, 3)
-        assert keys(w) == [1, 2]
+        assert w.keys == [1, 2]
         assert w.probabilities() == pytest.approx([0.25, 0.75])
 
     def test_only_past_frames(self):
         t = make_track(1, [(1, 0.0), (2, 0.0), (3, 0.0)])
-        assert keys(target_anchor_weights(t, 3)) == [1, 2]
-        assert keys(target_anchor_weights(t, 2)) == [1]
+        assert target_anchor_weights(t, 3).keys == [1, 2]
+        assert target_anchor_weights(t, 2).keys == [1]
 
     def test_no_history(self):
         t = make_track(1, [(5, 0.0)])
@@ -81,23 +77,82 @@ class TestTargetAnchorWeights:
             target_anchor_weights(t, 5)
 
 
+def loop_sample(keys, probs, rng):
+    """The per-pair loop `sample` replaced: the first key whose running sum
+    `acc += p` exceeds the draw, else the last key."""
+    u = rng.random()
+    acc = 0.0
+    for key, p in zip(keys, probs):
+        acc += p
+        if u < acc:
+            return key
+    return keys[-1]
+
+
+class FixedDraw:
+    """A generator stand-in whose `random()` returns the given draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
 class TestSample:
+    def test_equals_running_sum_loop(self):
+        """Draw for draw the key of the per-pair loop, with the generator
+        left in the same state, over 1-40 keys, some of probability 0, with
+        the probabilities summing to 1 or to less, which leaves draws past
+        every running sum to the last key."""
+        gen = np.random.default_rng(46)
+        for trial in range(400):
+            n = int(gen.integers(1, 41))
+            probs = gen.random(n)
+            probs[gen.random(n) < 0.3] = 0.0
+            probs = (probs / (probs.sum() or 1.0) * gen.choice([1.0, 0.5])).tolist()
+            keys = list(range(100, 100 + n))
+            r1, r2 = np.random.default_rng(trial), np.random.default_rng(trial)
+            w = SamplingWeights(keys, probs)
+            assert [sample(w, r1) for _ in range(40)] == \
+                   [loop_sample(keys, probs, r2) for _ in range(40)]
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("probs", [
+        [0.25, 0.25, 0.5],
+        [0.5, 0.0, 0.0, 0.5],
+        [0.0, 1.0, 0.0],
+        # summed left to right, ten 0.1s give 1 - 2**-53, the largest draw
+        [0.1] * 10,
+        [0.1] * 10 + [0.0],
+    ])
+    def test_draws_at_running_sums(self, probs):
+        """A draw equal to a running sum, just below it, 0 and the largest
+        draw each take the loop's key: equal sums and zero probabilities
+        are passed over, and a draw at or above the total takes the last key."""
+        sums = list(accumulate(probs))
+        draws = [0.0, 1 - 2**-53] + sums + [math.nextafter(x, 0.0) for x in sums]
+        keys = [f"k{i}" for i in range(len(probs))]
+        w = SamplingWeights(keys, probs)
+        assert [sample(w, FixedDraw([u])) for u in draws] == \
+               [loop_sample(keys, probs, FixedDraw([u])) for u in draws]
+
     def test_degenerate_weight(self):
-        w = SamplingWeights([(42, 1.0)])
+        w = SamplingWeights([42], [1.0])
         rng = np.random.default_rng(0)
         assert all(sample(w, rng) == 42 for _ in range(10))
         # a draw at or above the summed probabilities takes the last key
-        w = SamplingWeights([(7, 0.0), (42, 0.0)])
+        w = SamplingWeights([7, 42], [0.0, 0.0])
         assert all(sample(w, rng) == 42 for _ in range(10))
 
     def test_empirical_frequency(self):
-        w = SamplingWeights([("a", 0.75), ("b", 0.25)])
+        w = SamplingWeights(["a", "b"], [0.75, 0.25])
         rng = np.random.default_rng(123)
         draws = [sample(w, rng) for _ in range(100000)]
         assert draws.count("a") / len(draws) == pytest.approx(0.75, abs=0.01)
 
     def test_same_seed_same_sequence(self):
-        w = SamplingWeights([("a", 0.3), ("b", 0.7)])
+        w = SamplingWeights(["a", "b"], [0.3, 0.7])
         r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
         assert [sample(w, r1) for _ in range(50)] == \
                [sample(w, r2) for _ in range(50)]

@@ -226,6 +226,16 @@ class TestTrainEmbedder:
         with pytest.raises(InsufficientData):
             train_embedder(frames, TrainConfig(epochs=1, embed_dim=4))
 
+    def test_run_that_trains_no_step_rejected(self):
+        """A run whose every step skips raises InsufficientData rather than
+        return its untrained weights; inside a run that trained, an epoch
+        with no trained step still reports nan."""
+        frames, _ = generate(ScenarioConfig(num_objects=3, num_frames=20, dropout=0.5, seed=0))
+        with pytest.raises(InsufficientData, match="no step of 4 trained"):
+            train_embedder(frames, TrainConfig(epochs=4, steps_per_epoch=1, seed=1))
+        _, losses = train_embedder(frames, TrainConfig(epochs=4, steps_per_epoch=1, seed=4))
+        assert [math.isnan(x) for x in losses] == [True, True, True, False]
+
     def test_skipped_steps_keep_losses_finite_and_runs_equal(self, monkeypatch):
         """A step skips when its frame has fewer than 2 tracks with a past
         or its target frame fewer than 2 keys. A sparse scene (3 objects,
@@ -275,7 +285,7 @@ def draw_target(present: list[Tracklet], frame: int, rng: np.random.Generator,
         anchor = next(trk for trk in present if trk.id == anchor_id)
     past = target_anchor_weights(anchor, frame)
     return anchor, contrastive._draw_in_window(
-        [f for f, _ in past.candidates], None if uniform else past.probabilities(), frame, rng)
+        past.keys, None if uniform else past.probabilities(), frame, rng)
 
 
 def reference_train_embedder(frames, cfg: TrainConfig):
@@ -366,7 +376,7 @@ class TestEpochColumns:
         monkeypatch.setattr(contrastive, "track_sequence",
                             lambda fr: states.append(track(fr)) or states[-1])
         monkeypatch.setattr(contrastive, "sample",
-                            lambda w, rng: weights.append(w.candidates) or sample(w, rng))
+                            lambda w, rng: weights.append((w.keys, w.probs)) or sample(w, rng))
         draw = contrastive.EpochColumns.draw
 
         def checked_draw(columns, present, frame, rng, cfg):
@@ -385,7 +395,7 @@ class TestEpochColumns:
             if mode == "uncertainty":
                 anchor_weights, target_weights = weights
                 # keyed by track index here, by track id there
-                assert [(k + 1, p) for k, p in anchor_weights] == want[0]
+                assert ([k + 1 for k in anchor_weights[0]], anchor_weights[1]) == want[0]
                 assert target_weights == want[1]
             else:
                 assert weights == want == []
@@ -592,7 +602,7 @@ class TestDrawPlan:
         seen = []
         def recording_sample(weights, rng):
             seen.append(weights)
-            return weights.candidates[0][0]
+            return weights.keys[0]
         monkeypatch.setattr(contrastive, "sample", recording_sample)
         draw_target([trk], frame, np.random.default_rng(0), TrainConfig())
         total = reduce(operator.add, ps)

@@ -1351,6 +1351,19 @@ class TestCli:
             2, f"uatrack train: {message}\n")
         assert not (tmp_path / "w.txt").exists()
 
+    @pytest.mark.parametrize("seed", [0, 3, 4, 5])
+    def test_train_with_no_step_trained_exit_2(self, tmp_path, capsys, seed):
+        """A sparse 3-frame scene has two tracklets, but every step skips
+        (fewer than 2 tracks with a past, or fewer than 2 keys): `train`
+        exits 2 and writes no untrained weights."""
+        small_bundle(tmp_path, ScenarioConfig(num_objects=3, num_frames=3, dropout=0.5,
+                                              seed=seed))
+        assert run_main(capsys, "train", "--bundle", tmp_path, "--epochs", "2", "--lr", "1e-3",
+                        "--seed", "0", "--out", tmp_path / "w.txt") == (
+            2, "uatrack train: no step of 200 trained: each drawn frame had < 2 tracks "
+               "with a past, or its target frame < 2 tracks\n")
+        assert not (tmp_path / "w.txt").exists()
+
     def test_huge_embedding_value_exit_2(self, tmp_path, capsys):
         small_bundle(tmp_path)
         emb = tmp_path / "emb.csv"

@@ -164,6 +164,9 @@ class TestConfigValidation:
         dict(camera_drift=float("inf")),
         dict(arena=(float("inf"), 420.0)),
         dict(arena=(560.0, float("inf"))),
+        # no box of the largest size (BOX_MAX) fits
+        dict(arena=(47.9, 420.0)),
+        dict(arena=(560.0, 1.0)),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(InvalidConfig):
@@ -222,14 +225,17 @@ class TestGenerate:
         assert n_drop < n_full
 
     def test_boxes_inside_arena_before_drift(self):
-        # camera drift shifts boxes; with zero drift every center stays inside
-        cfg = ScenarioConfig(num_objects=6, num_frames=120, camera_drift=0.0, seed=6)
-        frames, _ = generate(cfg)
-        aw, ah = cfg.arena
-        for dets in frames:
-            for d in dets:
-                assert -1.0 <= d.box.cx <= aw + 1.0
-                assert -1.0 <= d.box.cy <= ah + 1.0
+        # camera drift shifts boxes; with zero drift every center stays
+        # inside, also in narrow arenas, where a step can be longer than the
+        # corridor between a center's two wall limits, which one reflection
+        # cannot bring back
+        for aw, ah in [(560.0, 420.0), (48.0, 48.0), (52.0, 52.0)]:
+            cfg = ScenarioConfig(num_objects=6, num_frames=120, camera_drift=0.0, seed=6,
+                                 arena=(aw, ah))
+            for dets in generate(cfg)[0]:
+                for d in dets:
+                    assert -1.0 <= d.box.cx <= aw + 1.0
+                    assert -1.0 <= d.box.cy <= ah + 1.0
 
     def test_confusable_pair_latent_similarity(self):
         """Engineered twins stay far more similar than independent objects."""
@@ -310,6 +316,7 @@ def _reference_generate(cfg: ScenarioConfig):
         pos = pos + vel + rng.normal(0.0, simulator.POSITION_JITTER, size=(n, 2))
         below, above = pos < half, pos > high
         pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
+        pos = np.minimum(np.maximum(pos, half), high)
         vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
         cam_angle += rng.normal(0.0, 0.3)
         cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
@@ -459,7 +466,8 @@ class TestCallerErrstateReachesBuild:
     """The caller's `np.errstate` governs the whole build: the first frame
     that overflows raises, as a data error, and no RuntimeWarning is left."""
 
-    OVERFLOW = "num_objects = 100\nembed_dim = 128\nraw_dim = 256\nnum_frames = 5\nspeed = 1e308\n"
+    OVERFLOW = ("num_objects = 100\nembed_dim = 128\nraw_dim = 256\nnum_frames = 5\n"
+                "camera_drift = 1e308\n")
 
     def test_first_error_wins_in_process(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.txt"
@@ -470,7 +478,7 @@ class TestCallerErrstateReachesBuild:
             code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
         assert threading.active_count() == before
         assert code == cli.DATA_ERROR
-        assert capsys.readouterr().err == "uatrack simulate: overflow encountered in subtract\n"
+        assert capsys.readouterr().err == "uatrack simulate: overflow encountered in add\n"
 
     def test_first_error_wins_from_the_command(self, tmp_path):
         """`uatrack simulate` gives one stderr line, from the caller's
@@ -484,4 +492,4 @@ class TestCallerErrstateReachesBuild:
                                str(cfgp), "--out", str(tmp_path / "sim")],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == cli.DATA_ERROR
-        assert proc.stderr == "uatrack simulate: overflow encountered in subtract\n"
+        assert proc.stderr == "uatrack simulate: overflow encountered in add\n"
