@@ -2,8 +2,9 @@
 
 Boxes use the center+size convention (cx, cy, w, h) everywhere inside the
 package; the corner convention only appears at file-format boundaries. A
-box is the immutable tuple (cx, cy, w, h), so `iou` reads a box list's
-edges straight from the tuples.
+box is the immutable tuple (cx, cy, w, h); `iou` takes boxes as (4, …, n)
+arrays of those fields, which `box_array` builds from a box list straight
+from the tuples, and the simulator writes for a block of frames at once.
 """
 
 from __future__ import annotations
@@ -98,32 +99,48 @@ class AffineTransform:
         return pts @ lin.T + np.array([self.m13, self.m23])
 
 
-def _edges(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The low edges (x1, y1) and high edges (x2, y2) of the boxes as two
-    (2 × n) arrays, computed as `to_xyxy` does, and their areas."""
-    m = np.fromiter(chain.from_iterable(boxes), float).reshape(-1, 4).T
-    half = m[2:] / 2.0
+def box_array(boxes) -> np.ndarray:
+    """The (4, n) array of a box list, rows cx, cy, w and h, read straight
+    from the tuples."""
+    return np.fromiter(chain.from_iterable(boxes), float).reshape(-1, 4).T
+
+
+def _edges(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The low edges (x1, y1) and high edges (x2, y2) of a (4, …, n) box
+    array as two (2, …, n) arrays, computed as `to_xyxy` does, and the
+    (…, n) areas."""
+    half = boxes[2:] / 2.0
     # rows in C order: the pairwise passes read each row contiguously
-    return np.subtract(m[:2], half, order="C"), np.add(m[:2], half, order="C"), m[2] * m[3]
+    return (np.subtract(boxes[:2], half, order="C"), np.add(boxes[:2], half, order="C"),
+            boxes[2] * boxes[3])
 
 
-def iou(a, b) -> np.ndarray:
-    """Pairwise intersection-over-union of two box sequences: the
-    (len(a), len(b)) matrix, entries in [0, 1] up to rounding. Disjoint
-    boxes get an intersection of 0, hence 0. The edges of both sequences
-    are computed in one pass, and the x and y overlaps in one array."""
-    lo, hi, area = _edges(a if a is b else [*a, *b])
-    n = len(a)
-    a_lo, a_hi, a_area = lo[:, :n, None], hi[:, :n, None], area[:n, None]
-    if a is not b:
-        lo, hi, area = lo[:, n:], hi[:, n:], area[n:]
-    # (x and y) × a × b, in place: separate temporaries of that size fall
-    # out of cache on a 150-box frame
-    overlap = np.minimum(a_hi, hi[:, None])
-    overlap -= np.maximum(a_lo, lo[:, None])
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise intersection-over-union of two box arrays, (4, …, n) and
+    (4, …, m) with rows cx, cy, w and h (`box_array` builds one from a box
+    list): the (…, n, m) matrices, entries in [0, 1] up to rounding. The
+    leading axes broadcast, so a (4, frames, n) array against itself gives
+    every frame's (n, n) matrix in one call. Disjoint boxes get an
+    intersection of 0, hence 0. The edges are computed once when `b is a`.
+    The x and y overlaps fill one (2, …, n, m) buffer in place, and the
+    intersection, the union and the quotient are written into its two
+    halves, so the result is a view of that buffer."""
+    a_lo, a_hi, a_area = _edges(a)
+    b_lo, b_hi, b_area = (a_lo, a_hi, a_area) if b is a else _edges(b)
+    a_lo, a_hi, a_area = a_lo[..., None], a_hi[..., None], a_area[..., None]
+    b_lo, b_hi, b_area = b_lo[..., None, :], b_hi[..., None, :], b_area[..., None, :]
+    # (x and y) × … × a × b, in place: separate temporaries of that size fall
+    # out of cache on a 150-box frame; each axis's lower edges take one
+    # more (… × a × b) temporary, never both at once
+    overlap = np.minimum(a_hi, b_hi)
+    for axis in range(2):
+        overlap[axis] -= np.maximum(a_lo[axis], b_lo[axis])
     np.maximum(overlap, 0.0, out=overlap)
-    inter = overlap[0] * overlap[1]
-    return inter / (a_area + area - inter)
+    inter, union = overlap
+    np.multiply(inter, union, out=inter)
+    np.add(a_area, b_area, out=union)
+    union -= inter
+    return np.divide(inter, union, out=inter)
 
 
 def solve_affine(src, dst) -> AffineTransform:

@@ -10,8 +10,8 @@ linear embedder can recover separability.
 
 All randomness flows through one numpy PCG64 generator seeded from the
 config; the generator choice is part of the output contract (same seed,
-same bytes). Every frame is drawn and then built on the calling thread, in
-frame order, so the caller's `np.errstate` governs the build (README
+same bytes). Frames are drawn and built on the calling thread a block at a
+time, in frame order, so the caller's `np.errstate` governs the build (README
 "Scene generation").
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +39,10 @@ MAX_SCENE_VALUES = 2**27   # 1 GiB of float64: bounds the vectors `generate` kee
 # bounds the detections `generate` keeps: each costs about 0.7 KB of Python
 # objects besides its vectors (200,000 at dims 2/2 raise peak RSS by 142 MB)
 MAX_SCENE_DETECTIONS = 2**21
+# float64 values (1 MiB) that bound a block of frames' scratch: a frame's
+# normals and its 2 · n² overlap values, so a default frame shares a block
+# with 146 others and a crowd frame is a block of its own
+BLOCK_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,11 @@ def generate(cfg: ScenarioConfig):
     """Returns (frames, gt): frames is a list of per-frame Detection lists
     (frame indices 1..num_frames), gt maps each emitted detection's
     (frame, det_index) to its object's true id (1..num_objects), in frame order.
-    A frame's embeddings and raw features are row views of one matrix each.
-    A box center reflects off the arena walls and is then clamped between
-    them, so before camera drift every center stays inside the arena."""
+    Frames are built a block at a time (`BLOCK_VALUES`): a block's embeddings
+    and raw features are row views of one matrix each, a frame's rows
+    consecutive and in frame order. A box center reflects off the arena
+    walls and is then clamped between them, so before camera drift every
+    center stays inside the arena."""
     rng = np.random.default_rng(cfg.seed)
     n, d, f = cfg.num_objects, cfg.embed_dim, cfg.raw_dim
     aw, ah = cfg.arena
@@ -142,69 +147,97 @@ def generate(cfg: ScenarioConfig):
     pos = lo + rng.random((n, 2)) * (hi - lo)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     vel = cfg.speed * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    widths, heights = sizes.T.tolist()
+    twice_half, twice_high = 2 * half, 2 * high
 
     cam = np.zeros(2)
     cam_angle = rng.uniform(0.0, 2.0 * np.pi)
 
-    # each frame draws one block of normals (position jitter, camera turn,
-    # embedding noise, raw noise) and one of uniforms (forced occlusion,
-    # dropout), in that order and before the dropout filter, so the stream
-    # consumed per frame does not depend on which objects survive; a slice
-    # scaled as `0.0 + scale * z` has the bits of `rng.normal(0.0, scale)`
+    # each frame draws its normals (position jitter, camera turn, embedding
+    # noise, raw noise), then its uniforms (forced occlusion, dropout), into
+    # its rows of the block's two matrices and before the dropout filter, so
+    # the stream consumed per frame does not depend on which objects survive;
+    # a slice scaled as `0.0 + scale * z` has the bits of `rng.normal(0.0, scale)`
     turn = 2 * n
     emb_end = turn + 1 + n * d
     normals = emb_end + n * f
+    per_block = max(1, BLOCK_VALUES // (normals + 2 * n * n))
     frames: list[list[Detection]] = []
     gt: dict[tuple[int, int], int] = {}
 
-    for frame in range(1, cfg.num_frames + 1):
-        z = rng.standard_normal(normals)
-        uniform = rng.random(2 * n)
-        pos = pos + vel + (0.0 + POSITION_JITTER * z[:turn].reshape(n, 2))
-        # reflect box centers off the arena walls; one reflection cannot bring
-        # back a step longer than the corridor between a center's two limits,
-        # so the reflected center is clamped into them
-        below, above = pos < half, pos > high
-        pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
-        pos = np.minimum(np.maximum(pos, half), high)
-        vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
-        cam_angle += 0.0 + 0.3 * float(z[turn])
-        cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
+    for first in range(1, cfg.num_frames + 1, per_block):
+        count = min(per_block, cfg.num_frames + 1 - first)
+        z = np.empty((count, normals))
+        uniform = np.empty((count, 2 * n))
+        for i in range(count):
+            rng.standard_normal(out=z[i])
+            rng.random(out=uniform[i])
 
-        cx, cy = (pos + cam).T.tolist()
-        boxes = list(map(BoundingBox, cx, cy, widths, heights))
-        overlap = iou(boxes, boxes)
-        np.fill_diagonal(overlap, 0.0)
-        max_iou = overlap.max(axis=1)
+        # motion and camera frame by frame, so an overflow there raises in
+        # frame order; the centers fill the block's (4, frames, n) box array
+        boxes = np.empty((4, count, n))
+        boxes[2:] = sizes.T[:, None]
+        jitter = 0.0 + POSITION_JITTER * z[:, :turn].reshape(count, n, 2)
+        turns = (0.0 + 0.3 * z[:, turn]).tolist()
+        for i, cam_turn in enumerate(turns):
+            pos = pos + vel + jitter[i]
+            # reflect box centers off the arena walls; one reflection cannot
+            # bring back a step longer than the corridor between a center's
+            # two limits, so the reflected center is clamped into them
+            below, above = pos < half, pos > high
+            pos = np.where(below, twice_half - pos, np.where(above, twice_high - pos, pos))
+            pos = np.minimum(np.maximum(pos, half), high)
+            vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
+            cam_angle += cam_turn
+            cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
+            np.add(pos.T, cam[:, None], out=boxes[:2, i])
 
-        emb_noise = z[turn + 1:emb_end].reshape(n, d)
-        raw_noise = z[emb_end:].reshape(n, f)
-        forced_occ = uniform[:n] < cfg.occlusion_rate
-        dropped = uniform[n:] < cfg.dropout
+        kept = uniform[:, n:] >= cfg.dropout   # (frames, n), in stream order
+        frame_of, obj = kept.nonzero()
+        # a detection's index is its object's rank among its frame's kept ones
+        index = kept.cumsum(axis=1)[kept] - 1
+        # the kept noise rows, gathered before the overlaps so that the
+        # block's normals are freed first
+        emb = z[:, turn + 1:emb_end].reshape(count, n, d)[kept]
+        raw = z[:, emb_end:].reshape(count, n, f)[kept]
+        del z, jitter
 
-        keep = np.flatnonzero(~dropped)
-        occluded = (max_iou[keep] > OCCLUSION_IOU) | forced_occ[keep]
+        overlap = iou(boxes, boxes)   # (frames, n, n)
+        overlap.reshape(count, n * n)[:, ::n + 1] = 0.0
+        max_iou = overlap.max(axis=2)[kept]
+        del overlap
+        occluded = (max_iou > OCCLUSION_IOU) | (uniform[:, :n] < cfg.occlusion_rate)[kept]
         sigma = cfg.appearance_noise * np.where(occluded, cfg.occlusion_noise_boost, 1.0)
         # appearance_noise is the RMS magnitude of the whole noise vector
         # relative to the unit latent, not a per-dimension std. The gathered
         # noise is scaled and summed in place: `*` and `+` commute bit for
         # bit, so this is `latents + sigma * NOISE_SCALE * noise / sqrt(d)`
-        emb = emb_noise[keep]
         emb *= sigma[:, None] * NOISE_SCALE
         emb /= np.sqrt(d)
-        emb += latents[keep]
+        emb += latents[obj]
         # each row's norm is the ddot `np.linalg.norm` takes of a vector:
         # matmul sends every stacked (1 x d) @ (d x 1) product to that ddot;
         # `norm(axis=1)` and `einsum` round differently on some rows
-        emb /= np.sqrt(np.matmul(emb[:, None, :], emb[:, :, None]))[:, 0]
-        raw = raw_noise[keep]
+        squares = np.matmul(emb[:, None, :], emb[:, :, None])
+        if d % 2:
+            # some ddot kernels (OpenBLAS's Prescott) round a row by its
+            # address mod 16; for the bits of a frame's own matrix, whose even
+            # rows are 16-byte aligned, the rows of a frame that starts at an
+            # odd row of the block take their squares from a copy shifted by
+            # one value
+            shifted = np.empty(emb.size + 1)[1:].reshape(emb.shape)
+            shifted[...] = emb
+            odd = (np.arange(len(emb)) - index) % 2 == 1
+            squares[odd] = np.matmul(shifted[:, None, :], shifted[:, :, None])[odd]
+        emb /= np.sqrt(squares)[:, 0]
         raw *= RAW_NOISE
-        raw += clean_raw[keep]
-        conf = (1.0 - np.minimum(0.9, max_iou[keep])).tolist()
+        raw += clean_raw[obj]
+        conf = (1.0 - np.minimum(0.9, max_iou)).tolist()
 
-        # one object per kept detection, built positionally from the columns;
-        # iterating a matrix gives its rows as views
-        frames.append(list(map(Detection, map(boxes.__getitem__, keep.tolist()), conf, emb, raw)))
-        gt.update(zip(zip(repeat(frame), range(len(keep))), (keep + 1).tolist()))
+        # one box and one detection per kept object, built positionally from
+        # the columns; iterating a matrix gives its rows as views
+        cx, cy, w, h = boxes[:, kept].tolist()
+        dets = list(map(Detection, map(BoundingBox, cx, cy, w, h), conf, emb, raw))
+        ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
+        frames += [dets[start:end] for start, end in zip([0, *ends], ends)]
+        gt.update(zip(zip((frame_of + first).tolist(), index.tolist()), (obj + 1).tolist()))
     return frames, gt

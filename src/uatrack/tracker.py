@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import hungarian_max
 from .errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, box_array, iou
 from .uncertainty import (AssociationVerdict, UncertaintyMargins,
                           association_uncertainty, second_best)
 
@@ -321,8 +321,10 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
     Returns the matched (row, col) pairs as a (pairs × 2) array."""
     if not len(pool_rows) or not len(pool_cols):
         return np.zeros((0, 2), dtype=np.intp)
-    gate = iou([dets[r].box for r in pool_rows.tolist()],
-               [state.dets[i].box for i in state.last[pool_cols].tolist()])
+    # one box array, split by columns: the detections', then the tracks'
+    boxes = box_array([dets[r].box for r in pool_rows.tolist()]
+                      + [state.dets[i].box for i in state.last[pool_cols].tolist()])
+    gate = iou(boxes[:, :len(pool_rows)], boxes[:, len(pool_rows):])
     hist = state.window_means(pool_cols)
     cprime = np.where(gate > state.cfg.beta, det_mat.take(pool_rows, axis=0) @ hist.T, 0.0)
     i, j = hungarian_max(cprime, floor=0.0).T

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uatrack.errors import DegenerateBox, DegenerateCorrespondence
-from uatrack.geometry import (AffineTransform, BoundingBox, apply_affine, iou,
-                              solve_affine)
+from uatrack.geometry import (AffineTransform, BoundingBox, apply_affine, box_array,
+                              iou, solve_affine)
 
 
 class TestBoundingBox:
@@ -119,26 +119,32 @@ float_boxes = st.builds(BoundingBox, *[st.floats(-1e3, 1e3)] * 2,
 box_lists = st.lists(st.one_of(grid_boxes, float_boxes), max_size=6)
 
 
+def reference(xs, ys) -> np.ndarray:
+    """The (len(xs), len(ys)) matrix of `scalar_iou`, pair by pair."""
+    return np.array([[scalar_iou(x, y) for y in ys] for x in xs],
+                    dtype=float).reshape(len(xs), len(ys))
+
+
 class TestIou:
     def test_identical_boxes(self):
-        b = BoundingBox(5.0, 5.0, 2.0, 2.0)
-        assert iou([b], [b]).tolist() == [[1.0]]
+        b = box_array([BoundingBox(5.0, 5.0, 2.0, 2.0)])
+        assert iou(b, b).tolist() == [[1.0]]
 
     def test_disjoint(self):
-        a = BoundingBox(0.0, 0.0, 2.0, 2.0)
-        b = BoundingBox(10.0, 0.0, 2.0, 2.0)
-        assert iou([a], [b]).tolist() == [[0.0]]
+        a = box_array([BoundingBox(0.0, 0.0, 2.0, 2.0)])
+        b = box_array([BoundingBox(10.0, 0.0, 2.0, 2.0)])
+        assert iou(a, b).tolist() == [[0.0]]
 
     def test_quarter_overlap(self):
         # unit squares offset by half in both axes: inter 1/4, union 7/4
-        a = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        b = BoundingBox(0.5, 0.5, 1.0, 1.0)
-        assert iou([a], [b])[0, 0] == pytest.approx(1.0 / 7.0)
+        a = box_array([BoundingBox(0.0, 0.0, 1.0, 1.0)])
+        b = box_array([BoundingBox(0.5, 0.5, 1.0, 1.0)])
+        assert iou(a, b)[0, 0] == pytest.approx(1.0 / 7.0)
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(3)
-        boxes = [BoundingBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
-                 for _ in range(200)]
+        boxes = box_array([BoundingBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
+                           for _ in range(200)])
         m = iou(boxes, boxes)
         assert m.shape == (200, 200)
         assert np.array_equal(m, m.T)
@@ -148,40 +154,69 @@ class TestIou:
         assert ((m >= 0.0) & (m <= 1.0)).all()
 
     def test_touching_edges_is_zero(self):
-        a = BoundingBox(0.0, 0.0, 2.0, 2.0)
-        b = BoundingBox(2.0, 0.0, 2.0, 2.0)
-        assert iou([a], [b]).tolist() == [[0.0]]
+        a = box_array([BoundingBox(0.0, 0.0, 2.0, 2.0)])
+        b = box_array([BoundingBox(2.0, 0.0, 2.0, 2.0)])
+        assert iou(a, b).tolist() == [[0.0]]
 
     def test_nested_is_area_ratio(self):
         outer = BoundingBox(0.0, 0.0, 4.0, 4.0)
         inner = BoundingBox(0.5, -0.5, 2.0, 2.0)
-        assert iou([outer, inner], [inner, outer]).tolist() == [[0.25, 1.0], [1.0, 0.25]]
+        assert iou(box_array([outer, inner]), box_array([inner, outer])).tolist() \
+            == [[0.25, 1.0], [1.0, 0.25]]
 
     def test_empty_sequences(self):
         b = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        assert iou([], [b]).shape == (0, 1)
-        assert iou([b, b], []).shape == (2, 0)
+        assert box_array([]).shape == (4, 0)
+        assert iou(box_array([]), box_array([b])).shape == (0, 1)
+        assert iou(box_array([b, b]), box_array([])).shape == (2, 0)
+
+    def test_empty_sides_of_a_batch(self):
+        """Leading axes are kept when either side holds no box."""
+        none, three = np.zeros((4, 5, 0)), np.ones((4, 5, 3))
+        assert iou(none, three).shape == (5, 0, 3)
+        assert iou(three, none).shape == (5, 3, 0)
+        assert iou(none, none).shape == (5, 0, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(box_lists, box_lists)
     def test_matches_scalar_reference_exactly(self, a, b):
-        m = iou(a, b)
+        m = iou(box_array(a), box_array(b))
         assert m.shape == (len(a), len(b))
         assert m.tolist() == [[scalar_iou(x, y) for y in b] for x in a]
 
     @settings(max_examples=300, deadline=None)
     @given(box_lists, box_lists)
     def test_one_edge_pass_keeps_bits(self, a, b):
-        """The edges of both lists come from one pass, or from one list when
-        both arguments are the same object; either way each entry has the
-        bits of the scalar reference, a zero's sign included."""
-        def reference(xs, ys):
-            return np.array([[scalar_iou(x, y) for y in ys] for x in xs],
-                            dtype=float).reshape(len(xs), len(ys))
+        """The edges come from one pass when both arguments are the same
+        array, and from one pass each otherwise; either way each entry has
+        the bits of the scalar reference, a zero's sign included."""
+        a_arr, b_arr = box_array(a), box_array(b)
+        assert iou(a_arr, b_arr).tobytes() == reference(a, b).tobytes()
+        assert iou(a_arr, a_arr).tobytes() == iou(a_arr, a_arr.copy()).tobytes() \
+            == reference(a, a).tobytes()
+        assert iou(box_array(tuple(a)), box_array(tuple(b))).tobytes() \
+            == reference(a, b).tobytes()
 
-        assert iou(a, b).tobytes() == reference(a, b).tobytes()
-        assert iou(a, a).tobytes() == iou(a, list(a)).tobytes() == reference(a, a).tobytes()
-        assert iou(tuple(a), tuple(b)).tobytes() == reference(a, b).tobytes()
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4), st.data())
+    def test_batch_equals_per_frame_calls(self, n, m, k, data):
+        """A (4, k, n) array against a (4, k, m) one gives each frame's
+        (n, m) matrix with the bits of a call on that frame alone, and of
+        the scalar reference; against itself (one edge pass) it gives the
+        bits of the call on a copy."""
+        a_frames = [data.draw(st.lists(st.one_of(grid_boxes, float_boxes),
+                                       min_size=n, max_size=n)) for _ in range(k)]
+        b_frames = [data.draw(st.lists(st.one_of(grid_boxes, float_boxes),
+                                       min_size=m, max_size=m)) for _ in range(k)]
+        a = np.stack([box_array(boxes) for boxes in a_frames], axis=1)
+        b = np.stack([box_array(boxes) for boxes in b_frames], axis=1)
+        batch, own = iou(a, b), iou(a, a)
+        assert batch.shape == (k, n, m) and own.shape == (k, n, n)
+        assert own.tobytes() == iou(a, a.copy()).tobytes()
+        for i, (xs, ys) in enumerate(zip(a_frames, b_frames)):
+            assert batch[i].tobytes() == iou(box_array(xs), box_array(ys)).tobytes() \
+                == reference(xs, ys).tobytes()
+            assert own[i].tobytes() == reference(xs, xs).tobytes()
 
 
 class TestAffineTransform:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from uatrack import cli, formats, simulator
 from uatrack.errors import InvalidConfig
-from uatrack.geometry import BoundingBox, iou
+from uatrack.geometry import BoundingBox, box_array, iou
 from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import Detection
 
@@ -255,7 +256,8 @@ class TestGenerate:
         frames, _ = generate(ScenarioConfig())
         found = False
         for dets in frames:
-            overlap = iou([d.box for d in dets], [d.box for d in dets])
+            boxes = box_array([d.box for d in dets])
+            overlap = iou(boxes, boxes)
             for i, j in zip(*np.nonzero(overlap > 0.4)):
                 if i < j:
                     assert dets[i].confidence < 0.6 and dets[j].confidence < 0.6
@@ -323,7 +325,7 @@ def _reference_generate(cfg: ScenarioConfig):
 
         boxes = [BoundingBox(pos[i, 0] + cam[0], pos[i, 1] + cam[1],
                              sizes[i, 0], sizes[i, 1]) for i in range(n)]
-        overlap = iou(boxes, boxes)
+        overlap = iou(box_array(boxes), box_array(boxes))
         np.fill_diagonal(overlap, 0.0)
         max_iou = overlap.max(axis=1)
         emb_noise = rng.normal(size=(n, d))
@@ -363,13 +365,31 @@ def _assert_same_bits(scene, ref_scene):
             assert det.raw.tobytes() == ref.raw.tobytes()
 
 
+def _frame_values(cfg: ScenarioConfig) -> int:
+    """A frame's share of `simulator.BLOCK_VALUES`: its normals and its
+    2 · n² overlap values."""
+    n = cfg.num_objects
+    return n * (2 + cfg.embed_dim + cfg.raw_dim) + 1 + 2 * n * n
+
+
+def _generate(cfg: ScenarioConfig, frames_per_block=None):
+    """`generate(cfg)` in blocks of `frames_per_block` frames, by setting
+    `BLOCK_VALUES` to that many frames' values, or of the derived size
+    when None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if frames_per_block is not None:
+            mp.setattr(simulator, "BLOCK_VALUES", frames_per_block * _frame_values(cfg))
+        return generate(cfg)
+
+
 class TestRowNorms:
     """`generate` takes each embedding row's squared norm from one stacked
     `np.matmul` of (1 x d) by (d x 1); every product must be the ddot that
     `v.dot(v)` takes of the row, bit for bit. CI runs this under three
-    other OpenBLAS kernels too."""
+    other OpenBLAS kernels too. A crowd frame stacks 150 rows and a
+    default block about 1,600."""
 
-    @pytest.mark.parametrize("rows", [0, 1, 150])
+    @pytest.mark.parametrize("rows", [0, 1, 150, 2048])
     @pytest.mark.parametrize("d", [2, 16, 160, 4096])
     @settings(max_examples=10)
     @given(scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32))
@@ -380,8 +400,11 @@ class TestRowNorms:
 
 
 class TestWholeFrameGeneration:
-    """`generate` builds each frame from whole matrices; every output bit
-    must equal the per-object loop's."""
+    """`generate` builds each block of frames from whole matrices; every
+    output bit must equal the per-object loop's, whatever the block size.
+    Every scene drawn here fits in one block of the derived size, so each
+    also runs in blocks of 1 and 2 frames: a last block of 1 frame, and
+    frames whose objects are all dropped inside a block."""
 
     @given(num_objects=st.integers(1, 14),
            embed_dim=st.integers(2, 8),
@@ -395,6 +418,10 @@ class TestWholeFrameGeneration:
              occlusion_rate=0.3, confusable_fraction=0.3, seed=3)   # n > d, every object dropped
     @example(num_objects=3, embed_dim=8, extra_raw=4, num_frames=5, dropout=0.0,
              occlusion_rate=0.3, confusable_fraction=1.0, seed=5)   # n <= d, none dropped
+    @example(num_objects=1, embed_dim=2, extra_raw=0, num_frames=5, dropout=0.5,
+             occlusion_rate=0.0, confusable_fraction=0.0, seed=0)   # empty frames
+    @example(num_objects=3, embed_dim=3, extra_raw=0, num_frames=2, dropout=0.0,
+             occlusion_rate=0.0, confusable_fraction=0.0, seed=0)   # odd rows, see `generate`
     def test_equals_per_object_reference(self, num_objects, embed_dim, extra_raw,
                                          num_frames, dropout, occlusion_rate,
                                          confusable_fraction, seed):
@@ -402,7 +429,21 @@ class TestWholeFrameGeneration:
                              raw_dim=embed_dim + extra_raw, num_frames=num_frames,
                              dropout=dropout, occlusion_rate=occlusion_rate,
                              confusable_fraction=confusable_fraction, seed=seed)
-        _assert_same_bits(generate(cfg), _reference_generate(cfg))
+        reference = _reference_generate(cfg)
+        for frames_per_block in (None, 1, 2):
+            _assert_same_bits(_generate(cfg, frames_per_block), reference)
+
+    def test_blocks_end_inside_the_scene(self):
+        """The sparse example above has what block boundaries need: with
+        2-frame blocks a block holding an empty frame and a kept one, and a
+        last block of one frame."""
+        cfg = ScenarioConfig(num_objects=1, embed_dim=2, raw_dim=2, num_frames=5,
+                             dropout=0.5, occlusion_rate=0.0, confusable_fraction=0.0,
+                             seed=0)
+        sizes = [len(dets) for dets in _generate(cfg, 2)[0]]
+        blocks = [sizes[i:i + 2] for i in range(0, len(sizes), 2)]
+        assert len(blocks[-1]) == 1
+        assert any(0 in block and any(block) for block in blocks)
 
     def test_output_bits_pinned(self):
         """One sha256 over the exact bits of a 60-object scene: every
@@ -426,40 +467,87 @@ class TestWholeFrameGeneration:
         assert SCENE_DIGESTS.get(core) == digest, (
             f"OpenBLAS kernel {core!r} gives {digest}; pinned: {SCENE_DIGESTS.get(core)}")
 
-    def test_vectors_are_rows_of_frame_matrices(self):
-        frames, _ = generate(SMALL)
-        for dets in frames:
-            if dets:
-                emb = dets[0].embedding.base
-                assert all(det.embedding.base is emb for det in dets)
-                assert emb.shape == (len(dets), SMALL.embed_dim)
+    def test_vectors_are_rows_of_block_matrices(self):
+        """A frame's vectors are consecutive rows, in frame order, of one
+        matrix per block: SMALL is one block of the derived size, or 6
+        blocks of 7 frames, the last of 5."""
+        for frames_per_block, per_block in ((None, SMALL.num_frames), (7, 7)):
+            frames, _ = _generate(SMALL, frames_per_block)
+            for start in range(0, len(frames), per_block):
+                block = [det for dets in frames[start:start + per_block] for det in dets]
+                for rows, dim in (([det.embedding for det in block], SMALL.embed_dim),
+                                  ([det.raw for det in block], SMALL.raw_dim)):
+                    matrix = rows[0].base
+                    assert matrix.shape == (len(rows), dim)
+                    assert all(row.base is matrix for row in rows)
+                    assert [row.ctypes.data for row in rows] == \
+                        [matrix.ctypes.data + i * matrix.strides[0] for i in range(len(rows))]
 
 
 class TestCallingThread:
-    """`generate` builds every frame on the calling thread and starts no
+    """`generate` builds every block on the calling thread and starts no
     thread, at every scene size; the bits are the per-object loop's."""
 
     # 12 * (2 + 16 + 32) + 1 = 601 normals a frame in the default scene,
     # 100 * (2 + 128 + 256) + 1 = 38,601, and in a 150-object crowd frame
     # 150 * (2 + 160 + 320) + 1 = 72,301; n <= d keeps the latter two's
-    # latents on the QR branch
-    @pytest.mark.parametrize("cfg", [
-        ScenarioConfig(num_frames=3),
-        ScenarioConfig(num_objects=100, embed_dim=128, raw_dim=256, num_frames=4),
-        ScenarioConfig(num_objects=150, embed_dim=160, raw_dim=320, num_frames=2),
+    # latents on the QR branch. With the 2 · n² overlap values, a block of
+    # the derived size holds 147, 2 and 1 of their frames (the default
+    # scene's 3 frames are one block); each scene is also built in blocks
+    # of 1 and 2 frames, and each `iou` call is one block's
+    @pytest.mark.parametrize("cfg, derived", [
+        (ScenarioConfig(num_frames=3), 147),
+        (ScenarioConfig(num_objects=100, embed_dim=128, raw_dim=256, num_frames=4), 2),
+        (ScenarioConfig(num_objects=150, embed_dim=160, raw_dim=320, num_frames=2), 1),
     ], ids=["default", "38601-normals", "crowd"])
-    def test_equals_per_object_reference(self, monkeypatch, cfg):
-        threads = set()
+    def test_equals_per_object_reference(self, monkeypatch, cfg, derived):
+        threads, blocks = set(), []
 
         def recorded(a, b):
             threads.add(threading.get_ident())
+            blocks.append(a.shape[1])
             return iou(a, b)
         monkeypatch.setattr(simulator, "iou", recorded)
-        before = threading.active_count()
-        scene = generate(cfg)
-        assert threading.active_count() == before
-        assert threads == {threading.get_ident()}
-        _assert_same_bits(scene, _reference_generate(cfg))
+        reference = _reference_generate(cfg)
+        for frames_per_block in (None, 1, 2):
+            blocks.clear()
+            before = threading.active_count()
+            scene = _generate(cfg, frames_per_block)
+            assert threading.active_count() == before
+            assert threads == {threading.get_ident()}
+            full, last = divmod(cfg.num_frames, frames_per_block or derived)
+            assert blocks == [frames_per_block or derived] * full + [last] * (last > 0)
+            _assert_same_bits(scene, reference)
+
+
+class TestBlockScratch:
+    """A block's scratch stays within `BLOCK_VALUES` plus one frame's: the
+    block's normals are gathered and freed before its overlaps are built,
+    and a frame's own scratch is its normals and three (n × n) matrices
+    (`iou`'s x and y overlaps and one axis's lower edges). tracemalloc sees
+    numpy's buffers, so `generate`'s peak less what its output holds is
+    at most the scratch at the peak. With every object dropped the output holds no
+    vector, and the peak of the default scene's two blocks (147 frames,
+    then 53) is all scratch; one block of all 200 frames would exceed the
+    bound. At 1,000 objects a frame is a block of its own, and a block of
+    two would exceed the bound by more than a frame."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(),
+        ScenarioConfig(dropout=1.0),
+        ScenarioConfig(num_objects=simulator.MAX_OBJECTS, embed_dim=2, raw_dim=2, num_frames=3),
+    ], ids=["default", "default-all-dropped", "1000-objects"])
+    def test_peak_over_output_within_block_values(self, cfg):
+        n = cfg.num_objects
+        frame = n * (2 + cfg.embed_dim + cfg.raw_dim) + 1 + 3 * n * n
+        tracemalloc.start()
+        try:
+            scene = generate(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scene[0]) == cfg.num_frames
+        assert peak - held <= 8 * (simulator.BLOCK_VALUES + frame)
 
 
 class TestCallerErrstateReachesBuild:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from uatrack import formats, tracker
 from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
-from uatrack.geometry import BoundingBox, iou
+from uatrack.geometry import BoundingBox, box_array, iou
 from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import (LOG, SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
                              STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
@@ -398,7 +398,8 @@ class TestRectify:
         cprime = np.zeros((len(pool_rows), len(pool_cols)))
         for i, r in enumerate(pool_rows):
             for j, c in enumerate(pool_cols):
-                if iou([dets[r].box], [tracks[c].records[-1].box])[0, 0] > cfg.beta:
+                if iou(box_array([dets[r].box]),
+                       box_array([tracks[c].records[-1].box]))[0, 0] > cfg.beta:
                     cprime[i, j] = np.mean([dets[r].embedding @ rec.embedding
                                             for rec in tracks[c].records[-cfg.K:]])
         return cprime
