@@ -115,26 +115,38 @@ def _edges(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             boxes[2] * boxes[3])
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def iou(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     """Pairwise intersection-over-union of two box arrays, (4, …, n) and
     (4, …, m) with rows cx, cy, w and h (`box_array` builds one from a box
     list): the (…, n, m) matrices, entries in [0, 1] up to rounding. The
     leading axes broadcast, so a (4, frames, n) array against itself gives
     every frame's (n, n) matrix in one call. Disjoint boxes get an
     intersection of 0, hence 0. The edges are computed once when `b is a`.
+    An int `b` splits one (4, n + m) array: its first `b` boxes against the
+    rest, from one edge pass, with the bits of `iou(a[:, :b], a[:, b:])`
+    (the tracker's gate, whose detection and track boxes are one array).
     The x and y overlaps fill one (2, …, n, m) buffer in place, and the
     intersection, the union and the quotient are written into its two
     halves, so the result is a view of that buffer."""
-    a_lo, a_hi, a_area = _edges(a)
-    b_lo, b_hi, b_area = (a_lo, a_hi, a_area) if b is a else _edges(b)
-    a_lo, a_hi, a_area = a_lo[..., None], a_hi[..., None], a_area[..., None]
-    b_lo, b_hi, b_area = b_lo[..., None, :], b_hi[..., None, :], b_area[..., None, :]
-    # (x and y) × … × a × b, in place: separate temporaries of that size fall
-    # out of cache on a 150-box frame; each axis's lower edges take one
-    # more (… × a × b) temporary, never both at once
+    if isinstance(b, int):
+        lo, hi, area = _edges(a)
+        a_lo, a_hi, a_area = lo[:, :b, None], hi[:, :b, None], area[:b, None]
+        b_lo, b_hi, b_area = lo[:, None, b:], hi[:, None, b:], area[None, b:]
+    else:
+        a_lo, a_hi, a_area = _edges(a)
+        b_lo, b_hi, b_area = (a_lo, a_hi, a_area) if b is a else _edges(b)
+        a_lo, a_hi, a_area = a_lo[..., None], a_hi[..., None], a_area[..., None]
+        b_lo, b_hi, b_area = b_lo[..., None, :], b_hi[..., None, :], b_area[..., None, :]
     overlap = np.minimum(a_hi, b_hi)
-    for axis in range(2):
-        overlap[axis] -= np.maximum(a_lo[axis], b_lo[axis])
+    if overlap.ndim == 3:
+        # one frame's boxes: both axes' lower edges in one call
+        overlap -= np.maximum(a_lo, b_lo)
+    else:
+        # (x and y) × … × a × b, in place: separate temporaries of that size
+        # fall out of cache on a 150-box frame; each axis's lower edges take
+        # one more (… × a × b) temporary, never both at once
+        for axis in range(2):
+            overlap[axis] -= np.maximum(a_lo[axis], b_lo[axis])
     np.maximum(overlap, 0.0, out=overlap)
     inter, union = overlap
     np.multiply(inter, union, out=inter)

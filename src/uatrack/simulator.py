@@ -172,24 +172,32 @@ def generate(cfg: ScenarioConfig):
             rng.standard_normal(out=z[i])
             rng.random(out=uniform[i])
 
-        # motion and camera frame by frame, so an overflow there raises in
-        # frame order; the centers fill the block's (4, frames, n) box array
-        boxes = np.empty((4, count, n))
-        boxes[2:] = sizes.T[:, None]
+        # the block's camera path at once: `cumsum` adds the turns in frame
+        # order, one at a time, as a running `+=` does
+        angles = np.cumsum(np.append(cam_angle, 0.0 + 0.3 * z[:, turn]))[1:]
+        cam_angle = angles[-1]
+        steps = cfg.camera_drift * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # motion and camera positions frame by frame, so an overflow there
+        # raises in frame order
         jitter = 0.0 + POSITION_JITTER * z[:, :turn].reshape(count, n, 2)
-        turns = (0.0 + 0.3 * z[:, turn]).tolist()
-        for i, cam_turn in enumerate(turns):
-            pos = pos + vel + jitter[i]
-            # reflect box centers off the arena walls; one reflection cannot
-            # bring back a step longer than the corridor between a center's
-            # two limits, so the reflected center is clamped into them
+        centers, cams = np.empty((count, n, 2)), np.empty((count, 2))
+        for i in range(count):
+            pos = np.add(pos + vel, jitter[i], out=centers[i])
             below, above = pos < half, pos > high
-            pos = np.where(below, twice_half - pos, np.where(above, twice_high - pos, pos))
-            pos = np.minimum(np.maximum(pos, half), high)
-            vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
-            cam_angle += cam_turn
-            cam = cam + cfg.camera_drift * np.array([np.cos(cam_angle), np.sin(cam_angle)])
-            np.add(pos.T, cam[:, None], out=boxes[:2, i])
+            if below.any() or above.any():
+                # reflect box centers off the arena walls; one reflection
+                # cannot bring back a step longer than the corridor between
+                # a center's two limits, so the reflected center is clamped
+                # into them. Neither step changes a center inside its limits
+                pos = np.where(below, twice_half - pos, np.where(above, twice_high - pos, pos))
+                pos = np.minimum(np.maximum(pos, half), high, out=centers[i])
+                vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
+            cam = np.add(cam, steps[i], out=cams[i])
+        # the block's (4, frames, n) box array: the centers under the camera,
+        # then the sizes
+        boxes = np.empty((4, count, n))
+        np.add(centers.transpose(2, 0, 1), cams.T[:, :, None], out=boxes[:2])
+        boxes[2:] = sizes.T[:, None]
 
         kept = uniform[:, n:] >= cfg.dropout   # (frames, n), in stream order
         frame_of, obj = kept.nonzero()

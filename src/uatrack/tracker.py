@@ -34,10 +34,12 @@ MAX_LOST = 30         # frames a lost track stays matchable
 MAX_FRAME = 100_000   # about an hour at 30 fps; bounds every frame sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     """One detection; its frame and index are its place in the sequence.
-    Its embedding stays None until `read_embeddings` or training attaches one."""
+    Its embedding stays None until `read_embeddings` or training attaches one.
+    Slotted: a scene holds one per kept object and frame, so it has no
+    per-instance `__dict__` and takes no attribute outside its fields."""
     box: BoundingBox
     confidence: float
     embedding: np.ndarray | None = None
@@ -324,7 +326,7 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
     # one box array, split by columns: the detections', then the tracks'
     boxes = box_array([dets[r].box for r in pool_rows.tolist()]
                       + [state.dets[i].box for i in state.last[pool_cols].tolist()])
-    gate = iou(boxes[:, :len(pool_rows)], boxes[:, len(pool_rows):])
+    gate = iou(boxes, len(pool_rows))
     hist = state.window_means(pool_cols)
     cprime = np.where(gate > state.cfg.beta, det_mat.take(pool_rows, axis=0) @ hist.T, 0.0)
     i, j = hungarian_max(cprime, floor=0.0).T

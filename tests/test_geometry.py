@@ -218,6 +218,32 @@ class TestIou:
                 == reference(xs, ys).tobytes()
             assert own[i].tobytes() == reference(xs, xs).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    def test_split_array_equals_two_arrays(self, n, m, data):
+        """An int second argument splits one array, as the tracker's gate
+        passes its detection and track boxes: its first n boxes against the
+        rest, from one edge pass and both axes in one call, with the bits of
+        the two-array call and of the scalar reference."""
+        xs = data.draw(st.lists(st.one_of(grid_boxes, float_boxes), min_size=n, max_size=n))
+        ys = data.draw(st.lists(st.one_of(grid_boxes, float_boxes), min_size=m, max_size=m))
+        boxes = box_array(xs + ys)
+        assert iou(boxes, n).tobytes() == iou(boxes[:, :n], boxes[:, n:]).tobytes() \
+            == reference(xs, ys).tobytes()
+
+    def test_split_crowd_pool_and_block_path(self):
+        """A 150-box pool split at 70 keeps the two-array bits, and a
+        (4, frames, n) block against itself (one axis at a time) keeps the
+        bits of each frame's own one-frame call."""
+        rng = np.random.default_rng(5)
+        boxes = np.stack([*rng.uniform(0.0, 560.0, (2, 150)), *rng.uniform(24.0, 48.0, (2, 150))])
+        assert iou(boxes, 70).tobytes() == iou(boxes[:, :70], boxes[:, 70:]).tobytes()
+        block = boxes.reshape(4, 10, 15)
+        own = iou(block, block)
+        assert own.shape == (10, 15, 15)
+        for i in range(10):
+            assert own[i].tobytes() == iou(block[:, i], block[:, i].copy()).tobytes()
+
 
 class TestAffineTransform:
     def test_identity(self):

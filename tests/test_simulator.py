@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uatrack import cli, formats, simulator
-from uatrack.errors import InvalidConfig
+from uatrack.errors import DegenerateBox, InvalidConfig
 from uatrack.geometry import BoundingBox, box_array, iou
 from uatrack.simulator import ScenarioConfig, generate
 from uatrack.tracker import Detection
@@ -277,14 +278,17 @@ class TestGenerate:
         assert (pred == y).mean() > 0.95
 
 
-def _reference_generate(cfg: ScenarioConfig):
+def _reference_generate(cfg: ScenarioConfig, contacts=None):
     """The per-object frame loop `generate` replaced, kept as its oracle:
     one `BoundingBox`, embedding and raw projection per object and frame,
-    from the same RNG stream. A frame's kept embeddings are stacked and
+    from the same RNG stream, every frame reflected and clamped. A frame's
+    kept embeddings are stacked and
     each is normalised as a row of that matrix, by the ddot of the row
     view, as `generate` takes it: under OpenBLAS's Katmai (Prescott)
     kernel, ddot on a row view of a matrix can round differently from ddot
-    on a fresh vector, which `np.linalg.norm` of a lone vector takes."""
+    on a fresh vector, which `np.linalg.norm` of a lone vector takes.
+    A `contacts` list gets one bool a frame: whether some center was
+    outside its limits before the reflection."""
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -317,6 +321,8 @@ def _reference_generate(cfg: ScenarioConfig):
     for frame in range(1, cfg.num_frames + 1):
         pos = pos + vel + rng.normal(0.0, simulator.POSITION_JITTER, size=(n, 2))
         below, above = pos < half, pos > high
+        if contacts is not None:
+            contacts.append(bool(below.any() or above.any()))
         pos = np.where(below, 2 * half - pos, np.where(above, 2 * high - pos, pos))
         pos = np.minimum(np.maximum(pos, half), high)
         vel = np.where(below, np.abs(vel), np.where(above, -np.abs(vel), vel))
@@ -520,6 +526,48 @@ class TestCallingThread:
             _assert_same_bits(scene, reference)
 
 
+class TestMotion:
+    """`generate` steps a block's camera along a path made once a block and
+    reflects and clamps centers only on frames where some center is outside
+    its limits; the bits are the per-object loop's, which reflects every
+    frame, on a scene with a contact in every frame (an arena 2 px wider
+    than the largest box, at speed 30), one with none (speed 0), one
+    without camera drift, and one in 7-frame blocks whose boundaries fall
+    between contact frames."""
+
+    @pytest.mark.parametrize("cfg, frames_per_block, contact_frames", [
+        (ScenarioConfig(arena=(simulator.BOX_MAX + 2, 420.0), speed=30.0, num_frames=40),
+         None, 40),
+        (ScenarioConfig(speed=0.0, num_frames=40), None, 0),
+        (ScenarioConfig(camera_drift=0.0, num_frames=40), None, 10),
+        (ScenarioConfig(num_frames=40), 7, 10),
+    ], ids=["contact-every-frame", "contact-free", "no-camera-drift", "7-frame-blocks"])
+    def test_equals_per_object_reference(self, cfg, frames_per_block, contact_frames):
+        contacts = []
+        reference = _reference_generate(cfg, contacts)
+        assert sum(contacts) == contact_frames
+        if frames_per_block is not None:
+            # the contact frames fall in 5 of the 6 blocks
+            blocks = [contacts[i:i + frames_per_block]
+                      for i in range(0, cfg.num_frames, frames_per_block)]
+            assert sum(map(any, blocks)) == 5
+        _assert_same_bits(_generate(cfg, frames_per_block), reference)
+
+    def test_every_box_runs_the_box_rules(self, monkeypatch):
+        """`BoundingBox` alone holds a box's rules: a rule added there
+        declines a box that `generate` builds."""
+        checks = BoundingBox.__post_init__
+
+        def narrower(box):
+            checks(box)
+            if box.w > 40:
+                raise DegenerateBox(f"box wider than 40: w={box.w}")
+
+        monkeypatch.setattr(BoundingBox, "__post_init__", narrower)
+        with pytest.raises(DegenerateBox, match=r"^box wider than 40: w=4\d\."):
+            generate(ScenarioConfig(num_frames=2))
+
+
 class TestBlockScratch:
     """A block's scratch stays within `BLOCK_VALUES` plus one frame's: the
     block's normals are gathered and freed before its overlaps are built,
@@ -581,3 +629,48 @@ class TestCallerErrstateReachesBuild:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == cli.DATA_ERROR
         assert proc.stderr == "uatrack simulate: overflow encountered in add\n"
+
+
+class TestMotionOverflow:
+    """A motion overflow raises from the frame that makes it, whichever
+    frame of its block that is, with the message of the per-frame build.
+    In the first frame a step can overflow in the motion's add; in a later
+    one only the reflection's subtract can: a step that overflows is longer
+    than the corridor, so it crosses a wall in the first frame, and from
+    then on each reflection also takes the center's mirror off the far
+    wall, a larger sum than the next frame's step."""
+
+    ARENA = "arena = 8.9e307 8.9e307\n"
+    FIRST_FRAME = ("num_objects = 1\nembed_dim = 2\nraw_dim = 2\nnum_frames = 6\n"
+                   + ARENA + "speed = 1.5e308\ncamera_drift = 0\nseed = 4\n")
+    LATER_FRAME = ("num_objects = 1\nembed_dim = 2\nraw_dim = 2\nnum_frames = 6\n"
+                   + ARENA + "speed = 9.2e307\ncamera_drift = 0\nseed = 0\n")
+
+    @pytest.mark.parametrize("text, frame, message", [
+        (FIRST_FRAME, 1, "overflow encountered in add"),
+        (LATER_FRAME, 4, "overflow encountered in subtract"),
+    ], ids=["first-frame-step", "later-frame-reflection"])
+    def test_raises_from_its_frame(self, tmp_path, capsys, text, frame, message):
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(text)
+        cfg = formats.parse_scenario_config(cfgp)
+        # one block holds all six frames, and every frame before `frame` builds
+        assert max(1, simulator.BLOCK_VALUES // _frame_values(cfg)) >= cfg.num_frames
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if frame > 2:
+                generate(replace(cfg, num_frames=frame - 1))
+            with pytest.raises(FloatingPointError, match=f"^{message}$"):
+                generate(replace(cfg, num_frames=max(2, frame)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")])
+        assert code == cli.DATA_ERROR
+        assert capsys.readouterr().err == f"uatrack simulate: {message}\n"
+        env = dict(os.environ)
+        pkg_root = str(Path(simulator.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "uatrack.cli", "simulate", "--config",
+                               str(cfgp), "--out", str(tmp_path / "cmd")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == cli.DATA_ERROR
+        assert proc.stderr == f"uatrack simulate: {message}\n"
