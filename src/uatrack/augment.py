@@ -52,8 +52,9 @@ def softmax(scores) -> np.ndarray:
     with the max subtracted first for numeric safety (the result is shift
     invariant)."""
     scores = np.asarray(scores, dtype=float)
-    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    # the ufunc reductions themselves: ndarray.max and .sum are Python wrappers of them
+    w = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
 
 
 def source_anchor_weights(present: list[Tracklet], frame: int) -> SamplingWeights:

@@ -71,7 +71,8 @@ class LinearEmbedder:
 
     def embed(self, raw: np.ndarray) -> np.ndarray:
         z = np.asarray(raw, dtype=float) @ self.weights
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+        # the call np.linalg.norm makes for real rows, without its wrapper
+        return z / np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -241,9 +242,10 @@ def info_nce_batch(queries: np.ndarray, raws: np.ndarray, keys: np.ndarray,
     losses = -np.log(probs[picked])
     probs[picked] -= 1.0
     grad_q = probs @ keys / DEFAULT_TEMPERATURE
-    # q = z / |z|; dL/dz = (I - q q^T) dL/dq / |z|
-    z_norm = np.linalg.norm(raws @ weights, axis=1, keepdims=True)
-    grad_z = (grad_q - queries * np.sum(queries * grad_q, axis=1, keepdims=True)) / z_norm
+    # q = z / |z|; dL/dz = (I - q q^T) dL/dq / |z|, with |z| as `LinearEmbedder.embed` takes it
+    z = raws @ weights
+    z_norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    grad_z = (grad_q - queries * np.add.reduce(queries * grad_q, axis=1, keepdims=True)) / z_norm
     return losses, raws.T @ grad_z
 
 
@@ -317,8 +319,9 @@ def train_embedder(frames, cfg: TrainConfig):
             if batch is None:
                 continue
             rows, positives, keys = batch
-            step_losses, grad = info_nce_batch(
-                emb[rows], raw[rows], emb[keys], positives, embedder.weights)
+            step_losses, grad = info_nce_batch(emb.take(rows, axis=0), raw.take(rows, axis=0),
+                                               emb.take(keys, axis=0), positives,
+                                               embedder.weights)
             losses.extend(step_losses.tolist())
             embedder.weights -= lr * grad / len(rows)
             trained += 1

@@ -2,9 +2,10 @@
 rectification, plus tracklet lifecycle management.
 
 Per frame: cosine similarity -> Hungarian assignment -> uncertainty score
-of every matched pair -> (when enabled) verification, a split by the score's
-sign, and rectification of the dissolved/unmatched pool with K-frame
-averaged similarity gated by IoU -> lifecycle (births, lost ages, retirement).
+of every matched pair, written into the decision table -> (when enabled)
+verification, which marks the pairs of positive score dissolved, and
+rectification of the dissolved/unmatched pool with K-frame averaged
+similarity gated by IoU -> lifecycle (births, lost ages, retirement).
 """
 
 from __future__ import annotations
@@ -118,11 +119,13 @@ class TrackerState:
     decision each, appended a stage at a time: the frame, the detection's
     index in its frame, the track id, the five verdict fields (0 for a
     birth), the stage and the detection's index into `dets`. It doubles
-    when full; `add_pairs` appends its rows and `step` their frame. `frame`
-    is the last frame stepped, 0 before any. `log()` gives the table's
-    `LOG` fields in log order, one packed copy that reads no `Detection`,
-    `applied` its applied rows, and `all_tracklets()` the tracklets, built
-    in bulk when they are read.
+    when full; `append` scores a stage's pairs into their rows, `verify`
+    marks the dissolved ones in place and `step` writes the frame. Within a
+    frame the rows are the direct pairs (dissolved ones among them), the
+    rectified pairs, then the births. `frame` is the last frame stepped, 0
+    before any. `log()` gives the table's `LOG` fields in log order, one
+    packed copy that reads no `Detection`, `applied` its applied rows, and
+    `all_tracklets()` the tracklets, built in bulk when they are read.
 
     The live tracks are the rows of the columns, ascending by id. `ids`
     names each row's track, `ring` (n × depth × D) holds its last
@@ -152,25 +155,32 @@ class TrackerState:
         self.n_rows = 0                   # rows of the table in use
         self.table = np.empty(0, ROW)
 
-    def add_pairs(self, pairs: np.ndarray, stage: int, base: int) -> None:
-        """Append one stage's `SCORED` pairs as rows, in their order: a
-        pair's detection is `dets[base + row]` and its track is on row
-        `col` of the columns."""
-        if not len(pairs):
-            return
-        start, stop = self.n_rows, self.n_rows + len(pairs)
+    def append(self, det_rows: np.ndarray, cols: np.ndarray, stage: int, base: int,
+               sim: np.ndarray | None = None) -> np.ndarray:
+        """Append one stage's pairs (det_rows[i], cols[i]) as rows, in their
+        order, and return the rows as a view of the table: a pair's
+        detection is `dets[base + det_rows[i]]` and its track is on row
+        cols[i] of the columns. Each pair is scored from the similarity
+        `sim`, all of them in one array pass; without `sim` (a birth) the
+        verdict is 0."""
+        start, stop = self.n_rows, self.n_rows + len(det_rows)
+        if start == stop:   # no scoring call for a stage without pairs
+            return self.table[start:stop]
         if stop > len(self.table):
             table = np.empty(max(2 * len(self.table), stop, 64), ROW)
             table[:start] = self.table[:start]
             self.table = table
         self.n_rows = stop
         rows = self.table[start:stop]
-        rows["det_index"] = pairs["row"]
-        np.add(pairs["row"], base, out=rows["det"])
-        rows["track_id"] = self.ids[pairs["col"]]
-        for name in AssociationVerdict._fields:
-            rows[name] = pairs[name]
+        rows["det_index"] = det_rows
+        np.add(det_rows, base, out=rows["det"])
+        rows["track_id"] = self.ids.take(cols)
+        verdict = (0.0,) * 5 if sim is None else association_uncertainty(
+            sim[det_rows, cols], second_best(sim, det_rows, cols), self.cfg.margins)
+        for name, values in zip(AssociationVerdict._fields, verdict):
+            rows[name] = values
         rows["stage"] = stage
+        return rows
 
     def log(self) -> np.ndarray:
         """The decisions as a `LOG` array, one element each, by frame in `LOG_GROUP` order."""
@@ -245,10 +255,6 @@ class TrackerState:
 
 # The five `AssociationVerdict` fields, in that order, in each dtype below.
 _VERDICT_FIELDS = [(name, float) for name in AssociationVerdict._fields]
-# A stage's (detection row, track column) pairs, one element each, with the
-# pair's verdict fields in log-row order.
-SCORED = np.dtype([("row", np.intp), ("col", np.intp)] + _VERDICT_FIELDS)
-_NO_PAIRS = np.zeros(0, SCORED)
 # The decision log, one decision per element, in a log line's field order;
 # stage 0 = birth, 1 = direct match, 2 = rectified, 3 = dissolved (logged,
 # not applied). A birth's verdict fields are 0.
@@ -280,34 +286,22 @@ def build_similarity(det_mat: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return det_mat @ reps.T
 
 
-def _scored(sim: np.ndarray, pairs: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
-    """Every (row, col) pair of the (pairs × 2) array scored in one array
-    pass, as a `SCORED` array."""
-    if not len(pairs):
-        return _NO_PAIRS
-    rows, cols = pairs.T
-    verdict = association_uncertainty(sim[rows, cols], second_best(sim, rows, cols),
-                                      cfg.margins)
-    scored = np.empty(len(pairs), SCORED)
-    for name, values in zip(SCORED.names, (rows, cols, *verdict)):
-        scored[name] = values
-    return scored
-
-
-def verify(scored: np.ndarray, shape: tuple[int, int]):
-    """Split the matched pairs, scored as a `SCORED` array, into certain and
-    dissolved ones by the sign of delta, and return the pool: every row and
-    every col of the (rows × cols) `shape`, ascending, that no certain pair
-    holds (the unmatched ones and the dissolved ones).
-
-    Dissolved pairs are returned with their verdicts as well so that every
-    association decision can be logged, even the ones that do not survive."""
-    uncertain = scored["delta"] > 0.0
-    certain, dissolved = scored, _NO_PAIRS
+def verify(rows: np.ndarray, pairs: np.ndarray, shape: tuple[int, int]):
+    """Mark the uncertain ones among the matched (pairs × 2) `pairs`, whose
+    scored table rows are `rows`, in order: a pair whose delta is > 0 is
+    dissolved, and its row's stage is set to STAGE_DISSOLVED in place, so
+    every association decision is logged, even the ones that do not
+    survive. Returns the certain pairs and the dissolved ones, each
+    (k × 2), and the pool: every row and every col of the (detections ×
+    tracks) `shape`, ascending, that no certain pair holds (the unmatched
+    ones and the dissolved ones)."""
+    uncertain = rows["delta"] > 0.0
+    certain, dissolved = pairs, pairs[:0]
     if np.count_nonzero(uncertain):   # most frames dissolve nothing and skip the split
-        certain, dissolved = scored.compress(~uncertain), scored.compress(uncertain)
+        rows["stage"][uncertain] = STAGE_DISSOLVED
+        certain, dissolved = pairs[~uncertain], pairs[uncertain]
     held_rows, held_cols = np.zeros(shape[0], bool), np.zeros(shape[1], bool)
-    held_rows[certain["row"]] = held_cols[certain["col"]] = True
+    held_rows[certain[:, 0]] = held_cols[certain[:, 1]] = True
     # .nonzero() itself: the Python wrappers of flatnonzero and of numpy's set
     # routines cost more than the rest of the pool on a 12-track frame
     return certain, dissolved, (~held_rows).nonzero()[0], (~held_cols).nonzero()[0]
@@ -335,49 +329,48 @@ def rectify(pool_rows: np.ndarray, pool_cols: np.ndarray, dets: list[Detection],
 
 def step(state: TrackerState, frame: int, dets: list[Detection]) -> None:
     """Advance the tracker by one frame, appending its decisions to the
-    state's table a stage at a time. Every check comes before the first
-    write, so a step that raises leaves the state as it was."""
+    state's table a stage at a time: the solver's pairs, scored under
+    either UTL setting (with UTL on, `verify` marks the dissolved ones in
+    place), then the rectified pairs, then the births. Every check comes
+    before the first write, so a step that raises leaves the state as it
+    was."""
     cfg = state.cfg
     if frame <= state.frame:
         raise OutOfOrderFrame(f"frame {frame} after {state.frame}")
 
     det_mat = _embeddings(dets)
     sim = build_similarity(det_mat, state.newest)
-    certain = _scored(sim, hungarian_max(sim), cfg)
-    dissolved = rectified = _NO_PAIRS
-    if cfg.utl_enabled:
-        certain, dissolved, pool_rows, pool_cols = verify(certain, sim.shape)
-        # delta is recomputed from the original similarity row so the
-        # tracklet's delta history stays on one scale
-        rectified = _scored(sim, rectify(pool_rows, pool_cols, dets, det_mat, state), cfg)
     base, first_row = len(state.dets), state.n_rows
+    matches = hungarian_max(sim)
+    direct = state.append(*matches.T, STAGE_ASSOC, base, sim)
+    if cfg.utl_enabled:
+        matches, _, pool_rows, pool_cols = verify(direct, matches, sim.shape)
+        rectified = rectify(pool_rows, pool_cols, dets, det_mat, state)
+        if len(rectified):
+            # delta is recomputed from the original similarity row so the
+            # tracklet's delta history stays on one scale
+            state.append(*rectified.T, STAGE_RECTIFIED, base, sim)
+            matches = np.concatenate([matches, rectified])
     state.dets += dets
-    state.add_pairs(dissolved, STAGE_DISSOLVED, base)
-    state.add_pairs(certain, STAGE_ASSOC, base)
-    rows, cols = certain["row"], certain["col"]
-    if len(rectified):
-        state.add_pairs(rectified, STAGE_RECTIFIED, base)
-        rows = np.concatenate([rows, rectified["row"]])
-        cols = np.concatenate([cols, rectified["col"]])
 
+    det_rows, cols = matches.T
     state.lost += 1   # `record` zeroes the matched tracks' ages
-    if len(rows):
-        state.record(cols, det_mat.take(rows, axis=0), rows + base)
+    if len(det_rows):
+        state.record(cols, det_mat.take(det_rows, axis=0), det_rows + base)
 
-    matched_rows = set(rows.tolist())
+    matched_rows = set(det_rows.tolist())
     born_rows = [r for r, det in enumerate(dets)
                  if r not in matched_rows and det.confidence >= DET_CONF_MIN]
     first_id = state.made + 1
     state.made += len(born_rows)
     keep = state.lost <= MAX_LOST
     if born_rows or np.count_nonzero(keep) < len(keep):
-        state.compact(keep, np.arange(first_id, state.made + 1),
-                      det_mat.take(born_rows, axis=0), np.array(born_rows, dtype=np.intp) + base)
+        born = np.array(born_rows, dtype=np.intp)
+        state.compact(keep, np.arange(first_id, state.made + 1), det_mat.take(born, axis=0),
+                      born + base)
         # each birth is a pair of verdict 0 with its new track, on the last columns
-        born = np.zeros(len(born_rows), SCORED)
-        born["row"] = born_rows
-        born["col"] = np.arange(len(state.ids) - len(born_rows), len(state.ids))
-        state.add_pairs(born, STAGE_BIRTH, base)
+        state.append(born, np.arange(len(state.ids) - len(born), len(state.ids)), STAGE_BIRTH,
+                     base)
     state.table["frame"][first_row:state.n_rows] = frame
     state.frame = frame
 

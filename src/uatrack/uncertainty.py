@@ -84,7 +84,7 @@ def second_best(sim, rows, cols) -> np.ndarray:
         return np.zeros(len(rows))
     masked = sim.take(rows, axis=0)   # a copy; `take` gathers rows faster than indexing
     masked[np.arange(len(rows)), cols] = -np.inf
-    return masked.max(axis=1)
+    return np.maximum.reduce(masked, axis=1)
 
 
 def tracklet_uncertainty(deltas) -> float:

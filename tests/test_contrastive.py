@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uatrack import contrastive, formats, tracker
-from uatrack.augment import source_anchor_weights, target_anchor_weights
+from uatrack.augment import softmax, source_anchor_weights, target_anchor_weights
 from uatrack.contrastive import (DEFAULT_TEMPERATURE, MAX_LAG, ContrastiveBatch,
                                  EpochColumns, LinearEmbedder, TrainConfig,
                                  draw_plan, info_nce, info_nce_batch,
@@ -166,6 +166,71 @@ class TestLinearEmbedder:
         back = formats.read_weights(p)
         assert isinstance(back, np.ndarray)
         assert np.array_equal(back, e.weights)
+
+
+class TestReductionBits:
+    """`softmax`, `LinearEmbedder.embed` and `info_nce_batch` call numpy's
+    ufunc reductions directly; each gives the bits of its form through the
+    Python wrappers (`ndarray.max` and `.sum`, `np.linalg.norm`, `np.sum`),
+    on rows of 1 to 17 values, both sides of numpy's 8-wide pairwise
+    unroll."""
+
+    WIDTHS = (1, 2, 7, 8, 9, 16, 17)
+
+    @staticmethod
+    def wrapper_softmax(scores):
+        scores = np.asarray(scores, dtype=float)
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return w / w.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def wrapper_info_nce_batch(queries, raws, keys, positives, weights):
+        probs = TestReductionBits.wrapper_softmax(queries @ keys.T / DEFAULT_TEMPERATURE)
+        picked = (np.arange(len(queries)), positives)
+        losses = -np.log(probs[picked])
+        probs[picked] -= 1.0
+        grad_q = probs @ keys / DEFAULT_TEMPERATURE
+        z_norm = np.linalg.norm(raws @ weights, axis=1, keepdims=True)
+        grad_z = (grad_q - queries * np.sum(queries * grad_q, axis=1, keepdims=True)) / z_norm
+        return losses, raws.T @ grad_z
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_softmax(self, width):
+        rng = np.random.default_rng(width)
+        for shape in ((width,), (1, width), (5, width)):
+            for _ in range(20):
+                scores = 10.0 * rng.normal(size=shape)
+                assert self.same_bits(softmax(scores), self.wrapper_softmax(scores))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_embed(self, width):
+        rng = np.random.default_rng(100 + width)
+        for raw_dim in (1, 5, 17):
+            embedder = LinearEmbedder(rng.normal(size=(raw_dim, width)))
+            for raw in (rng.normal(size=raw_dim), rng.normal(size=(6, raw_dim))):
+                z = raw @ embedder.weights
+                assert self.same_bits(embedder.embed(raw),
+                                      z / np.linalg.norm(z, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_info_nce_batch(self, width):
+        """`width` keys of `width` dims each, so both the softmax's and the
+        norms' rows have that many values."""
+        rng = np.random.default_rng(200 + width)
+        embedder = LinearEmbedder(rng.normal(size=(5, width)))
+        for n_queries in (1, 3, 9):
+            raws = rng.normal(size=(n_queries, 5))
+            queries = embedder.embed(raws)
+            keys = embedder.embed(rng.normal(size=(width, 5)))
+            positives = rng.integers(width, size=n_queries)
+            weights = embedder.weights + 0.1 * rng.normal(size=embedder.weights.shape)
+            got = info_nce_batch(queries, raws, keys, positives, weights)
+            want = self.wrapper_info_nce_batch(queries, raws, keys, positives, weights)
+            assert all(map(self.same_bits, got, want))
 
 
 def toy_sequence(n_frames=30, n_objects=3, raw_dim=8, seed=0):

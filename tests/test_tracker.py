@@ -15,10 +15,9 @@ from uatrack.assignment import brute_force_max, hungarian_max
 from uatrack.errors import DimensionMismatch, InvalidConfig, OutOfOrderFrame
 from uatrack.geometry import BoundingBox, box_array, iou
 from uatrack.simulator import ScenarioConfig, generate
-from uatrack.tracker import (LOG, SCORED, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED,
-                             STAGE_RECTIFIED, Detection, Tracklet, TrackerConfig,
-                             TrackerState, TrackRecord, _scored, applied, build_similarity,
-                             rectify, step, track_sequence, verify)
+from uatrack.tracker import (LOG, STAGE_ASSOC, STAGE_BIRTH, STAGE_DISSOLVED, STAGE_RECTIFIED,
+                             Detection, Tracklet, TrackerConfig, TrackerState, TrackRecord,
+                             applied, build_similarity, rectify, step, track_sequence, verify)
 from uatrack.uncertainty import AssociationVerdict, association_uncertainty, second_best
 
 
@@ -266,15 +265,24 @@ class TestBuildSimilarity:
         assert build_similarity(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
 
 
+def direct_rows(sim, pairs, cfg=TrackerConfig()):
+    """The direct rows `step` appends for the (pairs × 2) `pairs` of `sim`,
+    scored, on a state whose tracks 1..cols are its columns."""
+    state = TrackerState(cfg)
+    state.ids = np.arange(1, sim.shape[1] + 1)
+    return state.append(*pairs.T, STAGE_ASSOC, 0, sim)
+
+
 class TestVerify:
     def test_perfect_match_is_certain(self):
         sim = np.array([[1.0]])
         matching = hungarian_max(sim)
-        certain, dissolved, rows, cols = verify(_scored(sim, matching, TrackerConfig()), sim.shape)
-        assert len(certain) == 1 and len(dissolved) == 0
-        assert (certain["row"].tolist(), certain["col"].tolist()) == ([0], [0])
-        assert certain["delta"][0] == pytest.approx(-3.6889, abs=1e-3)
-        assert rows.shape == cols.shape == (0,)
+        rows = direct_rows(sim, matching)
+        certain, dissolved, pool_rows, pool_cols = verify(rows, matching, sim.shape)
+        assert certain.tolist() == [[0, 0]] and dissolved.shape == (0, 2)
+        assert rows["stage"].tolist() == [STAGE_ASSOC]
+        assert rows["delta"][0] == pytest.approx(-3.6889, abs=1e-3)
+        assert pool_rows.shape == pool_cols.shape == (0,)
 
     def test_confusable_pairs_both_dissolved(self):
         # cross-matching is optimal (0.50 + 0.49 > 0.52 + 0.46) and both
@@ -282,41 +290,50 @@ class TestVerify:
         sim = np.array([[0.52, 0.50], [0.49, 0.46]])
         matching = hungarian_max(sim)
         assert matching.tolist() == [[0, 1], [1, 0]]
-        certain, dissolved, rows, cols = verify(_scored(sim, matching, TrackerConfig()), sim.shape)
-        assert len(certain) == 0
-        assert list(zip(dissolved["row"].tolist(), dissolved["col"].tolist())) == [(0, 1), (1, 0)]
-        assert (dissolved["delta"] > 0).all()
-        assert rows.tolist() == [0, 1]
-        assert cols.tolist() == [0, 1]
+        rows = direct_rows(sim, matching)
+        certain, dissolved, pool_rows, pool_cols = verify(rows, matching, sim.shape)
+        assert certain.shape == (0, 2)
+        assert dissolved.tolist() == [[0, 1], [1, 0]]
+        assert (rows["delta"] > 0).all()
+        assert rows["stage"].tolist() == [STAGE_DISSOLVED] * 2
+        assert pool_rows.tolist() == [0, 1]
+        assert pool_cols.tolist() == [0, 1]
 
     def test_empty_matching_pools_everything(self):
         sim = np.zeros((2, 2))
         matching = hungarian_max(sim, floor=0.0)
-        certain, dissolved, rows, cols = verify(_scored(sim, matching, TrackerConfig()), sim.shape)
-        assert len(certain) == 0 and len(dissolved) == 0
-        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
+        rows = direct_rows(sim, matching)
+        assert len(rows) == 0
+        certain, dissolved, pool_rows, pool_cols = verify(rows, matching, sim.shape)
+        assert certain.shape == dissolved.shape == (0, 2)
+        assert pool_rows.tolist() == [0, 1] and pool_cols.tolist() == [0, 1]
 
     def test_pool_is_unmatched_and_dissolved(self):
         """The pool is every row and col no certain pair holds: the
-        oracle's unmatched ones together with the dissolved ones. The two
-        stages are `SCORED` arrays that split the matched pairs by the sign
-        of delta."""
+        oracle's unmatched ones together with the dissolved ones. The
+        certain and dissolved pairs split the matched ones by the sign of
+        delta, each in the matching's order, and exactly the dissolved
+        pairs' rows are marked in place; no other field or row changes."""
         rng = np.random.default_rng(606)
         dissolving = 0
         for _ in range(200):
             sim = rng.uniform(-1, 1, size=tuple(rng.integers(1, 7, size=2)))
             for floor in (-np.inf, 0.0):
                 matching = brute_force_max(sim, floor=floor)
-                certain, dissolved, rows, cols = verify(
-                    _scored(sim, matching, TrackerConfig()), sim.shape)
-                assert certain.dtype == dissolved.dtype == SCORED
-                assert sorted(certain[["row", "col"]].tolist()
-                              + dissolved[["row", "col"]].tolist()) == sorted(
-                    map(tuple, matching.tolist()))
-                assert (certain["delta"] <= 0).all() and (dissolved["delta"] > 0).all()
-                for n, pool, field, matched in ((sim.shape[0], rows, "row", matching[:, 0]),
-                                                (sim.shape[1], cols, "col", matching[:, 1])):
-                    held, gone = certain[field], dissolved[field]
+                rows = direct_rows(sim, matching)
+                before = rows.copy()
+                certain, dissolved, pool_rows, pool_cols = verify(rows, matching, sim.shape)
+                uncertain = before["delta"] > 0
+                assert certain.dtype == dissolved.dtype == np.intp
+                assert certain.tolist() == matching[~uncertain].tolist()
+                assert dissolved.tolist() == matching[uncertain].tolist()
+                assert rows["stage"].tolist() == np.where(uncertain, STAGE_DISSOLVED,
+                                                          STAGE_ASSOC).tolist()
+                before["stage"] = rows["stage"]
+                assert rows.tobytes() == before.tobytes()
+                for n, pool, held, gone, matched in (
+                        (sim.shape[0], pool_rows, certain[:, 0], dissolved[:, 0], matching[:, 0]),
+                        (sim.shape[1], pool_cols, certain[:, 1], dissolved[:, 1], matching[:, 1])):
                     assert pool.dtype == np.intp
                     assert pool.tolist() == sorted(set(range(n)) - set(held.tolist()))
                     free = set(range(n)) - set(matched.tolist())
@@ -325,10 +342,10 @@ class TestVerify:
         assert dissolving > 100   # the dissolved side of the union is exercised
 
     def test_certain_frame_keeps_every_pair(self):
-        """With no pair uncertain, nothing is split off: `certain` is every
-        pair of the oracle's matching, in its order, with the one-pair
-        formula's bits, `dissolved` is an empty `SCORED` array and the pool
-        is the unmatched rows and cols."""
+        """With no pair uncertain, nothing is split off or marked: `certain`
+        is every pair of the oracle's matching, in its order, each row has
+        the one-pair formula's bits, `dissolved` is empty and the pool is
+        the unmatched rows and cols."""
         rng = np.random.default_rng(707)
         cfg = TrackerConfig()
         for _ in range(100):
@@ -337,17 +354,20 @@ class TestVerify:
             k = min(n_rows, n_cols)
             sim[rng.permutation(n_rows)[:k], rng.permutation(n_cols)[:k]] = rng.uniform(0.9, 1.0, k)
             matching = brute_force_max(sim)
-            certain, dissolved, rows, cols = verify(_scored(sim, matching, cfg), sim.shape)
-            assert dissolved.dtype == SCORED and len(dissolved) == 0
-            assert certain[["row", "col"]].tolist() == list(map(tuple, matching.tolist()))
-            for pair in certain:
-                r, c = int(pair["row"]), int(pair["col"])
+            rows = direct_rows(sim, matching, cfg)
+            certain, dissolved, pool_rows, pool_cols = verify(rows, matching, sim.shape)
+            assert dissolved.shape == (0, 2) and dissolved.dtype == np.intp
+            assert certain.tolist() == matching.tolist()
+            assert (rows["stage"] == STAGE_ASSOC).all()
+            assert rows["track_id"].tolist() == (matching[:, 1] + 1).tolist()
+            for row in rows:
+                r, c = int(row["det_index"]), int(row["track_id"]) - 1
                 expect = association_uncertainty(
                     float(sim[r, c]), float(second_best(sim, [r], [c])[0]), cfg.margins)
-                assert tuple(pair[list(AssociationVerdict._fields)].tolist()) == expect
+                assert tuple(row[list(AssociationVerdict._fields)].tolist()) == expect
                 assert expect.delta <= 0.0
-            assert rows.tolist() == sorted(set(range(n_rows)) - set(matching[:, 0].tolist()))
-            assert cols.tolist() == sorted(set(range(n_cols)) - set(matching[:, 1].tolist()))
+            assert pool_rows.tolist() == sorted(set(range(n_rows)) - set(matching[:, 0].tolist()))
+            assert pool_cols.tolist() == sorted(set(range(n_cols)) - set(matching[:, 1].tolist()))
 
 
 class TestRectify:
@@ -848,3 +868,181 @@ class TestTrackSequence:
     def test_plain_lists_accepted(self):
         tracklets = track_sequence(self._frames(3)).all_tracklets()
         assert {r.frame for t in tracklets for r in t.records} == {1, 2, 3}
+
+
+# The staged step that `step` replaced, kept as its oracle. Each stage is
+# scored into a `SCORED` staging array, `_split` divides the direct stage
+# into certain and dissolved arrays, and `_add_pairs` copies a stage into
+# the table field by field: within a frame the dissolved rows come first,
+# then the direct, rectified and born ones.
+SCORED = np.dtype([("row", np.intp), ("col", np.intp)]
+                  + [(name, float) for name in AssociationVerdict._fields])
+_NO_PAIRS = np.zeros(0, SCORED)
+
+
+def _scored(sim, pairs, cfg):
+    if not len(pairs):
+        return _NO_PAIRS
+    rows, cols = pairs.T
+    verdict = association_uncertainty(sim[rows, cols], second_best(sim, rows, cols),
+                                      cfg.margins)
+    scored = np.empty(len(pairs), SCORED)
+    for name, values in zip(SCORED.names, (rows, cols, *verdict)):
+        scored[name] = values
+    return scored
+
+
+def _split(scored, shape):
+    uncertain = scored["delta"] > 0.0
+    certain, dissolved = scored, _NO_PAIRS
+    if np.count_nonzero(uncertain):
+        certain, dissolved = scored.compress(~uncertain), scored.compress(uncertain)
+    held_rows, held_cols = np.zeros(shape[0], bool), np.zeros(shape[1], bool)
+    held_rows[certain["row"]] = held_cols[certain["col"]] = True
+    return certain, dissolved, (~held_rows).nonzero()[0], (~held_cols).nonzero()[0]
+
+
+def _add_pairs(state, pairs, stage, base):
+    if not len(pairs):
+        return
+    start, stop = state.n_rows, state.n_rows + len(pairs)
+    if stop > len(state.table):
+        table = np.empty(max(2 * len(state.table), stop, 64), tracker.ROW)
+        table[:start] = state.table[:start]
+        state.table = table
+    state.n_rows = stop
+    rows = state.table[start:stop]
+    rows["det_index"] = pairs["row"]
+    np.add(pairs["row"], base, out=rows["det"])
+    rows["track_id"] = state.ids[pairs["col"]]
+    for name in AssociationVerdict._fields:
+        rows[name] = pairs[name]
+    rows["stage"] = stage
+
+
+def _reference_step(state, frame, dets):
+    cfg = state.cfg
+    if frame <= state.frame:
+        raise OutOfOrderFrame(f"frame {frame} after {state.frame}")
+    det_mat = tracker._embeddings(dets)
+    sim = build_similarity(det_mat, state.newest)
+    certain = _scored(sim, hungarian_max(sim), cfg)
+    dissolved = rectified = _NO_PAIRS
+    if cfg.utl_enabled:
+        certain, dissolved, pool_rows, pool_cols = _split(certain, sim.shape)
+        rectified = _scored(sim, rectify(pool_rows, pool_cols, dets, det_mat, state), cfg)
+    base, first_row = len(state.dets), state.n_rows
+    state.dets += dets
+    _add_pairs(state, dissolved, STAGE_DISSOLVED, base)
+    _add_pairs(state, certain, STAGE_ASSOC, base)
+    rows, cols = certain["row"], certain["col"]
+    if len(rectified):
+        _add_pairs(state, rectified, STAGE_RECTIFIED, base)
+        rows = np.concatenate([rows, rectified["row"]])
+        cols = np.concatenate([cols, rectified["col"]])
+    state.lost += 1
+    if len(rows):
+        state.record(cols, det_mat.take(rows, axis=0), rows + base)
+    matched_rows = set(rows.tolist())
+    born_rows = [r for r, det in enumerate(dets)
+                 if r not in matched_rows and det.confidence >= tracker.DET_CONF_MIN]
+    first_id = state.made + 1
+    state.made += len(born_rows)
+    keep = state.lost <= tracker.MAX_LOST
+    if born_rows or np.count_nonzero(keep) < len(keep):
+        state.compact(keep, np.arange(first_id, state.made + 1),
+                      det_mat.take(born_rows, axis=0), np.array(born_rows, dtype=np.intp) + base)
+        born = np.zeros(len(born_rows), SCORED)
+        born["row"] = born_rows
+        born["col"] = np.arange(len(state.ids) - len(born_rows), len(state.ids))
+        _add_pairs(state, born, STAGE_BIRTH, base)
+    state.table["frame"][first_row:state.n_rows] = frame
+    state.frame = frame
+
+
+def bits(state):
+    """What a step leaves that a reader sees, as bytes: the log, the applied
+    rows, the live columns and the counters."""
+    reads = [state.log(), applied(state.table[:state.n_rows]), state.ids, state.ring,
+             state.newest, state.lengths, state.last, state.lost]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in reads]
+            + [state.made, state.frame, len(state.dets)])
+
+
+def step_against_reference(frames, cfg):
+    """Step `frames` through `step` and `_reference_step` side by side and
+    check after each frame that both states read the same bits. Returns
+    what the frames reached: 'empty' (a frame without detections),
+    'no_track' (detections and no live track), 'all_dissolved' (every
+    direct pair dissolved) and the stages logged."""
+    new, ref = TrackerState(cfg), TrackerState(cfg)
+    reached = set()
+    for frame, dets in enumerate(frames, start=1):
+        if not dets:
+            reached.add("empty")
+        elif not len(new.ids):
+            reached.add("no_track")
+        first = new.n_rows
+        step(new, frame, dets)
+        _reference_step(ref, frame, dets)
+        assert bits(new) == bits(ref), frame
+        stages = new.table["stage"][first:new.n_rows].tolist()
+        reached.update(stages)
+        if STAGE_DISSOLVED in stages and STAGE_ASSOC not in stages:
+            reached.add("all_dissolved")
+    return reached
+
+
+def random_frames(rng, n_frames, dim, spread, empty_rate):
+    """Frames of 0-5 detections each, near a few identities whose unit
+    embeddings are drifted by `spread`; boxes in a 20-pixel square so the
+    IoU gate passes and fails, confidences on both sides of DET_CONF_MIN."""
+    identities = rng.normal(size=(6, dim))
+    frames = []
+    for _ in range(n_frames):
+        n = 0 if rng.random() < empty_rate else int(rng.integers(0, 6))
+        embs = identities[rng.integers(0, 6, size=n)] + spread * rng.normal(size=(n, dim))
+        embs /= np.linalg.norm(embs, axis=1, keepdims=True)
+        frames.append([det(e, *rng.uniform(0, 20, 2), *rng.uniform(2, 8, 2),
+                           conf=float(rng.choice([0.5, 0.9])))
+                       for e in embs])
+    return frames
+
+
+class TestStepOracle:
+    """`step` scores each stage straight into the table and marks the
+    dissolved rows in place; the staged `_reference_step` gives the same
+    log, applied rows and live columns, bit for bit, frame by frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 14),
+           dim=st.sampled_from([1, 2, 3, 8]), spread=st.sampled_from([0.0, 0.3, 3.0]),
+           empty_rate=st.sampled_from([0.0, 0.3]), K=st.sampled_from([1, 2, 5]),
+           utl=st.booleans(), max_lost=st.sampled_from([1, 2, 30]))
+    def test_tiny_scenes(self, seed, n_frames, dim, spread, empty_rate, K, utl, max_lost):
+        frames = random_frames(np.random.default_rng(seed), n_frames, dim, spread, empty_rate)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracker, "MAX_LOST", max_lost)
+            step_against_reference(frames, TrackerConfig(K=K, utl_enabled=utl))
+
+    def test_tiny_scenes_reach_the_edge_frames(self, monkeypatch):
+        """Fixed tiny scenes reach every edge frame the hypothesis test
+        draws from: empty frames, frames with no live track (after every
+        track retired, too), frames whose every pair dissolves, and every
+        stage, with K = 1 and D = 1."""
+        monkeypatch.setattr(tracker, "MAX_LOST", 1)
+        rng = np.random.default_rng(11)
+        reached = set()
+        for dim, spread in ((1, 0.0), (3, 0.3), (8, 3.0)):
+            for utl in (True, False):
+                frames = random_frames(rng, 30, dim, spread, 0.3)
+                reached |= step_against_reference(frames, TrackerConfig(K=1, utl_enabled=utl))
+        assert reached == {"empty", "no_track", "all_dissolved", STAGE_BIRTH, STAGE_ASSOC,
+                           STAGE_RECTIFIED, STAGE_DISSOLVED}
+
+    @pytest.mark.parametrize("scene", [dict(seed=s) for s in range(7, 13)]
+                             + [dict(CROWD, seed=7)])
+    def test_benchmark_scenes(self, scene):
+        frames, _ = generate(ScenarioConfig(**scene))
+        for utl in (True, False):
+            step_against_reference(frames, TrackerConfig(utl_enabled=utl))
